@@ -143,39 +143,31 @@ def imaging_optimal(n: int, total: float) -> PowerAllocation:
     return PowerAllocation.uniform(n, total)
 
 
-def water_filling(ch: ChannelGains, total: float, tol: float = 1e-10) -> PowerAllocation:
-    """Rate-maximizing allocation P_k = (w - 1/g_k)+ via monotone bisection.
+def water_filling(ch: ChannelGains, total: float) -> PowerAllocation:
+    """Rate-maximizing allocation P_k = (w - 1/g_k)+ in closed form.
 
-    The water level w is bisected until the power budget is met to
-    ``tol * total``.  Zero-gain subcarriers stay dry.
+    With the floors 1/g_k sorted ascending, the m lowest are wet exactly when
+    the level (total + sum of those floors) / m lies above the m-th floor; that
+    test holds for a prefix of m, so the largest such m fixes the active set
+    and the level in one pass.  Zero-gain subcarriers stay dry.
     """
     g = ch.gains
-    if not np.any(g > 0):
+    live = g > 0
+    if not np.any(live):
         raise InfeasibleChannelError("all channel gains are zero")
-    inv = np.where(g > 0, 1.0 / np.where(g > 0, g, 1.0), np.inf)
-
-    def powers_at(level: float) -> np.ndarray:
-        return np.where(g > 0, np.maximum(level - inv, 0.0), 0.0)
-
-    lo = 0.0
-    hi = float(inv[np.isfinite(inv)].min()) + total  # guarantees sum >= total
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if powers_at(mid).sum() > total:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol * total / max(len(g), 1):
-            break
-    level = 0.5 * (lo + hi)
-    powers = powers_at(level)
-    s = powers.sum()
-    if s > 0:
-        # Snap residual bisection error onto the active set.
-        active = powers > 0
-        powers[active] += (total - s) / active.sum()
-        powers = np.maximum(powers, 0.0)
-    return PowerAllocation(powers * (total / powers.sum()), total)
+    if not total > 0:
+        raise ValueError("total power budget must be positive")
+    # Floors and level are measured from the lowest floor, which can dwarf the
+    # budget at low SNR; the wet floors lie within the budget of it.
+    floors = 1.0 / g[live]
+    rise = floors - floors.min()
+    ranked = np.sort(rise)
+    filled = np.cumsum(ranked)
+    m = np.count_nonzero(total + filled > np.arange(1, rise.size + 1) * ranked)
+    level = (total + filled[m - 1]) / m
+    powers = np.zeros_like(g)
+    powers[live] = np.maximum(level - rise, 0.0)
+    return PowerAllocation(powers, total)
 
 
 def achievable_rate(alloc: PowerAllocation, ch: ChannelGains) -> float:
@@ -214,54 +206,83 @@ def emse_of_alloc(
 
 
 # ---------------------------------------------------------------------------
-# Rate-constrained EMSE minimization (nested monotone bisection on the KKT
-# system).  Stationarity for subcarrier k:
+# Rate-constrained EMSE minimization: safeguarded Newton on the KKT system
+# (Boyd & Vandenberghe, Convex Optimization, sec. 5.5).  Stationarity for
+# subcarrier k:
 #
-#     A / P_k^2 + lam * g_k / (1 + g_k P_k) = mu
+#     f_k(P) = A / P^2 + lam * g_k / (1 + g_k P) - mu = 0
 #
-# with lam >= 0 the rate multiplier and mu the power multiplier.  The left
-# side is strictly decreasing in P_k, so each level has a unique positive
-# root; sum P_k(mu) is strictly decreasing in mu; the achieved rate is
-# nondecreasing in lam.
+# with lam >= 0 the rate multiplier and mu the power multiplier.  f_k is
+# convex and decreasing in P, so Newton started left of its root climbs to it
+# without overshooting.  Each root P_k(mu) inverts a convex decreasing map, so
+# the power sum is convex and decreasing in mu, and Newton on mu from a lower
+# bound climbs the same way inside a closed-form bracket.  The achieved rate
+# is nondecreasing in lam; lam is found by a bracketing secant method, and the
+# powers returned are those at the bracket's feasible end.
+#
+# Each loop stops on a tolerance its bracket guarantees to reach; the step
+# caps only turn a broken invariant into an error instead of a wrong answer.
 # ---------------------------------------------------------------------------
 
+_RATE_TOL = 1e-8  # relative rate tolerance of the rate-constrained solver
+_MAX_STEPS = 100  # per loop
 
-def _stationarity_roots(mu: float, lam: float, g: np.ndarray, a: float) -> np.ndarray:
-    # Upper bracket from A/P^2 + lam/P = mu (an upper bound on the residual).
-    hi = (lam + np.sqrt(lam * lam + 4.0 * a * mu)) / (2.0 * mu)
-    hi = np.full_like(g, 2.0 * hi)
-    lo = np.full_like(g, 0.25 * np.sqrt(a / mu))
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        resid = a / mid**2 + lam * g / (1.0 + g * mid)
-        too_big = resid > mu  # residual above mu means root is to the right
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
-    return 0.5 * (lo + hi)
+
+def _stationarity_roots(
+    mu: float, lam: float, g: np.ndarray, a: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots P_k of f_k, and the slopes f_k'(P_k) there."""
+    # At sqrt(A/mu) the first term alone equals mu, and at lam/mu - 1/g_k the
+    # second does, so both points lie left of the root.
+    with np.errstate(divide="ignore"):
+        p = np.maximum(np.sqrt(a / mu), lam / mu - 1.0 / g)
+    for _ in range(_MAX_STEPS):
+        gd = g / (1.0 + g * p)
+        slope = -2.0 * a / p**3 - lam * gd * gd
+        resid = a / p**2 + lam * gd - mu
+        p = p - resid / slope
+        # Newton converges quadratically, so one step past a residual of
+        # 1e-12 of the level leaves only rounding error.
+        if np.max(np.abs(resid)) <= 1e-12 * mu:
+            return p, slope
+    raise RuntimeError("per-subcarrier Newton did not converge")
 
 
 def _powers_for_lambda(
-    lam: float, g: np.ndarray, total: float, a: float, tol: float
+    lam: float, g: np.ndarray, total: float, a: float, level: float
 ) -> np.ndarray:
-    n = g.size
-    # Uniform-point multiplier as the starting scale for mu.
-    mu = a * (n / total) ** 2 + lam * np.max(g) if lam > 0 else a * (n / total) ** 2
-    mu_lo, mu_hi = mu, mu
-    while _stationarity_roots(mu_lo, lam, g, a).sum() < total:
-        mu_lo /= 4.0
-    while _stationarity_roots(mu_hi, lam, g, a).sum() > total:
-        mu_hi *= 4.0
-    for _ in range(200):
-        mu = np.sqrt(mu_lo * mu_hi)
-        p = _stationarity_roots(mu, lam, g, a)
-        if p.sum() > total:
+    """Powers meeting the budget at rate multiplier ``lam``.
+
+    ``level`` is the water level of the channel's water-filling allocation.
+    """
+    # The lam = 0 multiplier puts every root at or right of total/N, so the
+    # power sum is at least the budget there; adding lam * max(g) puts every
+    # root at or left of total/N.
+    mu_lo = a * (g.size / total) ** 2
+    mu_hi = mu_lo + lam * np.max(g)
+    # Each root lies right of lam/mu - 1/g_k, so at mu = lam/level the power sum
+    # is at least the water-filling budget: a second lower bound on mu, the
+    # tighter one when the rate term dominates.  Newton on the convex
+    # decreasing sum from a point left of its root climbs without overshoot.
+    mu = max(mu_lo, lam / level)
+    for _ in range(_MAX_STEPS):
+        p, slope = _stationarity_roots(mu, lam, g, a)
+        psum = p.sum()
+        if psum > total:
             mu_lo = mu
         else:
             mu_hi = mu
-        if abs(p.sum() - total) < tol * total:
-            break
-    p = _stationarity_roots(np.sqrt(mu_lo * mu_hi), lam, g, a)
-    return p * (total / p.sum())
+        # dP_k/d(mu) = 1 / f_k'(P_k).  Once the step is below 1e-13 of mu, mu
+        # is as close as its rounding allows; the last step is taken on the
+        # powers alone, to first order, which meets the budget without
+        # moving the stationarity levels apart.
+        step = (total - psum) / np.sum(1.0 / slope)
+        if abs(step) <= 1e-13 * mu:
+            return p + step / slope
+        mu += step
+        if not mu_lo < mu < mu_hi:
+            mu = 0.5 * (mu_lo + mu_hi)  # rounding left the bracket: bisect
+    raise RuntimeError("power-multiplier Newton did not converge")
 
 
 def kkt_residual(
@@ -272,57 +293,103 @@ def kkt_residual(
     return float(np.max(levels) - np.min(levels))
 
 
+def _rate_constrained(
+    ch: ChannelGains,
+    total: float,
+    rate_floor: float,
+    a: float,
+    tol: float,
+    wf: PowerAllocation,
+    lam_start: float = 0.0,
+) -> tuple[PowerAllocation, float]:
+    """The minimizer and its rate multiplier lam (inf at capacity).
+
+    ``wf`` is the channel's water-filling allocation.  ``lam_start`` is a
+    guess for lam, e.g. the multiplier of a lower rate floor on the channel.
+    """
+    g = ch.gains
+    capacity = achievable_rate(wf, ch)
+    rate_tol = tol * max(1.0, capacity)
+    if rate_floor > capacity + rate_tol:
+        raise InfeasibleRateError(rate_floor, capacity)
+    if rate_floor >= capacity - rate_tol:
+        return wf, np.inf
+    uniform = PowerAllocation.uniform(g.size, total)
+    r_uniform = achievable_rate(uniform, ch)
+    if r_uniform >= rate_floor - tol * max(1.0, rate_floor):
+        return uniform, 0.0
+
+    wet = wf.powers > 0
+    level = float(np.max(wf.powers[wet] + 1.0 / g[wet]))
+
+    def rate_at(lam: float) -> tuple[np.ndarray, float]:
+        p = _powers_for_lambda(lam, g, total, a, level)
+        return p, float(np.sum(np.log2(1.0 + p * g)))
+
+    # Bracket lam: rate(lo) < rate_floor <= rate(hi), lam = 0 being uniform.
+    # f_lo and f_hi are the rate excesses at the ends, as the secant weighs them.
+    lo, f_lo = 0.0, r_uniform - rate_floor
+    hi = lam_start if lam_start > 0 else a * (g.size / total) ** 2
+    p_hi, r_hi = rate_at(hi)
+    for _ in range(_MAX_STEPS):
+        if r_hi >= rate_floor:
+            break
+        lo, f_lo = hi, r_hi - rate_floor
+        hi *= 4.0
+        p_hi, r_hi = rate_at(hi)
+    else:
+        raise RuntimeError("no rate multiplier reaches the rate floor")
+
+    # Illinois: regula falsi that halves the weight of an end kept twice.
+    f_hi = r_hi - rate_floor
+    kept = 0
+    for _ in range(_MAX_STEPS):
+        if r_hi - rate_floor <= tol * max(1.0, rate_floor) or hi - lo <= 1e-15 * hi:
+            return PowerAllocation(p_hi, total), hi
+        lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        p, r = rate_at(lam)
+        if r < rate_floor:
+            lo, f_lo = lam, r - rate_floor
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, r_hi, p_hi, f_hi = lam, r, p, r - rate_floor
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+    raise RuntimeError("rate-multiplier secant did not converge")
+
+
 def emse_rate_constrained(
     ch: ChannelGains,
     total: float,
     rate_floor: float,
     sigma2: float = 1.0,
     policy: TruncationPolicy = TruncationPolicy(),
-    tol: float = 1e-8,
+    tol: float = _RATE_TOL,
 ) -> PowerAllocation:
     """Minimize A*sigma^2*sum(1/P_k) subject to the budget and rate floor.
 
-    Solved by nested monotone bisection on the KKT system (no general-purpose
-    solver).  The optimizer is invariant to the values of A and sigma^2; they
-    only scale the objective.  Endpoints: rate_floor <= uniform rate returns
-    the uniform allocation (lam = 0, slack rate constraint); rate_floor at
-    capacity returns the water-filling closed form, where the feasible set
-    collapses to a single point.
+    Solved on the KKT system by Newton steps on the per-subcarrier powers
+    and the power multiplier, and a bracketing secant on the rate multiplier
+    (no general-purpose solver).  The achieved rate is at least
+    ``rate_floor - tol * max(1, rate_floor)``.  The optimizer is invariant to
+    the values of A and sigma^2; they only scale the objective.  Endpoints:
+    rate_floor <= uniform rate returns the uniform allocation (lam = 0, slack
+    rate constraint); rate_floor at capacity returns the water-filling closed
+    form, where the feasible set collapses to a single point.  A rate floor
+    that is NaN or -inf raises ValueError; one above capacity raises
+    InfeasibleRateError.
     """
-    g = ch.gains
-    n = g.size
-    a = policy.A
-    wf = water_filling(ch, total)
-    capacity = achievable_rate(wf, ch)
-    rate_tol = tol * max(1.0, capacity)
-    if rate_floor > capacity + rate_tol:
-        raise InfeasibleRateError(rate_floor, capacity)
-    if rate_floor >= capacity - rate_tol:
-        return wf
-
-    uniform = PowerAllocation.uniform(n, total)
-    if achievable_rate(uniform, ch) >= rate_floor - tol * max(1.0, rate_floor):
-        return uniform
-
-    def rate_at(lam: float) -> float:
-        p = _powers_for_lambda(lam, g, total, a, tol=1e-12)
-        return float(np.sum(np.log2(1.0 + p * g)))
-
-    lam_lo, lam_hi = 0.0, a * (n / total) ** 2
-    while rate_at(lam_hi) < rate_floor:
-        lam_hi *= 4.0
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        r = rate_at(lam)
-        if r < rate_floor:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if abs(r - rate_floor) < tol * max(1.0, rate_floor):
-            break
-    lam = 0.5 * (lam_lo + lam_hi)
-    p = _powers_for_lambda(lam, g, total, a, tol=1e-12)
-    return PowerAllocation(p, total)
+    if np.isnan(rate_floor) or rate_floor == -np.inf:
+        raise ValueError(f"rate floor must be a number of bits, got {rate_floor!r}")
+    alloc, _ = _rate_constrained(
+        ch, total, rate_floor, policy.A, tol, water_filling(ch, total)
+    )
+    return alloc
 
 
 @dataclass(frozen=True)
@@ -348,11 +415,13 @@ def tradeoff_sweep(
     """
     if n_points < 2:
         raise ValueError("need at least two grid points")
-    capacity = achievable_rate(water_filling(ch, total), ch)
+    wf = water_filling(ch, total)
+    capacity = achievable_rate(wf, ch)
     a = policy.A
     points = []
+    lam = 0.0  # lam is nondecreasing in the floor: each solve starts from the last
     for r0 in np.linspace(0.0, capacity, n_points):
-        alloc = emse_rate_constrained(ch, total, float(r0), sigma2, policy)
+        alloc, lam = _rate_constrained(ch, total, float(r0), a, _RATE_TOL, wf, lam)
         with np.errstate(divide="ignore"):
             emse = float(a * sigma2 * np.sum(1.0 / alloc.powers))
         points.append(

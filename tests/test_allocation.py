@@ -19,7 +19,8 @@ from ofdmsar import (
     tradeoff_sweep,
     water_filling,
 )
-from ofdmsar.allocation import kkt_residual
+from ofdmsar.allocation import _rate_constrained, kkt_residual
+from ofdmsar.config import parse_config
 from ofdmsar.errors import (
     InfeasibleChannelError,
     InfeasibleRateError,
@@ -97,6 +98,12 @@ class TestWaterFilling:
     def test_uniform_for_equal_gains(self):
         alloc = water_filling(ChannelGains(np.ones(4) * 0.7), 3.0)
         np.testing.assert_allclose(alloc.powers, 0.75, atol=1e-9)
+
+    def test_floors_dwarfing_the_budget(self):
+        # At -400 dB the floors are 1e40; the level is found relative to
+        # them, not as a difference of two 1e40-sized numbers.
+        alloc = water_filling(ChannelGains(np.array([1e-40, 0.0, 1e-40])), 4.0)
+        np.testing.assert_array_equal(alloc.powers, [2.0, 0.0, 2.0])
 
     def test_all_zero_gains_rejected(self):
         with pytest.raises(InfeasibleChannelError):
@@ -266,16 +273,63 @@ class TestRateConstrainedSolver:
     def test_solution_feasibility_and_kkt(self, seed):
         ch = seeded_gains(6, seed)
         total = 6.0
-        cap = achievable_rate(water_filling(ch, total), ch)
+        a = self.policy.A
+        wf = water_filling(ch, total)
+        cap = achievable_rate(wf, ch)
         r0 = 0.8 * cap
         alloc = emse_rate_constrained(ch, total, r0, 1.0, self.policy)
         assert abs(alloc.powers.sum() - total) < 1e-8 * total
         assert np.all(alloc.powers >= 0.0)
         assert achievable_rate(alloc, ch) >= r0 - 1e-6
+        core, lam = _rate_constrained(ch, total, r0, a, 1e-8, wf)
+        np.testing.assert_array_equal(core.powers, alloc.powers)
+        levels = a / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
+        assert kkt_residual(alloc, ch, lam, a) <= 1e-9 * levels.mean()
+
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 0.999])
+    def test_n1024_near_capacity(self, frac):
+        # Every floor binds at -30 dB (uniform reaches 0.49 of capacity).
+        # Returning at all means no iteration cap was reached: the solver
+        # raises when one is.
+        cfg = parse_config("n_subcarriers = 1024\nchannel = multipath\n")
+        sigma2 = cfg.noise_power(-30.0)
+        ch = cfg.channel_gains().rescaled(sigma2)
+        cap = achievable_rate(water_filling(ch, cfg.power_budget), ch)
+        r0 = frac * cap
+        alloc = emse_rate_constrained(ch, cfg.power_budget, r0, sigma2, self.policy)
+        assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_number_rate_floor_rejected(self, bad):
+        with pytest.raises(ValueError):
+            emse_rate_constrained(seeded_gains(4, 11), 4.0, bad, 1.0, self.policy)
 
 
 class TestTradeoffSweep:
     policy = TruncationPolicy()
+
+    @staticmethod
+    def multipath_sweep(channel_seed):
+        """The 64-subcarrier, 4-tap multipath channel at -10 dB on 8 points."""
+        cfg = parse_config(
+            f"channel = multipath\nchannel_taps = 4\nchannel_seed = {channel_seed}\n"
+        )
+        sigma2 = cfg.noise_power(-10.0)
+        ch = cfg.channel_gains().rescaled(sigma2)
+        return tradeoff_sweep(
+            ch, cfg.power_budget, sigma2, cfg.truncation_policy(), 8
+        )
+
+    @pytest.mark.parametrize("channel_seed", range(8))
+    def test_every_rate_floor_met(self, channel_seed):
+        for pt in self.multipath_sweep(channel_seed):
+            assert pt.rate_achieved >= pt.rate_floor - 1e-8 * max(1.0, pt.rate_floor)
+
+    def test_rate_floor_met_channel1_point4(self):
+        # Nested bisection returned a lambda other than the one it had
+        # checked here and fell 6.1e-6 bits short of this floor.
+        pt = self.multipath_sweep(1)[4]
+        assert pt.rate_achieved >= pt.rate_floor - 1e-8 * max(1.0, pt.rate_floor)
 
     def test_flat_curve_for_equal_gains(self):
         ch = ChannelGains(np.ones(4))

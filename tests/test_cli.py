@@ -52,6 +52,18 @@ class TestAllocate:
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    def test_infinite_rate_target_infeasible(self, tmp_path, capsys):
+        code = run(["--out", str(tmp_path), "allocate", "--rate-target", "inf"])
+        assert code == EXIT_INFEASIBLE
+        assert "infeasible" in capsys.readouterr().err
+
+    def test_nan_rate_target_config_error(self, tmp_path, capsys):
+        code = run(["--out", str(tmp_path), "allocate", "--rate-target", "nan"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert not (tmp_path / "allocation.csv").exists()
+
     def test_selective_channel_config(self, tmp_path):
         cfg = tmp_path / "mp.cfg"
         cfg.write_text("channel = multipath\nchannel_taps = 3\n")
