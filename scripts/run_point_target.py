@@ -38,7 +38,7 @@ def main() -> None:
 
     cfg = load_config(args.config)
     geom = cfg.geometry()
-    sigma2 = cfg.noise_power(args.snr_db)
+    sigma2 = cfg.waveform_spec().noise_power(args.snr_db)
     args.out.mkdir(parents=True, exist_ok=True)
 
     for signaling in (Signaling.CONSTANT_MODULUS, Signaling.GAUSSIAN):

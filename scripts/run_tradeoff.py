@@ -27,7 +27,8 @@ def main() -> None:
     cfg = load_config(args.config)
     if cfg.channel == "flat":
         cfg.channel = "multipath"  # a flat channel has a degenerate tradeoff
-    sigma2 = cfg.noise_power(args.snr_db)
+    snr_db = cfg.snr_db if args.snr_db is None else args.snr_db
+    sigma2 = cfg.waveform_spec().noise_power(snr_db)
     ch = cfg.channel_gains().rescaled(sigma2)
     args.out.mkdir(parents=True, exist_ok=True)
 

@@ -23,12 +23,10 @@ from .echo import (
 from .geometry import (
     SPEED_OF_LIGHT,
     Geometry,
-    PulseCoefficients,
     Scene,
     load_scene,
     save_scene,
     slant_range,
-    weighting_coefficients,
 )
 from .metrics import mse_vs_snr, sidelobe_stats
 from .rangeproc import ls_estimate, range_profile_cube

@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import (
     DimensionError,
     InfeasibleChannelError,
     InfeasibleRateError,
-    SingularAllocationError,
     SingularWaveformError,
 )
 
@@ -61,8 +59,8 @@ class PowerAllocation:
         object.__setattr__(self, "powers", powers)
         if powers.ndim != 1:
             raise DimensionError("powers must be a 1-D vector")
-        if np.any(powers < 0):
-            raise ValueError("powers must be nonnegative")
+        if np.any(powers < 0) or not np.all(np.isfinite(powers)):
+            raise ValueError("powers must be finite and nonnegative")
         if self.total <= 0:
             raise ValueError("total power budget must be positive")
         if abs(powers.sum() - self.total) > 1e-9 * self.total:
@@ -100,6 +98,8 @@ class ChannelGains:
 
     def rescaled(self, noise_power: float) -> "ChannelGains":
         """Gains re-expressed at a different noise power (same |h_k|^2)."""
+        if not 0.0 < noise_power < np.inf:
+            raise ValueError(f"noise power {noise_power!r} is not positive and finite")
         factor = self.comm_noise_power / noise_power
         return ChannelGains(self.gains * factor, noise_power)
 
@@ -131,6 +131,8 @@ def compute_A(policy: TruncationPolicy) -> float:
     ``A = E1(t_low^2) / 2`` with E1 the exponential integral; the quadrature
     route is cross-checked against this in the test suite.
     """
+    from scipy.special import exp1  # here, not at the top: a slow import
+
     q = policy.tail_prob
     t_low_sq = -np.log1p(-q)
     return 0.5 * float(exp1(t_low_sq))
@@ -195,14 +197,15 @@ def mse_of_symbols(symbols, sigma2: float) -> float:
 
 
 def emse_of_alloc(
-    alloc: PowerAllocation, sigma2: float, policy: TruncationPolicy
+    alloc: PowerAllocation, sigma2: float, policy: TruncationPolicy | None
 ) -> float:
-    """Expected MSE under random signaling: A * sigma^2 * sum 1/P_k."""
-    if np.any(alloc.powers == 0.0):
-        raise SingularAllocationError(
-            f"zero-power subcarrier(s) at {np.flatnonzero(alloc.powers == 0).tolist()}"
-        )
-    return float(policy.A * sigma2 * np.sum(1.0 / alloc.powers))
+    """Expected LS MSE A * sigma^2 * sum 1/P_k, infinite if a subcarrier is dry.
+
+    ``policy`` None means constant-modulus symbols, whose MSE has A = 1.
+    """
+    a = 1.0 if policy is None else policy.A
+    with np.errstate(divide="ignore"):
+        return float(a * sigma2 * np.sum(1.0 / alloc.powers))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +425,7 @@ def tradeoff_sweep(
     lam = 0.0  # lam is nondecreasing in the floor: each solve starts from the last
     for r0 in np.linspace(0.0, capacity, n_points):
         alloc, lam = _rate_constrained(ch, total, float(r0), a, _RATE_TOL, wf, lam)
-        with np.errstate(divide="ignore"):
-            emse = float(a * sigma2 * np.sum(1.0 / alloc.powers))
+        emse = emse_of_alloc(alloc, sigma2, policy)
         points.append(
             TradeoffPoint(float(r0), achievable_rate(alloc, ch), emse, alloc)
         )

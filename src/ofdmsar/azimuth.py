@@ -1,11 +1,11 @@
 """Bulk RCMC and Range-Doppler azimuth compression.
 
-Range cell migration is corrected with nearest-cell circular shifts computed
-from the swath-center hyperbola; at the default geometry the total migration
-is under two range cells, so sub-cell interpolation buys nothing.  Azimuth
-focusing correlates each range row with the conjugate quadratic-phase
-reference (zero Doppler centroid, single reference range), implemented in the
-frequency domain.
+Range cell migration is corrected with nearest-cell shifts computed from the
+swath-center hyperbola, applied as one gather over all pulses; at the default
+geometry the total migration is under two range cells, so sub-cell
+interpolation buys nothing.  Azimuth focusing correlates each range row with
+the conjugate quadratic-phase reference (zero Doppler centroid, single
+reference range), implemented in the frequency domain.
 """
 
 from __future__ import annotations
@@ -54,23 +54,18 @@ def rcmc_bulk(
 ) -> np.ndarray:
     """Shift each pulse's range column back by its bulk migration.
 
-    Shifts are circular; cells that wrapped in from the far swath edge are
-    zeroed (validity mask).
+    Output cell m of pulse p is input cell m + shift_p; cells whose source
+    lies outside the swath are zeroed (validity mask).
     """
     if profiles.shape[1] != geom.n_pulses:
         raise DimensionError(
             f"profiles have {profiles.shape[1]} pulses, geometry has {geom.n_pulses}"
         )
-    shifts = rcmc_shifts(geom, range_cell_size)
-    out = np.empty_like(profiles)
     n = profiles.shape[0]
-    for p, shift in enumerate(shifts):
-        col = np.roll(profiles[:, p], -shift)
-        if shift > 0:
-            col[n - shift :] = 0.0
-        elif shift < 0:
-            col[: -shift] = 0.0
-        out[:, p] = col
+    src = np.arange(n)[:, None] + rcmc_shifts(geom, range_cell_size)[None, :]
+    valid = (src >= 0) & (src < n)
+    out = np.take_along_axis(profiles, np.clip(src, 0, n - 1), axis=0)
+    out[~valid] = 0.0
     return out
 
 

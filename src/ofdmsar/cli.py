@@ -87,8 +87,7 @@ def _resolve_scene(cfg: Config, override: str | None, spec):
 
 def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    snr_db = args.snr_db if args.snr_db is not None else cfg.snr_db
-    sigma2 = cfg.noise_power(snr_db)
+    sigma2 = spec.noise_power(args.snr_db if args.snr_db is not None else cfg.snr_db)
     ch = cfg.channel_gains().rescaled(sigma2)
     policy = cfg.truncation_policy()
     capacity = allocation.achievable_rate(
@@ -102,8 +101,7 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
             ch, spec.power_budget, r0, sigma2, policy
         )
     rate = allocation.achievable_rate(alloc, ch)
-    with np.errstate(divide="ignore"):
-        emse = float(policy.A * sigma2 * np.sum(1.0 / alloc.powers))
+    emse = allocation.emse_of_alloc(alloc, sigma2, policy)
     print(f"capacity_bits = {capacity!r}")
     print(f"rate_bits = {rate!r}")
     print(f"rate_bits_scaled_by_bandwidth = {rate * spec.bandwidth!r}")
@@ -116,8 +114,7 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
 def _cmd_simulate(cfg: Config, args, out: Path, seed: int) -> int:
     spec = cfg.waveform_spec()
     geom = cfg.geometry()
-    snr_db = args.snr_db if args.snr_db is not None else cfg.snr_db
-    sigma2 = cfg.noise_power(snr_db)
+    sigma2 = spec.noise_power(args.snr_db if args.snr_db is not None else cfg.snr_db)
     scene = _resolve_scene(cfg, args.scene, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
     cube = echo.synthesize_raw(spec, geom, scene, alloc, sigma2, seed)
@@ -152,8 +149,7 @@ def _cmd_mse_sweep(cfg: Config, args, out: Path, seed: int) -> int:
 
 def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    snr_db = args.snr_db if args.snr_db is not None else cfg.snr_db
-    sigma2 = cfg.noise_power(snr_db)
+    sigma2 = spec.noise_power(args.snr_db if args.snr_db is not None else cfg.snr_db)
     ch = cfg.channel_gains().rescaled(sigma2)
     n_points = args.points if args.points is not None else cfg.tradeoff_points
     points = allocation.tradeoff_sweep(

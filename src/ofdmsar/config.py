@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .geometry import Geometry
 from .waveform import Signaling, WaveformSpec
 
-__all__ = ["Config", "parse_config", "load_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["Config", "parse_config", "load_config"]
 
 
 @dataclass
@@ -91,11 +91,6 @@ class Config:
             return ChannelGains(profile / profile.mean())
         raise ConfigError(f"unknown channel model {self.channel!r}")
 
-    def noise_power(self, snr_db: float | None = None) -> float:
-        """Radar noise power for the per-sample SNR = (P/N)/sigma^2 convention."""
-        snr = self.snr_db if snr_db is None else snr_db
-        return (self.power_budget / self.n_subcarriers) / 10.0 ** (snr / 10.0)
-
     def snr_grid_values(self) -> list[float]:
         try:
             return [float(tok) for tok in self.snr_grid.split(",") if tok.strip()]
@@ -149,8 +144,3 @@ def load_config(path=None) -> Config:
     if path is None:
         return Config()
     return parse_config(Path(path).read_text())
-
-
-DEFAULT_CONFIG_TEXT = "\n".join(
-    f"{name} = {value}" for name, value in Config().items()
-) + "\n"

@@ -6,6 +6,10 @@ convolution, pulses are synthesized directly in the circular model
 subcarrier symbols; see waveform module notes on the 1/sqrt(N) normalization
 relative to the raw pulse body).  A linear-convolution-with-CP reference path
 is kept for the one-time model-equivalence check.
+
+Each pulse draws its own symbols and noise from its own seeded stream, so the
+slow-time loop stays per pulse; the cube it returns holds the received data
+and the transmitted symbols as two (N, P) arrays, column p for pulse p.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 
 from .allocation import PowerAllocation
 from .errors import DimensionError
-from .geometry import Geometry, PulseCoefficients, Scene, scene_coefficients
-from .waveform import SymbolVector, TimeDomainPulse, WaveformSpec, draw_symbols, modulate
+from .geometry import Geometry, Scene, scene_coefficients
+from .waveform import SymbolVector, TimeDomainPulse, WaveformSpec, draw_symbols
 
 __all__ = [
     "RawDataCube",
@@ -33,22 +37,16 @@ __all__ = [
 class RawDataCube:
     """CP-stripped fast-time x slow-time raw data plus the transmitted symbols.
 
-    The radar receiver knows its own transmitted data, so the per-pulse
-    symbol vectors travel with the cube.
+    The radar receiver knows its own transmitted data, so the symbols travel
+    with the cube: ``pulse_symbols.symbols`` is (N, P) like ``data``.
     """
 
     data: np.ndarray
-    pulse_symbols: list
-    noise_power: float
-    seed: int
+    pulse_symbols: SymbolVector
 
     def __post_init__(self):
-        if self.data.shape[1] != len(self.pulse_symbols):
-            raise DimensionError("one symbol vector required per pulse")
-
-    @property
-    def n_fast(self) -> int:
-        return self.data.shape[0]
+        if self.data.shape != self.pulse_symbols.symbols.shape:
+            raise DimensionError("one symbol column required per pulse")
 
     @property
     def n_pulses(self) -> int:
@@ -69,28 +67,26 @@ def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarra
 
 def synthesize_pulse(
     pulse_syms: SymbolVector,
-    coeffs: PulseCoefficients,
+    d: np.ndarray,
     sigma2: float,
     seed,
 ) -> np.ndarray:
     """One received fast-time window: y = C d + w, C the symbol circulant."""
-    d = coeffs.d
+    d = np.asarray(d, dtype=complex)
     if d.size != len(pulse_syms):
         raise DimensionError(f"coefficient length {d.size} != N = {len(pulse_syms)}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     return apply_waveform(pulse_syms.symbols, d) + _complex_noise(rng, d.size, sigma2)
 
 
-def synthesize_pulse_linear_cp(
-    pulse: TimeDomainPulse, coeffs: PulseCoefficients
-) -> np.ndarray:
+def synthesize_pulse_linear_cp(pulse: TimeDomainPulse, d: np.ndarray) -> np.ndarray:
     """Reference path: linear convolution of the CP'd pulse, then trimming.
 
     Convolves the full cyclic-prefixed pulse with d, drops the first and last
     M - 1 samples, and removes the sqrt(N) body scale so the result is
     directly comparable to the circular model.
     """
-    d = coeffs.d
+    d = np.asarray(d, dtype=complex)
     n = pulse.n_subcarriers
     if d.size != n:
         raise DimensionError(f"coefficient length {d.size} != N = {n}")
@@ -125,11 +121,11 @@ def synthesize_raw(
         raise DimensionError("scene range cells must equal N (SWMP)")
     etas = geom.slow_time()
     data = np.empty((spec.n_subcarriers, etas.size), dtype=complex)
-    symbols = []
+    symbols = np.empty_like(data)
     for p, eta in enumerate(etas):
         rng = pulse_rng(seed, p)
         syms = draw_symbols(spec, alloc, rng)
         d = scene_coefficients(geom, scene, float(eta))
-        data[:, p] = synthesize_pulse(syms, PulseCoefficients(d), sigma2, rng)
-        symbols.append(syms)
-    return RawDataCube(data, symbols, sigma2, seed)
+        data[:, p] = synthesize_pulse(syms, d, sigma2, rng)
+        symbols[:, p] = syms.symbols
+    return RawDataCube(data, SymbolVector(symbols, alloc))

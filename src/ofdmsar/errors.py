@@ -25,10 +25,6 @@ class SingularWaveformError(OfdmSarError):
     """A subcarrier carries zero symbol power, so LS estimation is singular."""
 
 
-class SingularAllocationError(OfdmSarError):
-    """A subcarrier has zero allocated power, so the expected MSE diverges."""
-
-
 class IllConditionedWaveformError(OfdmSarError):
     """Subcarrier power is below the conditioning threshold for LS inversion."""
 

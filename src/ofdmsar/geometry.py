@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, SceneFormatError
+from .errors import SceneFormatError
 from .waveform import WaveformSpec
 
 SPEED_OF_LIGHT = 299792458.0
@@ -26,9 +26,8 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "Geometry",
     "Scene",
-    "PulseCoefficients",
     "slant_range",
-    "weighting_coefficients",
+    "scene_coefficients",
     "load_scene",
     "save_scene",
 ]
@@ -106,23 +105,6 @@ class Scene:
         rcs = np.zeros((spec.n_subcarriers, n_azimuth), dtype=complex)
         return cls(rcs, SPEED_OF_LIGHT / (2.0 * spec.bandwidth))
 
-    @classmethod
-    def point_target(cls, spec: WaveformSpec, n_azimuth: int = 1) -> "Scene":
-        """Unit scatterer at the center of the range swath."""
-        scene = cls.empty(spec, n_azimuth)
-        scene.rcs[spec.n_subcarriers // 2, n_azimuth // 2] = 1.0
-        return scene
-
-
-@dataclass(frozen=True)
-class PulseCoefficients:
-    """Weighting RCS coefficients d_m for one slow-time instant."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
-
 
 def slant_range(geom: Geometry, r_bar: float, eta) -> float | np.ndarray:
     """Hyperbolic range history sqrt(r_bar^2 + (v * eta)^2)."""
@@ -160,23 +142,8 @@ def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
     )
 
 
-def weighting_coefficients(
-    geom: Geometry, scene: Scene, eta: float, azimuth_col: int
-) -> PulseCoefficients:
-    """Coefficient vector contributed by one azimuth column at slow time eta."""
-    if not 0 <= azimuth_col < scene.n_azimuth:
-        raise DimensionError(
-            f"azimuth column {azimuth_col} outside scene width {scene.n_azimuth}"
-        )
-    eta_rel = eta - column_center_times(geom, scene)[azimuth_col]
-    env = aperture_envelope(geom, eta_rel)
-    r = slant_range(geom, closest_approach_ranges(geom, scene), eta_rel)
-    phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    return PulseCoefficients(scene.rcs[:, azimuth_col] * env * phase)
-
-
 def scene_coefficients(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
-    """Summed d vector over all azimuth columns at one slow time."""
+    """Weighting coefficients d_m at one slow time, summed over the columns."""
     eta_rel = eta - column_center_times(geom, scene)  # (n_az,)
     env = aperture_envelope(geom, eta_rel)
     rbar = closest_approach_ranges(geom, scene)  # (M,)

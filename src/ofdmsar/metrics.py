@@ -4,7 +4,9 @@ The MSE sweep compares signal designs (constant-modulus vs random Gaussian,
 uniform vs communication-optimal allocation) against their closed-form
 predictions.  Common random variates are shared across designs within each
 trial so design-to-design gaps are estimated with far less Monte-Carlo noise
-than the curves themselves.
+than the curves themselves.  Each trial draws its variates from its own
+seeded stream; the trials are then estimated in fixed blocks, one batched LS
+call per design and block.
 
 Random-signaling trials use magnitude-truncated sampling (the low-magnitude
 tail below the q-quantile is excluded), so the empirical expectation exists
@@ -21,13 +23,17 @@ from .allocation import (
     ChannelGains,
     PowerAllocation,
     TruncationPolicy,
+    emse_of_alloc,
     water_filling,
 )
 from .errors import NoPeakError
 from .rangeproc import ls_estimate
-from .waveform import SymbolVector, WaveformSpec
+from .waveform import SymbolVector, WaveformSpec, truncated_rayleigh
 
-__all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats", "snr_to_sigma2"]
+__all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
+
+#: Trials per batched LS call; it bounds the memory a sweep holds at once.
+_TRIAL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -40,14 +46,8 @@ class SignalDesign:
 DEFAULT_DESIGNS = (
     SignalDesign("constant-modulus uniform", "constant-modulus", "uniform"),
     SignalDesign("gaussian uniform", "gaussian", "uniform"),
-    SignalDesign("gaussian imaging-optimal", "gaussian", "uniform"),
     SignalDesign("gaussian comm-optimal", "gaussian", "water-filling"),
 )
-
-
-def snr_to_sigma2(spec: WaveformSpec, snr_db: float) -> float:
-    """Per-sample transmit SNR convention: SNR = (P/N) / sigma^2."""
-    return (spec.power_budget / spec.n_subcarriers) / 10.0 ** (snr_db / 10.0)
 
 
 def _alloc_for(design: SignalDesign, spec, ch_eff: ChannelGains) -> PowerAllocation:
@@ -58,20 +58,20 @@ def _alloc_for(design: SignalDesign, spec, ch_eff: ChannelGains) -> PowerAllocat
     raise ValueError(f"unknown allocation rule {design.rule!r}")
 
 
-def _symbols_from_variates(
-    design: SignalDesign,
-    alloc: PowerAllocation,
-    policy: TruncationPolicy,
-    u: np.ndarray,
-    phases: np.ndarray,
-) -> SymbolVector:
-    if design.signaling == "constant-modulus":
-        mags = np.sqrt(alloc.powers)
-    else:
-        q = policy.tail_prob
-        f = q + (1.0 - q) * u
-        mags = np.sqrt(alloc.powers) * np.sqrt(-2.0 * np.log1p(-f))
-    return SymbolVector(mags * np.exp(1j * phases), alloc)
+def _trial_variates(seed: int, si: int, trials: range, n: int) -> np.ndarray:
+    """Magnitude and phase uniforms and two noise normals, (4, n, trials).
+
+    Trial t of SNR point si draws from SeedSequence(seed, spawn_key=(si, t)).
+    """
+    draws = np.empty((4, len(trials), n))
+    for j, t in enumerate(trials):
+        seq = np.random.SeedSequence(seed, spawn_key=(si, t))
+        rng = np.random.default_rng(seq)
+        draws[0, j] = rng.uniform(0.0, 1.0, n)
+        draws[1, j] = rng.uniform(0.0, 2.0 * np.pi, n)
+        draws[2, j] = rng.standard_normal(n)
+        draws[3, j] = rng.standard_normal(n)
+    return draws.transpose(0, 2, 1)
 
 
 def mse_vs_snr(
@@ -94,48 +94,45 @@ def mse_vs_snr(
     if n_trials < 100:
         raise ValueError("need at least 100 trials")
     designs = list(designs) if designs is not None else list(DEFAULT_DESIGNS)
+    # Constant-modulus symbols have no truncation policy: A = 1.
+    policies = [None if s.signaling == "constant-modulus" else policy for s in designs]
     n = spec.n_subcarriers
-    a = policy.A
     # Error is independent of the scene, so a unit point scatterer suffices.
     d = np.zeros(n, dtype=complex)
     d[n // 2] = 1.0
+    d_f = np.fft.fft(d)[:, None]
     rows = []
     for si, snr_db in enumerate(snr_db_grid):
-        sigma2 = snr_to_sigma2(spec, snr_db)
+        sigma2 = spec.noise_power(snr_db)
         ch_eff = ch.rescaled(sigma2)
         allocs = [_alloc_for(dsg, spec, ch_eff) for dsg in designs]
-        sums = np.zeros(len(designs))
         alive = [not np.any(al.powers == 0.0) for al in allocs]
-        for t in range(n_trials):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(si, t))
-            )
-            u = rng.uniform(0.0, 1.0, n)
-            phases = rng.uniform(0.0, 2.0 * np.pi, n)
-            w = np.sqrt(sigma2 / 2.0) * (
-                rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            )
-            for di, dsg in enumerate(designs):
+        # A dry subcarrier makes the LS estimator singular: infinite MSE.
+        sums = np.where(alive, 0.0, np.inf)
+        for start in range(0, n_trials, _TRIAL_BLOCK):
+            trials = range(start, min(start + _TRIAL_BLOCK, n_trials))
+            u, phases, w_re, w_im = _trial_variates(seed, si, trials, n)
+            rotations = np.exp(1j * phases)
+            w = np.sqrt(sigma2 / 2.0) * (w_re + 1j * w_im)
+            for di, alloc in enumerate(allocs):
                 if not alive[di]:
                     continue
-                syms = _symbols_from_variates(dsg, allocs[di], policy, u, phases)
-                y = np.fft.ifft(syms.symbols * np.fft.fft(d)) + w
-                err = ls_estimate(y, syms) - d
+                powers = alloc.powers[:, None]
+                if policies[di] is None:
+                    mags = np.sqrt(powers)
+                else:
+                    mags = truncated_rayleigh(powers, policies[di], u)
+                syms = SymbolVector(mags * rotations, alloc)
+                y = np.fft.ifft(syms.symbols * d_f, axis=0) + w
+                err = ls_estimate(y, syms) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
         for di, dsg in enumerate(designs):
-            alloc = allocs[di]
-            if alive[di]:
-                empirical = sums[di] / n_trials
-                scale = 1.0 if dsg.signaling == "constant-modulus" else a
-                analytic = scale * sigma2 * float(np.sum(1.0 / alloc.powers))
-            else:
-                empirical = analytic = np.inf
             rows.append(
                 {
                     "snr_db": float(snr_db),
                     "design": dsg.label,
-                    "empirical_nmse": float(empirical),
-                    "analytic_nmse": float(analytic),
+                    "empirical_nmse": float(sums[di] / n_trials),
+                    "analytic_nmse": emse_of_alloc(allocs[di], sigma2, policies[di]),
                 }
             )
     return rows

@@ -1,7 +1,6 @@
 """File writers: binary PGM images and CSV tables.
 
 All writers are deterministic: identical inputs produce byte-identical files.
-Complex columns use the paired ``re_<name>,im_<name>`` convention.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "write_db_csv",
     "write_allocation_csv",
     "write_table_csv",
-    "write_complex_csv",
 ]
 
 
@@ -58,18 +56,3 @@ def write_table_csv(path, rows: list[dict]) -> None:
             writer.writerow(
                 [repr(v) if isinstance(v, float) else v for v in (row[h] for h in header)]
             )
-
-
-def write_complex_csv(path, matrix: np.ndarray, name: str = "z") -> None:
-    z = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = []
-        for j in range(z.shape[1]):
-            header += [f"re_{name}{j}", f"im_{name}{j}"]
-        writer.writerow(header)
-        for row in z:
-            out = []
-            for v in row:
-                out += [repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(out)

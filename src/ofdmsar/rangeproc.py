@@ -1,11 +1,12 @@
-"""Per-pulse least-squares range profiling via per-subcarrier division.
+"""Least-squares range profiling via per-subcarrier division.
 
 The channel operator is diagonalized by the DFT with the subcarrier symbols
 as eigenvalues, so the LS estimate is ``ifft(fft(y) / S_k)``.  This equals the
 dense pseudo-inverse formula exactly and leaves no inter-range-cell
-interference.  There is no regularizer: subcarriers whose power falls below
-the conditioning threshold reject the pulse outright rather than silently
-biasing the MSE comparisons.
+interference.  One call handles one pulse, shape (N,), or a whole cube of
+pulses, shape (N, P), transforming along axis 0.  There is no regularizer:
+subcarriers whose power falls below the conditioning threshold reject the
+call outright rather than silently biasing the MSE comparisons.
 """
 
 from __future__ import annotations
@@ -28,23 +29,21 @@ def conditioning_threshold(pulse_syms: SymbolVector) -> float:
 
 
 def ls_estimate(y: np.ndarray, pulse_syms: SymbolVector) -> np.ndarray:
-    """LS estimate of the weighting RCS vector from one received pulse."""
+    """LS estimate of the weighting RCS vectors, one per column of ``y``."""
     y = np.asarray(y, dtype=complex)
     s = pulse_syms.symbols
-    if y.size != s.size:
-        raise DimensionError(f"received length {y.size} != N = {s.size}")
+    if y.shape != s.shape:
+        raise DimensionError(f"received shape {y.shape} != symbol shape {s.shape}")
     power = np.abs(s) ** 2
     delta = conditioning_threshold(pulse_syms)
-    bad = np.flatnonzero(power < delta)
+    # Transposed so the first bad pulse, then its first bad subcarrier, is named.
+    bad = np.argwhere(power.T < delta)
     if bad.size:
-        k = int(bad[0])
-        raise IllConditionedWaveformError(k, float(power[k]), delta)
-    return np.fft.ifft(np.fft.fft(y) / s)
+        k = int(bad[0][-1])
+        raise IllConditionedWaveformError(k, float(power.T[tuple(bad[0])]), delta)
+    return np.fft.ifft(np.fft.fft(y, axis=0) / s, axis=0)
 
 
 def range_profile_cube(cube: RawDataCube) -> np.ndarray:
-    """Column-wise LS estimation over the whole raw data cube."""
-    out = np.empty_like(cube.data)
-    for p in range(cube.n_pulses):
-        out[:, p] = ls_estimate(cube.data[:, p], cube.pulse_symbols[p])
-    return out
+    """LS range profiles of every pulse of the raw data cube."""
+    return ls_estimate(cube.data, cube.pulse_symbols)

@@ -11,8 +11,10 @@ __all__ = ["point_scene", "car_scene", "make_scene"]
 
 
 def point_scene(spec: WaveformSpec, n_azimuth: int = 1) -> Scene:
-    """Unit scatterer at the center of the range swath."""
-    return Scene.point_target(spec, n_azimuth)
+    """Unit scatterer at the center of the range swath and of the columns."""
+    scene = Scene.empty(spec, n_azimuth)
+    scene.rcs[spec.n_subcarriers // 2, n_azimuth // 2] = 1.0
+    return scene
 
 
 def car_scene(spec: WaveformSpec) -> Scene:

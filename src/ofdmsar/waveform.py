@@ -16,10 +16,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
 
 from .allocation import PowerAllocation, TruncationPolicy
-from .errors import DimensionError, UnsupportedModeError
+from .errors import ConfigError, DimensionError, UnsupportedModeError
 
 __all__ = [
     "Signaling",
@@ -28,6 +27,7 @@ __all__ = [
     "TimeDomainPulse",
     "draw_symbols",
     "draw_symbols_truncated",
+    "truncated_rayleigh",
     "modulate",
     "circulant_from_pulse",
     "unitary_dft",
@@ -78,17 +78,32 @@ class WaveformSpec:
         return self.n_subcarriers - 1
 
     @property
-    def cp_duration(self) -> float:
-        return self.cp_len / self.bandwidth
-
-    @property
     def sample_interval(self) -> float:
         return 1.0 / self.bandwidth
+
+    def noise_power(self, snr_db: float) -> float:
+        """Radar noise power sigma^2 under the per-sample SNR = (P/N) / sigma^2.
+
+        An SNR of inf, or one too large for a float, is the noise-free case,
+        sigma^2 = 0.  NaN, -inf or an SNR whose linear value underflows to 0
+        raises ConfigError.
+        """
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            snr = np.inf
+        if not snr > 0.0:
+            raise ConfigError(f"SNR of {snr_db!r} dB gives no finite noise power")
+        return (self.power_budget / self.n_subcarriers) / snr
 
 
 @dataclass(frozen=True)
 class SymbolVector:
-    """Symbols modulated on the N subcarriers, plus the allocation behind them."""
+    """Symbols modulated on the N subcarriers, plus the allocation behind them.
+
+    ``symbols`` is (N,) for one OFDM symbol or (N, K) for K of them, one per
+    column, all drawn under the same allocation.
+    """
 
     symbols: np.ndarray
     allocation: PowerAllocation
@@ -96,11 +111,11 @@ class SymbolVector:
     def __post_init__(self):
         symbols = np.asarray(self.symbols, dtype=complex)
         object.__setattr__(self, "symbols", symbols)
-        if symbols.ndim != 1 or symbols.size != len(self.allocation):
+        if symbols.ndim not in (1, 2) or symbols.shape[0] != len(self.allocation):
             raise DimensionError("symbol vector length must match allocation")
 
     def __len__(self) -> int:
-        return self.symbols.size
+        return self.symbols.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,12 +151,6 @@ def unitary_idft(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> SymbolVector:
     """Draw one OFDM symbol vector for the spec's signaling mode.
 
@@ -153,7 +162,7 @@ def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> SymbolVect
         raise DimensionError(
             f"allocation length {len(alloc)} != N = {spec.n_subcarriers}"
         )
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     n = spec.n_subcarriers
     if spec.signaling is Signaling.CONSTANT_MODULUS:
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -164,6 +173,15 @@ def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> SymbolVect
     return SymbolVector(symbols, alloc)
 
 
+def truncated_rayleigh(
+    powers: np.ndarray, policy: TruncationPolicy, u: np.ndarray
+) -> np.ndarray:
+    """Rayleigh magnitudes of scale sqrt(P_k) conditioned above the policy's
+    ``tail_prob`` quantile, from uniforms ``u`` by inverse-CDF sampling."""
+    q = policy.tail_prob
+    return np.sqrt(powers) * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
+
+
 def draw_symbols_truncated(
     spec: WaveformSpec,
     alloc: PowerAllocation,
@@ -172,9 +190,8 @@ def draw_symbols_truncated(
 ) -> SymbolVector:
     """Magnitude-truncated random symbols for expected-MSE Monte Carlo runs.
 
-    Magnitudes follow a Rayleigh law with scale sqrt(P_k), conditioned above
-    its ``tail_prob`` quantile (inverse-CDF sampling), with uniform phases.
-    Under this normalization E[1/|S_k|^2] = A / ((1 - q) P_k), matching the
+    Magnitudes come from ``truncated_rayleigh``, phases are uniform.  Under
+    this normalization E[1/|S_k|^2] = A / ((1 - q) P_k), matching the
     truncated constant A to within the q-sized correction; note the magnitude
     law here has E|S_k|^2 = 2 P_k, the normalization under which A is defined.
     """
@@ -182,11 +199,9 @@ def draw_symbols_truncated(
         raise DimensionError(
             f"allocation length {len(alloc)} != N = {spec.n_subcarriers}"
         )
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = spec.n_subcarriers
-    q = policy.tail_prob
-    u = q + (1.0 - q) * rng.uniform(0.0, 1.0, n)
-    mags = np.sqrt(alloc.powers) * np.sqrt(-2.0 * np.log1p(-u))
+    mags = truncated_rayleigh(alloc.powers, policy, rng.uniform(0.0, 1.0, n))
     phases = rng.uniform(0.0, 2.0 * np.pi, n)
     return SymbolVector(mags * np.exp(1j * phases), alloc)
 
@@ -214,4 +229,6 @@ def circulant_from_pulse(pulse: TimeDomainPulse, spec: WaveformSpec) -> np.ndarr
         raise UnsupportedModeError("circulant model requires SWMP (M == N)")
     if pulse.body.size != spec.n_subcarriers:
         raise DimensionError("pulse body length != N")
+    from scipy.linalg import circulant  # here, not at the top: a slow import
+
     return circulant(pulse.body)

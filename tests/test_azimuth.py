@@ -54,12 +54,22 @@ class TestRcmc:
         np.testing.assert_array_equal(rcmc_bulk(profiles, geom, 0.1), profiles)
 
     def test_wrapped_cells_masked(self, geom):
-        profiles = np.ones((8, geom.n_pulses), dtype=complex)
-        out = rcmc_bulk(profiles, geom, 0.05)  # smaller cells force shifts >= 1
-        shifts = rcmc_shifts(geom, 0.05)
-        p = 0  # aperture edge pulse has the largest migration
-        assert shifts[p] >= 1
-        assert np.all(out[8 - shifts[p] :, p] == 0.0)
+        # Smaller cells force larger shifts: 3 cells at 0.05 m, 14 at 0.01 m.
+        n = 64
+        rng = np.random.default_rng(4)
+        profiles = rng.standard_normal((n, geom.n_pulses)) + 1j * rng.standard_normal(
+            (n, geom.n_pulses)
+        )
+        for cell, edge_shift in ((0.05, 3), (0.01, 14)):
+            out = rcmc_bulk(profiles, geom, cell)
+            shifts = rcmc_shifts(geom, cell)
+            assert shifts[0] == edge_shift  # aperture edge: the largest migration
+            assert np.all(out[n - shifts[0] :, 0] == 0.0)
+            # Roll-and-mask reference, one pulse at a time (every shift is >= 0).
+            for p, shift in enumerate(shifts):
+                col = np.roll(profiles[:, p], -shift)
+                col[n - shift :] = 0.0
+                np.testing.assert_array_equal(out[:, p], col)
 
 
 class TestAzimuthReference:

@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ofdmsar
 from ofdmsar.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, run
 
 SMALL_CFG = """\
@@ -25,6 +31,26 @@ def small_cfg(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the functions that need it, so a CLI call
+    # that never reaches them does not pay for its import.
+    src = str(Path(ofdmsar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, ofdmsar.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestAllocate:
@@ -60,8 +86,14 @@ class TestAllocate:
     def test_nan_rate_target_config_error(self, tmp_path, capsys):
         code = run(["--out", str(tmp_path), "allocate", "--rate-target", "nan"])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert_one_line_config_error(capsys)
+        assert not (tmp_path / "allocation.csv").exists()
+
+    def test_infinite_snr_config_error(self, tmp_path, capsys):
+        # Noise power 0 leaves the channel gains undefined.
+        code = run(["--out", str(tmp_path), "allocate", "--snr-db", "inf"])
+        assert code == EXIT_CONFIG
+        assert_one_line_config_error(capsys)
         assert not (tmp_path / "allocation.csv").exists()
 
     def test_selective_channel_config(self, tmp_path):
@@ -102,6 +134,22 @@ class TestSimulate:
         assert len(pgm) == len(b"P5\n8 8\n255\n") + 64
         assert (out / "image_db.csv").exists()
         assert "peak_cell = " in capsys.readouterr().out
+
+    def test_nan_snr_config_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate",
+                    "--snr-db", "nan"])
+        assert code == EXIT_CONFIG
+        assert_one_line_config_error(capsys)
+        assert not (out / "image_db.csv").exists()
+
+    def test_infinite_snr_is_noise_free(self, small_cfg, tmp_path):
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate",
+                    "--snr-db", "inf"])
+        assert code == EXIT_OK
+        db = np.array(read_csv(out / "image_db.csv"), dtype=float)
+        assert db.shape == (8, 8) and np.all(np.isfinite(db)) and db.max() == 0.0
 
     def test_byte_identical_reruns(self, small_cfg, tmp_path):
         outs = []
@@ -161,8 +209,8 @@ class TestMseSweep:
         assert code == EXIT_OK
         rows = read_csv(out / "mse_sweep.csv")
         assert rows[0] == ["snr_db", "design", "empirical_nmse", "analytic_nmse"]
-        # 2 SNR points x 4 designs.
-        assert len(rows) == 1 + 8
+        # 2 SNR points x 3 designs.
+        assert len(rows) == 1 + 6
 
 
 class TestTradeoff:
@@ -176,6 +224,14 @@ class TestTradeoff:
         assert len(emses) == 5
         # Equal gains: uniform power is optimal at every rate floor.
         assert max(emses) - min(emses) < 1e-9 * emses[0]
+
+    def test_infinite_snr_config_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run(["--config", str(small_cfg), "--out", str(out), "tradeoff",
+                    "--snr-db", "inf"])
+        assert code == EXIT_CONFIG
+        assert_one_line_config_error(capsys)
+        assert not (out / "tradeoff.csv").exists()
 
     def test_selective_channel_monotone(self, tmp_path):
         cfg = tmp_path / "mp.cfg"

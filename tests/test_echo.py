@@ -16,9 +16,8 @@ from ofdmsar.echo import (
     synthesize_pulse_linear_cp,
 )
 from ofdmsar.errors import DimensionError
-from ofdmsar.geometry import PulseCoefficients
 from ofdmsar.scenes import point_scene
-from ofdmsar.waveform import Signaling, circulant_from_pulse
+from ofdmsar.waveform import Signaling, SymbolVector, circulant_from_pulse
 
 
 def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):
@@ -32,7 +31,7 @@ class TestSynthesizePulse:
         pulse = modulate(sym, spec)
         d = np.zeros(8, dtype=complex)
         d[0] = 1.0
-        y = synthesize_pulse(sym, PulseCoefficients(d), 0.0, seed=0)
+        y = synthesize_pulse(sym, d, 0.0, seed=0)
         # Model normalization: the echo is the pulse body over sqrt(N).
         np.testing.assert_allclose(y, pulse.body / np.sqrt(8), atol=1e-12)
 
@@ -42,7 +41,7 @@ class TestSynthesizePulse:
         for m in (1, 3, 7):
             d = np.zeros(8, dtype=complex)
             d[m] = 1.0
-            y = synthesize_pulse(sym, PulseCoefficients(d), 0.0, seed=0)
+            y = synthesize_pulse(sym, d, 0.0, seed=0)
             np.testing.assert_allclose(
                 y, np.roll(pulse.body, m) / np.sqrt(8), atol=1e-12
             )
@@ -51,7 +50,7 @@ class TestSynthesizePulse:
         spec, sym = seeded_symbols(8, 4)
         rng = np.random.default_rng(5)
         d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        y = synthesize_pulse(sym, PulseCoefficients(d), 0.0, seed=0)
+        y = synthesize_pulse(sym, d, 0.0, seed=0)
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(8)
         np.testing.assert_allclose(y, s_mat @ d, atol=1e-12)
 
@@ -60,9 +59,9 @@ class TestSynthesizePulse:
         rng = np.random.default_rng(7)
         d1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         d2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        y1 = synthesize_pulse(sym, PulseCoefficients(d1), 0.0, seed=0)
-        y2 = synthesize_pulse(sym, PulseCoefficients(d2), 0.0, seed=0)
-        y12 = synthesize_pulse(sym, PulseCoefficients(d1 + d2), 0.0, seed=0)
+        y1 = synthesize_pulse(sym, d1, 0.0, seed=0)
+        y2 = synthesize_pulse(sym, d2, 0.0, seed=0)
+        y12 = synthesize_pulse(sym, d1 + d2, 0.0, seed=0)
         np.testing.assert_allclose(y12, y1 + y2, atol=1e-12)
 
     def test_noise_calibration(self):
@@ -72,14 +71,14 @@ class TestSynthesizePulse:
         rng = np.random.default_rng(9)
         samples = []
         for _ in range(2000):
-            samples.append(synthesize_pulse(sym, PulseCoefficients(d), sigma2, rng))
+            samples.append(synthesize_pulse(sym, d, sigma2, rng))
         var = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert abs(var - sigma2) < 0.02 * sigma2
 
     def test_dimension_mismatch(self):
         spec, sym = seeded_symbols(8, 1)
         with pytest.raises(DimensionError):
-            synthesize_pulse(sym, PulseCoefficients(np.zeros(4)), 0.0, seed=0)
+            synthesize_pulse(sym, np.zeros(4), 0.0, seed=0)
 
 
 class TestLinearCpEquivalence:
@@ -90,7 +89,7 @@ class TestLinearCpEquivalence:
         pulse = modulate(sym, spec)
         rng = np.random.default_rng(13)
         d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        linear = synthesize_pulse_linear_cp(pulse, PulseCoefficients(d))
+        linear = synthesize_pulse_linear_cp(pulse, d)
         circular = apply_waveform(sym.symbols, d)
         np.testing.assert_allclose(linear, circular, atol=1e-12)
 
@@ -114,7 +113,7 @@ class TestSynthesizeRaw:
         from ofdmsar.geometry import scene_coefficients
 
         for p in (0, 400, 799):
-            sym = cube.pulse_symbols[p]
+            sym = SymbolVector(cube.pulse_symbols.symbols[:, p], alloc)
             body = modulate(sym, spec64).body
             d_m = scene_coefficients(geom, scene, float(etas[p]))[m]
             assert abs(abs(d_m) - 1.0) < 1e-12
@@ -140,6 +139,6 @@ class TestSynthesizeRaw:
         scene = Scene.empty(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=3)
-        s0 = cube.pulse_symbols[0].symbols
-        s1 = cube.pulse_symbols[1].symbols
+        s0 = cube.pulse_symbols.symbols[:, 0]
+        s1 = cube.pulse_symbols.symbols[:, 1]
         assert not np.array_equal(s0, s1)

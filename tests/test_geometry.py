@@ -8,11 +8,10 @@ from ofdmsar import (
     load_scene,
     save_scene,
     slant_range,
-    weighting_coefficients,
 )
 from ofdmsar.azimuth import azimuth_reference
 from ofdmsar.errors import SceneFormatError
-from ofdmsar.geometry import SPEED_OF_LIGHT, closest_approach_ranges
+from ofdmsar.geometry import SPEED_OF_LIGHT, closest_approach_ranges, scene_coefficients
 from ofdmsar.scenes import car_scene, point_scene
 
 
@@ -53,31 +52,32 @@ class TestSlantRange:
 
 
 class TestWeightingCoefficients:
+    # One-column scenes: the summed coefficients are that column's own.
     def test_zero_rcs_gives_zero(self, geom, spec64):
         scene = Scene.empty(spec64, 1)
-        coeffs = weighting_coefficients(geom, scene, 0.1, 0)
-        np.testing.assert_array_equal(coeffs.d, 0.0)
+        d = scene_coefficients(geom, scene, 0.1)
+        np.testing.assert_array_equal(d, 0.0)
 
     def test_unit_modulus_inside_aperture(self, geom, spec64):
         scene = Scene.empty(spec64, 1)
         scene.rcs[:, 0] = 1.0
-        coeffs = weighting_coefficients(geom, scene, 0.2, 0)
-        np.testing.assert_allclose(np.abs(coeffs.d), 1.0, atol=1e-12)
+        d = scene_coefficients(geom, scene, 0.2)
+        np.testing.assert_allclose(np.abs(d), 1.0, atol=1e-12)
 
     def test_envelope_vanishes_outside_aperture(self, geom, spec64):
         scene = Scene.empty(spec64, 1)
         scene.rcs[:, 0] = 1.0
-        coeffs = weighting_coefficients(geom, scene, 0.6, 0)
-        np.testing.assert_array_equal(coeffs.d, 0.0)
+        d = scene_coefficients(geom, scene, 0.6)
+        np.testing.assert_array_equal(d, 0.0)
 
     def test_phase_at_closest_approach(self, geom, spec64):
         scene = point_scene(spec64, 1)
         m = spec64.n_subcarriers // 2
         rbar = closest_approach_ranges(geom, scene)[m]
         assert rbar == pytest.approx(geom.slant_range_center)
-        coeffs = weighting_coefficients(geom, scene, 0.0, 0)
+        d = scene_coefficients(geom, scene, 0.0)
         expected = -4.0 * np.pi * geom.carrier_freq * rbar / SPEED_OF_LIGHT
-        assert np.angle(coeffs.d[m]) == pytest.approx(
+        assert np.angle(d[m]) == pytest.approx(
             np.angle(np.exp(1j * expected)), abs=1e-9
         )
 
@@ -88,7 +88,7 @@ class TestWeightingCoefficients:
         m = spec64.n_subcarriers // 2
         etas = geom.slow_time()
         hist = np.array(
-            [weighting_coefficients(geom, scene, float(e), 0).d[m] for e in etas]
+            [scene_coefficients(geom, scene, float(e))[m] for e in etas]
         )
         ref = azimuth_reference(geom, etas.size)
         residual = hist * np.conj(ref)

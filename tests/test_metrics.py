@@ -1,9 +1,50 @@
 import numpy as np
 import pytest
 
-from ofdmsar import ChannelGains, TruncationPolicy, mse_vs_snr, sidelobe_stats
+from ofdmsar import (
+    ChannelGains,
+    PowerAllocation,
+    TruncationPolicy,
+    mse_vs_snr,
+    sidelobe_stats,
+    water_filling,
+)
 from ofdmsar.errors import NoPeakError
-from ofdmsar.metrics import DEFAULT_DESIGNS, snr_to_sigma2
+from ofdmsar.metrics import DEFAULT_DESIGNS
+
+
+def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
+    """One trial at a time, as the sweep is specified: {(snr, label): (emp, ana)}."""
+    n, total, q, a = spec.n_subcarriers, spec.power_budget, policy.tail_prob, policy.A
+    d = np.zeros(n, dtype=complex)
+    d[n // 2] = 1.0
+    out = {}
+    for si, snr_db in enumerate(snr_grid):
+        sigma2 = (total / n) / 10.0 ** (snr_db / 10.0)
+        ch_eff = ChannelGains(ch.gains / sigma2, sigma2)
+        powers = {
+            "uniform": PowerAllocation.uniform(n, total).powers,
+            "water-filling": water_filling(ch_eff, total).powers,
+        }
+        sums = dict.fromkeys((dsg.label for dsg in DEFAULT_DESIGNS), 0.0)
+        for t in range(n_trials):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, t)))
+            u = rng.uniform(0.0, 1.0, n)
+            phases = rng.uniform(0.0, 2.0 * np.pi, n)
+            w = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for dsg in DEFAULT_DESIGNS:
+                p = powers[dsg.rule]
+                mags = np.sqrt(p)
+                if dsg.signaling == "gaussian":
+                    mags = mags * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
+                s = mags * np.exp(1j * phases)
+                y = np.fft.ifft(s * np.fft.fft(d)) + w
+                sums[dsg.label] += np.sum(np.abs(np.fft.ifft(np.fft.fft(y) / s) - d) ** 2)
+        for dsg in DEFAULT_DESIGNS:
+            scale = 1.0 if dsg.signaling == "constant-modulus" else a
+            analytic = scale * sigma2 * np.sum(1.0 / powers[dsg.rule])
+            out[(float(snr_db), dsg.label)] = (sums[dsg.label] / n_trials, analytic)
+    return out
 
 
 class TestSidelobeStats:
@@ -36,8 +77,8 @@ class TestSidelobeStats:
 
 class TestMseVsSnr:
     def test_snr_convention(self, spec64):
-        assert snr_to_sigma2(spec64, 0.0) == pytest.approx(1.0)
-        assert snr_to_sigma2(spec64, 10.0) == pytest.approx(0.1)
+        assert spec64.noise_power(0.0) == pytest.approx(1.0)
+        assert spec64.noise_power(10.0) == pytest.approx(0.1)
 
     def test_constant_modulus_matches_closed_form(self, spec64):
         ch = ChannelGains(np.ones(64))
@@ -75,16 +116,29 @@ class TestMseVsSnr:
             at = {r["design"]: r for r in rows if r["snr_db"] == snr}
             gaps.append(
                 at["gaussian comm-optimal"]["analytic_nmse"]
-                - at["gaussian imaging-optimal"]["analytic_nmse"]
+                - at["gaussian uniform"]["analytic_nmse"]
             )
             emp_gaps.append(
                 at["gaussian comm-optimal"]["empirical_nmse"]
-                - at["gaussian imaging-optimal"]["empirical_nmse"]
+                - at["gaussian uniform"]["empirical_nmse"]
             )
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
         # The high-SNR empirical gap is below Monte-Carlo resolution at this
         # trial count; only the low-SNR gap is testable empirically.
         assert emp_gaps[0] > 10.0 * abs(emp_gaps[2])
+
+    def test_blocked_trials_match_per_trial_loop(self, spec64):
+        # 300 trials: two full blocks of 128 and a partial one.
+        profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
+        ch = ChannelGains(profile / profile.mean())
+        policy = TruncationPolicy()
+        rows = mse_vs_snr(spec64, ch, None, [0.0, 20.0], 300, seed=9, policy=policy)
+        expected = per_trial_mse(spec64, ch, [0.0, 20.0], 300, 9, policy)
+        assert len(rows) == len(expected) == 6
+        for row in rows:
+            emp, ana = expected[(row["snr_db"], row["design"])]
+            assert row["empirical_nmse"] == pytest.approx(emp, rel=1e-12)
+            assert row["analytic_nmse"] == pytest.approx(ana, rel=1e-12)
 
     def test_design_labels(self):
         labels = [d.label for d in DEFAULT_DESIGNS]

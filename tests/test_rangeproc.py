@@ -16,7 +16,6 @@ from ofdmsar import (
 from ofdmsar.allocation import TruncationPolicy
 from ofdmsar.echo import RawDataCube, apply_waveform
 from ofdmsar.errors import IllConditionedWaveformError
-from ofdmsar.geometry import PulseCoefficients
 from ofdmsar.scenes import point_scene
 from ofdmsar.waveform import SymbolVector, circulant_from_pulse
 
@@ -57,7 +56,7 @@ class TestLsEstimate:
         rng = np.random.default_rng(2)
         sym = draw_symbols(spec, alloc, seed=3)
         d = random_d(n, rng)
-        y = synthesize_pulse(sym, PulseCoefficients(d), 0.05, seed=4)
+        y = synthesize_pulse(sym, d, 0.05, seed=4)
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(n)
         dense = np.linalg.inv(s_mat.conj().T @ s_mat) @ s_mat.conj().T @ y
         np.testing.assert_allclose(ls_estimate(y, sym), dense, atol=1e-10)
@@ -90,7 +89,7 @@ class TestLsEstimate:
         draws = 10**4
         acc = np.zeros(n, dtype=complex)
         for _ in range(draws):
-            y = synthesize_pulse(sym, PulseCoefficients(d), sigma2, rng)
+            y = synthesize_pulse(sym, d, sigma2, rng)
             acc += ls_estimate(y, sym) - d
         mean_err = acc / draws
         # Per-component 3-sigma bound on the empirical mean.
@@ -110,7 +109,7 @@ class TestLsEstimate:
             rng = np.random.default_rng(99)  # same noise seeds for both
             e = []
             for _ in range(500):
-                y = synthesize_pulse(sym, PulseCoefficients(d), sigma2, rng)
+                y = synthesize_pulse(sym, d, sigma2, rng)
                 e.append(ls_estimate(y, sym) - d)
             errs.append(np.concatenate(e))
         np.testing.assert_allclose(errs[0], errs[1], atol=1e-10)
@@ -142,7 +141,7 @@ class TestRangeProfileCube:
         rng = np.random.default_rng(22)
         total = 0.0
         for _ in range(pulses):
-            y = synthesize_pulse(sym, PulseCoefficients(d), sigma2, rng)
+            y = synthesize_pulse(sym, d, sigma2, rng)
             total += np.sum(np.abs(ls_estimate(y, sym) - d) ** 2)
         empirical = total / pulses
         expected = sigma2 * np.sum(1.0 / np.abs(sym.symbols) ** 2)
@@ -162,7 +161,7 @@ class TestRangeProfileCube:
         total = 0.0
         for _ in range(pulses):
             sym = draw_symbols_truncated(spec, alloc, policy, rng)
-            y = synthesize_pulse(sym, PulseCoefficients(d), sigma2, rng)
+            y = synthesize_pulse(sym, d, sigma2, rng)
             total += np.sum(np.abs(ls_estimate(y, sym) - d) ** 2)
         empirical = total / pulses
         expected = policy.A * sigma2 * np.sum(1.0 / alloc.powers)
@@ -174,3 +173,19 @@ class TestRangeProfileCube:
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=12)
         profiles = range_profile_cube(cube)
         assert profiles.shape == cube.data.shape
+        # The batched estimate equals one LS call per pulse with its own symbols.
+        for p in (0, 1, 400, 799):
+            sym = SymbolVector(cube.pulse_symbols.symbols[:, p], alloc)
+            np.testing.assert_array_equal(profiles[:, p], ls_estimate(cube.data[:, p], sym))
+
+    def test_one_ill_conditioned_pulse_rejects_cube(self, geom, spec64):
+        alloc = PowerAllocation.uniform(64, 64.0)
+        cube = synthesize_raw(spec64, geom, point_scene(spec64, 1), alloc, 0.0, seed=13)
+        symbols = cube.pulse_symbols.symbols.copy()
+        symbols[17, 513] = 1e-4  # |S|^2 = 1e-8, below the 1e-6 * P/N floor
+        bad = RawDataCube(cube.data, SymbolVector(symbols, alloc))
+        with pytest.raises(IllConditionedWaveformError) as err:
+            range_profile_cube(bad)
+        assert err.value.subcarrier == 17
+        symbols[17, 513] = 1.0
+        range_profile_cube(RawDataCube(cube.data, SymbolVector(symbols, alloc)))

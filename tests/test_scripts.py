@@ -1,0 +1,43 @@
+"""Smoke runs of the experiment scripts on a 16-subcarrier configuration."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ofdmsar
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(ofdmsar.__file__).resolve().parents[1]
+SMALL_CFG = "n_subcarriers = 16\nprf = 16\naperture_time = 1.0\n"
+
+
+def run_script(name, tmp_path, *args):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, str(ROOT / "scripts" / name), "--config", str(cfg),
+           "--out", str(tmp_path / "out"), *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tmp_path / "out"
+
+
+def test_run_point_target(tmp_path):
+    out = run_script("run_point_target.py", tmp_path)
+    for tag in ("constant_modulus", "gaussian"):
+        assert (out / f"image_{tag}.pgm").read_bytes().startswith(b"P5\n16 16\n255\n")
+        for cut in ("azimuth", "range"):
+            with open(out / f"{cut}_cut_{tag}.csv", newline="") as fh:
+                assert len(list(csv.reader(fh))[0]) == 16
+
+
+def test_run_tradeoff(tmp_path):
+    out = run_script("run_tradeoff.py", tmp_path, "--points", "8")
+    with open(out / "tradeoff.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rate_floor", "rate_achieved", "emse"] and len(rows) == 9
+    for name in ("alloc_imaging.csv", "alloc_waterfilling.csv"):
+        with open(out / name, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 17

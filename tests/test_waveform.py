@@ -14,7 +14,7 @@ from ofdmsar import (
     draw_symbols_truncated,
     modulate,
 )
-from ofdmsar.errors import DimensionError, UnsupportedModeError
+from ofdmsar.errors import ConfigError, DimensionError, UnsupportedModeError
 from ofdmsar.waveform import unitary_dft, unitary_idft
 
 
@@ -37,6 +37,17 @@ class TestSpec:
             WaveformSpec(4, -1.0)
         with pytest.raises(ValueError):
             WaveformSpec(4, 1.0, power_budget=0.0)
+
+    @pytest.mark.parametrize("snr_db", [np.inf, 4000.0])
+    def test_infinite_snr_is_noise_free(self, snr_db):
+        # 10^(4000/10) overflows a float: as noise-free as inf.
+        assert WaveformSpec(4, 1.0).noise_power(snr_db) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -4000.0])
+    def test_snr_without_finite_noise_power_rejected(self, snr_db):
+        # 10^(-4000/10) underflows to zero, which would divide by zero.
+        with pytest.raises(ConfigError):
+            WaveformSpec(4, 1.0).noise_power(snr_db)
 
 
 class TestDrawSymbols:
