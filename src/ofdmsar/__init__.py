@@ -5,10 +5,8 @@ from .allocation import (
     PowerAllocation,
     TruncationPolicy,
     achievable_rate,
-    compute_A,
     emse_of_alloc,
     emse_rate_constrained,
-    imaging_optimal,
     mse_of_symbols,
     tradeoff_sweep,
     water_filling,
@@ -32,8 +30,6 @@ from .metrics import mse_vs_snr, sidelobe_stats
 from .rangeproc import ls_estimate, range_profile_cube
 from .waveform import (
     Signaling,
-    SymbolVector,
-    TimeDomainPulse,
     WaveformSpec,
     circulant_from_pulse,
     draw_symbols,

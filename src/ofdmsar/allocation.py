@@ -19,8 +19,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +34,8 @@ __all__ = [
     "PowerAllocation",
     "ChannelGains",
     "TruncationPolicy",
-    "imaging_optimal",
     "water_filling",
     "achievable_rate",
-    "compute_A",
     "mse_of_symbols",
     "emse_of_alloc",
     "emse_rate_constrained",
@@ -120,29 +117,16 @@ class TruncationPolicy:
 
     @property
     def A(self) -> float:
-        return compute_A(self)
+        """Truncated integral of exp(-t^2)/t above the Rayleigh q-quantile.
 
+        The lower limit is ``t_low = sqrt(-ln(1 - q))``, the q-quantile of the
+        unit Rayleigh magnitude.  Substituting u = t^2 gives the closed form
+        ``A = E1(t_low^2) / 2`` with E1 the exponential integral; the
+        quadrature route is cross-checked against this in the test suite.
+        """
+        from scipy.special import exp1  # here, not at the top: a slow import
 
-def compute_A(policy: TruncationPolicy) -> float:
-    """Truncated integral of exp(-t^2)/t above the Rayleigh q-quantile.
-
-    The lower limit is ``t_low = sqrt(-ln(1 - q))``, the q-quantile of the
-    unit Rayleigh magnitude.  Substituting u = t^2 gives the closed form
-    ``A = E1(t_low^2) / 2`` with E1 the exponential integral; the quadrature
-    route is cross-checked against this in the test suite.
-    """
-    from scipy.special import exp1  # here, not at the top: a slow import
-
-    q = policy.tail_prob
-    t_low_sq = -np.log1p(-q)
-    return 0.5 * float(exp1(t_low_sq))
-
-
-def imaging_optimal(n: int, total: float) -> PowerAllocation:
-    """Uniform allocation; minimizes sum(1/P_k) on the simplex (AM-HM)."""
-    if n < 1:
-        raise ValueError("need at least one subcarrier")
-    return PowerAllocation.uniform(n, total)
+        return 0.5 * float(exp1(-np.log1p(-self.tail_prob)))
 
 
 def water_filling(ch: ChannelGains, total: float) -> PowerAllocation:
@@ -181,14 +165,12 @@ def achievable_rate(alloc: PowerAllocation, ch: ChannelGains) -> float:
     return float(np.sum(np.log2(1.0 + alloc.powers * ch.gains)))
 
 
-def mse_of_symbols(symbols, sigma2: float) -> float:
+def mse_of_symbols(symbols: np.ndarray, sigma2: float) -> float:
     """LS-estimator MSE for a fixed symbol draw: sigma^2 * sum 1/|S_k|^2.
 
-    Accepts a SymbolVector or a plain complex array.  Equals
-    sigma^2 * tr[(S^H S)^-1] for the symbol-eigenvalue circulant model.
+    Equals sigma^2 * tr[(S^H S)^-1] for the symbol-eigenvalue circulant model.
     """
-    s = np.asarray(getattr(symbols, "symbols", symbols))
-    mags = np.abs(s) ** 2
+    mags = np.abs(symbols) ** 2
     if np.any(mags == 0.0):
         raise SingularWaveformError(
             f"zero-power subcarrier(s) at {np.flatnonzero(mags == 0).tolist()}"
@@ -301,7 +283,6 @@ def _rate_constrained(
     total: float,
     rate_floor: float,
     a: float,
-    tol: float,
     wf: PowerAllocation,
     lam_start: float = 0.0,
 ) -> tuple[PowerAllocation, float]:
@@ -312,14 +293,15 @@ def _rate_constrained(
     """
     g = ch.gains
     capacity = achievable_rate(wf, ch)
-    rate_tol = tol * max(1.0, capacity)
-    if rate_floor > capacity + rate_tol:
+    cap_tol = _RATE_TOL * max(1.0, capacity)
+    if rate_floor > capacity + cap_tol:
         raise InfeasibleRateError(rate_floor, capacity)
-    if rate_floor >= capacity - rate_tol:
+    if rate_floor >= capacity - cap_tol:
         return wf, np.inf
+    floor_tol = _RATE_TOL * max(1.0, rate_floor)
     uniform = PowerAllocation.uniform(g.size, total)
     r_uniform = achievable_rate(uniform, ch)
-    if r_uniform >= rate_floor - tol * max(1.0, rate_floor):
+    if r_uniform >= rate_floor - floor_tol:
         return uniform, 0.0
 
     wet = wf.powers > 0
@@ -347,7 +329,7 @@ def _rate_constrained(
     f_hi = r_hi - rate_floor
     kept = 0
     for _ in range(_MAX_STEPS):
-        if r_hi - rate_floor <= tol * max(1.0, rate_floor) or hi - lo <= 1e-15 * hi:
+        if r_hi - rate_floor <= floor_tol or hi - lo <= 1e-15 * hi:
             return PowerAllocation(p_hi, total), hi
         lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < lam < hi:
@@ -370,27 +352,25 @@ def emse_rate_constrained(
     ch: ChannelGains,
     total: float,
     rate_floor: float,
-    sigma2: float = 1.0,
     policy: TruncationPolicy = TruncationPolicy(),
-    tol: float = _RATE_TOL,
 ) -> PowerAllocation:
     """Minimize A*sigma^2*sum(1/P_k) subject to the budget and rate floor.
 
     Solved on the KKT system by Newton steps on the per-subcarrier powers
     and the power multiplier, and a bracketing secant on the rate multiplier
     (no general-purpose solver).  The achieved rate is at least
-    ``rate_floor - tol * max(1, rate_floor)``.  The optimizer is invariant to
-    the values of A and sigma^2; they only scale the objective.  Endpoints:
-    rate_floor <= uniform rate returns the uniform allocation (lam = 0, slack
-    rate constraint); rate_floor at capacity returns the water-filling closed
-    form, where the feasible set collapses to a single point.  A rate floor
-    that is NaN or -inf raises ValueError; one above capacity raises
-    InfeasibleRateError.
+    ``rate_floor - 1e-8 * max(1, rate_floor)``.  The optimizer is invariant to
+    the values of A and sigma^2; they only scale the objective, so sigma^2 is
+    not an argument.  Endpoints: rate_floor <= uniform rate returns the
+    uniform allocation (lam = 0, slack rate constraint); rate_floor at
+    capacity returns the water-filling closed form, where the feasible set
+    collapses to a single point.  A rate floor that is NaN or -inf raises
+    ValueError; one above capacity raises InfeasibleRateError.
     """
     if np.isnan(rate_floor) or rate_floor == -np.inf:
         raise ValueError(f"rate floor must be a number of bits, got {rate_floor!r}")
     alloc, _ = _rate_constrained(
-        ch, total, rate_floor, policy.A, tol, water_filling(ch, total)
+        ch, total, rate_floor, policy.A, water_filling(ch, total)
     )
     return alloc
 
@@ -424,7 +404,7 @@ def tradeoff_sweep(
     points = []
     lam = 0.0  # lam is nondecreasing in the floor: each solve starts from the last
     for r0 in np.linspace(0.0, capacity, n_points):
-        alloc, lam = _rate_constrained(ch, total, float(r0), a, _RATE_TOL, wf, lam)
+        alloc, lam = _rate_constrained(ch, total, float(r0), a, wf, lam)
         emse = emse_of_alloc(alloc, sigma2, policy)
         points.append(
             TradeoffPoint(float(r0), achievable_rate(alloc, ch), emse, alloc)

@@ -94,12 +94,10 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
         allocation.water_filling(ch, spec.power_budget), ch
     )
     if args.rate_target is None:
-        alloc = allocation.imaging_optimal(spec.n_subcarriers, spec.power_budget)
+        alloc = allocation.PowerAllocation.uniform(len(ch), spec.power_budget)
     else:
         r0 = capacity if args.rate_target == "capacity" else float(args.rate_target)
-        alloc = allocation.emse_rate_constrained(
-            ch, spec.power_budget, r0, sigma2, policy
-        )
+        alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0, policy)
     rate = allocation.achievable_rate(alloc, ch)
     emse = allocation.emse_of_alloc(alloc, sigma2, policy)
     print(f"capacity_bits = {capacity!r}")
@@ -136,7 +134,6 @@ def _cmd_mse_sweep(cfg: Config, args, out: Path, seed: int) -> int:
     rows = metrics.mse_vs_snr(
         spec,
         cfg.channel_gains(),
-        None,
         cfg.snr_grid_values(),
         trials,
         seed,

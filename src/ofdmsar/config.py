@@ -93,9 +93,12 @@ class Config:
 
     def snr_grid_values(self) -> list[float]:
         try:
-            return [float(tok) for tok in self.snr_grid.split(",") if tok.strip()]
+            grid = [float(tok) for tok in self.snr_grid.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"malformed snr_grid {self.snr_grid!r}") from None
+        if not grid:
+            raise ConfigError(f"snr_grid {self.snr_grid!r} holds no SNR value")
+        return grid
 
     def items(self):
         for f in fields(self):

@@ -4,10 +4,12 @@ Because the cyclic prefix reduces the SWMP pulse-echo chain to circular
 convolution, pulses are synthesized directly in the circular model
 ``y = ifft(S * fft(d)) + w`` (eigenvalues of the channel operator are the
 subcarrier symbols; see waveform module notes on the 1/sqrt(N) normalization
-relative to the raw pulse body).  A linear-convolution-with-CP reference path
-is kept for the one-time model-equivalence check.
+relative to the raw pulse body).  A linear-convolution-with-CP reference path,
+fed the CP'd samples from ``waveform.modulate``, is kept for the one-time
+model-equivalence check.
 
-Each pulse draws its own symbols and noise from its own seeded stream, so the
+Symbols, coefficients and received windows are plain complex arrays.  Each
+pulse draws its own symbols and noise from its own seeded stream, so the
 slow-time loop stays per pulse; the cube it returns holds the received data
 and the transmitted symbols as two (N, P) arrays, column p for pulse p.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from .allocation import PowerAllocation
 from .errors import DimensionError
 from .geometry import Geometry, Scene, scene_coefficients
-from .waveform import SymbolVector, TimeDomainPulse, WaveformSpec, draw_symbols
+from .waveform import WaveformSpec, draw_symbols
 
 __all__ = [
     "RawDataCube",
@@ -37,15 +39,17 @@ __all__ = [
 class RawDataCube:
     """CP-stripped fast-time x slow-time raw data plus the transmitted symbols.
 
-    The radar receiver knows its own transmitted data, so the symbols travel
-    with the cube: ``pulse_symbols.symbols`` is (N, P) like ``data``.
+    The radar receiver knows its own transmitted data, so the symbols and the
+    allocation they were drawn under travel with the cube: ``symbols`` is
+    (N, P) like ``data``.
     """
 
     data: np.ndarray
-    pulse_symbols: SymbolVector
+    symbols: np.ndarray
+    allocation: PowerAllocation
 
     def __post_init__(self):
-        if self.data.shape != self.pulse_symbols.symbols.shape:
+        if self.data.shape != self.symbols.shape:
             raise DimensionError("one symbol column required per pulse")
 
     @property
@@ -66,33 +70,30 @@ def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarra
 
 
 def synthesize_pulse(
-    pulse_syms: SymbolVector,
-    d: np.ndarray,
-    sigma2: float,
-    seed,
+    symbols: np.ndarray, d: np.ndarray, sigma2: float, seed
 ) -> np.ndarray:
     """One received fast-time window: y = C d + w, C the symbol circulant."""
     d = np.asarray(d, dtype=complex)
-    if d.size != len(pulse_syms):
-        raise DimensionError(f"coefficient length {d.size} != N = {len(pulse_syms)}")
+    if d.size != symbols.shape[0]:
+        raise DimensionError(f"coefficient length {d.size} != N = {symbols.shape[0]}")
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    return apply_waveform(pulse_syms.symbols, d) + _complex_noise(rng, d.size, sigma2)
+    return apply_waveform(symbols, d) + _complex_noise(rng, d.size, sigma2)
 
 
-def synthesize_pulse_linear_cp(pulse: TimeDomainPulse, d: np.ndarray) -> np.ndarray:
+def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Reference path: linear convolution of the CP'd pulse, then trimming.
 
-    Convolves the full cyclic-prefixed pulse with d, drops the first and last
-    M - 1 samples, and removes the sqrt(N) body scale so the result is
-    directly comparable to the circular model.
+    ``samples`` holds the N-1 sample prefix and the N-sample body.  Convolves
+    them with d, drops the first and last N - 1 samples, and removes the
+    sqrt(N) body scale so the result is directly comparable to the circular
+    model.
     """
     d = np.asarray(d, dtype=complex)
-    n = pulse.n_subcarriers
+    n = (samples.size + 1) // 2
     if d.size != n:
         raise DimensionError(f"coefficient length {d.size} != N = {n}")
-    full = np.convolve(pulse.samples, d)
-    trimmed = full[pulse.cp_len : pulse.cp_len + n]
-    return trimmed / np.sqrt(n)
+    full = np.convolve(samples, d)
+    return full[n - 1 : 2 * n - 1] / np.sqrt(n)
 
 
 def pulse_rng(master_seed: int, pulse_index: int) -> np.random.Generator:
@@ -127,5 +128,5 @@ def synthesize_raw(
         syms = draw_symbols(spec, alloc, rng)
         d = scene_coefficients(geom, scene, float(eta))
         data[:, p] = synthesize_pulse(syms, d, sigma2, rng)
-        symbols[:, p] = syms.symbols
-    return RawDataCube(data, SymbolVector(symbols, alloc))
+        symbols[:, p] = syms
+    return RawDataCube(data, symbols, alloc)

@@ -9,10 +9,6 @@ class DimensionError(OfdmSarError, ValueError):
     """Vector/matrix sizes are inconsistent with the waveform numerology."""
 
 
-class UnsupportedModeError(OfdmSarError):
-    """Operation requires swath-width-matched-pulse mode (M == N)."""
-
-
 class ConfigError(OfdmSarError, ValueError):
     """Malformed or unknown configuration key/value."""
 

@@ -53,8 +53,8 @@ class Geometry:
             "prf",
             "aperture_time",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.slant_range_center < self.altitude:
             raise ValueError("slant_range_center must be >= altitude")
         if self.n_pulses < 2:

@@ -28,7 +28,7 @@ from .allocation import (
 )
 from .errors import NoPeakError
 from .rangeproc import ls_estimate
-from .waveform import SymbolVector, WaveformSpec, truncated_rayleigh
+from .waveform import WaveformSpec, truncated_rayleigh
 
 __all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
 
@@ -77,13 +77,12 @@ def _trial_variates(seed: int, si: int, trials: range, n: int) -> np.ndarray:
 def mse_vs_snr(
     spec: WaveformSpec,
     ch: ChannelGains,
-    designs,
     snr_db_grid,
     n_trials: int,
     seed: int,
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> list[dict]:
-    """Empirical and analytic normalized MSE for each design and SNR point.
+    """Empirical and analytic normalized MSE for each default design and SNR point.
 
     The communication noise power is tied to the radar noise power (one SNR
     knob), so the water-filling design tends to uniform as SNR grows.
@@ -93,9 +92,11 @@ def mse_vs_snr(
     """
     if n_trials < 100:
         raise ValueError("need at least 100 trials")
-    designs = list(designs) if designs is not None else list(DEFAULT_DESIGNS)
     # Constant-modulus symbols have no truncation policy: A = 1.
-    policies = [None if s.signaling == "constant-modulus" else policy for s in designs]
+    policies = [
+        None if dsg.signaling == "constant-modulus" else policy
+        for dsg in DEFAULT_DESIGNS
+    ]
     n = spec.n_subcarriers
     # Error is independent of the scene, so a unit point scatterer suffices.
     d = np.zeros(n, dtype=complex)
@@ -105,7 +106,7 @@ def mse_vs_snr(
     for si, snr_db in enumerate(snr_db_grid):
         sigma2 = spec.noise_power(snr_db)
         ch_eff = ch.rescaled(sigma2)
-        allocs = [_alloc_for(dsg, spec, ch_eff) for dsg in designs]
+        allocs = [_alloc_for(dsg, spec, ch_eff) for dsg in DEFAULT_DESIGNS]
         alive = [not np.any(al.powers == 0.0) for al in allocs]
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = np.where(alive, 0.0, np.inf)
@@ -122,11 +123,11 @@ def mse_vs_snr(
                     mags = np.sqrt(powers)
                 else:
                     mags = truncated_rayleigh(powers, policies[di], u)
-                syms = SymbolVector(mags * rotations, alloc)
-                y = np.fft.ifft(syms.symbols * d_f, axis=0) + w
-                err = ls_estimate(y, syms) - d[:, None]
+                syms = mags * rotations
+                y = np.fft.ifft(syms * d_f, axis=0) + w
+                err = ls_estimate(y, syms, alloc) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
-        for di, dsg in enumerate(designs):
+        for di, dsg in enumerate(DEFAULT_DESIGNS):
             rows.append(
                 {
                     "snr_db": float(snr_db),

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import ChannelGains, PowerAllocation
+from .azimuth import DB_FLOOR
 
 __all__ = [
     "write_pgm",
@@ -20,10 +21,10 @@ __all__ = [
 ]
 
 
-def write_pgm(path, db_image: np.ndarray, floor: float = -40.0) -> None:
-    """8-bit binary PGM (P5) with dB values mapped [floor, 0] -> [0, 255]."""
+def write_pgm(path, db_image: np.ndarray) -> None:
+    """8-bit binary PGM (P5) with dB values mapped [DB_FLOOR, 0] -> [0, 255]."""
     db = np.asarray(db_image, dtype=float)
-    scaled = np.clip((db - floor) / (-floor), 0.0, 1.0)
+    scaled = np.clip((db - DB_FLOOR) / (-DB_FLOOR), 0.0, 1.0)
     pixels = np.rint(scaled * 255.0).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import Scene
 from .waveform import WaveformSpec
 
@@ -43,9 +44,12 @@ def car_scene(spec: WaveformSpec) -> Scene:
     return scene
 
 
-def make_scene(kind: str, spec: WaveformSpec, n_azimuth: int | None = None) -> Scene:
+def make_scene(kind: str, spec: WaveformSpec, n_azimuth: int) -> Scene:
+    """The demo scene ``kind``; ``n_azimuth`` sets the point scene's columns."""
+    if n_azimuth < 1:
+        raise ConfigError(f"scene_azimuth must be >= 1, got {n_azimuth}")
     if kind == "point":
-        return point_scene(spec, n_azimuth or spec.n_subcarriers)
+        return point_scene(spec, n_azimuth)
     if kind == "car":
         return car_scene(spec)
     raise ValueError(f"unknown scene kind {kind!r}")

@@ -1,12 +1,13 @@
-"""OFDM symbol and pulse construction under a single unitary FFT convention.
+"""OFDM symbols and pulses as plain complex arrays, one unitary FFT convention.
 
-The body of a pulse is the unitary inverse DFT of the subcarrier symbols
-(1/sqrt(N) both ways), so Parseval holds exactly and the unitary DFT of the
-body recovers the symbols.  The linear echo model used downstream is the
-symbol-eigenvalue circulant ``C = F^H diag(S_k) F`` (unitary F), whose action
-is ``ifft(S * fft(d))`` with numpy's unnormalized transforms.  Relative to the
-raw circulant built from the pulse body (eigenvalues ``sqrt(N) * S_k``) this
-carries a 1/sqrt(N) normalization; it is chosen so the LS error closed forms
+Symbols are the (N,) complex array of subcarrier values.  The body of a pulse
+is their unitary inverse DFT (``norm="ortho"``, 1/sqrt(N) both ways), so
+Parseval holds exactly; ``modulate`` prepends the N-1 sample cyclic prefix.
+The linear echo model used downstream is the symbol-eigenvalue circulant
+``C = F^H diag(S_k) F`` (unitary F), whose action is ``ifft(S * fft(d))`` with
+numpy's unnormalized transforms.  Relative to the raw circulant built from the
+pulse body (eigenvalues ``sqrt(N) * S_k``) this carries a 1/sqrt(N)
+normalization; it is chosen so the LS error closed forms
 ``sigma^2 * sum 1/|S_k|^2`` hold with no stray dimension factors.
 """
 
@@ -18,20 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import PowerAllocation, TruncationPolicy
-from .errors import ConfigError, DimensionError, UnsupportedModeError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "Signaling",
     "WaveformSpec",
-    "SymbolVector",
-    "TimeDomainPulse",
     "draw_symbols",
     "draw_symbols_truncated",
     "truncated_rayleigh",
     "modulate",
     "circulant_from_pulse",
-    "unitary_dft",
-    "unitary_idft",
 ]
 
 
@@ -57,29 +54,20 @@ class WaveformSpec:
     def __post_init__(self):
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be >= 1")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier_spacing must be positive")
         if self.power_budget is None:
             object.__setattr__(self, "power_budget", float(self.n_subcarriers))
-        if self.power_budget <= 0:
-            raise ValueError("power_budget must be positive")
+        for name in ("subcarrier_spacing", "power_budget"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def bandwidth(self) -> float:
         return self.n_subcarriers * self.subcarrier_spacing
 
     @property
-    def symbol_duration(self) -> float:
-        return 1.0 / self.subcarrier_spacing
-
-    @property
     def cp_len(self) -> int:
         # SWMP: n_range_cells == N, CP covers M - 1 samples.
         return self.n_subcarriers - 1
-
-    @property
-    def sample_interval(self) -> float:
-        return 1.0 / self.bandwidth
 
     def noise_power(self, snr_db: float) -> float:
         """Radar noise power sigma^2 under the per-sample SNR = (P/N) / sigma^2.
@@ -97,62 +85,8 @@ class WaveformSpec:
         return (self.power_budget / self.n_subcarriers) / snr
 
 
-@dataclass(frozen=True)
-class SymbolVector:
-    """Symbols modulated on the N subcarriers, plus the allocation behind them.
-
-    ``symbols`` is (N,) for one OFDM symbol or (N, K) for K of them, one per
-    column, all drawn under the same allocation.
-    """
-
-    symbols: np.ndarray
-    allocation: PowerAllocation
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=complex)
-        object.__setattr__(self, "symbols", symbols)
-        if symbols.ndim not in (1, 2) or symbols.shape[0] != len(self.allocation):
-            raise DimensionError("symbol vector length must match allocation")
-
-    def __len__(self) -> int:
-        return self.symbols.shape[0]
-
-
-@dataclass(frozen=True)
-class TimeDomainPulse:
-    """Cyclic-prefixed discrete-time pulse: CP followed by the N-sample body."""
-
-    samples: np.ndarray
-    sample_interval: float
-    n_subcarriers: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        if samples.size <= self.n_subcarriers - 1:
-            raise DimensionError("pulse shorter than its cyclic prefix")
-
-    @property
-    def cp_len(self) -> int:
-        return self.samples.size - self.n_subcarriers
-
-    @property
-    def body(self) -> np.ndarray:
-        return self.samples[self.cp_len :]
-
-
-def unitary_dft(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
-
-
-def unitary_idft(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
-
-
-def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> SymbolVector:
-    """Draw one OFDM symbol vector for the spec's signaling mode.
+def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> np.ndarray:
+    """Draw the (N,) symbols of one OFDM pulse for the spec's signaling mode.
 
     Constant-modulus mode fixes |S_k|^2 = P_k exactly with i.i.d. uniform
     random phases (seeded); Gaussian mode draws circularly symmetric complex
@@ -166,11 +100,9 @@ def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> SymbolVect
     n = spec.n_subcarriers
     if spec.signaling is Signaling.CONSTANT_MODULUS:
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        symbols = np.sqrt(alloc.powers) * np.exp(1j * phases)
-    else:
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        symbols = np.sqrt(alloc.powers / 2.0) * z
-    return SymbolVector(symbols, alloc)
+        return np.sqrt(alloc.powers) * np.exp(1j * phases)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return np.sqrt(alloc.powers / 2.0) * z
 
 
 def truncated_rayleigh(
@@ -187,7 +119,7 @@ def draw_symbols_truncated(
     alloc: PowerAllocation,
     policy: TruncationPolicy,
     seed,
-) -> SymbolVector:
+) -> np.ndarray:
     """Magnitude-truncated random symbols for expected-MSE Monte Carlo runs.
 
     Magnitudes come from ``truncated_rayleigh``, phases are uniform.  Under
@@ -203,32 +135,28 @@ def draw_symbols_truncated(
     n = spec.n_subcarriers
     mags = truncated_rayleigh(alloc.powers, policy, rng.uniform(0.0, 1.0, n))
     phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    return SymbolVector(mags * np.exp(1j * phases), alloc)
+    return mags * np.exp(1j * phases)
 
 
-def modulate(sym: SymbolVector, spec: WaveformSpec) -> TimeDomainPulse:
-    """Unitary IFFT of the symbols with the cyclic prefix prepended."""
-    if len(sym) != spec.n_subcarriers:
-        raise DimensionError(f"symbol length {len(sym)} != N = {spec.n_subcarriers}")
-    body = unitary_idft(sym.symbols)
-    cp = body[body.size - spec.cp_len :] if spec.cp_len else body[:0]
-    return TimeDomainPulse(
-        np.concatenate([cp, body]), spec.sample_interval, spec.n_subcarriers
-    )
+def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:
+    """The CP'd pulse: unitary IFFT of the (N,) symbols, last N-1 samples first."""
+    if symbols.shape != (spec.n_subcarriers,):
+        raise DimensionError(f"symbol shape {symbols.shape} != ({spec.n_subcarriers},)")
+    body = np.fft.ifft(symbols, norm="ortho")
+    return np.concatenate([body[body.size - spec.cp_len :], body])
 
 
-def circulant_from_pulse(pulse: TimeDomainPulse, spec: WaveformSpec) -> np.ndarray:
+def circulant_from_pulse(samples: np.ndarray, spec: WaveformSpec) -> np.ndarray:
     """Explicit circulant with the pulse body as first column (test oracle).
 
-    Column j is the body cyclically shifted down by j.  Its eigenvalues are
-    the unnormalized DFT of the body, i.e. sqrt(N) times the modulated
-    symbols; the 1/sqrt(N)-normalized echo model matrix is this divided by
-    sqrt(N).
+    ``samples`` is the CP'd pulse from ``modulate``.  Column j is the body
+    cyclically shifted down by j.  Its eigenvalues are the unnormalized DFT of
+    the body, i.e. sqrt(N) times the modulated symbols; the
+    1/sqrt(N)-normalized echo model matrix is this divided by sqrt(N).
     """
-    if spec.cp_len != spec.n_subcarriers - 1:
-        raise UnsupportedModeError("circulant model requires SWMP (M == N)")
-    if pulse.body.size != spec.n_subcarriers:
+    body = samples[spec.cp_len :]
+    if body.size != spec.n_subcarriers:
         raise DimensionError("pulse body length != N")
     from scipy.linalg import circulant  # here, not at the top: a slow import
 
-    return circulant(pulse.body)
+    return circulant(body)

@@ -79,8 +79,8 @@ def test_criterion_01_noise_free_ls_exact():
         rng = np.random.default_rng(1000 + seed)
         sym = draw_symbols(SPEC_G, alloc, rng)
         d = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y = apply_waveform(sym.symbols, d)
-        worst = max(worst, float(np.max(np.abs(ls_estimate(y, sym) - d))))
+        y = apply_waveform(sym, d)
+        worst = max(worst, float(np.max(np.abs(ls_estimate(y, sym, alloc) - d))))
     report(name, worst < 1e-10)
 
 
@@ -96,8 +96,8 @@ def test_criterion_02_constant_modulus_mse_closed_form():
     total = 0.0
     for _ in range(draws):
         y = synthesize_pulse(sym, d, sigma2, rng)
-        total += float(np.sum(np.abs(ls_estimate(y, sym) - d) ** 2))
-    expected = sigma2 * float(np.sum(1.0 / np.abs(sym.symbols) ** 2))
+        total += float(np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2))
+    expected = sigma2 * float(np.sum(1.0 / np.abs(sym) ** 2))
     mc_ok = abs(total / draws - expected) / expected < 0.05
     trace_ok = True
     for m in (2, 4, 8, 16):
@@ -106,7 +106,7 @@ def test_criterion_02_constant_modulus_mse_closed_form():
         sy = draw_symbols(sp, al, seed=m)
         s_mat = circulant_from_pulse(modulate(sy, sp), sp) / np.sqrt(m)
         trace = float(np.trace(np.linalg.inv(s_mat.conj().T @ s_mat)).real)
-        trace_ok &= abs(trace - float(np.sum(1.0 / np.abs(sy.symbols) ** 2))) < 1e-10
+        trace_ok &= abs(trace - float(np.sum(1.0 / np.abs(sy) ** 2))) < 1e-10
     report(name, mc_ok and trace_ok)
 
 
@@ -123,7 +123,7 @@ def test_criterion_03_truncated_gaussian_emse_factor():
     for _ in range(draws):
         sym = draw_symbols_truncated(spec, alloc, policy, rng)
         y = synthesize_pulse(sym, d, sigma2, rng)
-        total += float(np.sum(np.abs(ls_estimate(y, sym) - d) ** 2))
+        total += float(np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2))
     expected = policy.A * sigma2 * float(np.sum(1.0 / alloc.powers))
     mc_ok = abs(total / draws - expected) / expected < 0.05
     ratio = emse_of_alloc(alloc, sigma2, policy) / (
@@ -181,8 +181,8 @@ def test_criterion_05_tradeoff_monotone_and_A_invariant():
     cap = achievable_rate(water_filling(ch, 32.0), ch)
     inv_ok = True
     for frac in (0.25, 0.5, 0.75, 0.95):
-        a1 = emse_rate_constrained(ch, 32.0, frac * cap, 1.0, policy)
-        a2 = emse_rate_constrained(ch, 32.0, frac * cap, 1.0, UnitA())
+        a1 = emse_rate_constrained(ch, 32.0, frac * cap, policy)
+        a2 = emse_rate_constrained(ch, 32.0, frac * cap, UnitA())
         inv_ok &= float(np.max(np.abs(a1.powers - a2.powers))) < 1e-6
     report(name, mono_ok and inv_ok)
 
@@ -252,7 +252,7 @@ def test_criterion_07_sidelobe_ordering():
             rng = np.random.default_rng(3000 + seed)
             sym = draw_symbols(spec, alloc, rng)
             y = synthesize_pulse(sym, d, SNR15_SIGMA2, rng)
-            profile = np.abs(ls_estimate(y, sym)) ** 2
+            profile = np.abs(ls_estimate(y, sym, alloc)) ** 2
             pslr, _ = sidelobe_stats(profile)
             pslrs[label].append(pslr)
     report(name, float(np.median(pslrs["gauss"])) > float(np.median(pslrs["cm"])))
@@ -262,7 +262,7 @@ def test_criterion_08_high_snr_gap_convergence():
     name = "comm-optimal vs imaging-optimal MSE gap shrinks monotonically over 0/10/20/30 dB"
     profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
     ch = ChannelGains(profile / profile.mean())
-    rows = mse_vs_snr(SPEC_G, ch, None, [0.0, 10.0, 20.0, 30.0], 500, seed=13)
+    rows = mse_vs_snr(SPEC_G, ch, [0.0, 10.0, 20.0, 30.0], 500, seed=13)
     gaps, emp_gaps = [], []
     for snr in (0.0, 10.0, 20.0, 30.0):
         at = {r["design"]: r for r in rows if r["snr_db"] == snr}
@@ -291,7 +291,7 @@ def test_criterion_09_linear_cp_equals_circular_model():
         rng = np.random.default_rng(4000 + seed)
         sym = draw_symbols(spec, alloc, rng)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        circ = apply_waveform(sym.symbols, d)
+        circ = apply_waveform(sym, d)
         lin = synthesize_pulse_linear_cp(modulate(sym, spec), d)
         worst = max(worst, float(np.max(np.abs(lin - circ))))
     report(name, worst < 1e-12)

@@ -11,10 +11,8 @@ from ofdmsar import (
     PowerAllocation,
     TruncationPolicy,
     achievable_rate,
-    compute_A,
     emse_of_alloc,
     emse_rate_constrained,
-    imaging_optimal,
     mse_of_symbols,
     tradeoff_sweep,
     water_filling,
@@ -52,13 +50,13 @@ class TestPowerAllocation:
 
 class TestImagingOptimal:
     def test_symmetry(self):
-        np.testing.assert_allclose(imaging_optimal(4, 4.0).powers, 1.0)
-        np.testing.assert_allclose(imaging_optimal(2, 1.0).powers, 0.5)
+        np.testing.assert_allclose(PowerAllocation.uniform(4, 4.0).powers, 1.0)
+        np.testing.assert_allclose(PowerAllocation.uniform(2, 1.0).powers, 0.5)
 
     def test_grid_oracle_n3(self):
         # Brute force over the simplex: uniform minimizes sum(1/P_k).
         total = 6.0
-        best = imaging_optimal(3, total)
+        best = PowerAllocation.uniform(3, total)
         obj_uniform = np.sum(1.0 / best.powers)
         grid = np.arange(0.01, total, 0.01)
         for p0, p1 in itertools.product(grid, grid):
@@ -143,7 +141,7 @@ class TestComputeA:
     def test_known_value_at_unit_cutoff(self):
         # q = 1 - e^{-1} puts the cutoff at t_low = 1: A = E1(1)/2.
         policy = TruncationPolicy(1.0 - np.exp(-1.0))
-        assert compute_A(policy) == pytest.approx(0.109692, abs=1e-6)
+        assert policy.A == pytest.approx(0.109692, abs=1e-6)
 
     @pytest.mark.parametrize("q", [1e-3, 1e-2, 0.1, 1.0 - np.exp(-1.0)])
     def test_quadrature_agrees_with_exponential_integral(self, q):
@@ -154,10 +152,10 @@ class TestComputeA:
             lambda t: np.exp(-t * t) / t, t_low, 40.0, epsabs=1e-13, limit=400
         )
         assert err < 1e-8  # quad's estimate is conservative; the check below is tight
-        assert abs(compute_A(policy) - val) < 1e-9
+        assert abs(policy.A - val) < 1e-9
 
     def test_monotone_in_cutoff(self):
-        assert compute_A(TruncationPolicy(1e-3)) > compute_A(TruncationPolicy(1e-2))
+        assert TruncationPolicy(1e-3).A > TruncationPolicy(1e-2).A
 
     def test_rejects_bad_tail_prob(self):
         with pytest.raises(ValueError):
@@ -226,26 +224,26 @@ class TestRateConstrainedSolver:
 
     def test_equal_gains_uniform(self):
         ch = ChannelGains(np.ones(4))
-        alloc = emse_rate_constrained(ch, 4.0, 2.0, 1.0, self.policy)
+        alloc = emse_rate_constrained(ch, 4.0, 2.0, self.policy)
         np.testing.assert_allclose(alloc.powers, 1.0, atol=1e-7)
 
     def test_zero_rate_floor_uniform(self):
         ch = seeded_gains(8, 3)
-        alloc = emse_rate_constrained(ch, 8.0, 0.0, 1.0, self.policy)
+        alloc = emse_rate_constrained(ch, 8.0, 0.0, self.policy)
         np.testing.assert_allclose(alloc.powers, 1.0, atol=1e-8)
 
     def test_capacity_floor_matches_water_filling(self):
         ch = seeded_gains(8, 4)
         wf = water_filling(ch, 8.0)
         cap = achievable_rate(wf, ch)
-        alloc = emse_rate_constrained(ch, 8.0, cap, 1.0, self.policy)
+        alloc = emse_rate_constrained(ch, 8.0, cap, self.policy)
         np.testing.assert_allclose(alloc.powers, wf.powers, atol=1e-6)
 
     def test_infeasible_rate_carries_capacity(self):
         ch = seeded_gains(8, 5)
         cap = achievable_rate(water_filling(ch, 8.0), ch)
         with pytest.raises(InfeasibleRateError) as err:
-            emse_rate_constrained(ch, 8.0, cap * 1.5, 1.0, self.policy)
+            emse_rate_constrained(ch, 8.0, cap * 1.5, self.policy)
         assert err.value.capacity == pytest.approx(cap)
 
     def test_n2_grid_oracle(self):
@@ -253,7 +251,7 @@ class TestRateConstrainedSolver:
         total = 2.0
         cap = achievable_rate(water_filling(ch, total), ch)
         r0 = 0.9 * cap
-        alloc = emse_rate_constrained(ch, total, r0, 1.0, self.policy)
+        alloc = emse_rate_constrained(ch, total, r0, self.policy)
         obj = np.sum(1.0 / alloc.powers)
         # Fine grid on P_0; only rate-feasible splits compete.
         p0 = np.arange(1e-4, total, 1e-4)
@@ -268,15 +266,15 @@ class TestRateConstrainedSolver:
         ch = seeded_gains(8, 6)
         cap = achievable_rate(water_filling(ch, 8.0), ch)
         r0 = 0.7 * cap
-        a1 = emse_rate_constrained(ch, 8.0, r0, 1.0, TruncationPolicy(1.0 - np.exp(-1.0)))
-        a2 = emse_rate_constrained(ch, 8.0, r0, 1.0, TruncationPolicy(1e-3))
+        a1 = emse_rate_constrained(ch, 8.0, r0, TruncationPolicy(1.0 - np.exp(-1.0)))
+        a2 = emse_rate_constrained(ch, 8.0, r0, TruncationPolicy(1e-3))
         np.testing.assert_allclose(a1.powers, a2.powers, atol=1e-6)
 
     def test_zero_gain_subcarriers_keep_power(self):
         gains = np.array([1.0, 2.0, 0.0, 0.5])
         ch = ChannelGains(gains)
         cap = achievable_rate(water_filling(ch, 4.0), ch)
-        alloc = emse_rate_constrained(ch, 4.0, 0.8 * cap, 1.0, self.policy)
+        alloc = emse_rate_constrained(ch, 4.0, 0.8 * cap, self.policy)
         assert np.all(alloc.powers > 0.0)
 
     @given(seed=st.integers(0, 10**5))
@@ -288,11 +286,11 @@ class TestRateConstrainedSolver:
         wf = water_filling(ch, total)
         cap = achievable_rate(wf, ch)
         r0 = 0.8 * cap
-        alloc = emse_rate_constrained(ch, total, r0, 1.0, self.policy)
+        alloc = emse_rate_constrained(ch, total, r0, self.policy)
         assert abs(alloc.powers.sum() - total) < 1e-8 * total
         assert np.all(alloc.powers >= 0.0)
         assert achievable_rate(alloc, ch) >= r0 - 1e-6
-        core, lam = _rate_constrained(ch, total, r0, a, 1e-8, wf)
+        core, lam = _rate_constrained(ch, total, r0, a, wf)
         np.testing.assert_array_equal(core.powers, alloc.powers)
         levels = a / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
         assert kkt_residual(alloc, ch, lam, a) <= 1e-9 * levels.mean()
@@ -307,13 +305,13 @@ class TestRateConstrainedSolver:
         ch = cfg.channel_gains().rescaled(sigma2)
         cap = achievable_rate(water_filling(ch, cfg.power_budget), ch)
         r0 = frac * cap
-        alloc = emse_rate_constrained(ch, cfg.power_budget, r0, sigma2, self.policy)
+        alloc = emse_rate_constrained(ch, cfg.power_budget, r0, self.policy)
         assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_number_rate_floor_rejected(self, bad):
         with pytest.raises(ValueError):
-            emse_rate_constrained(seeded_gains(4, 11), 4.0, bad, 1.0, self.policy)
+            emse_rate_constrained(seeded_gains(4, 11), 4.0, bad, self.policy)
 
 
 class TestTradeoffSweep:

@@ -143,6 +143,40 @@ class TestSimulate:
         assert_one_line_config_error(capsys)
         assert not (out / "image_db.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "velocity = nan",
+            "carrier_freq = nan",
+            "slant_range_center = nan",
+            "velocity = inf",
+            "carrier_freq = inf",
+            "slant_range_center = inf",
+            "bandwidth = nan",
+            "prf = inf",
+            "aperture_time = inf",
+        ],
+    )
+    def test_non_finite_geometry_config_error(self, small_cfg, tmp_path, capsys, line):
+        # NaN and inf pass a "<= 0" test: the first seven used to write a NaN
+        # or meaningless image with exit 0, the last two to end in a traceback.
+        small_cfg.write_text(SMALL_CFG + line + "\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate"])
+        assert code == EXIT_CONFIG
+        assert_one_line_config_error(capsys)
+        assert not (out / "image_db.csv").exists()
+
+    @pytest.mark.parametrize("n_azimuth", ["0", "-3"])
+    def test_scene_azimuth_below_one_config_error(self, small_cfg, tmp_path, capsys, n_azimuth):
+        small_cfg.write_text(SMALL_CFG + f"scene_azimuth = {n_azimuth}\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: scene_azimuth") and err.count("\n") == 1
+        assert not (out / "image_db.csv").exists()
+
     def test_infinite_snr_is_noise_free(self, small_cfg, tmp_path):
         out = tmp_path / "run"
         code = run(["--config", str(small_cfg), "--out", str(out), "simulate",
@@ -211,6 +245,15 @@ class TestMseSweep:
         assert rows[0] == ["snr_db", "design", "empirical_nmse", "analytic_nmse"]
         # 2 SNR points x 3 designs.
         assert len(rows) == 1 + 6
+
+    def test_empty_snr_grid_config_error(self, small_cfg, tmp_path, capsys):
+        small_cfg.write_text(SMALL_CFG + "snr_grid = ,\n")
+        out = tmp_path / "m"
+        code = run(["--config", str(small_cfg), "--out", str(out), "mse-sweep"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: snr_grid") and err.count("\n") == 1
+        assert not (out / "mse_sweep.csv").exists()
 
 
 class TestTradeoff:

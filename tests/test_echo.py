@@ -17,7 +17,7 @@ from ofdmsar.echo import (
 )
 from ofdmsar.errors import DimensionError
 from ofdmsar.scenes import point_scene
-from ofdmsar.waveform import Signaling, SymbolVector, circulant_from_pulse
+from ofdmsar.waveform import Signaling, circulant_from_pulse
 
 
 def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):
@@ -28,22 +28,22 @@ def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):
 class TestSynthesizePulse:
     def test_unit_coefficient_gives_scaled_body(self):
         spec, sym = seeded_symbols(8, 2)
-        pulse = modulate(sym, spec)
+        body = modulate(sym, spec)[spec.cp_len :]
         d = np.zeros(8, dtype=complex)
         d[0] = 1.0
         y = synthesize_pulse(sym, d, 0.0, seed=0)
         # Model normalization: the echo is the pulse body over sqrt(N).
-        np.testing.assert_allclose(y, pulse.body / np.sqrt(8), atol=1e-12)
+        np.testing.assert_allclose(y, body / np.sqrt(8), atol=1e-12)
 
     def test_shifted_coefficient_gives_cyclic_shift(self):
         spec, sym = seeded_symbols(8, 3)
-        pulse = modulate(sym, spec)
+        body = modulate(sym, spec)[spec.cp_len :]
         for m in (1, 3, 7):
             d = np.zeros(8, dtype=complex)
             d[m] = 1.0
             y = synthesize_pulse(sym, d, 0.0, seed=0)
             np.testing.assert_allclose(
-                y, np.roll(pulse.body, m) / np.sqrt(8), atol=1e-12
+                y, np.roll(body, m) / np.sqrt(8), atol=1e-12
             )
 
     def test_matches_explicit_circulant_product(self):
@@ -90,7 +90,7 @@ class TestLinearCpEquivalence:
         rng = np.random.default_rng(13)
         d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         linear = synthesize_pulse_linear_cp(pulse, d)
-        circular = apply_waveform(sym.symbols, d)
+        circular = apply_waveform(sym, d)
         np.testing.assert_allclose(linear, circular, atol=1e-12)
 
 
@@ -113,8 +113,7 @@ class TestSynthesizeRaw:
         from ofdmsar.geometry import scene_coefficients
 
         for p in (0, 400, 799):
-            sym = SymbolVector(cube.pulse_symbols.symbols[:, p], alloc)
-            body = modulate(sym, spec64).body
+            body = modulate(cube.symbols[:, p], spec64)[spec64.cp_len :]
             d_m = scene_coefficients(geom, scene, float(etas[p]))[m]
             assert abs(abs(d_m) - 1.0) < 1e-12
             np.testing.assert_allclose(
@@ -139,6 +138,6 @@ class TestSynthesizeRaw:
         scene = Scene.empty(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=3)
-        s0 = cube.pulse_symbols.symbols[:, 0]
-        s1 = cube.pulse_symbols.symbols[:, 1]
+        s0 = cube.symbols[:, 0]
+        s1 = cube.symbols[:, 1]
         assert not np.array_equal(s0, s1)

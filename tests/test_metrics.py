@@ -82,14 +82,14 @@ class TestMseVsSnr:
 
     def test_constant_modulus_matches_closed_form(self, spec64):
         ch = ChannelGains(np.ones(64))
-        rows = mse_vs_snr(spec64, ch, None, [10.0], 2000, seed=0)
+        rows = mse_vs_snr(spec64, ch, [10.0], 2000, seed=0)
         cm = next(r for r in rows if r["design"] == "constant-modulus uniform")
         assert cm["empirical_nmse"] == pytest.approx(cm["analytic_nmse"], rel=0.05)
         assert cm["analytic_nmse"] == pytest.approx(0.1 * 64.0)
 
     def test_gaussian_above_constant_modulus(self, spec64):
         ch = ChannelGains(np.ones(64))
-        rows = mse_vs_snr(spec64, ch, None, [0.0, 15.0], 500, seed=1)
+        rows = mse_vs_snr(spec64, ch, [0.0, 15.0], 500, seed=1)
         for snr in (0.0, 15.0):
             at = {r["design"]: r for r in rows if r["snr_db"] == snr}
             assert (
@@ -100,7 +100,7 @@ class TestMseVsSnr:
     def test_truncated_gaussian_matches_A_scaled_form(self, spec64):
         ch = ChannelGains(np.ones(64))
         policy = TruncationPolicy()
-        rows = mse_vs_snr(spec64, ch, None, [10.0], 4000, seed=2, policy=policy)
+        rows = mse_vs_snr(spec64, ch, [10.0], 4000, seed=2, policy=policy)
         g = next(r for r in rows if r["design"] == "gaussian uniform")
         assert g["analytic_nmse"] == pytest.approx(policy.A * 0.1 * 64.0)
         assert g["empirical_nmse"] == pytest.approx(g["analytic_nmse"], rel=0.05)
@@ -110,7 +110,7 @@ class TestMseVsSnr:
         # at 0 dB (dry subcarriers make the Gaussian MSE infinite).
         profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
         ch = ChannelGains(profile / profile.mean())
-        rows = mse_vs_snr(spec64, ch, None, [0.0, 10.0, 20.0], 300, seed=4)
+        rows = mse_vs_snr(spec64, ch, [0.0, 10.0, 20.0], 300, seed=4)
         gaps, emp_gaps = [], []
         for snr in (0.0, 10.0, 20.0):
             at = {r["design"]: r for r in rows if r["snr_db"] == snr}
@@ -132,7 +132,7 @@ class TestMseVsSnr:
         profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
         ch = ChannelGains(profile / profile.mean())
         policy = TruncationPolicy()
-        rows = mse_vs_snr(spec64, ch, None, [0.0, 20.0], 300, seed=9, policy=policy)
+        rows = mse_vs_snr(spec64, ch, [0.0, 20.0], 300, seed=9, policy=policy)
         expected = per_trial_mse(spec64, ch, [0.0, 20.0], 300, 9, policy)
         assert len(rows) == len(expected) == 6
         for row in rows:
@@ -147,4 +147,4 @@ class TestMseVsSnr:
 
     def test_too_few_trials_rejected(self, spec64):
         with pytest.raises(ValueError):
-            mse_vs_snr(spec64, ChannelGains(np.ones(64)), None, [0.0], 10, seed=0)
+            mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0], 10, seed=0)
