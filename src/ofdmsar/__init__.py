@@ -7,17 +7,11 @@ from .allocation import (
     achievable_rate,
     emse_of_alloc,
     emse_rate_constrained,
-    mse_of_symbols,
     tradeoff_sweep,
     water_filling,
 )
 from .azimuth import SarImage, azimuth_compress, azimuth_reference, rcmc_bulk
-from .echo import (
-    RawDataCube,
-    synthesize_pulse,
-    synthesize_pulse_linear_cp,
-    synthesize_raw,
-)
+from .echo import RawDataCube, synthesize_pulse, synthesize_raw
 from .geometry import (
     SPEED_OF_LIGHT,
     Geometry,
@@ -28,13 +22,6 @@ from .geometry import (
 )
 from .metrics import mse_vs_snr, sidelobe_stats
 from .rangeproc import ls_estimate, range_profile_cube
-from .waveform import (
-    Signaling,
-    WaveformSpec,
-    circulant_from_pulse,
-    draw_symbols,
-    draw_symbols_truncated,
-    modulate,
-)
+from .waveform import Signaling, WaveformSpec, draw_symbols, draw_symbols_truncated
 
 __version__ = "0.1.0"

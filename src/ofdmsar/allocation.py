@@ -2,8 +2,8 @@
 
 Covers the three allocation regimes (imaging-optimal uniform, rate-maximizing
 water-filling, and the rate-constrained expected-MSE minimizer), plus the
-evaluators they trade against: achievable rate, LS-estimator MSE for a fixed
-symbol draw, and expected MSE (EMSE) under random Gaussian signaling.
+evaluators they trade against: achievable rate and expected LS-estimator MSE
+(EMSE) under random Gaussian signaling.
 
 Conventions used throughout:
 
@@ -19,16 +19,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InfeasibleChannelError,
-    InfeasibleRateError,
-    SingularWaveformError,
-)
+from .errors import DimensionError, InfeasibleChannelError, InfeasibleRateError
 
 __all__ = [
     "PowerAllocation",
@@ -36,7 +32,6 @@ __all__ = [
     "TruncationPolicy",
     "water_filling",
     "achievable_rate",
-    "mse_of_symbols",
     "emse_of_alloc",
     "emse_rate_constrained",
     "tradeoff_sweep",
@@ -78,7 +73,6 @@ class ChannelGains:
     """Squared channel gains divided by communication noise power."""
 
     gains: np.ndarray
-    comm_noise_power: float = 1.0
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
@@ -87,18 +81,15 @@ class ChannelGains:
             raise DimensionError("gains must be a 1-D vector")
         if np.any(gains < 0) or not np.all(np.isfinite(gains)):
             raise ValueError("gains must be finite and nonnegative")
-        if self.comm_noise_power <= 0:
-            raise ValueError("comm_noise_power must be positive")
 
     def __len__(self) -> int:
         return self.gains.size
 
     def rescaled(self, noise_power: float) -> "ChannelGains":
-        """Gains re-expressed at a different noise power (same |h_k|^2)."""
+        """Unit-noise gains re-expressed at noise power ``noise_power``."""
         if not 0.0 < noise_power < np.inf:
             raise ValueError(f"noise power {noise_power!r} is not positive and finite")
-        factor = self.comm_noise_power / noise_power
-        return ChannelGains(self.gains * factor, noise_power)
+        return ChannelGains(self.gains * (1.0 / noise_power))
 
 
 @dataclass(frozen=True)
@@ -124,9 +115,25 @@ class TruncationPolicy:
         ``A = E1(t_low^2) / 2`` with E1 the exponential integral; the
         quadrature route is cross-checked against this in the test suite.
         """
-        from scipy.special import exp1  # here, not at the top: a slow import
+        return 0.5 * _exp1(float(-np.log1p(-self.tail_prob)))
 
-        return 0.5 * float(exp1(-np.log1p(-self.tail_prob)))
+
+def _exp1(x: float) -> float:
+    """Exponential integral E1(x) for x > 0, by routine E1XB of Zhang & Jin,
+    Computation of Special Functions (1996): the power series up to 1, the
+    backward continued fraction above."""
+    if x <= 1.0:
+        e1 = r = 1.0
+        for k in range(1, 26):
+            r = -r * k * x / (k + 1.0) ** 2
+            e1 += r
+            if abs(r) <= abs(e1) * 1e-15:
+                break
+        return -0.5772156649015328 - math.log(x) + x * e1
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
 
 
 def water_filling(ch: ChannelGains, total: float) -> PowerAllocation:
@@ -163,19 +170,6 @@ def achievable_rate(alloc: PowerAllocation, ch: ChannelGains) -> float:
             f"allocation length {len(alloc)} != channel length {len(ch)}"
         )
     return float(np.sum(np.log2(1.0 + alloc.powers * ch.gains)))
-
-
-def mse_of_symbols(symbols: np.ndarray, sigma2: float) -> float:
-    """LS-estimator MSE for a fixed symbol draw: sigma^2 * sum 1/|S_k|^2.
-
-    Equals sigma^2 * tr[(S^H S)^-1] for the symbol-eigenvalue circulant model.
-    """
-    mags = np.abs(symbols) ** 2
-    if np.any(mags == 0.0):
-        raise SingularWaveformError(
-            f"zero-power subcarrier(s) at {np.flatnonzero(mags == 0).tolist()}"
-        )
-    return float(sigma2 * np.sum(1.0 / mags))
 
 
 def emse_of_alloc(
@@ -268,14 +262,6 @@ def _powers_for_lambda(
         if not mu_lo < mu < mu_hi:
             mu = 0.5 * (mu_lo + mu_hi)  # rounding left the bracket: bisect
     raise RuntimeError("power-multiplier Newton did not converge")
-
-
-def kkt_residual(
-    alloc: PowerAllocation, ch: ChannelGains, lam: float, a: float
-) -> float:
-    """Max deviation of the stationarity levels from their common value."""
-    levels = a / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
-    return float(np.max(levels) - np.min(levels))
 
 
 def _rate_constrained(

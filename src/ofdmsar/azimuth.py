@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .geometry import Geometry
+from .geometry import Geometry, slant_range
 
 __all__ = ["SarImage", "rcmc_bulk", "rcmc_shifts", "azimuth_reference", "azimuth_compress"]
 
@@ -43,9 +43,8 @@ class SarImage:
 
 def rcmc_shifts(geom: Geometry, range_cell_size: float) -> np.ndarray:
     """Integer cell shifts round(dR(eta) / cell) from the center hyperbola."""
-    eta = geom.slow_time()
     rc = geom.slant_range_center
-    dr = np.sqrt(rc**2 + (geom.velocity * eta) ** 2) - rc
+    dr = slant_range(geom, rc, geom.slow_time()) - rc
     return np.rint(dr / range_cell_size).astype(int)
 
 

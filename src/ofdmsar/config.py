@@ -50,6 +50,13 @@ class Config:
             signaling = Signaling(self.signaling)
         except ValueError:
             raise ConfigError(f"unknown signaling mode {self.signaling!r}") from None
+        # The spec sees only bandwidth / N, so the two keys are checked here.
+        if self.n_subcarriers < 1:
+            raise ConfigError(f"n_subcarriers = {self.n_subcarriers} must be >= 1")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ConfigError(
+                f"bandwidth = {self.bandwidth} must be finite and positive"
+            )
         return WaveformSpec(
             n_subcarriers=self.n_subcarriers,
             subcarrier_spacing=self.bandwidth / self.n_subcarriers,
@@ -82,12 +89,12 @@ class Config:
         if self.channel == "flat":
             return ChannelGains(np.ones(n))
         if self.channel == "multipath":
+            m = self.channel_taps
+            if not 1 <= m <= n:
+                raise ConfigError(f"channel_taps = {m} is not in 1..n_subcarriers={n}")
             rng = np.random.default_rng(self.channel_seed)
-            taps = (
-                rng.standard_normal(self.channel_taps)
-                + 1j * rng.standard_normal(self.channel_taps)
-            ) / np.sqrt(2.0 * self.channel_taps)
-            profile = np.abs(np.fft.fft(taps, n)) ** 2
+            taps = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            profile = np.abs(np.fft.fft(taps / np.sqrt(2.0 * m), n)) ** 2
             return ChannelGains(profile / profile.mean())
         raise ConfigError(f"unknown channel model {self.channel!r}")
 

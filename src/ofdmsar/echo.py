@@ -4,9 +4,7 @@ Because the cyclic prefix reduces the SWMP pulse-echo chain to circular
 convolution, pulses are synthesized directly in the circular model
 ``y = ifft(S * fft(d)) + w`` (eigenvalues of the channel operator are the
 subcarrier symbols; see waveform module notes on the 1/sqrt(N) normalization
-relative to the raw pulse body).  A linear-convolution-with-CP reference path,
-fed the CP'd samples from ``waveform.modulate``, is kept for the one-time
-model-equivalence check.
+relative to the raw pulse body).
 
 Symbols, coefficients and received windows are plain complex arrays.  Each
 pulse draws its own symbols and noise from its own seeded stream, so the
@@ -29,7 +27,6 @@ __all__ = [
     "RawDataCube",
     "apply_waveform",
     "synthesize_pulse",
-    "synthesize_pulse_linear_cp",
     "synthesize_raw",
     "pulse_rng",
 ]
@@ -78,22 +75,6 @@ def synthesize_pulse(
         raise DimensionError(f"coefficient length {d.size} != N = {symbols.shape[0]}")
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     return apply_waveform(symbols, d) + _complex_noise(rng, d.size, sigma2)
-
-
-def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Reference path: linear convolution of the CP'd pulse, then trimming.
-
-    ``samples`` holds the N-1 sample prefix and the N-sample body.  Convolves
-    them with d, drops the first and last N - 1 samples, and removes the
-    sqrt(N) body scale so the result is directly comparable to the circular
-    model.
-    """
-    d = np.asarray(d, dtype=complex)
-    n = (samples.size + 1) // 2
-    if d.size != n:
-        raise DimensionError(f"coefficient length {d.size} != N = {n}")
-    full = np.convolve(samples, d)
-    return full[n - 1 : 2 * n - 1] / np.sqrt(n)
 
 
 def pulse_rng(master_seed: int, pulse_index: int) -> np.random.Generator:

@@ -17,10 +17,6 @@ class SceneFormatError(OfdmSarError, ValueError):
     """Scene file does not parse or has the wrong dimensions."""
 
 
-class SingularWaveformError(OfdmSarError):
-    """A subcarrier carries zero symbol power, so LS estimation is singular."""
-
-
 class IllConditionedWaveformError(OfdmSarError):
     """Subcarrier power is below the conditioning threshold for LS inversion."""
 

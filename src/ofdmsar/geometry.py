@@ -106,10 +106,13 @@ class Scene:
         return cls(rcs, SPEED_OF_LIGHT / (2.0 * spec.bandwidth))
 
 
-def slant_range(geom: Geometry, r_bar: float, eta) -> float | np.ndarray:
-    """Hyperbolic range history sqrt(r_bar^2 + (v * eta)^2)."""
+def slant_range(geom: Geometry, r_bar, eta) -> float | np.ndarray:
+    """Hyperbolic range history sqrt(r_bar^2 + (v * eta)^2), broadcast over
+    ``r_bar`` and ``eta``."""
     if np.any(np.asarray(r_bar) <= 0):
-        raise ValueError("closest-approach range must be positive")
+        raise ValueError(
+            f"closest-approach range {np.min(r_bar):.6g} m is not positive"
+        )
     return np.sqrt(r_bar**2 + (geom.velocity * np.asarray(eta)) ** 2)
 
 
@@ -147,7 +150,7 @@ def scene_coefficients(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
     eta_rel = eta - column_center_times(geom, scene)  # (n_az,)
     env = aperture_envelope(geom, eta_rel)
     rbar = closest_approach_ranges(geom, scene)  # (M,)
-    r = np.sqrt(rbar[:, None] ** 2 + (geom.velocity * eta_rel[None, :]) ** 2)
+    r = slant_range(geom, rbar[:, None], eta_rel[None, :])
     phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
     return np.sum(scene.rcs * env[None, :] * phase, axis=1)
 

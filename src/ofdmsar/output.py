@@ -31,11 +31,16 @@ def write_pgm(path, db_image: np.ndarray) -> None:
 
 
 def write_db_csv(path, db_image: np.ndarray) -> None:
-    """Raw dB raster as CSV, one row per range cell."""
+    """Raw dB raster as CSV, one row per range cell.
+
+    The bytes are those of ``csv.writer``: float reprs need no quoting, and
+    each row ends in its "\\r\\n" terminator.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(db_image, dtype=float):
-            writer.writerow([repr(float(v)) for v in row])
+        fh.writelines(
+            ",".join(map(repr, row.tolist())) + "\r\n"
+            for row in np.asarray(db_image, dtype=float)
+        )
 
 
 def write_allocation_csv(path, alloc: PowerAllocation, ch: ChannelGains) -> None:

@@ -2,7 +2,7 @@
 
 Symbols are the (N,) complex array of subcarrier values.  The body of a pulse
 is their unitary inverse DFT (``norm="ortho"``, 1/sqrt(N) both ways), so
-Parseval holds exactly; ``modulate`` prepends the N-1 sample cyclic prefix.
+Parseval holds exactly; the pulse puts an N-1 sample cyclic prefix before it.
 The linear echo model used downstream is the symbol-eigenvalue circulant
 ``C = F^H diag(S_k) F`` (unitary F), whose action is ``ifft(S * fft(d))`` with
 numpy's unnormalized transforms.  Relative to the raw circulant built from the
@@ -27,8 +27,6 @@ __all__ = [
     "draw_symbols",
     "draw_symbols_truncated",
     "truncated_rayleigh",
-    "modulate",
-    "circulant_from_pulse",
 ]
 
 
@@ -136,27 +134,3 @@ def draw_symbols_truncated(
     mags = truncated_rayleigh(alloc.powers, policy, rng.uniform(0.0, 1.0, n))
     phases = rng.uniform(0.0, 2.0 * np.pi, n)
     return mags * np.exp(1j * phases)
-
-
-def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:
-    """The CP'd pulse: unitary IFFT of the (N,) symbols, last N-1 samples first."""
-    if symbols.shape != (spec.n_subcarriers,):
-        raise DimensionError(f"symbol shape {symbols.shape} != ({spec.n_subcarriers},)")
-    body = np.fft.ifft(symbols, norm="ortho")
-    return np.concatenate([body[body.size - spec.cp_len :], body])
-
-
-def circulant_from_pulse(samples: np.ndarray, spec: WaveformSpec) -> np.ndarray:
-    """Explicit circulant with the pulse body as first column (test oracle).
-
-    ``samples`` is the CP'd pulse from ``modulate``.  Column j is the body
-    cyclically shifted down by j.  Its eigenvalues are the unnormalized DFT of
-    the body, i.e. sqrt(N) times the modulated symbols; the
-    1/sqrt(N)-normalized echo model matrix is this divided by sqrt(N).
-    """
-    body = samples[spec.cp_len :]
-    if body.size != spec.n_subcarriers:
-        raise DimensionError("pulse body length != N")
-    from scipy.linalg import circulant  # here, not at the top: a slow import
-
-    return circulant(body)

@@ -1,0 +1,50 @@
+"""Explicit time-domain forms of the OFDM pulse, kept as test oracles.
+
+The package works in the symbol-eigenvalue circular model only; these build
+the CP'd pulse, its circulant matrix and the linear convolution with the
+cyclic prefix that the model replaces, so the tests can check the two agree.
+"""
+
+import numpy as np
+from scipy.linalg import circulant
+
+from ofdmsar import WaveformSpec
+from ofdmsar.errors import DimensionError
+
+
+def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:
+    """The CP'd pulse: unitary IFFT of the (N,) symbols, last N-1 samples first."""
+    if symbols.shape != (spec.n_subcarriers,):
+        raise DimensionError(f"symbol shape {symbols.shape} != ({spec.n_subcarriers},)")
+    body = np.fft.ifft(symbols, norm="ortho")
+    return np.concatenate([body[body.size - spec.cp_len :], body])
+
+
+def circulant_from_pulse(samples: np.ndarray, spec: WaveformSpec) -> np.ndarray:
+    """Explicit circulant with the pulse body as first column.
+
+    ``samples`` is the CP'd pulse from ``modulate``.  Column j is the body
+    cyclically shifted down by j.  Its eigenvalues are the unnormalized DFT of
+    the body, i.e. sqrt(N) times the modulated symbols; the
+    1/sqrt(N)-normalized echo model matrix is this divided by sqrt(N).
+    """
+    body = samples[spec.cp_len :]
+    if body.size != spec.n_subcarriers:
+        raise DimensionError("pulse body length != N")
+    return circulant(body)
+
+
+def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Linear convolution of the CP'd pulse with d, then trimming.
+
+    ``samples`` holds the N-1 sample prefix and the N-sample body.  Convolves
+    them with d, drops the first and last N - 1 samples, and removes the
+    sqrt(N) body scale so the result is directly comparable to the circular
+    model.
+    """
+    d = np.asarray(d, dtype=complex)
+    n = (samples.size + 1) // 2
+    if d.size != n:
+        raise DimensionError(f"coefficient length {d.size} != N = {n}")
+    full = np.convolve(samples, d)
+    return full[n - 1 : 2 * n - 1] / np.sqrt(n)

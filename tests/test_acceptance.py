@@ -20,13 +20,11 @@ from ofdmsar import (
     emse_of_alloc,
     emse_rate_constrained,
     ls_estimate,
-    modulate,
     mse_vs_snr,
     range_profile_cube,
     rcmc_bulk,
     sidelobe_stats,
     synthesize_pulse,
-    synthesize_pulse_linear_cp,
     synthesize_raw,
     tradeoff_sweep,
     water_filling,
@@ -35,7 +33,7 @@ from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.echo import apply_waveform
 from ofdmsar.geometry import Geometry
 from ofdmsar.scenes import point_scene
-from ofdmsar.waveform import circulant_from_pulse
+from oracles import circulant_from_pulse, modulate, synthesize_pulse_linear_cp
 
 GEOM = Geometry(
     altitude=1000.0,

@@ -36,11 +36,41 @@ def read_csv(path):
 def assert_one_line_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
+    return err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only by the functions that need it, so a CLI call
-    # that never reaches them does not pay for its import.
+# Runs in a fresh interpreter where importing scipy fails, as if it were not
+# installed: every subcommand must still work.
+NO_SCIPY_RUN = """\
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class BlockScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import ofdmsar.cli
+
+cfg, out = sys.argv[1:]
+for argv in (
+    ["allocate", "--rate-target", "capacity"],
+    ["tradeoff"],
+    ["mse-sweep"],
+    ["simulate"],
+    ["scene-gen"],
+):
+    code = ofdmsar.cli.run(["--config", cfg, "--out", out, *argv])
+    print("exit", argv[0], code, file=sys.stderr)
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # The runtime needs numpy alone; scipy serves only the tests.
     src = str(Path(ofdmsar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -51,6 +81,19 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+    cfg = tmp_path / "mp.cfg"
+    cfg.write_text("n_subcarriers = 16\nchannel = multipath\ntrials = 100\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exits = [line.split() for line in proc.stderr.splitlines()]
+    assert exits == [
+        ["exit", cmd, "0"]
+        for cmd in ("allocate", "tradeoff", "mse-sweep", "simulate", "scene-gen")
+    ], proc.stderr
 
 
 class TestAllocate:
@@ -155,16 +198,31 @@ class TestSimulate:
             "bandwidth = nan",
             "prf = inf",
             "aperture_time = inf",
+            "bandwidth = inf",
+            "n_subcarriers = 0",
         ],
     )
     def test_non_finite_geometry_config_error(self, small_cfg, tmp_path, capsys, line):
         # NaN and inf pass a "<= 0" test: the first seven used to write a NaN
-        # or meaningless image with exit 0, the last two to end in a traceback.
+        # or meaningless image with exit 0, the next two to end in a traceback.
+        # The key the user set is named, not a value derived from it such as
+        # the subcarrier spacing bandwidth / n_subcarriers.
         small_cfg.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "run"
         code = run(["--config", str(small_cfg), "--out", str(out), "simulate"])
         assert code == EXIT_CONFIG
-        assert_one_line_config_error(capsys)
+        assert line.split(" = ")[0] in assert_one_line_config_error(capsys)
+        assert not (out / "image_db.csv").exists()
+
+    def test_swath_reaching_behind_zero_range_config_error(self, tmp_path, capsys):
+        # At 1 MHz the 64 range cells are 150 m each, so the swath would start
+        # 3.4 km behind the platform.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("bandwidth = 1e6\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert code == EXIT_CONFIG
+        assert "closest-approach range" in assert_one_line_config_error(capsys)
         assert not (out / "image_db.csv").exists()
 
     @pytest.mark.parametrize("n_azimuth", ["0", "-3"])
@@ -286,3 +344,22 @@ class TestTradeoff:
         rates = [float(r[1]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(emses, emses[1:]))
         assert rates == sorted(rates)
+
+    @pytest.mark.parametrize(
+        "taps, code",
+        [("0", EXIT_CONFIG), ("-1", EXIT_CONFIG), ("17", EXIT_CONFIG), ("16", EXIT_OK)],
+    )
+    def test_channel_taps_range(self, tmp_path, capsys, taps, code):
+        # The gains are the N-point DFT of the taps, which would cut taps
+        # beyond N without a word.
+        cfg = tmp_path / "mp.cfg"
+        cfg.write_text(
+            f"n_subcarriers = 16\nchannel = multipath\nchannel_taps = {taps}\n"
+            "tradeoff_points = 4\n"
+        )
+        out = tmp_path / "t"
+        assert run(["--config", str(cfg), "--out", str(out), "tradeoff"]) == code
+        if code == EXIT_OK:
+            assert (out / "tradeoff.csv").exists()
+        else:
+            assert "channel_taps" in assert_one_line_config_error(capsys)

@@ -6,18 +6,14 @@ from ofdmsar import (
     Scene,
     WaveformSpec,
     draw_symbols,
-    modulate,
     synthesize_pulse,
     synthesize_raw,
 )
-from ofdmsar.echo import (
-    apply_waveform,
-    pulse_rng,
-    synthesize_pulse_linear_cp,
-)
+from ofdmsar.echo import apply_waveform, pulse_rng
 from ofdmsar.errors import DimensionError
 from ofdmsar.scenes import point_scene
-from ofdmsar.waveform import Signaling, circulant_from_pulse
+from ofdmsar.waveform import Signaling
+from oracles import circulant_from_pulse, modulate, synthesize_pulse_linear_cp
 
 
 def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):

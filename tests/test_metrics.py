@@ -21,7 +21,7 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
     out = {}
     for si, snr_db in enumerate(snr_grid):
         sigma2 = (total / n) / 10.0 ** (snr_db / 10.0)
-        ch_eff = ChannelGains(ch.gains / sigma2, sigma2)
+        ch_eff = ChannelGains(ch.gains / sigma2)
         powers = {
             "uniform": PowerAllocation.uniform(n, total).powers,
             "water-filling": water_filling(ch_eff, total).powers,

@@ -8,7 +8,6 @@ from ofdmsar import (
     draw_symbols,
     draw_symbols_truncated,
     ls_estimate,
-    modulate,
     range_profile_cube,
     synthesize_pulse,
     synthesize_raw,
@@ -17,7 +16,7 @@ from ofdmsar.allocation import TruncationPolicy
 from ofdmsar.echo import RawDataCube, apply_waveform
 from ofdmsar.errors import DimensionError, IllConditionedWaveformError
 from ofdmsar.scenes import point_scene
-from ofdmsar.waveform import circulant_from_pulse
+from oracles import circulant_from_pulse, modulate
 
 
 def random_d(n, rng):

@@ -8,12 +8,11 @@ from ofdmsar import (
     Signaling,
     TruncationPolicy,
     WaveformSpec,
-    circulant_from_pulse,
     draw_symbols,
     draw_symbols_truncated,
-    modulate,
 )
 from ofdmsar.errors import ConfigError, DimensionError
+from oracles import circulant_from_pulse, modulate
 
 
 def gaussian_spec(n):
