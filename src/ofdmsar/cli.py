@@ -167,6 +167,7 @@ def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
 
 def _cmd_scene_gen(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
+    cfg.geometry()  # the scene's range swath must lie in front of the platform
     scene = scenes.make_scene(args.kind, spec, cfg.scene_azimuth)
     path = out / f"scene_{args.kind}.txt"
     save_scene(scene, path)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocation import ChannelGains, TruncationPolicy
 from .errors import ConfigError
-from .geometry import Geometry
+from .geometry import Geometry, closest_approach_ranges, range_cell_size
 from .waveform import Signaling, WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
@@ -65,7 +65,8 @@ class Config:
         )
 
     def geometry(self) -> Geometry:
-        return Geometry(
+        """The platform geometry; the swath of N range cells must lie in front."""
+        geom = Geometry(
             altitude=self.altitude,
             slant_range_center=self.slant_range_center,
             velocity=self.velocity,
@@ -73,6 +74,15 @@ class Config:
             prf=self.prf,
             aperture_time=self.aperture_time,
         )
+        spec = self.waveform_spec()
+        near = closest_approach_ranges(geom, spec.n_subcarriers, range_cell_size(spec))[0]
+        if not near > 0.0:
+            raise ConfigError(
+                f"closest-approach range {near:.6g} m of the swath's near edge is "
+                "not positive: slant_range_center must exceed n_subcarriers / 2 cells "
+                "of c / (2 * bandwidth)"
+            )
+        return geom
 
     def truncation_policy(self) -> TruncationPolicy:
         return TruncationPolicy(self.tail_prob)

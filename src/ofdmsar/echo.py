@@ -96,8 +96,8 @@ def synthesize_raw(
 ) -> RawDataCube:
     """Full slow-time loop: fresh communication symbols every pulse.
 
-    Each pulse sums the weighting coefficients of all scene columns at its
-    slow time, passes them through that pulse's waveform, and adds noise.
+    Each pulse sums the occupied cells' weighting coefficients at its slow
+    time, passes them through that pulse's waveform, and adds noise.
     """
     if scene.n_range_cells != spec.n_subcarriers:
         raise DimensionError("scene range cells must equal N (SWMP)")

@@ -7,12 +7,13 @@ eta, the weighting coefficient
 
 where R_m is the hyperbolic slant-range history about the scatterer's own
 closest approach and env is a rectangular aperture window of width T_a.
-Scene columns sit at the centers of resolvable azimuth cells.
+Scene columns sit at the centers of resolvable azimuth cells.  Each pulse
+evaluates the occupied cells only, at a cost proportional to their number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "Geometry",
     "Scene",
+    "range_cell_size",
     "slant_range",
     "scene_coefficients",
     "load_scene",
@@ -81,14 +83,17 @@ class Geometry:
 
 @dataclass(frozen=True)
 class Scene:
-    """Complex RCS grid: one row per range cell, one column per azimuth cell."""
+    """Read-only complex RCS grid: rows are range cells, columns azimuth cells."""
 
     rcs: np.ndarray
     range_cell_size: float
+    occupied: tuple = field(init=False, repr=False, compare=False)  # (rows, cols)
 
     def __post_init__(self):
-        rcs = np.atleast_2d(np.asarray(self.rcs, dtype=complex))
+        rcs = np.array(np.atleast_2d(self.rcs), dtype=complex)
+        rcs.flags.writeable = False
         object.__setattr__(self, "rcs", rcs)
+        object.__setattr__(self, "occupied", np.nonzero(rcs))
         if self.range_cell_size <= 0:
             raise ValueError("range_cell_size must be positive")
 
@@ -100,31 +105,23 @@ class Scene:
     def n_azimuth(self) -> int:
         return self.rcs.shape[1]
 
-    @classmethod
-    def empty(cls, spec: WaveformSpec, n_azimuth: int) -> "Scene":
-        rcs = np.zeros((spec.n_subcarriers, n_azimuth), dtype=complex)
-        return cls(rcs, SPEED_OF_LIGHT / (2.0 * spec.bandwidth))
+
+def range_cell_size(spec: WaveformSpec) -> float:
+    """Range resolution c / (2 B) of the waveform: a scene's row spacing."""
+    return SPEED_OF_LIGHT / (2.0 * spec.bandwidth)
 
 
 def slant_range(geom: Geometry, r_bar, eta) -> float | np.ndarray:
     """Hyperbolic range history sqrt(r_bar^2 + (v * eta)^2), broadcast over
-    ``r_bar`` and ``eta``."""
-    if np.any(np.asarray(r_bar) <= 0):
-        raise ValueError(
-            f"closest-approach range {np.min(r_bar):.6g} m is not positive"
-        )
+    ``r_bar`` and ``eta``; ``Config.geometry`` keeps every r_bar positive."""
     return np.sqrt(r_bar**2 + (geom.velocity * np.asarray(eta)) ** 2)
 
 
-def closest_approach_ranges(geom: Geometry, scene: Scene) -> np.ndarray:
-    """Per-cell closest-approach ranges, spaced one range cell apart.
-
-    The swath starts at R_c - (M/2) * cell size, so the swath-center cell
-    M // 2 sits exactly at the reference range.
-    """
-    m = scene.n_range_cells
-    r0 = geom.slant_range_center - (m / 2) * scene.range_cell_size
-    return r0 + np.arange(m) * scene.range_cell_size
+def closest_approach_ranges(geom: Geometry, m: int, cell_size: float) -> np.ndarray:
+    """Closest-approach ranges of m range cells one cell apart, from R_c - (m/2)
+    cells, so the swath-center cell m // 2 sits exactly at the reference range."""
+    r0 = geom.slant_range_center - (m / 2) * cell_size
+    return r0 + np.arange(m) * cell_size
 
 
 def column_center_times(geom: Geometry, scene: Scene) -> np.ndarray:
@@ -140,19 +137,26 @@ def column_center_times(geom: Geometry, scene: Scene) -> np.ndarray:
 
 def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
     """Rectangular azimuth envelope: 1 inside the aperture, 0 outside."""
-    return (np.abs(np.asarray(eta, dtype=float)) <= geom.aperture_time / 2.0).astype(
-        float
-    )
+    return (np.abs(eta) <= geom.aperture_time / 2.0).astype(float)
 
 
 def scene_coefficients(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
-    """Weighting coefficients d_m at one slow time, summed over the columns."""
-    eta_rel = eta - column_center_times(geom, scene)  # (n_az,)
+    """Weighting coefficients d_m at one slow time, summed over the columns.
+
+    Only occupied cells are evaluated, so the cost is proportional to their
+    number.  Their terms are scattered into a zero grid whose rows are summed
+    in full, so numpy's pairwise summation adds them in the dense grid's
+    order and the result is bit-identical to evaluating every cell.
+    """
+    rows, cols = scene.occupied
+    eta_rel = eta - column_center_times(geom, scene)[cols]
     env = aperture_envelope(geom, eta_rel)
-    rbar = closest_approach_ranges(geom, scene)  # (M,)
-    r = slant_range(geom, rbar[:, None], eta_rel[None, :])
+    rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
+    r = slant_range(geom, rbar[rows], eta_rel)
     phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    return np.sum(scene.rcs * env[None, :] * phase, axis=1)
+    terms = np.zeros(scene.rcs.shape, dtype=complex)
+    terms[rows, cols] = scene.rcs[rows, cols] * env * phase
+    return np.sum(terms, axis=1)
 
 
 # --- scene file I/O ---------------------------------------------------------
@@ -207,4 +211,4 @@ def load_scene(path, spec: WaveformSpec) -> Scene:
         raise SceneFormatError(
             f"scene has {m} range cells but SWMP requires {spec.n_subcarriers}"
         )
-    return Scene(rcs, SPEED_OF_LIGHT / (2.0 * spec.bandwidth))
+    return Scene(rcs, range_cell_size(spec))

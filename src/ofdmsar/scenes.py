@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Scene
+from .geometry import Scene, range_cell_size
 from .waveform import WaveformSpec
 
 __all__ = ["point_scene", "car_scene", "make_scene"]
@@ -13,9 +13,9 @@ __all__ = ["point_scene", "car_scene", "make_scene"]
 
 def point_scene(spec: WaveformSpec, n_azimuth: int = 1) -> Scene:
     """Unit scatterer at the center of the range swath and of the columns."""
-    scene = Scene.empty(spec, n_azimuth)
-    scene.rcs[spec.n_subcarriers // 2, n_azimuth // 2] = 1.0
-    return scene
+    rcs = np.zeros((spec.n_subcarriers, n_azimuth))
+    rcs[spec.n_subcarriers // 2, n_azimuth // 2] = 1.0
+    return Scene(rcs, range_cell_size(spec))
 
 
 def car_scene(spec: WaveformSpec) -> Scene:
@@ -39,9 +39,7 @@ def car_scene(spec: WaveformSpec) -> Scene:
     ww = max(1, int(0.08 * n))
     for wc in (int(0.25 * n), int(0.70 * n)):
         grid[wr0:wr1, wc : wc + ww] = 1.0
-    scene = Scene.empty(spec, n)
-    scene.rcs[:] = grid
-    return scene
+    return Scene(grid, range_cell_size(spec))
 
 
 def make_scene(kind: str, spec: WaveformSpec, n_azimuth: int) -> Scene:

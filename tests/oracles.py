@@ -1,15 +1,24 @@
-"""Explicit time-domain forms of the OFDM pulse, kept as test oracles.
+"""Explicit forms of what the package computes a faster way, kept as test oracles.
 
 The package works in the symbol-eigenvalue circular model only; these build
 the CP'd pulse, its circulant matrix and the linear convolution with the
 cyclic prefix that the model replaces, so the tests can check the two agree.
+``scene_coefficients_dense`` evaluates every grid cell, where the package
+evaluates the occupied cells only.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
-from ofdmsar import WaveformSpec
+from ofdmsar import Geometry, Scene, WaveformSpec
 from ofdmsar.errors import DimensionError
+from ofdmsar.geometry import (
+    SPEED_OF_LIGHT,
+    aperture_envelope,
+    closest_approach_ranges,
+    column_center_times,
+    slant_range,
+)
 
 
 def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:
@@ -48,3 +57,13 @@ def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray
         raise DimensionError(f"coefficient length {d.size} != N = {n}")
     full = np.convolve(samples, d)
     return full[n - 1 : 2 * n - 1] / np.sqrt(n)
+
+
+def scene_coefficients_dense(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
+    """Weighting coefficients d_m at one slow time, every grid cell evaluated."""
+    eta_rel = eta - column_center_times(geom, scene)  # (n_az,)
+    env = aperture_envelope(geom, eta_rel)
+    rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
+    r = slant_range(geom, rbar[:, None], eta_rel[None, :])
+    phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+    return np.sum(scene.rcs * env[None, :] * phase, axis=1)

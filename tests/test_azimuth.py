@@ -11,7 +11,7 @@ from ofdmsar import (
     synthesize_raw,
 )
 from ofdmsar.azimuth import SarImage, rcmc_shifts
-from ofdmsar.geometry import scene_coefficients
+from ofdmsar.geometry import Scene, range_cell_size, scene_coefficients
 from ofdmsar.scenes import point_scene
 
 
@@ -146,9 +146,9 @@ class TestAzimuthCompress:
         alloc = PowerAllocation.uniform(64, 64.0)
         peaks = []
         for col in (4, 5):
-            scene = point_scene(spec64, 9)
-            scene.rcs[:] = 0.0
-            scene.rcs[32, col] = 1.0
+            rcs = np.zeros((64, 9))
+            rcs[32, col] = 1.0
+            scene = Scene(rcs, range_cell_size(spec64))
             cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=6)
             profiles = range_profile_cube(cube)
             corrected = rcmc_bulk(profiles, geom, scene.range_cell_size)

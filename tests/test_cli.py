@@ -225,6 +225,25 @@ class TestSimulate:
         assert "closest-approach range" in assert_one_line_config_error(capsys)
         assert not (out / "image_db.csv").exists()
 
+    def test_swath_behind_platform_rejected_before_scene_gen(self, tmp_path, capsys):
+        # The scene file would be written, and rejected only by simulate.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("bandwidth = 1e6\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(cfg), "--out", str(out), "scene-gen"])
+        assert code == EXIT_CONFIG
+        err = assert_one_line_config_error(capsys)
+        for key in ("closest-approach range", "bandwidth", "n_subcarriers",
+                    "slant_range_center"):
+            assert key in err
+        assert not (out / "scene_point.txt").exists()
+
+    @pytest.mark.parametrize("cmd", [["allocate"], ["tradeoff", "--points", "3"]])
+    def test_swath_check_leaves_non_imaging_commands_alone(self, tmp_path, cmd):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("bandwidth = 1e6\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "run"), *cmd]) == EXIT_OK
+
     @pytest.mark.parametrize("n_azimuth", ["0", "-3"])
     def test_scene_azimuth_below_one_config_error(self, small_cfg, tmp_path, capsys, n_azimuth):
         small_cfg.write_text(SMALL_CFG + f"scene_azimuth = {n_azimuth}\n")

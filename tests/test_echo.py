@@ -11,6 +11,7 @@ from ofdmsar import (
 )
 from ofdmsar.echo import apply_waveform, pulse_rng
 from ofdmsar.errors import DimensionError
+from ofdmsar.geometry import range_cell_size
 from ofdmsar.scenes import point_scene
 from ofdmsar.waveform import Signaling
 from oracles import circulant_from_pulse, modulate, synthesize_pulse_linear_cp
@@ -92,7 +93,7 @@ class TestLinearCpEquivalence:
 
 class TestSynthesizeRaw:
     def test_empty_scene_zero_cube(self, geom, spec64):
-        scene = Scene.empty(spec64, 4)
+        scene = Scene(np.zeros((64, 4)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(64, 64.0)
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=0)
         assert not np.any(cube.data)
@@ -131,7 +132,7 @@ class TestSynthesizeRaw:
         assert not np.array_equal(a, c)
 
     def test_fresh_symbols_each_pulse(self, geom, spec64):
-        scene = Scene.empty(spec64, 1)
+        scene = Scene(np.zeros((64, 1)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(64, 64.0)
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=3)
         s0 = cube.symbols[:, 0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsar import (
     Geometry,
@@ -11,8 +13,17 @@ from ofdmsar import (
 )
 from ofdmsar.azimuth import azimuth_reference
 from ofdmsar.errors import SceneFormatError
-from ofdmsar.geometry import SPEED_OF_LIGHT, closest_approach_ranges, scene_coefficients
+from ofdmsar.geometry import (
+    SPEED_OF_LIGHT,
+    closest_approach_ranges,
+    range_cell_size,
+    scene_coefficients,
+)
 from ofdmsar.scenes import car_scene, point_scene
+from oracles import scene_coefficients_dense
+
+# The ``geom`` fixture's values; hypothesis tests cannot take function fixtures.
+DEFAULT_GEOM = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 800.0, 1.0)
 
 
 class TestGeometry:
@@ -54,26 +65,24 @@ class TestSlantRange:
 class TestWeightingCoefficients:
     # One-column scenes: the summed coefficients are that column's own.
     def test_zero_rcs_gives_zero(self, geom, spec64):
-        scene = Scene.empty(spec64, 1)
+        scene = Scene(np.zeros((64, 1)), range_cell_size(spec64))
         d = scene_coefficients(geom, scene, 0.1)
         np.testing.assert_array_equal(d, 0.0)
 
     def test_unit_modulus_inside_aperture(self, geom, spec64):
-        scene = Scene.empty(spec64, 1)
-        scene.rcs[:, 0] = 1.0
+        scene = Scene(np.ones((64, 1)), range_cell_size(spec64))
         d = scene_coefficients(geom, scene, 0.2)
         np.testing.assert_allclose(np.abs(d), 1.0, atol=1e-12)
 
     def test_envelope_vanishes_outside_aperture(self, geom, spec64):
-        scene = Scene.empty(spec64, 1)
-        scene.rcs[:, 0] = 1.0
+        scene = Scene(np.ones((64, 1)), range_cell_size(spec64))
         d = scene_coefficients(geom, scene, 0.6)
         np.testing.assert_array_equal(d, 0.0)
 
     def test_phase_at_closest_approach(self, geom, spec64):
         scene = point_scene(spec64, 1)
         m = spec64.n_subcarriers // 2
-        rbar = closest_approach_ranges(geom, scene)[m]
+        rbar = closest_approach_ranges(geom, 64, scene.range_cell_size)[m]
         assert rbar == pytest.approx(geom.slant_range_center)
         d = scene_coefficients(geom, scene, 0.0)
         expected = -4.0 * np.pi * geom.carrier_freq * rbar / SPEED_OF_LIGHT
@@ -96,18 +105,77 @@ class TestWeightingCoefficients:
         assert np.max(np.abs(phase)) < 0.1
 
 
+def assert_equal_to_dense(geom, scene, etas):
+    for eta in etas:
+        sparse = scene_coefficients(geom, scene, float(eta))
+        assert np.array_equal(sparse, scene_coefficients_dense(geom, scene, float(eta)))
+
+
+class TestOccupiedCellEvaluation:
+    # Evaluating only the occupied cells must give the dense grid's bits, not
+    # just close values: the CLI's images are byte-identical either way.
+    @pytest.mark.parametrize("kind", ["point", "car", "zero"])
+    def test_demo_scenes_bit_equal_to_dense(self, kind, geom, spec64):
+        scene = {
+            "point": lambda: point_scene(spec64, 64),
+            "car": lambda: car_scene(spec64),
+            "zero": lambda: Scene(np.zeros((64, 64)), range_cell_size(spec64)),
+        }[kind]()
+        assert_equal_to_dense(geom, scene, geom.slow_time())
+
+    def test_random_complex_scene_bit_equal_to_dense(self, geom, spec64):
+        # 200 columns span +-1.47 s of closest-approach times, so the outer
+        # ones never enter the +-0.5 s aperture of the +-0.5 s slow-time grid.
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))
+        scene = Scene(values * (rng.random((64, 200)) < 0.2), range_cell_size(spec64))
+        assert_equal_to_dense(geom, scene, geom.slow_time())
+
+    @given(
+        n_azimuth=st.integers(1, 24),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_sparse_occupancy_bit_equal_to_dense(self, n_azimuth, density, seed):
+        spec = WaveformSpec(16, 1.5e9 / 16)
+        rng = np.random.default_rng(seed)
+        shape = (16, n_azimuth)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        scene = Scene(values * (rng.random(shape) < density), range_cell_size(spec))
+        assert_equal_to_dense(DEFAULT_GEOM, scene, DEFAULT_GEOM.slow_time()[::8])
+
+    def test_occupied_cells(self, spec64):
+        assert car_scene(spec64).occupied[0].size == 819
+        np.testing.assert_array_equal(point_scene(spec64, 9).occupied, [[32], [4]])
+
+
+class TestSceneImmutability:
+    def test_rcs_is_a_read_only_copy(self, spec8):
+        # Complex input needs no conversion, so only an explicit copy keeps
+        # the scene from aliasing, or freezing, the caller's array.
+        rcs = np.zeros((8, 3), dtype=complex)
+        scene = Scene(rcs, range_cell_size(spec8))
+        with pytest.raises(ValueError):
+            scene.rcs[0, 0] = 1.0
+        assert rcs.flags.writeable and not np.shares_memory(rcs, scene.rcs)
+        rcs[0, 0] = 1.0
+        assert not np.any(scene.rcs)
+        assert scene.occupied[0].size == 0
+
+
 class TestSceneIO:
     def test_roundtrip_complex(self, tmp_path, spec8):
-        scene = Scene.empty(spec8, 3)
         rng = np.random.default_rng(0)
-        scene.rcs[:] = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        rcs = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        scene = Scene(rcs, range_cell_size(spec8))
         path = tmp_path / "scene.txt"
         save_scene(scene, path)
         loaded = load_scene(path, spec8)
         np.testing.assert_allclose(loaded.rcs, scene.rcs, atol=0)
 
     def test_empty_grid_valid(self, tmp_path, spec64):
-        scene = Scene.empty(spec64, 64)
+        scene = Scene(np.zeros((64, 64)), range_cell_size(spec64))
         path = tmp_path / "empty.txt"
         save_scene(scene, path)
         loaded = load_scene(path, spec64)
@@ -129,7 +197,7 @@ class TestSceneIO:
 
     def test_dimension_mismatch(self, tmp_path, spec64):
         path = tmp_path / "small.txt"
-        save_scene(Scene.empty(WaveformSpec(8, 1.0), 2), path)
+        save_scene(Scene(np.zeros((8, 2)), range_cell_size(WaveformSpec(8, 1.0))), path)
         with pytest.raises(SceneFormatError):
             load_scene(path, spec64)
 
@@ -145,8 +213,11 @@ class TestSceneIO:
         with pytest.raises(SceneFormatError):
             load_scene(path, spec8)
 
-    def test_cell_size(self, spec64):
-        scene = Scene.empty(spec64, 1)
-        assert scene.range_cell_size == pytest.approx(
-            SPEED_OF_LIGHT / (2.0 * spec64.bandwidth)
-        )
+    def test_cell_size(self, tmp_path, spec64):
+        # Every scene builder spaces its rows c / (2 B) apart.
+        path = tmp_path / "point.txt"
+        save_scene(point_scene(spec64, 1), path)
+        for scene in (point_scene(spec64, 1), car_scene(spec64), load_scene(path, spec64)):
+            assert scene.range_cell_size == pytest.approx(
+                SPEED_OF_LIGHT / (2.0 * spec64.bandwidth)
+            )
