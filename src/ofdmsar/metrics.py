@@ -4,9 +4,11 @@ The MSE sweep compares signal designs (constant-modulus vs random Gaussian,
 uniform vs communication-optimal allocation) against their closed-form
 predictions.  Common random variates are shared across designs within each
 trial so design-to-design gaps are estimated with far less Monte-Carlo noise
-than the curves themselves.  Each trial draws its variates from its own
-seeded stream; the trials are then estimated in fixed blocks, one batched LS
-call per design and block.
+than the curves themselves.  Each SNR point owns four seeded streams (magnitude
+uniforms, phase uniforms, real and imaginary noise normals), and trial t reads
+row t of each, in trial order.  The trials are estimated in fixed blocks, one
+batched LS call per design and block; a block reads its rows of each stream in
+one draw, so no result depends on the block size.
 
 Random-signaling trials use magnitude-truncated sampling (the low-magnitude
 tail below the q-quantile is excluded), so the empirical expectation exists
@@ -26,7 +28,7 @@ from .allocation import (
     emse_of_alloc,
     water_filling,
 )
-from .errors import NoPeakError
+from .errors import ConfigError, NoPeakError
 from .rangeproc import ls_estimate
 from .waveform import WaveformSpec, truncated_rayleigh
 
@@ -58,20 +60,25 @@ def _alloc_for(design: SignalDesign, spec, ch_eff: ChannelGains) -> PowerAllocat
     raise ValueError(f"unknown allocation rule {design.rule!r}")
 
 
-def _trial_variates(seed: int, si: int, trials: range, n: int) -> np.ndarray:
-    """Magnitude and phase uniforms and two noise normals, (4, n, trials).
+def _point_streams(seed: int, si: int) -> list[np.random.Generator]:
+    """Magnitude, phase, real-noise and imaginary-noise streams of SNR point si.
 
-    Trial t of SNR point si draws from SeedSequence(seed, spawn_key=(si, t)).
+    They are the four children of SeedSequence(seed, spawn_key=(si,)).
     """
-    draws = np.empty((4, len(trials), n))
-    for j, t in enumerate(trials):
-        seq = np.random.SeedSequence(seed, spawn_key=(si, t))
-        rng = np.random.default_rng(seq)
-        draws[0, j] = rng.uniform(0.0, 1.0, n)
-        draws[1, j] = rng.uniform(0.0, 2.0 * np.pi, n)
-        draws[2, j] = rng.standard_normal(n)
-        draws[3, j] = rng.standard_normal(n)
-    return draws.transpose(0, 2, 1)
+    root = np.random.SeedSequence(seed, spawn_key=(si,))
+    return [np.random.default_rng(child) for child in root.spawn(4)]
+
+
+def _trial_variates(streams, count: int, n: int) -> tuple[np.ndarray, ...]:
+    """The next ``count`` trials' uniforms and noise normals, each (n, count)."""
+    mag, phase, re, im = streams
+    draws = (
+        mag.uniform(0.0, 1.0, (count, n)),
+        phase.uniform(0.0, 2.0 * np.pi, (count, n)),
+        re.standard_normal((count, n)),
+        im.standard_normal((count, n)),
+    )
+    return tuple(x.T for x in draws)
 
 
 def mse_vs_snr(
@@ -91,7 +98,7 @@ def mse_vs_snr(
     subcarrier report infinite MSE (the LS estimator is singular there).
     """
     if n_trials < 100:
-        raise ValueError("need at least 100 trials")
+        raise ConfigError(f"trials = {n_trials} must be at least 100")
     # Constant-modulus symbols have no truncation policy: A = 1.
     policies = [
         None if dsg.signaling == "constant-modulus" else policy
@@ -110,9 +117,10 @@ def mse_vs_snr(
         alive = [not np.any(al.powers == 0.0) for al in allocs]
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = np.where(alive, 0.0, np.inf)
+        streams = _point_streams(seed, si)
         for start in range(0, n_trials, _TRIAL_BLOCK):
-            trials = range(start, min(start + _TRIAL_BLOCK, n_trials))
-            u, phases, w_re, w_im = _trial_variates(seed, si, trials, n)
+            count = min(_TRIAL_BLOCK, n_trials - start)
+            u, phases, w_re, w_im = _trial_variates(streams, count, n)
             rotations = np.exp(1j * phases)
             w = np.sqrt(sigma2 / 2.0) * (w_re + 1j * w_im)
             for di, alloc in enumerate(allocs):

@@ -332,6 +332,14 @@ class TestMseSweep:
         assert err.startswith("error: config: snr_grid") and err.count("\n") == 1
         assert not (out / "mse_sweep.csv").exists()
 
+    def test_too_few_trials_config_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = run(["--config", str(small_cfg), "--out", str(out), "mse-sweep", "--trials", "99"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: trials") and err.count("\n") == 1
+        assert not (out / "mse_sweep.csv").exists()
+
 
 class TestTradeoff:
     def test_flat_channel_constant_emse(self, small_cfg, tmp_path):

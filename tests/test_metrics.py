@@ -9,7 +9,8 @@ from ofdmsar import (
     sidelobe_stats,
     water_filling,
 )
-from ofdmsar.errors import NoPeakError
+from ofdmsar import metrics
+from ofdmsar.errors import ConfigError, NoPeakError
 from ofdmsar.metrics import DEFAULT_DESIGNS
 
 
@@ -27,11 +28,13 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
             "water-filling": water_filling(ch_eff, total).powers,
         }
         sums = dict.fromkeys((dsg.label for dsg in DEFAULT_DESIGNS), 0.0)
-        for t in range(n_trials):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, t)))
-            u = rng.uniform(0.0, 1.0, n)
-            phases = rng.uniform(0.0, 2.0 * np.pi, n)
-            w = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # The point's four streams; trial t reads row t of each, in trial order.
+        root = np.random.SeedSequence(seed, spawn_key=(si,))
+        mag, phase, re, im = (np.random.default_rng(c) for c in root.spawn(4))
+        for _ in range(n_trials):
+            u = mag.uniform(0.0, 1.0, n)
+            phases = phase.uniform(0.0, 2.0 * np.pi, n)
+            w = np.sqrt(sigma2 / 2.0) * (re.standard_normal(n) + 1j * im.standard_normal(n))
             for dsg in DEFAULT_DESIGNS:
                 p = powers[dsg.rule]
                 mags = np.sqrt(p)
@@ -140,6 +143,26 @@ class TestMseVsSnr:
             assert row["empirical_nmse"] == pytest.approx(emp, rel=1e-12)
             assert row["analytic_nmse"] == pytest.approx(ana, rel=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 7, 128, 1000])
+    def test_rows_independent_of_block_size(self, spec64, monkeypatch, block):
+        profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
+        ch = ChannelGains(profile / profile.mean())
+        expected = mse_vs_snr(spec64, ch, [0.0, 20.0], 300, seed=5)
+        monkeypatch.setattr(metrics, "_TRIAL_BLOCK", block)
+        rows = mse_vs_snr(spec64, ch, [0.0, 20.0], 300, seed=5)
+        assert [(r["snr_db"], r["design"]) for r in rows] == [
+            (r["snr_db"], r["design"]) for r in expected
+        ]
+        for row, exp in zip(rows, expected):
+            assert row["empirical_nmse"] == pytest.approx(exp["empirical_nmse"], rel=1e-12)
+            assert row["analytic_nmse"] == exp["analytic_nmse"]
+
+    def test_point_rows_independent_of_later_points(self, spec64):
+        ch = ChannelGains(np.ones(64))
+        alone = mse_vs_snr(spec64, ch, [0.0], 100, seed=6)
+        first = mse_vs_snr(spec64, ch, [0.0, 20.0], 100, seed=6)[: len(alone)]
+        assert first == alone
+
     def test_design_labels(self):
         labels = [d.label for d in DEFAULT_DESIGNS]
         assert "constant-modulus uniform" in labels
@@ -148,3 +171,7 @@ class TestMseVsSnr:
     def test_too_few_trials_rejected(self, spec64):
         with pytest.raises(ValueError):
             mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0], 10, seed=0)
+
+    def test_too_few_trials_names_the_key(self, spec64):
+        with pytest.raises(ConfigError, match=r"^trials = 99 must be at least 100$"):
+            mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0], 99, seed=0)
