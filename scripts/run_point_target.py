@@ -9,6 +9,7 @@ behavior at a glance.
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from ofdmsar import (
     PowerAllocation,
     Signaling,
-    WaveformSpec,
     azimuth_compress,
     range_profile_cube,
     rcmc_bulk,
@@ -32,22 +32,19 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--snr-db", type=float, default=15.0)
+    parser.add_argument("--snr-db", type=float, default=None,
+                        help="defaults to the config's snr_db")
     parser.add_argument("--out", type=Path, default=Path("point_target_out"))
     args = parser.parse_args()
 
     cfg = load_config(args.config)
     geom = cfg.geometry()
-    sigma2 = cfg.waveform_spec().noise_power(args.snr_db)
+    snr_db = cfg.snr_db if args.snr_db is None else args.snr_db
+    sigma2 = cfg.waveform_spec().noise_power(snr_db)
     args.out.mkdir(parents=True, exist_ok=True)
 
     for signaling in (Signaling.CONSTANT_MODULUS, Signaling.GAUSSIAN):
-        spec = WaveformSpec(
-            cfg.n_subcarriers,
-            cfg.bandwidth / cfg.n_subcarriers,
-            power_budget=cfg.power_budget,
-            signaling=signaling,
-        )
+        spec = dataclasses.replace(cfg, signaling=signaling.value).waveform_spec()
         scene = point_scene(spec, 1)
         alloc = PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
         cube = synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed)

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleChannelError, InfeasibleRateError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    InfeasibleChannelError,
+    InfeasibleRateError,
+)
 
 __all__ = [
     "PowerAllocation",
@@ -383,7 +388,7 @@ def tradeoff_sweep(
     the capacity endpoint yield an infinite EMSE.
     """
     if n_points < 2:
-        raise ValueError("need at least two grid points")
+        raise ConfigError(f"tradeoff_points = {n_points} must be at least 2")
     wf = water_filling(ch, total)
     capacity = achievable_rate(wf, ch)
     a = policy.A

@@ -41,6 +41,13 @@ class SarImage:
         return cls(img, np.clip(db, DB_FLOOR, 0.0))
 
 
+def _check_pulses(profiles: np.ndarray, geom: Geometry) -> None:
+    if profiles.shape[1] != geom.n_pulses:
+        raise DimensionError(
+            f"profiles have {profiles.shape[1]} pulses, geometry has {geom.n_pulses}"
+        )
+
+
 def rcmc_shifts(geom: Geometry, range_cell_size: float) -> np.ndarray:
     """Integer cell shifts round(dR(eta) / cell) from the center hyperbola."""
     rc = geom.slant_range_center
@@ -56,10 +63,7 @@ def rcmc_bulk(
     Output cell m of pulse p is input cell m + shift_p; cells whose source
     lies outside the swath are zeroed (validity mask).
     """
-    if profiles.shape[1] != geom.n_pulses:
-        raise DimensionError(
-            f"profiles have {profiles.shape[1]} pulses, geometry has {geom.n_pulses}"
-        )
+    _check_pulses(profiles, geom)
     n = profiles.shape[0]
     src = np.arange(n)[:, None] + rcmc_shifts(geom, range_cell_size)[None, :]
     valid = (src >= 0) & (src < n)
@@ -68,9 +72,9 @@ def rcmc_bulk(
     return out
 
 
-def azimuth_reference(geom: Geometry, n_pulses: int) -> np.ndarray:
+def azimuth_reference(geom: Geometry) -> np.ndarray:
     """Quadratic-phase azimuth chirp exp(-j 2 pi v^2 t^2 / (lambda R_c))."""
-    t = (np.arange(n_pulses) - n_pulses // 2) / geom.prf
+    t = geom.slow_time()
     return np.exp(
         -2j
         * np.pi
@@ -86,9 +90,8 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
     Circular correlation via FFT; the output is rolled so a scatterer whose
     closest approach falls at pulse index p peaks at azimuth index p.
     """
-    n_pulses = profiles.shape[1]
-    ref = azimuth_reference(geom, n_pulses)
-    ref_f = np.conj(np.fft.fft(ref))
+    _check_pulses(profiles, geom)
+    ref_f = np.conj(np.fft.fft(azimuth_reference(geom)))
     corr = np.fft.ifft(np.fft.fft(profiles, axis=1) * ref_f[None, :], axis=1)
-    focused = np.roll(corr, n_pulses // 2, axis=1)
+    focused = np.roll(corr, geom.n_pulses // 2, axis=1)
     return SarImage.from_complex(focused)

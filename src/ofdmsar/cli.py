@@ -3,8 +3,10 @@
 Subcommands: ``allocate`` (power allocation for a channel and rate target),
 ``simulate`` (scene -> raw data -> focused image files), ``mse-sweep``
 (MSE-vs-SNR table), ``tradeoff`` (imaging-vs-rate curve), ``scene-gen``
-(demo scene files).  Every run echoes the resolved configuration and master
-seed; identical config + seed gives byte-identical outputs.
+(demo scene files).  A flag named after a config key (``--snr-db``,
+``--scene``, ``--trials``; ``--points`` for ``tradeoff_points``) overrides
+that key, and every run echoes the resolved configuration and master seed;
+identical config + seed gives byte-identical outputs.
 
 Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 I/O error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -38,6 +41,8 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
+_KEYS = {f.name for f in dataclasses.fields(Config)}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,24 +54,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # An override flag's dest is the config key it sets; `command` is the handler.
     p = sub.add_parser("allocate", help="compute a power allocation")
+    p.set_defaults(command=_cmd_allocate)
     p.add_argument("--rate-target", type=str, default=None,
                    help="rate floor in bits per channel use, or 'capacity'")
     p.add_argument("--snr-db", type=float, default=None)
 
     p = sub.add_parser("simulate", help="synthesize echoes and form a SAR image")
+    p.set_defaults(command=_cmd_simulate)
     p.add_argument("--scene", type=str, default=None,
                    help="'point', 'car', or a scene file path (overrides config)")
     p.add_argument("--snr-db", type=float, default=None)
 
     p = sub.add_parser("mse-sweep", help="empirical vs analytic MSE over SNR")
+    p.set_defaults(command=_cmd_mse_sweep)
     p.add_argument("--trials", type=int, default=None)
 
     p = sub.add_parser("tradeoff", help="imaging EMSE vs communication rate curve")
-    p.add_argument("--points", type=int, default=None)
+    p.set_defaults(command=_cmd_tradeoff)
+    p.add_argument("--points", dest="tradeoff_points", type=int, default=None)
     p.add_argument("--snr-db", type=float, default=None)
 
     p = sub.add_parser("scene-gen", help="write a demo scene file")
+    p.set_defaults(command=_cmd_scene_gen)
     p.add_argument("--kind", choices=["point", "car"], default="point")
 
     return parser
@@ -78,16 +89,15 @@ def _echo_config(cfg: Config, seed: int) -> None:
     print(f"seed = {seed}")
 
 
-def _resolve_scene(cfg: Config, override: str | None, spec):
-    kind = override if override is not None else cfg.scene
-    if kind in ("point", "car"):
-        return scenes.make_scene(kind, spec, cfg.scene_azimuth)
-    return load_scene(kind, spec)
+def _resolve_scene(cfg: Config, spec):
+    if cfg.scene in ("point", "car"):
+        return scenes.make_scene(cfg.scene, spec, cfg.scene_azimuth)
+    return load_scene(cfg.scene, spec)
 
 
 def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    sigma2 = spec.noise_power(args.snr_db if args.snr_db is not None else cfg.snr_db)
+    sigma2 = spec.noise_power(cfg.snr_db)
     ch = cfg.channel_gains().rescaled(sigma2)
     policy = cfg.truncation_policy()
     capacity = allocation.achievable_rate(
@@ -109,13 +119,13 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(cfg: Config, args, out: Path, seed: int) -> int:
+def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
     geom = cfg.geometry()
-    sigma2 = spec.noise_power(args.snr_db if args.snr_db is not None else cfg.snr_db)
-    scene = _resolve_scene(cfg, args.scene, spec)
+    sigma2 = spec.noise_power(cfg.snr_db)
+    scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
-    cube = echo.synthesize_raw(spec, geom, scene, alloc, sigma2, seed)
+    cube = echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed)
     profiles = rangeproc.range_profile_cube(cube)
     corrected = azimuth.rcmc_bulk(profiles, geom, scene.range_cell_size)
     image = azimuth.azimuth_compress(corrected, geom)
@@ -128,15 +138,14 @@ def _cmd_simulate(cfg: Config, args, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_mse_sweep(cfg: Config, args, out: Path, seed: int) -> int:
+def _cmd_mse_sweep(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    trials = args.trials if args.trials is not None else cfg.trials
     rows = metrics.mse_vs_snr(
         spec,
         cfg.channel_gains(),
         cfg.snr_grid_values(),
-        trials,
-        seed,
+        cfg.trials,
+        args.seed,
         cfg.truncation_policy(),
     )
     write_table_csv(out / "mse_sweep.csv", rows)
@@ -146,11 +155,10 @@ def _cmd_mse_sweep(cfg: Config, args, out: Path, seed: int) -> int:
 
 def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    sigma2 = spec.noise_power(args.snr_db if args.snr_db is not None else cfg.snr_db)
+    sigma2 = spec.noise_power(cfg.snr_db)
     ch = cfg.channel_gains().rescaled(sigma2)
-    n_points = args.points if args.points is not None else cfg.tradeoff_points
     points = allocation.tradeoff_sweep(
-        ch, spec.power_budget, sigma2, cfg.truncation_policy(), n_points
+        ch, spec.power_budget, sigma2, cfg.truncation_policy(), cfg.tradeoff_points
     )
     rows = [
         {
@@ -180,20 +188,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
+        flags = {k: v for k, v in vars(args).items() if v is not None and k in _KEYS}
+        cfg = dataclasses.replace(cfg, **flags)
+        args.out.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, args.seed)
-        if args.command == "allocate":
-            return _cmd_allocate(cfg, args, out)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args, out, args.seed)
-        if args.command == "mse-sweep":
-            return _cmd_mse_sweep(cfg, args, out, args.seed)
-        if args.command == "tradeoff":
-            return _cmd_tradeoff(cfg, args, out)
-        if args.command == "scene-gen":
-            return _cmd_scene_gen(cfg, args, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.command(cfg, args, args.out)
     except (SceneFormatError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO

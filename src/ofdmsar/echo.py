@@ -49,10 +49,6 @@ class RawDataCube:
         if self.data.shape != self.symbols.shape:
             raise DimensionError("one symbol column required per pulse")
 
-    @property
-    def n_pulses(self) -> int:
-        return self.data.shape[1]
-
 
 def apply_waveform(symbols: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Noise-free channel action: circular model with eigenvalues S_k."""

@@ -30,7 +30,7 @@ from .allocation import (
 )
 from .errors import ConfigError, NoPeakError
 from .rangeproc import ls_estimate
-from .waveform import WaveformSpec, truncated_rayleigh
+from .waveform import Signaling, WaveformSpec, truncated_rayleigh
 
 __all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
 
@@ -41,23 +41,15 @@ _TRIAL_BLOCK = 128
 @dataclass(frozen=True)
 class SignalDesign:
     label: str
-    signaling: str  # "constant-modulus" or "gaussian"
-    rule: str  # "uniform" or "water-filling"
+    signaling: Signaling
+    water_filled: bool  # water-filling allocation, else uniform
 
 
 DEFAULT_DESIGNS = (
-    SignalDesign("constant-modulus uniform", "constant-modulus", "uniform"),
-    SignalDesign("gaussian uniform", "gaussian", "uniform"),
-    SignalDesign("gaussian comm-optimal", "gaussian", "water-filling"),
+    SignalDesign("constant-modulus uniform", Signaling.CONSTANT_MODULUS, False),
+    SignalDesign("gaussian uniform", Signaling.GAUSSIAN, False),
+    SignalDesign("gaussian comm-optimal", Signaling.GAUSSIAN, True),
 )
-
-
-def _alloc_for(design: SignalDesign, spec, ch_eff: ChannelGains) -> PowerAllocation:
-    if design.rule == "uniform":
-        return PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
-    if design.rule == "water-filling":
-        return water_filling(ch_eff, spec.power_budget)
-    raise ValueError(f"unknown allocation rule {design.rule!r}")
 
 
 def _point_streams(seed: int, si: int) -> list[np.random.Generator]:
@@ -101,7 +93,7 @@ def mse_vs_snr(
         raise ConfigError(f"trials = {n_trials} must be at least 100")
     # Constant-modulus symbols have no truncation policy: A = 1.
     policies = [
-        None if dsg.signaling == "constant-modulus" else policy
+        None if dsg.signaling is Signaling.CONSTANT_MODULUS else policy
         for dsg in DEFAULT_DESIGNS
     ]
     n = spec.n_subcarriers
@@ -109,11 +101,12 @@ def mse_vs_snr(
     d = np.zeros(n, dtype=complex)
     d[n // 2] = 1.0
     d_f = np.fft.fft(d)[:, None]
+    uniform = PowerAllocation.uniform(n, spec.power_budget)
     rows = []
     for si, snr_db in enumerate(snr_db_grid):
         sigma2 = spec.noise_power(snr_db)
-        ch_eff = ch.rescaled(sigma2)
-        allocs = [_alloc_for(dsg, spec, ch_eff) for dsg in DEFAULT_DESIGNS]
+        filled = water_filling(ch.rescaled(sigma2), spec.power_budget)
+        allocs = [filled if dsg.water_filled else uniform for dsg in DEFAULT_DESIGNS]
         alive = [not np.any(al.powers == 0.0) for al in allocs]
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = np.where(alive, 0.0, np.inf)

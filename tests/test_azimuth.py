@@ -74,17 +74,17 @@ class TestRcmc:
 
 class TestAzimuthReference:
     def test_unity_at_zero(self, geom):
-        ref = azimuth_reference(geom, geom.n_pulses)
+        ref = azimuth_reference(geom)
         assert ref[geom.n_pulses // 2] == pytest.approx(1.0 + 0j)
 
     def test_conjugate_symmetry(self, geom):
         n0 = geom.n_pulses // 2
-        ref = azimuth_reference(geom, geom.n_pulses)
+        ref = azimuth_reference(geom)
         for k in (1, 10, 200, 399):
             assert ref[n0 + k] == pytest.approx(ref[n0 - k], abs=1e-12)
 
     def test_phase_at_half_second(self, geom):
-        ref = azimuth_reference(geom, geom.n_pulses)
+        ref = azimuth_reference(geom)
         eta = geom.slow_time()
         idx = int(np.argmin(np.abs(eta - 0.5)))
         expected = (
@@ -101,7 +101,7 @@ class TestAzimuthCompress:
         # Feeding the reference itself focuses to the center pulse with the
         # chirp autocorrelation response.
         n = geom.n_pulses
-        ref = azimuth_reference(geom, n)
+        ref = azimuth_reference(geom)
         profiles = ref[None, :].astype(complex)
         img = azimuth_compress(profiles, geom)
         row = np.abs(img.complex_image[0])
@@ -122,7 +122,7 @@ class TestAzimuthCompress:
         # Null-to-null mainlobe of the compressed response ~ 2x the azimuth
         # resolution expressed in pulse counts.
         n = geom.n_pulses
-        ref = azimuth_reference(geom, n)
+        ref = azimuth_reference(geom)
         img = azimuth_compress(ref[None, :].astype(complex), geom)
         row = np.abs(img.complex_image[0])
         peak = int(np.argmax(row))

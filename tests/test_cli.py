@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 import ofdmsar
 from ofdmsar.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, run
+from ofdmsar.config import Config, load_config, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_CFG = """\
 n_subcarriers = 8
@@ -165,6 +169,42 @@ class TestConfigErrors:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("channel = rician\n")
         assert run(["--config", str(cfg), "--out", str(tmp_path), "allocate"]) == EXIT_CONFIG
+
+
+# Each flag sets the config key named in the second element.
+OVERRIDES = [
+    (["simulate", "--snr-db", "40", "--scene", "car"], {"snr_db": 40.0, "scene": "car"}),
+    (["tradeoff", "--snr-db", "-10", "--points", "3"], {"snr_db": -10.0, "tradeoff_points": 3}),
+    (["mse-sweep", "--trials", "150"], {"trials": 150}),
+]
+
+
+class TestResolvedConfig:
+    def test_default_cfg_lists_every_key_with_its_default(self):
+        path = ROOT / "configs" / "default.cfg"
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert [l.split("=")[0].strip() for l in lines] == [f.name for f in fields(Config)]
+        assert load_config(path) == Config()
+
+    @pytest.mark.parametrize("argv, keys", OVERRIDES, ids=[a[0] for a, _ in OVERRIDES])
+    def test_echo_is_the_config_that_ran(self, small_cfg, tmp_path, capsys, argv, keys):
+        assert run(["--config", str(small_cfg), "--out", str(tmp_path), *argv]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        echo = lines[: next(i for i, l in enumerate(lines) if l.startswith("seed = "))]
+        assert parse_config("\n".join(echo)) == replace(parse_config(SMALL_CFG), **keys)
+
+    @pytest.mark.parametrize("argv, keys", OVERRIDES, ids=[a[0] for a, _ in OVERRIDES])
+    def test_flags_and_config_keys_run_alike(self, tmp_path, capsys, argv, keys):
+        key_lines = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        results = []
+        runs = (("flags", SMALL_CFG, argv), ("keys", SMALL_CFG + key_lines, argv[:1]))
+        for name, text, cmd in runs:
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+            cfg.write_text(text)
+            assert run(["--config", str(cfg), "--out", str(out), *cmd]) == EXIT_OK
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            results.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert results[0] == results[1]
 
 
 class TestSimulate:
@@ -352,6 +392,14 @@ class TestTradeoff:
         assert len(emses) == 5
         # Equal gains: uniform power is optimal at every rate floor.
         assert max(emses) - min(emses) < 1e-9 * emses[0]
+
+    def test_one_point_config_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run(["--config", str(small_cfg), "--out", str(out), "tradeoff", "--points", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: tradeoff_points") and err.count("\n") == 1
+        assert not (out / "tradeoff.csv").exists()
 
     def test_infinite_snr_config_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "t"

@@ -99,7 +99,7 @@ class TestWeightingCoefficients:
         hist = np.array(
             [scene_coefficients(geom, scene, float(e))[m] for e in etas]
         )
-        ref = azimuth_reference(geom, etas.size)
+        ref = azimuth_reference(geom)
         residual = hist * np.conj(ref)
         phase = np.angle(residual * np.conj(residual[etas.size // 2]))
         assert np.max(np.abs(phase)) < 0.1

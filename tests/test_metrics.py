@@ -4,6 +4,7 @@ import pytest
 from ofdmsar import (
     ChannelGains,
     PowerAllocation,
+    Signaling,
     TruncationPolicy,
     mse_vs_snr,
     sidelobe_stats,
@@ -24,8 +25,8 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
         sigma2 = (total / n) / 10.0 ** (snr_db / 10.0)
         ch_eff = ChannelGains(ch.gains / sigma2)
         powers = {
-            "uniform": PowerAllocation.uniform(n, total).powers,
-            "water-filling": water_filling(ch_eff, total).powers,
+            False: PowerAllocation.uniform(n, total).powers,
+            True: water_filling(ch_eff, total).powers,
         }
         sums = dict.fromkeys((dsg.label for dsg in DEFAULT_DESIGNS), 0.0)
         # The point's four streams; trial t reads row t of each, in trial order.
@@ -36,16 +37,16 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
             phases = phase.uniform(0.0, 2.0 * np.pi, n)
             w = np.sqrt(sigma2 / 2.0) * (re.standard_normal(n) + 1j * im.standard_normal(n))
             for dsg in DEFAULT_DESIGNS:
-                p = powers[dsg.rule]
+                p = powers[dsg.water_filled]
                 mags = np.sqrt(p)
-                if dsg.signaling == "gaussian":
+                if dsg.signaling is Signaling.GAUSSIAN:
                     mags = mags * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
                 s = mags * np.exp(1j * phases)
                 y = np.fft.ifft(s * np.fft.fft(d)) + w
                 sums[dsg.label] += np.sum(np.abs(np.fft.ifft(np.fft.fft(y) / s) - d) ** 2)
         for dsg in DEFAULT_DESIGNS:
-            scale = 1.0 if dsg.signaling == "constant-modulus" else a
-            analytic = scale * sigma2 * np.sum(1.0 / powers[dsg.rule])
+            scale = 1.0 if dsg.signaling is Signaling.CONSTANT_MODULUS else a
+            analytic = scale * sigma2 * np.sum(1.0 / powers[dsg.water_filled])
             out[(float(snr_db), dsg.label)] = (sums[dsg.label] / n_trials, analytic)
     return out
 

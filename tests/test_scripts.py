@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts on a 16-subcarrier configuration."""
+"""Smoke runs of the point-target script on a 16-subcarrier configuration."""
 
 import csv
 import os
@@ -13,9 +13,10 @@ SRC = Path(ofdmsar.__file__).resolve().parents[1]
 SMALL_CFG = "n_subcarriers = 16\nprf = 16\naperture_time = 1.0\n"
 
 
-def run_script(name, tmp_path, *args):
+def run_script(name, tmp_path, *args, extra_cfg=""):
+    tmp_path.mkdir(exist_ok=True)
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(SMALL_CFG)
+    cfg.write_text(SMALL_CFG + extra_cfg)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     cmd = [sys.executable, str(ROOT / "scripts" / name), "--config", str(cfg),
            "--out", str(tmp_path / "out"), *args]
@@ -33,11 +34,10 @@ def test_run_point_target(tmp_path):
                 assert len(list(csv.reader(fh))[0]) == 16
 
 
-def test_run_tradeoff(tmp_path):
-    out = run_script("run_tradeoff.py", tmp_path, "--points", "8")
-    with open(out / "tradeoff.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["rate_floor", "rate_achieved", "emse"] and len(rows) == 9
-    for name in ("alloc_imaging.csv", "alloc_waterfilling.csv"):
-        with open(out / name, newline="") as fh:
-            assert len(list(csv.reader(fh))) == 17
+def test_run_point_target_snr_defaults_to_config(tmp_path):
+    by_key = run_script("run_point_target.py", tmp_path / "key", extra_cfg="snr_db = 40\n")
+    by_flag = run_script("run_point_target.py", tmp_path / "flag", "--snr-db", "40")
+    names = sorted(f.name for f in by_flag.iterdir())
+    assert names == sorted(f.name for f in by_key.iterdir()) and len(names) == 6
+    for name in names:
+        assert (by_key / name).read_bytes() == (by_flag / name).read_bytes(), name
