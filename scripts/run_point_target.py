@@ -10,6 +10,7 @@ behavior at a glance.
 
 import argparse
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,16 @@ from ofdmsar import (
     sidelobe_stats,
     synthesize_raw,
 )
+from ofdmsar.cli import EXIT_CONFIG, EXIT_IO
 from ofdmsar.config import load_config
+from ofdmsar.errors import ConfigError, SceneFormatError
 from ofdmsar.output import write_db_csv, write_pgm
 from ofdmsar.scenes import point_scene
 
 
-def main() -> None:
+def main() -> int:
+    """Run the experiment; a bad config or an I/O failure ends in one line
+    and the exit code of the ``ofdmsar`` command (2 config, 4 I/O)."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=0)
@@ -36,7 +41,18 @@ def main() -> None:
                         help="defaults to the config's snr_db")
     parser.add_argument("--out", type=Path, default=Path("point_target_out"))
     args = parser.parse_args()
+    try:
+        run(args)
+    except (SceneFormatError, OSError) as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ConfigError, ValueError) as exc:
+        print(f"error: config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return 0
 
+
+def run(args: argparse.Namespace) -> None:
     cfg = load_config(args.config)
     geom = cfg.geometry()
     snr_db = cfg.snr_db if args.snr_db is None else args.snr_db
@@ -69,4 +85,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -197,12 +197,15 @@ def emse_of_alloc(
 #     f_k(P) = A / P^2 + lam * g_k / (1 + g_k P) - mu = 0
 #
 # with lam >= 0 the rate multiplier and mu the power multiplier.  f_k is
-# convex and decreasing in P, so Newton started left of its root climbs to it
-# without overshooting.  Each root P_k(mu) inverts a convex decreasing map, so
-# the power sum is convex and decreasing in mu, and Newton on mu from a lower
-# bound climbs the same way inside a closed-form bracket.  The achieved rate
+# convex and decreasing in P, so a Newton step from any point lands at or left
+# of its root, and Newton then climbs to it; iterates are clipped to a closed-
+# form lower bound, so any start is safe.  Each root P_k(mu) inverts a convex
+# decreasing map, so the power sum is convex and decreasing in mu, and Newton
+# on mu behaves the same way inside a closed-form bracket.  The achieved rate
 # is nondecreasing in lam; lam is found by a bracketing secant method, and the
-# powers returned are those at the bracket's feasible end.
+# powers returned are those at the bracket's feasible end.  Each solve starts
+# from the last along the tangent of the solution path (Allgower & Georg,
+# Numerical Continuation Methods).
 #
 # Each loop stops on a tolerance its bracket guarantees to reach; the step
 # caps only turn a broken invariant into an error instead of a wrong answer.
@@ -213,18 +216,19 @@ _MAX_STEPS = 100  # per loop
 
 
 def _stationarity_roots(
-    mu: float, lam: float, g: np.ndarray, a: float
+    mu: float, lam: float, g: np.ndarray, a: float, guess: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots P_k of f_k, and the slopes f_k'(P_k) there."""
+    """Roots P_k of f_k, and the slopes f_k'(P_k) there, from any ``guess``."""
     # At sqrt(A/mu) the first term alone equals mu, and at lam/mu - 1/g_k the
     # second does, so both points lie left of the root.
     with np.errstate(divide="ignore"):
-        p = np.maximum(np.sqrt(a / mu), lam / mu - 1.0 / g)
+        low = np.maximum(np.sqrt(a / mu), lam / mu - 1.0 / g)
+    p = low if guess is None else np.maximum(guess, low)
     for _ in range(_MAX_STEPS):
         gd = g / (1.0 + g * p)
         slope = -2.0 * a / p**3 - lam * gd * gd
         resid = a / p**2 + lam * gd - mu
-        p = p - resid / slope
+        p = np.maximum(p - resid / slope, low)
         # Newton converges quadratically, so one step past a residual of
         # 1e-12 of the level leaves only rounding error.
         if np.max(np.abs(resid)) <= 1e-12 * mu:
@@ -233,11 +237,13 @@ def _stationarity_roots(
 
 
 def _powers_for_lambda(
-    lam: float, g: np.ndarray, total: float, a: float, level: float
-) -> np.ndarray:
-    """Powers meeting the budget at rate multiplier ``lam``.
+    lam: float, g: np.ndarray, total: float, a: float, level: float,
+    prev: tuple | None = None,
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The state (lam, mu, powers, slopes f_k') meeting the budget at ``lam``.
 
-    ``level`` is the water level of the channel's water-filling allocation.
+    ``level`` is the water level of the channel's water-filling allocation;
+    ``prev`` is the state of another solve on the channel, to start from.
     """
     # The lam = 0 multiplier puts every root at or right of total/N, so the
     # power sum is at least the budget there; adding lam * max(g) puts every
@@ -246,11 +252,17 @@ def _powers_for_lambda(
     mu_hi = mu_lo + lam * np.max(g)
     # Each root lies right of lam/mu - 1/g_k, so at mu = lam/level the power sum
     # is at least the water-filling budget: a second lower bound on mu, the
-    # tighter one when the rate term dominates.  Newton on the convex
-    # decreasing sum from a point left of its root climbs without overshoot.
-    mu = max(mu_lo, lam / level)
+    # tighter one when the rate term dominates.
+    mu, guess = max(mu_lo, lam / level), None
+    if prev is not None:
+        # dP_k = (dmu - gd_k dlam) / f_k' keeps f_k at zero; the budget fixes dmu.
+        lam0, mu0, p0, slope0 = prev
+        gd = g / (1.0 + g * p0)
+        pred = mu0 + (lam - lam0) * np.sum(gd / slope0) / np.sum(1.0 / slope0)
+        mu = pred if mu < pred < mu_hi else mu
+        guess = p0 + (mu - mu0 - gd * (lam - lam0)) / slope0
     for _ in range(_MAX_STEPS):
-        p, slope = _stationarity_roots(mu, lam, g, a)
+        p, slope = _stationarity_roots(mu, lam, g, a, guess)
         psum = p.sum()
         if psum > total:
             mu_lo = mu
@@ -262,10 +274,11 @@ def _powers_for_lambda(
         # moving the stationarity levels apart.
         step = (total - psum) / np.sum(1.0 / slope)
         if abs(step) <= 1e-13 * mu:
-            return p + step / slope
-        mu += step
-        if not mu_lo < mu < mu_hi:
-            mu = 0.5 * (mu_lo + mu_hi)  # rounding left the bracket: bisect
+            return lam, mu, p + step / slope, slope
+        new = mu + step
+        if not mu_lo < new < mu_hi:
+            new = 0.5 * (mu_lo + mu_hi)  # the step left the bracket: bisect
+        mu, guess = new, p + (new - mu) / slope
     raise RuntimeError("power-multiplier Newton did not converge")
 
 
@@ -297,10 +310,12 @@ def _rate_constrained(
 
     wet = wf.powers > 0
     level = float(np.max(wf.powers[wet] + 1.0 / g[wet]))
+    prev = None  # the last solve's state starts the next
 
     def rate_at(lam: float) -> tuple[np.ndarray, float]:
-        p = _powers_for_lambda(lam, g, total, a, level)
-        return p, float(np.sum(np.log2(1.0 + p * g)))
+        nonlocal prev
+        prev = _powers_for_lambda(lam, g, total, a, level, prev)
+        return prev[2], float(np.sum(np.log2(1.0 + prev[2] * g)))
 
     # Bracket lam: rate(lo) < rate_floor <= rate(hi), lam = 0 being uniform.
     # f_lo and f_hi are the rate excesses at the ends, as the secant weighs them.

@@ -18,7 +18,8 @@ from ofdmsar import (
     tradeoff_sweep,
     water_filling,
 )
-from ofdmsar.allocation import _exp1, _rate_constrained
+from ofdmsar import allocation
+from ofdmsar.allocation import _exp1, _rate_constrained, _stationarity_roots
 from ofdmsar.config import parse_config
 from ofdmsar.errors import InfeasibleChannelError, InfeasibleRateError
 
@@ -300,7 +301,7 @@ class TestRateConstrainedSolver:
         alloc = emse_rate_constrained(ch, total, r0, self.policy)
         assert abs(alloc.powers.sum() - total) < 1e-8 * total
         assert np.all(alloc.powers >= 0.0)
-        assert achievable_rate(alloc, ch) >= r0 - 1e-6
+        assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
         core, lam = _rate_constrained(ch, total, r0, a, wf)
         np.testing.assert_array_equal(core.powers, alloc.powers)
         levels = a / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
@@ -325,19 +326,66 @@ class TestRateConstrainedSolver:
             emse_rate_constrained(seeded_gains(4, 11), 4.0, bad, self.policy)
 
 
+class TestWarmStartedRoots:
+    """Any guess for the stationarity roots is safe: the iterates are clipped
+    to a lower bound, so a guess changes the path, not the roots.  Returning
+    at all means the step cap was not reached: the solver raises when it is."""
+
+    a = TruncationPolicy().A
+
+    def assert_same_roots(self, mu, lam, g, guess_from_roots):
+        cold, _ = _stationarity_roots(mu, lam, g, self.a)
+        warm, _ = _stationarity_roots(mu, lam, g, self.a, guess_from_roots(cold))
+        np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mu_lam", [(0.5, 0.0), (0.05, 0.1), (2.0, 30.0)])
+    @pytest.mark.parametrize(
+        "guess_from_roots",
+        [
+            lambda p: 1e6 * p,
+            lambda p: 1e-6 * p,
+            lambda p: np.random.default_rng(22).uniform(0.0, 10.0 * p.max(), p.size),
+        ],
+        ids=["right", "left", "random"],
+    )
+    def test_guess_far_from_root(self, mu_lam, guess_from_roots):
+        mu, lam = mu_lam
+        self.assert_same_roots(mu, lam, seeded_gains(16, 21).gains, guess_from_roots)
+
+    @given(
+        log_g=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
+        log_mu=st.floats(-4.0, 4.0),
+        log_lam=st.floats(-4.0, 4.0),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_guess_any_gains(self, log_g, log_mu, log_lam, log_scale):
+        self.assert_same_roots(
+            10.0**log_mu,
+            10.0**log_lam,
+            10.0 ** np.array(log_g),
+            lambda p: p * 10.0**log_scale,
+        )
+
+
 class TestTradeoffSweep:
     policy = TruncationPolicy()
 
     @staticmethod
-    def multipath_sweep(channel_seed):
-        """The 64-subcarrier, 4-tap multipath channel at -10 dB on 8 points."""
+    def multipath_channel(channel_seed):
+        """Config, noise power and gains of the 64-subcarrier, 4-tap multipath
+        channel at -10 dB."""
         cfg = parse_config(
             f"channel = multipath\nchannel_taps = 4\nchannel_seed = {channel_seed}\n"
         )
         sigma2 = cfg.waveform_spec().noise_power(-10.0)
-        ch = cfg.channel_gains().rescaled(sigma2)
+        return cfg, sigma2, cfg.channel_gains().rescaled(sigma2)
+
+    @classmethod
+    def multipath_sweep(cls, channel_seed, n_points=8):
+        cfg, sigma2, ch = cls.multipath_channel(channel_seed)
         return tradeoff_sweep(
-            ch, cfg.power_budget, sigma2, cfg.truncation_policy(), 8
+            ch, cfg.power_budget, sigma2, cfg.truncation_policy(), n_points
         )
 
     @pytest.mark.parametrize("channel_seed", range(8))
@@ -369,3 +417,38 @@ class TestTradeoffSweep:
         emses = np.array([pt.emse for pt in points])
         assert np.all(np.diff(emses) >= -1e-9 * emses[:-1].clip(min=1.0))
         assert np.all(emses >= points[0].emse - 1e-9)
+
+    @pytest.mark.parametrize("n_points", [8, 32])
+    def test_carried_state_matches_standalone_solves(self, n_points):
+        # Each sweep point starts from the previous point's multiplier, each
+        # rate evaluation from the previous one's state; none of it may move
+        # an answer beyond the solver's tolerance.
+        for channel_seed in range(8):
+            cfg, _, ch = self.multipath_channel(channel_seed)
+            for pt in self.multipath_sweep(channel_seed, n_points):
+                r0 = pt.rate_floor
+                assert pt.rate_achieved >= r0 - 1e-8 * max(1.0, r0)
+                alone = emse_rate_constrained(
+                    ch, cfg.power_budget, r0, cfg.truncation_policy()
+                )
+                assert achievable_rate(alone, ch) >= r0 - 1e-8 * max(1.0, r0)
+                np.testing.assert_allclose(
+                    pt.allocation.powers, alone.powers, rtol=1e-6, atol=0.0
+                )
+
+    def test_warm_started_work_count(self, monkeypatch):
+        # A deterministic work count, not a wall-clock bound: the 8-seed,
+        # 8-point sweep makes 1025 root solves when every rate evaluation
+        # starts cold and 556 when each starts from the last.
+        calls = 0
+        roots = allocation._stationarity_roots
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return roots(*args)
+
+        monkeypatch.setattr(allocation, "_stationarity_roots", counted)
+        for channel_seed in range(8):
+            self.multipath_sweep(channel_seed)
+        assert calls <= 600

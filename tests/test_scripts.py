@@ -13,14 +13,18 @@ SRC = Path(ofdmsar.__file__).resolve().parents[1]
 SMALL_CFG = "n_subcarriers = 16\nprf = 16\naperture_time = 1.0\n"
 
 
-def run_script(name, tmp_path, *args, extra_cfg=""):
+def launch(name, tmp_path, *args, extra_cfg=""):
     tmp_path.mkdir(exist_ok=True)
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_CFG + extra_cfg)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     cmd = [sys.executable, str(ROOT / "scripts" / name), "--config", str(cfg),
            "--out", str(tmp_path / "out"), *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_script(name, tmp_path, *args, extra_cfg=""):
+    proc = launch(name, tmp_path, *args, extra_cfg=extra_cfg)
     assert proc.returncode == 0, proc.stderr
     return tmp_path / "out"
 
@@ -41,3 +45,21 @@ def test_run_point_target_snr_defaults_to_config(tmp_path):
     assert names == sorted(f.name for f in by_key.iterdir()) and len(names) == 6
     for name in names:
         assert (by_key / name).read_bytes() == (by_flag / name).read_bytes(), name
+
+
+def test_run_point_target_bad_config_one_line(tmp_path):
+    # Exit codes and messages as the ofdmsar command gives them.
+    proc = launch("run_point_target.py", tmp_path, "--snr-db", "nan")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: config: SNR of nan dB gives no finite noise power"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_point_target_missing_config_io_error(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    proc = launch("run_point_target.py", tmp_path, "--config", str(missing))
+    assert proc.returncode == 4
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: io: ") and str(missing) in proc.stderr
