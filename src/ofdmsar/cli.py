@@ -1,12 +1,13 @@
 """Batch command-line front-end.
 
 Subcommands: ``allocate`` (power allocation for a channel and rate target),
-``simulate`` (scene -> raw data -> focused image files), ``mse-sweep``
-(MSE-vs-SNR table), ``tradeoff`` (imaging-vs-rate curve), ``scene-gen``
-(demo scene files).  A flag named after a config key (``--snr-db``,
-``--scene``, ``--trials``; ``--points`` for ``tradeoff_points``) overrides
-that key, and every run echoes the resolved configuration and master seed;
-identical config + seed gives byte-identical outputs.
+``simulate`` (scene -> raw data -> focused image files and the range
+sidelobe ratios), ``mse-sweep`` (MSE-vs-SNR table), ``tradeoff``
+(imaging-vs-rate curve), ``scene-gen`` (demo scene files).  A flag named
+after a config key (``--snr-db``, ``--scene``, ``--trials``; ``--points`` for
+``tradeoff_points``) overrides that key, and every run echoes the resolved
+configuration and master seed; identical config + seed gives byte-identical
+outputs.
 
 Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 I/O error.
 """
@@ -26,15 +27,11 @@ from .errors import (
     ConfigError,
     InfeasibleChannelError,
     InfeasibleRateError,
+    NoPeakError,
     SceneFormatError,
 )
 from .geometry import load_scene, save_scene
-from .output import (
-    write_allocation_csv,
-    write_db_csv,
-    write_pgm,
-    write_table_csv,
-)
+from .output import write_db_csv, write_pgm, write_table_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,7 +103,11 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     if args.rate_target is None:
         alloc = allocation.PowerAllocation.uniform(len(ch), spec.power_budget)
     else:
-        r0 = capacity if args.rate_target == "capacity" else float(args.rate_target)
+        try:
+            r0 = capacity if args.rate_target == "capacity" else float(args.rate_target)
+        except ValueError:
+            raise ConfigError("--rate-target takes a number of bits or 'capacity', "
+                              f"not {args.rate_target!r}") from None
         alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0, policy)
     rate = allocation.achievable_rate(alloc, ch)
     emse = allocation.emse_of_alloc(alloc, sigma2, policy)
@@ -114,7 +115,9 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     print(f"rate_bits = {rate!r}")
     print(f"rate_bits_scaled_by_bandwidth = {rate * spec.bandwidth!r}")
     print(f"emse = {emse!r}")
-    write_allocation_csv(out / "allocation.csv", alloc, ch)
+    rows = [{"k": k, "P_k": float(p), "g_k": float(g)}
+            for k, (p, g) in enumerate(zip(alloc.powers, ch.gains))]
+    write_table_csv(out / "allocation.csv", rows)
     print(f"wrote {out / 'allocation.csv'}")
     return EXIT_OK
 
@@ -131,6 +134,13 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     image = azimuth.azimuth_compress(corrected, geom)
     peak = np.unravel_index(np.argmax(np.abs(image.complex_image)), image.db_image.shape)
     print(f"peak_cell = {peak[0]} {peak[1]}")
+    try:
+        pslr, islr = metrics.sidelobe_stats(np.abs(image.complex_image[:, peak[1]]) ** 2)
+    except NoPeakError:
+        pass  # fewer than 3 range cells, or a flat range cut: no ratios to report
+    else:
+        print(f"range_pslr_db = {pslr!r}")
+        print(f"range_islr_db = {islr!r}")
     write_pgm(out / "image.pgm", image.db_image)
     write_db_csv(out / "image_db.csv", image.db_image)
     print(f"wrote {out / 'image.pgm'}")

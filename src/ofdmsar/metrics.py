@@ -153,7 +153,7 @@ def sidelobe_stats(profile: np.ndarray) -> tuple[float, float]:
     if np.any(p < 0):
         raise ValueError("profile values must be nonnegative")
     peak = int(np.argmax(p))
-    if np.count_nonzero(p == p[peak]) > 1 and np.all(p == p[peak]):
+    if np.all(p == p[peak]):
         raise NoPeakError("flat profile has no unique peak")
     left = peak
     while left > 0 and p[left - 1] < p[left]:

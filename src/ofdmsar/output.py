@@ -10,15 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import ChannelGains, PowerAllocation
 from .azimuth import DB_FLOOR
 
-__all__ = [
-    "write_pgm",
-    "write_db_csv",
-    "write_allocation_csv",
-    "write_table_csv",
-]
+__all__ = ["write_pgm", "write_db_csv", "write_table_csv"]
 
 
 def write_pgm(path, db_image: np.ndarray) -> None:
@@ -41,14 +35,6 @@ def write_db_csv(path, db_image: np.ndarray) -> None:
             ",".join(map(repr, row.tolist())) + "\r\n"
             for row in np.asarray(db_image, dtype=float)
         )
-
-
-def write_allocation_csv(path, alloc: PowerAllocation, ch: ChannelGains) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "P_k", "g_k"])
-        for k, (p, g) in enumerate(zip(alloc.powers, ch.gains)):
-            writer.writerow([k, repr(float(p)), repr(float(g))])
 
 
 def write_table_csv(path, rows: list[dict]) -> None:

@@ -107,6 +107,7 @@ class TestAllocate:
         rows = read_csv(tmp_path / "allocation.csv")
         assert rows[0] == ["k", "P_k", "g_k"]
         assert len(rows) == 65
+        assert all(r[1] == "1.0" for r in rows[1:])  # a plain float repr per power
         out = capsys.readouterr().out
         assert "seed = 0" in out
         assert "emse = " in out
@@ -134,6 +135,13 @@ class TestAllocate:
         code = run(["--out", str(tmp_path), "allocate", "--rate-target", "nan"])
         assert code == EXIT_CONFIG
         assert_one_line_config_error(capsys)
+        assert not (tmp_path / "allocation.csv").exists()
+
+    def test_non_number_rate_target_names_the_flag(self, tmp_path, capsys):
+        code = run(["--out", str(tmp_path), "allocate", "--rate-target", "abc"])
+        assert code == EXIT_CONFIG
+        err = assert_one_line_config_error(capsys)
+        assert "--rate-target" in err and "capacity" in err and "'abc'" in err
         assert not (tmp_path / "allocation.csv").exists()
 
     def test_infinite_snr_config_error(self, tmp_path, capsys):
@@ -169,6 +177,15 @@ class TestConfigErrors:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("channel = rician\n")
         assert run(["--config", str(cfg), "--out", str(tmp_path), "allocate"]) == EXIT_CONFIG
+
+    def test_missing_config_file_io_exit(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "run"
+        assert run(["--config", str(missing), "--out", str(out), "simulate"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: ") and err.count("\n") == 1
+        assert str(missing) in err
+        assert not out.exists()
 
 
 # Each flag sets the config key named in the second element.
@@ -217,6 +234,43 @@ class TestSimulate:
         assert len(pgm) == len(b"P5\n8 8\n255\n") + 64
         assert (out / "image_db.csv").exists()
         assert "peak_cell = " in capsys.readouterr().out
+
+    def test_range_sidelobe_ratios(self, tmp_path, capsys):
+        # Default config, seed 3: Gaussian symbols carry data but raise the
+        # range sidelobes that constant-modulus symbols do not have.
+        ratios = {}
+        for signaling in ("constant-modulus", "gaussian"):
+            cfg = tmp_path / f"{signaling}.cfg"
+            cfg.write_text(f"signaling = {signaling}\n")
+            out = tmp_path / signaling
+            assert run(["--config", str(cfg), "--seed", "3", "--out", str(out),
+                        "simulate"]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            i = lines.index("peak_cell = 32 400")
+            pairs = [line.split(" = ") for line in lines[i + 1 : i + 3]]
+            assert [key for key, _ in pairs] == ["range_pslr_db", "range_islr_db"]
+            ratios[signaling] = [round(float(value), 2) for _, value in pairs]
+        assert ratios == {"constant-modulus": [-32.42, -23.19], "gaussian": [-21.15, -12.72]}
+        assert ratios["gaussian"][0] > ratios["constant-modulus"][0]
+
+    def test_no_unique_range_peak_prints_no_ratios(self, small_cfg, tmp_path, capsys):
+        # A flat range cut (a noise-free all-zero scene) and a 2-cell cut have
+        # no unique peak: no ratio lines, but the same files and exit 0.
+        zero = tmp_path / "zero.txt"
+        zero.write_text("# 8 8\n" + "0,0,0,0,0,0,0,0\n" * 8)
+        two = tmp_path / "two.cfg"
+        two.write_text(SMALL_CFG.replace("n_subcarriers = 8", "n_subcarriers = 2"))
+        runs = {
+            "zero": ["--config", str(small_cfg), "simulate", "--scene", str(zero),
+                     "--snr-db", "inf"],
+            "two": ["--config", str(two), "simulate"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert run(["--out", str(out), *argv]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert not any(line.startswith("range_") for line in lines)
+            assert {f.name for f in out.iterdir()} == {"image.pgm", "image_db.csv"}
 
     def test_nan_snr_config_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "run"
