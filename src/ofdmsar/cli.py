@@ -1,13 +1,13 @@
 """Batch command-line front-end.
 
 Subcommands: ``allocate`` (power allocation for a channel and rate target),
-``simulate`` (scene -> raw data -> focused image files and the range
-sidelobe ratios), ``mse-sweep`` (MSE-vs-SNR table), ``tradeoff``
-(imaging-vs-rate curve), ``scene-gen`` (demo scene files).  A flag named
-after a config key (``--snr-db``, ``--scene``, ``--trials``; ``--points`` for
-``tradeoff_points``) overrides that key, and every run echoes the resolved
-configuration and master seed; identical config + seed gives byte-identical
-outputs.
+``simulate`` (scene -> raw data -> focused image files; for a one-scatterer
+scene the range sidelobe ratios), ``mse-sweep`` (MSE-vs-SNR table),
+``tradeoff`` (imaging-vs-rate curve), ``scene-gen`` (demo scene files).  A
+flag named after a config key (``--snr-db``, ``--scene``, ``--trials``;
+``--points`` for ``tradeoff_points``) overrides that key, and every run
+echoes the resolved configuration and master seed; identical config + seed
+gives byte-identical outputs.
 
 Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 I/O error.
 """
@@ -134,13 +134,14 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     image = azimuth.azimuth_compress(corrected, geom)
     peak = np.unravel_index(np.argmax(np.abs(image.complex_image)), image.db_image.shape)
     print(f"peak_cell = {peak[0]} {peak[1]}")
-    try:
-        pslr, islr = metrics.sidelobe_stats(np.abs(image.complex_image[:, peak[1]]) ** 2)
-    except NoPeakError:
-        pass  # fewer than 3 range cells, or a flat range cut: no ratios to report
-    else:
-        print(f"range_pslr_db = {pslr!r}")
-        print(f"range_islr_db = {islr!r}")
+    if scene.occupied[0].size == 1:  # else the cut crosses other scatterers
+        try:
+            pslr, islr = metrics.sidelobe_stats(np.abs(image.complex_image[:, peak[1]]) ** 2)
+        except NoPeakError:
+            pass  # fewer than 3 range cells: no ratios to report
+        else:
+            print(f"range_pslr_db = {pslr!r}")
+            print(f"range_islr_db = {islr!r}")
     write_pgm(out / "image.pgm", image.db_image)
     write_db_csv(out / "image_db.csv", image.db_image)
     print(f"wrote {out / 'image.pgm'}")

@@ -6,10 +6,10 @@ convolution, pulses are synthesized directly in the circular model
 subcarrier symbols; see waveform module notes on the 1/sqrt(N) normalization
 relative to the raw pulse body).
 
-Symbols, coefficients and received windows are plain complex arrays.  Each
-pulse draws its own symbols and noise from its own seeded stream, so the
-slow-time loop stays per pulse; the cube it returns holds the received data
-and the transmitted symbols as two (N, P) arrays, column p for pulse p.
+The cube holds received data and transmitted symbols as (N, P) arrays, column
+p for pulse p.  Only the seeded draws loop over pulses; the scene coefficients
+and channel FFTs of all pulses are computed at once, column by column bit-equal
+to synthesizing each pulse alone.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ class RawDataCube:
 
 
 def apply_waveform(symbols: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Noise-free channel action: circular model with eigenvalues S_k."""
-    return np.fft.ifft(symbols * np.fft.fft(d))
+    """Circular model with eigenvalues S_k along axis 0 of (N,) or (N, P)."""
+    f = np.fft.fft(d, axis=0)  # named, so numpy cannot elide it into f * symbols (other bits)
+    return np.fft.ifft(symbols * f, axis=0)
 
 
 def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarray:
@@ -90,20 +91,18 @@ def synthesize_raw(
     sigma2: float,
     seed: int,
 ) -> RawDataCube:
-    """Full slow-time loop: fresh communication symbols every pulse.
-
-    Each pulse sums the occupied cells' weighting coefficients at its slow
-    time, passes them through that pulse's waveform, and adds noise.
+    """Fresh communication symbols every pulse: each pulse's seeded stream
+    draws its symbols, then its noise; the coefficients of the occupied cells
+    at every slow time pass through each pulse's waveform in one batch.
     """
     if scene.n_range_cells != spec.n_subcarriers:
         raise DimensionError("scene range cells must equal N (SWMP)")
     etas = geom.slow_time()
-    data = np.empty((spec.n_subcarriers, etas.size), dtype=complex)
-    symbols = np.empty_like(data)
-    for p, eta in enumerate(etas):
+    symbols = np.empty((spec.n_subcarriers, etas.size), dtype=complex)
+    noise = np.empty_like(symbols)
+    for p in range(etas.size):
         rng = pulse_rng(seed, p)
-        syms = draw_symbols(spec, alloc, rng)
-        d = scene_coefficients(geom, scene, float(eta))
-        data[:, p] = synthesize_pulse(syms, d, sigma2, rng)
-        symbols[:, p] = syms
+        symbols[:, p] = draw_symbols(spec, alloc, rng)
+        noise[:, p] = _complex_noise(rng, spec.n_subcarriers, sigma2)
+    data = apply_waveform(symbols, scene_coefficients(geom, scene, etas)) + noise
     return RawDataCube(data, symbols, alloc)

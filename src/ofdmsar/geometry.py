@@ -7,8 +7,9 @@ eta, the weighting coefficient
 
 where R_m is the hyperbolic slant-range history about the scatterer's own
 closest approach and env is a rectangular aperture window of width T_a.
-Scene columns sit at the centers of resolvable azimuth cells.  Each pulse
-evaluates the occupied cells only, at a cost proportional to their number.
+Scene columns sit at the centers of resolvable azimuth cells.  One call
+evaluates the occupied cells only, a block of pulses at a time, and gives each
+pulse the bits of a dense evaluation at that pulse alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .errors import SceneFormatError
 from .waveform import WaveformSpec
 
 SPEED_OF_LIGHT = 299792458.0
+
+_PULSE_BLOCK = 16  # slow times per (block, M, n_az) grid; it bounds the memory
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -140,23 +143,30 @@ def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
     return (np.abs(eta) <= geom.aperture_time / 2.0).astype(float)
 
 
-def scene_coefficients(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
-    """Weighting coefficients d_m at one slow time, summed over the columns.
+def scene_coefficients(geom: Geometry, scene: Scene, eta) -> np.ndarray:
+    """Coefficients d_m summed over the columns: (M,), or (M, P) for P slow times.
 
-    Only occupied cells are evaluated, so the cost is proportional to their
-    number.  Their terms are scattered into a zero grid whose rows are summed
-    in full, so numpy's pairwise summation adds them in the dense grid's
-    order and the result is bit-identical to evaluating every cell.
+    Only occupied cells are evaluated.  A block of pulses writes their terms
+    into one zero (block, M, n_az) grid summed in full along its last axis, so
+    numpy's pairwise summation keeps the dense grid's order: column p is
+    bit-identical to evaluating every cell at slow time ``eta[p]`` alone.
     """
+    etas = np.atleast_1d(np.asarray(eta, dtype=float))
     rows, cols = scene.occupied
-    eta_rel = eta - column_center_times(geom, scene)[cols]
-    env = aperture_envelope(geom, eta_rel)
-    rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
-    r = slant_range(geom, rbar[rows], eta_rel)
-    phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    terms = np.zeros(scene.rcs.shape, dtype=complex)
-    terms[rows, cols] = scene.rcs[rows, cols] * env * phase
-    return np.sum(terms, axis=1)
+    centers = column_center_times(geom, scene)[cols]
+    rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)[rows]
+    d = np.empty((scene.n_range_cells, etas.size), dtype=complex)
+    block = min(_PULSE_BLOCK, etas.size)
+    grid = np.zeros((block, *scene.rcs.shape), dtype=complex)
+    for start in range(0, etas.size, block):
+        eta_rel = etas[start : start + block, None] - centers
+        env = aperture_envelope(geom, eta_rel)
+        r = slant_range(geom, rbar, eta_rel)
+        phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+        terms = grid[: eta_rel.shape[0]]
+        terms[:, rows, cols] = scene.rcs[rows, cols] * env * phase
+        d[:, start : start + block] = np.sum(terms, axis=2).T
+    return d if np.ndim(eta) else d[:, 0]
 
 
 # --- scene file I/O ---------------------------------------------------------

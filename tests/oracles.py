@@ -4,21 +4,25 @@ The package works in the symbol-eigenvalue circular model only; these build
 the CP'd pulse, its circulant matrix and the linear convolution with the
 cyclic prefix that the model replaces, so the tests can check the two agree.
 ``scene_coefficients_dense`` evaluates every grid cell, where the package
-evaluates the occupied cells only.
+evaluates the occupied cells only, and ``synthesize_raw_per_pulse`` builds
+the raw cube one pulse at a time, where the package batches the pulses.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
-from ofdmsar import Geometry, Scene, WaveformSpec
+from ofdmsar import Geometry, PowerAllocation, Scene, WaveformSpec
+from ofdmsar.echo import RawDataCube, pulse_rng, synthesize_pulse
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
     aperture_envelope,
     closest_approach_ranges,
     column_center_times,
+    scene_coefficients,
     slant_range,
 )
+from ofdmsar.waveform import draw_symbols
 
 
 def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:
@@ -67,3 +71,30 @@ def scene_coefficients_dense(geom: Geometry, scene: Scene, eta: float) -> np.nda
     r = slant_range(geom, rbar[:, None], eta_rel[None, :])
     phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
     return np.sum(scene.rcs * env[None, :] * phase, axis=1)
+
+
+def synthesize_raw_per_pulse(
+    spec: WaveformSpec,
+    geom: Geometry,
+    scene: Scene,
+    alloc: PowerAllocation,
+    sigma2: float,
+    seed: int,
+) -> RawDataCube:
+    """Full slow-time loop: fresh communication symbols every pulse.
+
+    Each pulse sums the occupied cells' weighting coefficients at its slow
+    time, passes them through that pulse's waveform, and adds noise.
+    """
+    if scene.n_range_cells != spec.n_subcarriers:
+        raise DimensionError("scene range cells must equal N (SWMP)")
+    etas = geom.slow_time()
+    data = np.empty((spec.n_subcarriers, etas.size), dtype=complex)
+    symbols = np.empty_like(data)
+    for p, eta in enumerate(etas):
+        rng = pulse_rng(seed, p)
+        syms = draw_symbols(spec, alloc, rng)
+        d = scene_coefficients(geom, scene, float(eta))
+        data[:, p] = synthesize_pulse(syms, d, sigma2, rng)
+        symbols[:, p] = syms
+    return RawDataCube(data, symbols, alloc)

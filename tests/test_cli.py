@@ -272,6 +272,17 @@ class TestSimulate:
             assert not any(line.startswith("range_") for line in lines)
             assert {f.name for f in out.iterdir()} == {"image.pgm", "image_db.csv"}
 
+    @pytest.mark.parametrize("snr", [[], ["--snr-db", "inf"]])
+    def test_extended_scene_prints_no_ratios(self, tmp_path, capsys, snr):
+        # The car's range cut through its brightest cell crosses other
+        # scatterers: noise-free it read PSLR -1.56 dB, a figure of the scene.
+        out = tmp_path / "car"
+        assert run(["--out", str(out), "simulate", "--scene", "car", *snr]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("peak_cell = ") for line in lines)
+        assert not any(line.startswith("range_") for line in lines)
+        assert {f.name for f in out.iterdir()} == {"image.pgm", "image_db.csv"}
+
     def test_nan_snr_config_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(["--config", str(small_cfg), "--out", str(out), "simulate",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ofdmsar import (
+    Geometry,
     PowerAllocation,
     Scene,
     WaveformSpec,
@@ -12,9 +13,14 @@ from ofdmsar import (
 from ofdmsar.echo import apply_waveform, pulse_rng
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import range_cell_size
-from ofdmsar.scenes import point_scene
+from ofdmsar.scenes import car_scene, point_scene
 from ofdmsar.waveform import Signaling
-from oracles import circulant_from_pulse, modulate, synthesize_pulse_linear_cp
+from oracles import (
+    circulant_from_pulse,
+    modulate,
+    synthesize_pulse_linear_cp,
+    synthesize_raw_per_pulse,
+)
 
 
 def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):
@@ -138,3 +144,30 @@ class TestSynthesizeRaw:
         s0 = cube.symbols[:, 0]
         s1 = cube.symbols[:, 1]
         assert not np.array_equal(s0, s1)
+
+
+class TestBatchedSynthesis:
+    # The batched cube must carry exactly the bytes of the per-pulse loop it
+    # replaced: same draws in the same order, same floating-point operations.
+    @pytest.mark.parametrize("prf", [800.0, 810.0])  # 810 pulses: a partial block
+    @pytest.mark.parametrize("kind", ["point", "car"])
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
+    @pytest.mark.parametrize("signaling", list(Signaling))
+    def test_bytes_equal_per_pulse_loop(self, prf, kind, sigma2, signaling):
+        spec = WaveformSpec(64, 1.5e9 / 64, signaling=signaling)
+        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
+        scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
+        alloc = PowerAllocation.uniform(64, 64.0)
+        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, seed=11)
+        ref = synthesize_raw_per_pulse(spec, geom, scene, alloc, sigma2, seed=11)
+        assert cube.data.shape == (64, geom.n_pulses)
+        assert cube.data.tobytes() == ref.data.tobytes()
+        assert cube.symbols.tobytes() == ref.symbols.tobytes()
+
+    def test_apply_waveform_columns_are_single_pulses(self):
+        rng = np.random.default_rng(4)
+        sym = rng.standard_normal((64, 40)) + 1j * rng.standard_normal((64, 40))
+        d = rng.standard_normal((64, 40)) + 1j * rng.standard_normal((64, 40))
+        batched = apply_waveform(sym, d)
+        for p in range(40):
+            assert batched[:, p].tobytes() == apply_waveform(sym[:, p], d[:, p]).tobytes()

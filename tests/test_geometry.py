@@ -106,9 +106,16 @@ class TestWeightingCoefficients:
 
 
 def assert_equal_to_dense(geom, scene, etas):
-    for eta in etas:
+    # Both the scalar call and each column of the one call over all slow
+    # times must carry the dense grid's bits.
+    batched = scene_coefficients(geom, scene, etas)
+    assert batched.shape == (scene.n_range_cells, etas.size)
+    for p, eta in enumerate(etas):
         sparse = scene_coefficients(geom, scene, float(eta))
-        assert np.array_equal(sparse, scene_coefficients_dense(geom, scene, float(eta)))
+        assert sparse.shape == (scene.n_range_cells,)
+        dense = scene_coefficients_dense(geom, scene, float(eta))
+        assert sparse.tobytes() == dense.tobytes()
+        assert batched[:, p].tobytes() == dense.tobytes()
 
 
 class TestOccupiedCellEvaluation:
@@ -148,6 +155,34 @@ class TestOccupiedCellEvaluation:
     def test_occupied_cells(self, spec64):
         assert car_scene(spec64).occupied[0].size == 819
         np.testing.assert_array_equal(point_scene(spec64, 9).occupied, [[32], [4]])
+
+
+class TestSlowTimeArray:
+    # One call over an array of slow times returns (M, P): column p is the
+    # scalar call at eta[p], byte for byte, in any block of pulses.
+    @pytest.mark.parametrize("n_pulses", [1, 15, 16, 17, 810])
+    def test_columns_are_stacked_scalar_calls(self, n_pulses, spec64):
+        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 810.0, 1.0)
+        etas = geom.slow_time()[405 - n_pulses // 2 :][:n_pulses]
+        scene = car_scene(spec64)
+        batched = scene_coefficients(geom, scene, etas)
+        stacked = np.stack(
+            [scene_coefficients(geom, scene, float(eta)) for eta in etas], axis=1
+        )
+        assert batched.shape == (64, etas.size)
+        assert batched.tobytes() == stacked.tobytes()
+
+    def test_scalar_call_returns_one_vector(self, geom, spec64):
+        scene = point_scene(spec64, 3)
+        assert scene_coefficients(geom, scene, 0.1).shape == (64,)
+        assert scene_coefficients(geom, scene, np.float64(0.1)).shape == (64,)
+        assert scene_coefficients(geom, scene, np.array([0.1])).shape == (64, 1)
+
+    def test_empty_scene_gives_zeros(self, geom, spec64):
+        scene = Scene(np.zeros((64, 5)), range_cell_size(spec64))
+        d = scene_coefficients(geom, scene, geom.slow_time())
+        assert d.shape == (64, geom.n_pulses)
+        assert not np.any(d)
 
 
 class TestSceneImmutability:
