@@ -128,7 +128,8 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     sigma2 = spec.noise_power(cfg.snr_db)
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
-    cube = echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed)
+    policy = cfg.truncation_policy()
+    cube = echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed, policy)
     profiles = rangeproc.range_profile_cube(cube)
     corrected = azimuth.rcmc_bulk(profiles, geom, scene.range_cell_size)
     image = azimuth.azimuth_compress(corrected, geom)

@@ -1,15 +1,12 @@
 """Raw echo synthesis: circular-convolution model plus white Gaussian noise.
 
 Because the cyclic prefix reduces the SWMP pulse-echo chain to circular
-convolution, pulses are synthesized directly in the circular model
-``y = ifft(S * fft(d)) + w`` (eigenvalues of the channel operator are the
-subcarrier symbols; see waveform module notes on the 1/sqrt(N) normalization
-relative to the raw pulse body).
-
-The cube holds received data and transmitted symbols as (N, P) arrays, column
-p for pulse p.  Only the seeded draws loop over pulses; the scene coefficients
-and channel FFTs of all pulses are computed at once, column by column bit-equal
-to synthesizing each pulse alone.
+convolution, one pulse is ``y = ifft(S * fft(d)) + w`` (eigenvalues of the
+channel operator are the subcarrier symbols; see waveform module notes on the
+1/sqrt(N) normalization relative to the raw pulse body).  An image is made in
+the subcarrier domain, as the received spectrum ``Y_f = S * fft(d) + W_f``
+with column p for pulse p; ``W_f``, the DFT of white CN(0, sigma^2) fast-time
+noise, is white CN(0, N sigma^2) and is drawn as such.
 """
 
 from __future__ import annotations
@@ -18,35 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import PowerAllocation
+from .allocation import PowerAllocation, TruncationPolicy
 from .errors import DimensionError
 from .geometry import Geometry, Scene, scene_coefficients
 from .waveform import WaveformSpec, draw_symbols
 
-__all__ = [
-    "RawDataCube",
-    "apply_waveform",
-    "synthesize_pulse",
-    "synthesize_raw",
-    "pulse_rng",
-]
+__all__ = ["RawDataCube", "apply_waveform", "synthesize_pulse", "synthesize_raw", "pulse_rng"]
 
 
 @dataclass(frozen=True)
 class RawDataCube:
-    """CP-stripped fast-time x slow-time raw data plus the transmitted symbols.
+    """Received spectrum: the (N, P) fast-time DFT of the CP-stripped echoes,
+    column p for pulse p, with the symbols (N, P) and the allocation that the
+    radar receiver knows because it sent them."""
 
-    The radar receiver knows its own transmitted data, so the symbols and the
-    allocation they were drawn under travel with the cube: ``symbols`` is
-    (N, P) like ``data``.
-    """
-
-    data: np.ndarray
+    spectrum: np.ndarray
     symbols: np.ndarray
     allocation: PowerAllocation
 
     def __post_init__(self):
-        if self.data.shape != self.symbols.shape:
+        if self.spectrum.shape != self.symbols.shape:
             raise DimensionError("one symbol column required per pulse")
 
 
@@ -56,31 +44,24 @@ def apply_waveform(symbols: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.fft.ifft(symbols * f, axis=0)
 
 
-def _complex_noise(rng: np.random.Generator, n: int, sigma2: float) -> np.ndarray:
-    if sigma2 == 0.0:
-        return np.zeros(n, dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-def synthesize_pulse(
-    symbols: np.ndarray, d: np.ndarray, sigma2: float, seed
-) -> np.ndarray:
+def synthesize_pulse(symbols: np.ndarray, d: np.ndarray, sigma2: float, seed) -> np.ndarray:
     """One received fast-time window: y = C d + w, C the symbol circulant."""
     d = np.asarray(d, dtype=complex)
     if d.size != symbols.shape[0]:
         raise DimensionError(f"coefficient length {d.size} != N = {symbols.shape[0]}")
-    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    return apply_waveform(symbols, d) + _complex_noise(rng, d.size, sigma2)
+    y = apply_waveform(symbols, d)
+    if sigma2 != 0.0:
+        rng = np.random.default_rng(seed)  # a Generator passes through unchanged
+        w = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+        y += np.sqrt(sigma2 / 2.0) * w
+    return y
 
 
-def pulse_rng(master_seed: int, pulse_index: int) -> np.random.Generator:
-    """Per-pulse generator from the master seed; the splitting rule is
-    SeedSequence(master_seed, spawn_key=(pulse_index,)), so pulses are
-    independent and reproducible regardless of evaluation order."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(pulse_index,))
-    )
+def pulse_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """Seeded stream ``stream`` of a master seed: the child of that index of
+    SeedSequence(master_seed), built without spawning its siblings.  An image
+    draws its symbols from stream 0 and its noise from stream 1."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(stream,)))
 
 
 def synthesize_raw(
@@ -90,19 +71,18 @@ def synthesize_raw(
     alloc: PowerAllocation,
     sigma2: float,
     seed: int,
+    policy: TruncationPolicy = TruncationPolicy(),
 ) -> RawDataCube:
-    """Fresh communication symbols every pulse: each pulse's seeded stream
-    draws its symbols, then its noise; the coefficients of the occupied cells
-    at every slow time pass through each pulse's waveform in one batch.
-    """
+    """Fresh symbols every pulse (Gaussian ones truncated under ``policy``)
+    from stream 0 and noise (none at sigma2 = 0) from stream 1, each one
+    pulse-major block: pulse p reads row p.  All pulses are made at once."""
     if scene.n_range_cells != spec.n_subcarriers:
         raise DimensionError("scene range cells must equal N (SWMP)")
     etas = geom.slow_time()
-    symbols = np.empty((spec.n_subcarriers, etas.size), dtype=complex)
-    noise = np.empty_like(symbols)
-    for p in range(etas.size):
-        rng = pulse_rng(seed, p)
-        symbols[:, p] = draw_symbols(spec, alloc, rng)
-        noise[:, p] = _complex_noise(rng, spec.n_subcarriers, sigma2)
-    data = apply_waveform(symbols, scene_coefficients(geom, scene, etas)) + noise
-    return RawDataCube(data, symbols, alloc)
+    n = spec.n_subcarriers
+    symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), etas.size, policy)
+    spectrum = symbols * np.fft.fft(scene_coefficients(geom, scene, etas), axis=0)
+    if sigma2 != 0.0:  # interleaved real and imaginary normals, one complex row per pulse
+        w = pulse_rng(seed, 1).standard_normal((etas.size, 2 * n)).view(complex)
+        spectrum += np.sqrt(n * sigma2 / 2.0) * w.T
+    return RawDataCube(spectrum, symbols, alloc)

@@ -1,13 +1,12 @@
 """Least-squares range profiling via per-subcarrier division.
 
 The channel operator is diagonalized by the DFT with the subcarrier symbols
-as eigenvalues, so the LS estimate is ``ifft(fft(y) / S_k)``.  This equals the
-dense pseudo-inverse formula exactly and leaves no inter-range-cell
-interference.  One call takes the received array and the symbol array of the
-same shape, (N,) for one pulse or (N, P) for a whole cube of pulses, and
-transforms along axis 0.  There is no regularizer: a symbol whose power falls
-below the conditioning floor 1e-6 * P/N of its allocation rejects the call
-outright rather than silently biasing the MSE comparisons.
+as eigenvalues, so the LS estimate of received spectrum ``Y_f`` is
+``ifft(Y_f / S_k)``: the dense pseudo-inverse formula exactly, with no
+inter-range-cell interference.  ``ls_estimate`` takes fast-time data, (N,) or
+(N, P), with ``Y_f = fft(y)``; ``range_profile_cube`` takes the spectrum cube.
+There is no regularizer: a symbol below the conditioning floor 1e-6 * P/N of
+its allocation rejects the call rather than silently biasing the MSE.
 """
 
 from __future__ import annotations
@@ -21,25 +20,29 @@ from .errors import DimensionError, IllConditionedWaveformError
 __all__ = ["ls_estimate", "range_profile_cube"]
 
 
+def _check_conditioning(symbols: np.ndarray, alloc: PowerAllocation) -> None:
+    """Reject symbols that do not match the allocation or fall below its floor."""
+    if symbols.shape[0] != len(alloc):
+        raise DimensionError("symbol vector length must match allocation")
+    power = np.abs(symbols.T) ** 2  # pulse-major: the first bad pulse is named
+    delta = 1e-6 * alloc.total / len(alloc)
+    bad = np.argwhere(power < delta)
+    if bad.size:
+        raise IllConditionedWaveformError(int(bad[0][-1]), float(power[tuple(bad[0])]), delta)
+
+
 def ls_estimate(
     y: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation
 ) -> np.ndarray:
     """LS estimate of the weighting RCS vectors, one per column of ``y``."""
     y = np.asarray(y, dtype=complex)
-    if symbols.shape[0] != len(alloc):
-        raise DimensionError("symbol vector length must match allocation")
     if y.shape != symbols.shape:
         raise DimensionError(f"received shape {y.shape} != symbols {symbols.shape}")
-    power = np.abs(symbols) ** 2
-    delta = 1e-6 * alloc.total / len(alloc)
-    # Transposed so the first bad pulse, then its first bad subcarrier, is named.
-    bad = np.argwhere(power.T < delta)
-    if bad.size:
-        k = int(bad[0][-1])
-        raise IllConditionedWaveformError(k, float(power.T[tuple(bad[0])]), delta)
+    _check_conditioning(symbols, alloc)
     return np.fft.ifft(np.fft.fft(y, axis=0) / symbols, axis=0)
 
 
 def range_profile_cube(cube: RawDataCube) -> np.ndarray:
-    """LS range profiles of every pulse of the raw data cube."""
-    return ls_estimate(cube.data, cube.symbols, cube.allocation)
+    """LS range profiles of every pulse of the received spectrum cube."""
+    _check_conditioning(cube.symbols, cube.allocation)
+    return np.fft.ifft(cube.spectrum / cube.symbols, axis=0)

@@ -83,24 +83,35 @@ class WaveformSpec:
         return (self.power_budget / self.n_subcarriers) / snr
 
 
-def draw_symbols(spec: WaveformSpec, alloc: PowerAllocation, seed) -> np.ndarray:
-    """Draw the (N,) symbols of one OFDM pulse for the spec's signaling mode.
+def draw_symbols(
+    spec: WaveformSpec,
+    alloc: PowerAllocation,
+    seed,
+    pulses: int | None = None,
+    policy: TruncationPolicy = TruncationPolicy(),
+) -> np.ndarray:
+    """The (N,) symbols of one OFDM pulse, or the (N, P) block of ``pulses``.
 
-    Constant-modulus mode fixes |S_k|^2 = P_k exactly with i.i.d. uniform
-    random phases (seeded); Gaussian mode draws circularly symmetric complex
-    normals with E|S_k|^2 = P_k.  Zero-power subcarriers produce zero symbols.
+    Row p of one pulse-major block of variates serves pulse p, so column p
+    does not depend on the pulse count.  Phases are uniform.  Constant modulus
+    fixes |S_k|^2 = P_k; Gaussian magnitudes are ``truncated_rayleigh`` of
+    scale sqrt(P_k / 2) above the policy's quantile q, so E|S_k|^2 =
+    P_k (1 - ln(1 - q)) and |S_k|^2 >= -ln(1 - q) P_k.  P_k = 0 gives S_k = 0.
     """
     if len(alloc) != spec.n_subcarriers:
         raise DimensionError(
             f"allocation length {len(alloc)} != N = {spec.n_subcarriers}"
         )
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
+    lead = () if pulses is None else (pulses,)
     n = spec.n_subcarriers
     if spec.signaling is Signaling.CONSTANT_MODULUS:
-        phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        return np.sqrt(alloc.powers) * np.exp(1j * phases)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return np.sqrt(alloc.powers / 2.0) * z
+        mags, phases = np.sqrt(alloc.powers), rng.uniform(0.0, 2.0 * np.pi, (*lead, n))
+    else:
+        u = rng.uniform(0.0, 1.0, (*lead, 2, n))  # per pulse: magnitude row, phase row
+        mags = truncated_rayleigh(alloc.powers / 2.0, policy, u[..., 0, :])
+        phases = 2.0 * np.pi * u[..., 1, :]
+    return (mags * np.exp(1j * phases)).T
 
 
 def truncated_rayleigh(

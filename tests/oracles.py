@@ -5,24 +5,23 @@ the CP'd pulse, its circulant matrix and the linear convolution with the
 cyclic prefix that the model replaces, so the tests can check the two agree.
 ``scene_coefficients_dense`` evaluates every grid cell, where the package
 evaluates the occupied cells only, and ``synthesize_raw_per_pulse`` builds
-the raw cube one pulse at a time, where the package batches the pulses.
+noise-free echoes one pulse at a time in fast time, where the package
+batches the pulses in the subcarrier domain.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
-from ofdmsar import Geometry, PowerAllocation, Scene, WaveformSpec
-from ofdmsar.echo import RawDataCube, pulse_rng, synthesize_pulse
+from ofdmsar import Geometry, Scene, WaveformSpec
+from ofdmsar.echo import apply_waveform
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
     aperture_envelope,
     closest_approach_ranges,
     column_center_times,
-    scene_coefficients,
     slant_range,
 )
-from ofdmsar.waveform import draw_symbols
 
 
 def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:
@@ -74,27 +73,14 @@ def scene_coefficients_dense(geom: Geometry, scene: Scene, eta: float) -> np.nda
 
 
 def synthesize_raw_per_pulse(
-    spec: WaveformSpec,
-    geom: Geometry,
-    scene: Scene,
-    alloc: PowerAllocation,
-    sigma2: float,
-    seed: int,
-) -> RawDataCube:
-    """Full slow-time loop: fresh communication symbols every pulse.
+    geom: Geometry, scene: Scene, symbols: np.ndarray
+) -> np.ndarray:
+    """Noise-free fast-time echoes (N, P), one pulse at a time.
 
-    Each pulse sums the occupied cells' weighting coefficients at its slow
-    time, passes them through that pulse's waveform, and adds noise.
+    Pulse p passes every grid cell's weighting coefficients at its slow time
+    through the circular model with its own symbols, column p of ``symbols``.
     """
-    if scene.n_range_cells != spec.n_subcarriers:
-        raise DimensionError("scene range cells must equal N (SWMP)")
-    etas = geom.slow_time()
-    data = np.empty((spec.n_subcarriers, etas.size), dtype=complex)
-    symbols = np.empty_like(data)
-    for p, eta in enumerate(etas):
-        rng = pulse_rng(seed, p)
-        syms = draw_symbols(spec, alloc, rng)
-        d = scene_coefficients(geom, scene, float(eta))
-        data[:, p] = synthesize_pulse(syms, d, sigma2, rng)
-        symbols[:, p] = syms
-    return RawDataCube(data, symbols, alloc)
+    y = np.empty(symbols.shape, dtype=complex)
+    for p, eta in enumerate(geom.slow_time()):
+        y[:, p] = apply_waveform(symbols[:, p], scene_coefficients_dense(geom, scene, float(eta)))
+    return y

@@ -7,12 +7,14 @@ from ofdmsar import (
     Scene,
     WaveformSpec,
     draw_symbols,
+    ls_estimate,
+    range_profile_cube,
     synthesize_pulse,
     synthesize_raw,
 )
 from ofdmsar.echo import apply_waveform, pulse_rng
 from ofdmsar.errors import DimensionError
-from ofdmsar.geometry import range_cell_size
+from ofdmsar.geometry import range_cell_size, scene_coefficients
 from ofdmsar.scenes import car_scene, point_scene
 from ofdmsar.waveform import Signaling
 from oracles import (
@@ -102,25 +104,25 @@ class TestSynthesizeRaw:
         scene = Scene(np.zeros((64, 4)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(64, 64.0)
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=0)
-        assert not np.any(cube.data)
-        assert cube.data.shape[1] == geom.n_pulses
+        assert not np.any(cube.spectrum)
+        assert cube.spectrum.shape[1] == geom.n_pulses
 
     def test_point_scene_pulses_are_shifted_bodies(self, geom, spec64):
-        # Single unit scatterer: each pulse is a scaled cyclic shift of its
-        # own pulse body.
+        # Single unit scatterer: each pulse's spectrum is the DFT of a scaled
+        # cyclic shift of its own pulse body.
         scene = point_scene(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
         cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=1)
         m, n = 32, 64
         etas = geom.slow_time()
-        from ofdmsar.geometry import scene_coefficients
-
         for p in (0, 400, 799):
             body = modulate(cube.symbols[:, p], spec64)[spec64.cp_len :]
             d_m = scene_coefficients(geom, scene, float(etas[p]))[m]
             assert abs(abs(d_m) - 1.0) < 1e-12
             np.testing.assert_allclose(
-                cube.data[:, p], d_m * np.roll(body, m) / np.sqrt(n), atol=1e-10
+                cube.spectrum[:, p],
+                np.fft.fft(d_m * np.roll(body, m) / np.sqrt(n)),
+                atol=1e-10,
             )
 
     def test_deterministic_given_seed(self, geom, spec64):
@@ -128,14 +130,14 @@ class TestSynthesizeRaw:
         alloc = PowerAllocation.uniform(64, 64.0)
         a = synthesize_raw(spec64, geom, scene, alloc, 0.1, seed=42)
         b = synthesize_raw(spec64, geom, scene, alloc, 0.1, seed=42)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a.spectrum, b.spectrum)
 
-    def test_pulse_seed_splitting_is_order_free(self):
-        a = pulse_rng(123, 7).standard_normal(4)
-        b = pulse_rng(123, 7).standard_normal(4)
-        c = pulse_rng(123, 8).standard_normal(4)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+    def test_streams_are_seed_sequence_children(self):
+        children = np.random.SeedSequence(123).spawn(2)
+        for index, child in enumerate(children):
+            a = pulse_rng(123, index).standard_normal(4)
+            np.testing.assert_array_equal(a, np.random.default_rng(child).standard_normal(4))
+        assert not np.array_equal(pulse_rng(123, 0).random(4), pulse_rng(123, 1).random(4))
 
     def test_fresh_symbols_each_pulse(self, geom, spec64):
         scene = Scene(np.zeros((64, 1)), range_cell_size(spec64))
@@ -145,24 +147,51 @@ class TestSynthesizeRaw:
         s1 = cube.symbols[:, 1]
         assert not np.array_equal(s0, s1)
 
+    @pytest.mark.parametrize("signaling", list(Signaling))
+    def test_same_symbols_at_any_snr(self, geom, spec64, signaling):
+        # Symbols and noise come from separate streams: the noise power does
+        # not move the symbols.
+        spec = WaveformSpec(64, spec64.subcarrier_spacing, signaling=signaling)
+        scene = point_scene(spec, 1)
+        alloc = PowerAllocation.uniform(64, 64.0)
+        cubes = [synthesize_raw(spec, geom, scene, alloc, s2, seed=9) for s2 in (0.0, 0.3, 5.0)]
+        for cube in cubes[1:]:
+            np.testing.assert_array_equal(cube.symbols, cubes[0].symbols)
+
+    def test_subcarrier_noise_calibration(self, geom, spec64):
+        # On an empty scene the cube is the noise W_f alone: white
+        # CN(0, N sigma^2), so |W_f|^2 / (N sigma^2) is Exp(1), with real and
+        # imaginary parts uncorrelated.
+        n, sigma2 = 64, 0.3
+        scene = Scene(np.zeros((n, 4)), range_cell_size(spec64))
+        alloc = PowerAllocation.uniform(n, float(n))
+        w = synthesize_raw(spec64, geom, scene, alloc, sigma2, seed=5).spectrum
+        count = w.size
+        ratio = np.abs(w) ** 2 / (n * sigma2)
+        assert abs(ratio.mean() - 1.0) < 5.0 / np.sqrt(count)
+        re, im = w.real.ravel(), w.imag.ravel()
+        assert abs(np.corrcoef(re, im)[0, 1]) < 5.0 / np.sqrt(count)
+
 
 class TestBatchedSynthesis:
-    # The batched cube must carry exactly the bytes of the per-pulse loop it
-    # replaced: same draws in the same order, same floating-point operations.
+    # The batched cube must hold what one pulse at a time gives: each pulse's
+    # own symbols through the circular model at its own slow time.
     @pytest.mark.parametrize("prf", [800.0, 810.0])  # 810 pulses: a partial block
     @pytest.mark.parametrize("kind", ["point", "car"])
-    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
     @pytest.mark.parametrize("signaling", list(Signaling))
-    def test_bytes_equal_per_pulse_loop(self, prf, kind, sigma2, signaling):
+    def test_profiles_match_per_pulse_oracle(self, prf, kind, signaling):
         spec = WaveformSpec(64, 1.5e9 / 64, signaling=signaling)
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, seed=11)
-        ref = synthesize_raw_per_pulse(spec, geom, scene, alloc, sigma2, seed=11)
-        assert cube.data.shape == (64, geom.n_pulses)
-        assert cube.data.tobytes() == ref.data.tobytes()
-        assert cube.symbols.tobytes() == ref.symbols.tobytes()
+        cube = synthesize_raw(spec, geom, scene, alloc, 0.0, seed=11)
+        profiles = range_profile_cube(cube)
+        y = synthesize_raw_per_pulse(geom, scene, cube.symbols)
+        assert profiles.shape == (64, geom.n_pulses)
+        for p in range(geom.n_pulses):
+            ref = ls_estimate(y[:, p], cube.symbols[:, p], alloc)
+            err = np.linalg.norm(profiles[:, p] - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
 
     def test_apply_waveform_columns_are_single_pulses(self):
         rng = np.random.default_rng(4)

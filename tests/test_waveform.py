@@ -88,6 +88,28 @@ class TestDrawSymbols:
         )
         assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.02
 
+    def test_gaussian_truncated_above_ls_floor(self):
+        # |S_k|^2 / P_k >= -ln(1 - q) ~ 1e-3, far above the 1e-6 LS floor, and
+        # E|S_k|^2 = P_k (1 - ln(1 - q)): the budget up to the q-sized term.
+        n, pulses = 64, 4000
+        policy = TruncationPolicy()
+        alloc = PowerAllocation.uniform(n, float(n))
+        sym = draw_symbols(gaussian_spec(n), alloc, 17, pulses, policy)
+        ratio = np.abs(sym) ** 2 / alloc.powers[:, None]
+        floor = -np.log1p(-policy.tail_prob)
+        assert ratio.min() >= floor * (1.0 - 1e-12)
+        # |S|^2 / P_k is Exp(1) shifted by the floor: standard deviation 1.
+        assert abs(ratio.mean() - (1.0 + floor)) < 5.0 / np.sqrt(ratio.size)
+
+    @pytest.mark.parametrize("signaling", list(Signaling))
+    def test_pulse_columns_independent_of_block(self, signaling):
+        spec = WaveformSpec(16, 1.0, signaling=signaling)
+        alloc = PowerAllocation.uniform(16, 16.0)
+        block = draw_symbols(spec, alloc, 5, 7)
+        assert block.shape == (16, 7)
+        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, 3), block[:, :3])
+        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5), block[:, 0])
+
     def test_length_mismatch(self):
         spec = WaveformSpec(4, 1.0)
         with pytest.raises(DimensionError):
