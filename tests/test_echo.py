@@ -175,18 +175,26 @@ class TestSynthesizeRaw:
 
 class TestBatchedSynthesis:
     # The batched cube must hold what one pulse at a time gives: each pulse's
-    # own symbols through the circular model at its own slow time.
+    # own symbols through the circular model at its own slow time, plus the
+    # noise of its own row of the noise stream.
     @pytest.mark.parametrize("prf", [800.0, 810.0])  # 810 pulses: a partial block
     @pytest.mark.parametrize("kind", ["point", "car"])
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
     @pytest.mark.parametrize("signaling", list(Signaling))
-    def test_profiles_match_per_pulse_oracle(self, prf, kind, signaling):
+    def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, signaling):
         spec = WaveformSpec(64, 1.5e9 / 64, signaling=signaling)
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec, geom, scene, alloc, 0.0, seed=11)
+        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, seed=11)
         profiles = range_profile_cube(cube)
         y = synthesize_raw_per_pulse(geom, scene, cube.symbols)
+        if sigma2 != 0.0:
+            # Row p of the noise block holds pulse p's subcarrier noise as
+            # interleaved real and imaginary parts, scaled to CN(0, N sigma^2).
+            block = pulse_rng(11, 1).standard_normal((geom.n_pulses, 128))
+            w_f = np.sqrt(64 * sigma2 / 2.0) * (block[:, 0::2] + 1j * block[:, 1::2])
+            y += np.fft.ifft(w_f.T, axis=0)
         assert profiles.shape == (64, geom.n_pulses)
         for p in range(geom.n_pulses):
             ref = ls_estimate(y[:, p], cube.symbols[:, p], alloc)
