@@ -25,6 +25,7 @@ from . import allocation, azimuth, echo, metrics, rangeproc, scenes
 from .config import Config, load_config
 from .errors import (
     ConfigError,
+    IllConditionedWaveformError,
     InfeasibleChannelError,
     InfeasibleRateError,
     NoPeakError,
@@ -208,7 +209,7 @@ def run(argv=None) -> int:
     except (SceneFormatError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InfeasibleRateError, InfeasibleChannelError) as exc:
+    except (InfeasibleRateError, InfeasibleChannelError, IllConditionedWaveformError) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, ValueError) as exc:

@@ -183,12 +183,13 @@ def _format_value(z: complex) -> str:
 
 def _parse_value(tok: str) -> complex:
     try:
-        if ":" in tok:
-            re_s, im_s = tok.split(":")
-            return complex(float(re_s), float(im_s))
-        return complex(float(tok), 0.0)
+        re_s, im_s = tok.split(":") if ":" in tok else (tok, "0")
+        z = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise SceneFormatError(f"bad scene value {tok!r}") from exc
+    if not np.isfinite(z):
+        raise SceneFormatError(f"non-finite scene value {tok!r}")
+    return z
 
 
 def save_scene(scene: Scene, path) -> None:

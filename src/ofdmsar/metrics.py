@@ -7,8 +7,10 @@ trial so design-to-design gaps are estimated with far less Monte-Carlo noise
 than the curves themselves.  Each SNR point owns four seeded streams (magnitude
 uniforms, phase uniforms, real and imaginary noise normals), and trial t reads
 row t of each, in trial order.  The trials are estimated in fixed blocks, one
-batched LS call per design and block; a block reads its rows of each stream in
-one draw, so no result depends on the block size.
+batched LS call per design and block on the received spectrum
+``S * fft(d) + fft(w)``; a block reads its rows of each stream in one draw and
+transforms its fast-time noise once for all designs, so no result depends on
+the block size.
 
 Random-signaling trials use magnitude-truncated sampling (the low-magnitude
 tail below the q-quantile is excluded), so the empirical expectation exists
@@ -87,7 +89,8 @@ def mse_vs_snr(
     knob), so the water-filling design tends to uniform as SNR grows.
     Returns one row dict per (snr, design) with keys ``snr_db``, ``design``,
     ``empirical_nmse``, ``analytic_nmse``.  Designs whose allocation dries a
-    subcarrier report infinite MSE (the LS estimator is singular there).
+    subcarrier report infinite MSE (the LS estimator is singular there); a
+    draw below the LS floor raises ``IllConditionedWaveformError``.
     """
     if n_trials < 100:
         raise ConfigError(f"trials = {n_trials} must be at least 100")
@@ -115,7 +118,7 @@ def mse_vs_snr(
             count = min(_TRIAL_BLOCK, n_trials - start)
             u, phases, w_re, w_im = _trial_variates(streams, count, n)
             rotations = np.exp(1j * phases)
-            w = np.sqrt(sigma2 / 2.0) * (w_re + 1j * w_im)
+            w_f = np.fft.fft(np.sqrt(sigma2 / 2.0) * (w_re + 1j * w_im), axis=0)
             for di, alloc in enumerate(allocs):
                 if not alive[di]:
                     continue
@@ -125,8 +128,7 @@ def mse_vs_snr(
                 else:
                     mags = truncated_rayleigh(powers, policies[di], u)
                 syms = mags * rotations
-                y = np.fft.ifft(syms * d_f, axis=0) + w
-                err = ls_estimate(y, syms, alloc) - d[:, None]
+                err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
         for di, dsg in enumerate(DEFAULT_DESIGNS):
             rows.append(

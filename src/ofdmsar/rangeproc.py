@@ -3,8 +3,8 @@
 The channel operator is diagonalized by the DFT with the subcarrier symbols
 as eigenvalues, so the LS estimate of received spectrum ``Y_f`` is
 ``ifft(Y_f / S_k)``: the dense pseudo-inverse formula exactly, with no
-inter-range-cell interference.  ``ls_estimate`` takes fast-time data, (N,) or
-(N, P), with ``Y_f = fft(y)``; ``range_profile_cube`` takes the spectrum cube.
+inter-range-cell interference.  ``ls_estimate`` takes the spectrum of one
+pulse (N,) or of a block (N, P); ``range_profile_cube`` applies it to a cube.
 There is no regularizer: a symbol below the conditioning floor 1e-6 * P/N of
 its allocation rejects the call rather than silently biasing the MSE.
 """
@@ -20,8 +20,12 @@ from .errors import DimensionError, IllConditionedWaveformError
 __all__ = ["ls_estimate", "range_profile_cube"]
 
 
-def _check_conditioning(symbols: np.ndarray, alloc: PowerAllocation) -> None:
-    """Reject symbols that do not match the allocation or fall below its floor."""
+def ls_estimate(
+    spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation
+) -> np.ndarray:
+    """LS estimate of the weighting RCS vectors, one per column of ``spectrum``."""
+    if np.shape(spectrum) != symbols.shape:
+        raise DimensionError(f"received shape {np.shape(spectrum)} != symbols {symbols.shape}")
     if symbols.shape[0] != len(alloc):
         raise DimensionError("symbol vector length must match allocation")
     power = np.abs(symbols.T) ** 2  # pulse-major: the first bad pulse is named
@@ -29,20 +33,9 @@ def _check_conditioning(symbols: np.ndarray, alloc: PowerAllocation) -> None:
     bad = np.argwhere(power < delta)
     if bad.size:
         raise IllConditionedWaveformError(int(bad[0][-1]), float(power[tuple(bad[0])]), delta)
-
-
-def ls_estimate(
-    y: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation
-) -> np.ndarray:
-    """LS estimate of the weighting RCS vectors, one per column of ``y``."""
-    y = np.asarray(y, dtype=complex)
-    if y.shape != symbols.shape:
-        raise DimensionError(f"received shape {y.shape} != symbols {symbols.shape}")
-    _check_conditioning(symbols, alloc)
-    return np.fft.ifft(np.fft.fft(y, axis=0) / symbols, axis=0)
+    return np.fft.ifft(spectrum / symbols, axis=0)
 
 
 def range_profile_cube(cube: RawDataCube) -> np.ndarray:
     """LS range profiles of every pulse of the received spectrum cube."""
-    _check_conditioning(cube.symbols, cube.allocation)
-    return np.fft.ifft(cube.spectrum / cube.symbols, axis=0)
+    return ls_estimate(cube.spectrum, cube.symbols, cube.allocation)

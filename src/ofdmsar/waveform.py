@@ -21,13 +21,7 @@ import numpy as np
 from .allocation import PowerAllocation, TruncationPolicy
 from .errors import ConfigError, DimensionError
 
-__all__ = [
-    "Signaling",
-    "WaveformSpec",
-    "draw_symbols",
-    "draw_symbols_truncated",
-    "truncated_rayleigh",
-]
+__all__ = ["Signaling", "WaveformSpec", "draw_symbols", "truncated_rayleigh"]
 
 
 class Signaling(enum.Enum):
@@ -122,26 +116,3 @@ def truncated_rayleigh(
     q = policy.tail_prob
     return np.sqrt(powers) * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
 
-
-def draw_symbols_truncated(
-    spec: WaveformSpec,
-    alloc: PowerAllocation,
-    policy: TruncationPolicy,
-    seed,
-) -> np.ndarray:
-    """Magnitude-truncated random symbols for expected-MSE Monte Carlo runs.
-
-    Magnitudes come from ``truncated_rayleigh``, phases are uniform.  Under
-    this normalization E[1/|S_k|^2] = A / ((1 - q) P_k), matching the
-    truncated constant A to within the q-sized correction; note the magnitude
-    law here has E|S_k|^2 = 2 P_k, the normalization under which A is defined.
-    """
-    if len(alloc) != spec.n_subcarriers:
-        raise DimensionError(
-            f"allocation length {len(alloc)} != N = {spec.n_subcarriers}"
-        )
-    rng = np.random.default_rng(seed)
-    n = spec.n_subcarriers
-    mags = truncated_rayleigh(alloc.powers, policy, rng.uniform(0.0, 1.0, n))
-    phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    return mags * np.exp(1j * phases)

@@ -429,6 +429,18 @@ class TestSceneGenRoundtrip:
         )
         assert code == EXIT_IO
 
+    def test_non_finite_scene_value_io_exit(self, small_cfg, tmp_path, capsys):
+        # A nan once gave exit 0, peak_cell = 0 0 and an image of nan.
+        bad = tmp_path / "nan.txt"
+        bad.write_text("# 8 8\n" + "0,0,0,0,0,0,0,0\n" * 7 + "0,0,0,nan,0,0,0,0\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate",
+                    "--scene", str(bad)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and "'nan'" in err and err.count("\n") == 1
+        assert not (out / "image.pgm").exists()
+
 
 class TestMseSweep:
     def test_writes_table(self, small_cfg, tmp_path):
@@ -447,6 +459,18 @@ class TestMseSweep:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config: snr_grid") and err.count("\n") == 1
+        assert not (out / "mse_sweep.csv").exists()
+
+    def test_ill_conditioned_draw_infeasible(self, tmp_path, capsys):
+        # Water-filling leaves subcarrier 12 at 3.1e-4 of the mean power, so
+        # at seed 0 one truncated Gaussian draw falls below the LS floor.
+        cfg = tmp_path / "ill.cfg"
+        cfg.write_text("channel = multipath\nchannel_seed = 41\nsnr_grid = 29.75\n")
+        out = tmp_path / "m"
+        code = run(["--config", str(cfg), "--seed", "0", "--out", str(out), "mse-sweep"])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: infeasible: subcarrier 12") and err.count("\n") == 1
         assert not (out / "mse_sweep.csv").exists()
 
     def test_too_few_trials_config_error(self, small_cfg, tmp_path, capsys):

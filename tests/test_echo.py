@@ -12,12 +12,13 @@ from ofdmsar import (
     synthesize_pulse,
     synthesize_raw,
 )
-from ofdmsar.echo import apply_waveform, pulse_rng
+from ofdmsar.echo import pulse_rng
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import range_cell_size, scene_coefficients
 from ofdmsar.scenes import car_scene, point_scene
 from ofdmsar.waveform import Signaling
 from oracles import (
+    apply_waveform,
     circulant_from_pulse,
     modulate,
     synthesize_pulse_linear_cp,
@@ -31,14 +32,15 @@ def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):
 
 
 class TestSynthesizePulse:
+    # synthesize_pulse returns the received spectrum: the DFT of the fast-time echo.
     def test_unit_coefficient_gives_scaled_body(self):
         spec, sym = seeded_symbols(8, 2)
         body = modulate(sym, spec)[spec.cp_len :]
         d = np.zeros(8, dtype=complex)
         d[0] = 1.0
-        y = synthesize_pulse(sym, d, 0.0, seed=0)
+        y_f = synthesize_pulse(sym, d, 0.0, seed=0)
         # Model normalization: the echo is the pulse body over sqrt(N).
-        np.testing.assert_allclose(y, body / np.sqrt(8), atol=1e-12)
+        np.testing.assert_allclose(y_f, np.fft.fft(body / np.sqrt(8)), atol=1e-12)
 
     def test_shifted_coefficient_gives_cyclic_shift(self):
         spec, sym = seeded_symbols(8, 3)
@@ -46,18 +48,18 @@ class TestSynthesizePulse:
         for m in (1, 3, 7):
             d = np.zeros(8, dtype=complex)
             d[m] = 1.0
-            y = synthesize_pulse(sym, d, 0.0, seed=0)
+            y_f = synthesize_pulse(sym, d, 0.0, seed=0)
             np.testing.assert_allclose(
-                y, np.roll(body, m) / np.sqrt(8), atol=1e-12
+                y_f, np.fft.fft(np.roll(body, m) / np.sqrt(8)), atol=1e-12
             )
 
     def test_matches_explicit_circulant_product(self):
         spec, sym = seeded_symbols(8, 4)
         rng = np.random.default_rng(5)
         d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        y = synthesize_pulse(sym, d, 0.0, seed=0)
+        y_f = synthesize_pulse(sym, d, 0.0, seed=0)
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(8)
-        np.testing.assert_allclose(y, s_mat @ d, atol=1e-12)
+        np.testing.assert_allclose(y_f, np.fft.fft(s_mat @ d), atol=1e-12)
 
     def test_linearity(self):
         spec, sym = seeded_symbols(8, 6)
@@ -70,6 +72,7 @@ class TestSynthesizePulse:
         np.testing.assert_allclose(y12, y1 + y2, atol=1e-12)
 
     def test_noise_calibration(self):
+        # W_f, the DFT of CN(0, sigma^2) fast-time noise, is CN(0, N sigma^2).
         spec, sym = seeded_symbols(64, 8)
         d = np.zeros(64, dtype=complex)
         sigma2 = 0.37
@@ -78,7 +81,7 @@ class TestSynthesizePulse:
         for _ in range(2000):
             samples.append(synthesize_pulse(sym, d, sigma2, rng))
         var = np.mean(np.abs(np.concatenate(samples)) ** 2)
-        assert abs(var - sigma2) < 0.02 * sigma2
+        assert abs(var - 64 * sigma2) < 0.02 * 64 * sigma2
 
     def test_dimension_mismatch(self):
         spec, sym = seeded_symbols(8, 1)
@@ -197,14 +200,19 @@ class TestBatchedSynthesis:
             y += np.fft.ifft(w_f.T, axis=0)
         assert profiles.shape == (64, geom.n_pulses)
         for p in range(geom.n_pulses):
-            ref = ls_estimate(y[:, p], cube.symbols[:, p], alloc)
+            ref = ls_estimate(np.fft.fft(y[:, p]), cube.symbols[:, p], alloc)
             err = np.linalg.norm(profiles[:, p] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
 
-    def test_apply_waveform_columns_are_single_pulses(self):
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
+    def test_synthesize_pulse_columns_are_single_pulses(self, sigma2):
+        # A block reads one noise row per pulse, so drawing the pulses one at
+        # a time from the same stream gives the same bits.
         rng = np.random.default_rng(4)
         sym = rng.standard_normal((64, 40)) + 1j * rng.standard_normal((64, 40))
         d = rng.standard_normal((64, 40)) + 1j * rng.standard_normal((64, 40))
-        batched = apply_waveform(sym, d)
+        batched = synthesize_pulse(sym, d, sigma2, seed=5)
+        noise = np.random.default_rng(5)
         for p in range(40):
-            assert batched[:, p].tobytes() == apply_waveform(sym[:, p], d[:, p]).tobytes()
+            single = synthesize_pulse(sym[:, p], d[:, p], sigma2, noise)
+            assert batched[:, p].tobytes() == single.tobytes()

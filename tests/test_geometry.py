@@ -248,6 +248,13 @@ class TestSceneIO:
         with pytest.raises(SceneFormatError):
             load_scene(path, spec8)
 
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "1:nan", "inf:0", "1e400"])
+    def test_non_finite_value_names_the_token(self, tmp_path, spec8, tok):
+        path = tmp_path / "bad.txt"
+        path.write_text("# 8 1\n" + "0\n" * 7 + tok + "\n")
+        with pytest.raises(SceneFormatError, match=f"non-finite scene value '{tok}'"):
+            load_scene(path, spec8)
+
     def test_cell_size(self, tmp_path, spec64):
         # Every scene builder spaces its rows c / (2 B) apart.
         path = tmp_path / "point.txt"

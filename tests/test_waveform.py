@@ -9,10 +9,9 @@ from ofdmsar import (
     TruncationPolicy,
     WaveformSpec,
     draw_symbols,
-    draw_symbols_truncated,
 )
 from ofdmsar.errors import ConfigError, DimensionError
-from oracles import circulant_from_pulse, modulate
+from oracles import circulant_from_pulse, draw_symbols_truncated, modulate
 
 
 def gaussian_spec(n):
