@@ -75,13 +75,8 @@ def rcmc_bulk(
 def azimuth_reference(geom: Geometry) -> np.ndarray:
     """Quadratic-phase azimuth chirp exp(-j 2 pi v^2 t^2 / (lambda R_c))."""
     t = geom.slow_time()
-    return np.exp(
-        -2j
-        * np.pi
-        * geom.velocity**2
-        * t**2
-        / (geom.wavelength * geom.slant_range_center)
-    )
+    lam_rc = geom.wavelength * geom.slant_range_center
+    return np.exp(-2j * np.pi * geom.velocity**2 * t**2 / lam_rc)
 
 
 def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:

@@ -173,14 +173,8 @@ def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
     points = allocation.tradeoff_sweep(
         ch, spec.power_budget, sigma2, cfg.truncation_policy(), cfg.tradeoff_points
     )
-    rows = [
-        {
-            "rate_floor": pt.rate_floor,
-            "rate_achieved": pt.rate_achieved,
-            "emse": pt.emse,
-        }
-        for pt in points
-    ]
+    rows = [{"rate_floor": pt.rate_floor, "rate_achieved": pt.rate_achieved, "emse": pt.emse}
+            for pt in points]
     write_table_csv(out / "tradeoff.csv", rows)
     print(f"wrote {out / 'tradeoff.csv'}")
     return EXIT_OK

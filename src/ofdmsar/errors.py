@@ -20,13 +20,14 @@ class SceneFormatError(OfdmSarError, ValueError):
 class IllConditionedWaveformError(OfdmSarError):
     """Subcarrier power is below the conditioning threshold for LS inversion."""
 
-    def __init__(self, subcarrier: int, power: float, threshold: float):
+    def __init__(self, subcarrier: int, power: float, threshold: float, design: str = ""):
         self.subcarrier = subcarrier
         self.power = power
         self.threshold = threshold
         super().__init__(
             f"subcarrier {subcarrier}: |S_k|^2 = {power:.3e} below "
             f"conditioning threshold {threshold:.3e}"
+            + (f" in design {design!r}" if design else "")
         )
 
 

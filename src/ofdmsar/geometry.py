@@ -7,9 +7,9 @@ eta, the weighting coefficient
 
 where R_m is the hyperbolic slant-range history about the scatterer's own
 closest approach and env is a rectangular aperture window of width T_a.
-Scene columns sit at the centers of resolvable azimuth cells.  One call
-evaluates the occupied cells only, a block of pulses at a time, and gives each
-pulse the bits of a dense evaluation at that pulse alone.
+Scene columns sit at the centers of resolvable azimuth cells.  A scatterer is
+synthesized only while in the beam, |eta - eta_a| <= T_a / 2: each occupied
+column is evaluated at those pulses alone and added into d in ascending order.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import SceneFormatError
 from .waveform import WaveformSpec
 
 SPEED_OF_LIGHT = 299792458.0
-
-_PULSE_BLOCK = 16  # slow times per (block, M, n_az) grid; it bounds the memory
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -90,13 +88,13 @@ class Scene:
 
     rcs: np.ndarray
     range_cell_size: float
-    occupied: tuple = field(init=False, repr=False, compare=False)  # (rows, cols)
+    occupied: tuple = field(init=False, repr=False, compare=False)  # (rows, cols) by column
 
     def __post_init__(self):
         rcs = np.array(np.atleast_2d(self.rcs), dtype=complex)
         rcs.flags.writeable = False
         object.__setattr__(self, "rcs", rcs)
-        object.__setattr__(self, "occupied", np.nonzero(rcs))
+        object.__setattr__(self, "occupied", np.nonzero(rcs.T)[::-1])
         if self.range_cell_size <= 0:
             raise ValueError("range_cell_size must be positive")
 
@@ -146,26 +144,23 @@ def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
 def scene_coefficients(geom: Geometry, scene: Scene, eta) -> np.ndarray:
     """Coefficients d_m summed over the columns: (M,), or (M, P) for P slow times.
 
-    Only occupied cells are evaluated.  A block of pulses writes their terms
-    into one zero (block, M, n_az) grid summed in full along its last axis, so
-    numpy's pairwise summation keeps the dense grid's order: column p is
-    bit-identical to evaluating every cell at slow time ``eta[p]`` alone.
+    Each occupied column is evaluated only at the slow times its aperture
+    envelope keeps, |eta - eta_a| <= T_a / 2, and its terms are added into d
+    column by column in ascending order, so column p is bit-identical to
+    evaluating the scene at slow time ``eta[p]`` alone.
     """
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
     rows, cols = scene.occupied
-    centers = column_center_times(geom, scene)[cols]
-    rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)[rows]
-    d = np.empty((scene.n_range_cells, etas.size), dtype=complex)
-    block = min(_PULSE_BLOCK, etas.size)
-    grid = np.zeros((block, *scene.rcs.shape), dtype=complex)
-    for start in range(0, etas.size, block):
-        eta_rel = etas[start : start + block, None] - centers
-        env = aperture_envelope(geom, eta_rel)
-        r = slant_range(geom, rbar, eta_rel)
+    centers = column_center_times(geom, scene)
+    rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
+    d = np.zeros((scene.n_range_cells, etas.size), dtype=complex)
+    columns, starts = np.unique(cols, return_index=True)
+    for a, rows_a in zip(columns, np.split(rows, starts[1:])):
+        eta_rel = etas - centers[a]
+        kept = np.flatnonzero(aperture_envelope(geom, eta_rel))
+        r = slant_range(geom, rbar[rows_a, None], eta_rel[kept])
         phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-        terms = grid[: eta_rel.shape[0]]
-        terms[:, rows, cols] = scene.rcs[rows, cols] * env * phase
-        d[:, start : start + block] = np.sum(terms, axis=2).T
+        d[rows_a[:, None], kept] += scene.rcs[rows_a, a, None] * phase
     return d if np.ndim(eta) else d[:, 0]
 
 

@@ -31,7 +31,7 @@ from .allocation import (
     water_filling,
 )
 from .errors import ConfigError, NoPeakError
-from .rangeproc import ls_estimate
+from .rangeproc import check_ls_floor, ls_estimate
 from .waveform import Signaling, WaveformSpec, truncated_rayleigh
 
 __all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
@@ -75,6 +75,12 @@ def _trial_variates(streams, count: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(x.T for x in draws)
 
 
+def _magnitudes(powers: np.ndarray, policy: TruncationPolicy | None, u) -> np.ndarray:
+    """|S_k| from uniforms u: sqrt(P_k) for constant modulus (policy None), else
+    the 2P-law ``truncated_rayleigh``."""
+    return np.sqrt(powers) if policy is None else truncated_rayleigh(powers, policy, u)
+
+
 def mse_vs_snr(
     spec: WaveformSpec,
     ch: ChannelGains,
@@ -89,8 +95,9 @@ def mse_vs_snr(
     knob), so the water-filling design tends to uniform as SNR grows.
     Returns one row dict per (snr, design) with keys ``snr_db``, ``design``,
     ``empirical_nmse``, ``analytic_nmse``.  Designs whose allocation dries a
-    subcarrier report infinite MSE (the LS estimator is singular there); a
-    draw below the LS floor raises ``IllConditionedWaveformError``.
+    subcarrier report infinite MSE (the LS estimator is singular there); one
+    whose smallest possible draw lies below the LS floor raises
+    ``IllConditionedWaveformError`` before any trial is drawn.
     """
     if n_trials < 100:
         raise ConfigError(f"trials = {n_trials} must be at least 100")
@@ -111,6 +118,9 @@ def mse_vs_snr(
         filled = water_filling(ch.rescaled(sigma2), spec.power_budget)
         allocs = [filled if dsg.water_filled else uniform for dsg in DEFAULT_DESIGNS]
         alive = [not np.any(al.powers == 0.0) for al in allocs]
+        for dsg, alloc, pol, live in zip(DEFAULT_DESIGNS, allocs, policies, alive):
+            if live:  # magnitudes grow with u, so u = 0 gives the smallest draw
+                check_ls_floor(_magnitudes(alloc.powers, pol, 0.0) ** 2, alloc, dsg.label)
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = np.where(alive, 0.0, np.inf)
         streams = _point_streams(seed, si)
@@ -122,12 +132,7 @@ def mse_vs_snr(
             for di, alloc in enumerate(allocs):
                 if not alive[di]:
                     continue
-                powers = alloc.powers[:, None]
-                if policies[di] is None:
-                    mags = np.sqrt(powers)
-                else:
-                    mags = truncated_rayleigh(powers, policies[di], u)
-                syms = mags * rotations
+                syms = _magnitudes(alloc.powers[:, None], policies[di], u) * rotations
                 err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
         for di, dsg in enumerate(DEFAULT_DESIGNS):

@@ -6,7 +6,7 @@ as eigenvalues, so the LS estimate of received spectrum ``Y_f`` is
 inter-range-cell interference.  ``ls_estimate`` takes the spectrum of one
 pulse (N,) or of a block (N, P); ``range_profile_cube`` applies it to a cube.
 There is no regularizer: a symbol below the conditioning floor 1e-6 * P/N of
-its allocation rejects the call rather than silently biasing the MSE.
+its allocation (``check_ls_floor``) rejects the call rather than biasing the MSE.
 """
 
 from __future__ import annotations
@@ -17,7 +17,17 @@ from .allocation import PowerAllocation
 from .echo import RawDataCube
 from .errors import DimensionError, IllConditionedWaveformError
 
-__all__ = ["ls_estimate", "range_profile_cube"]
+__all__ = ["check_ls_floor", "ls_estimate", "range_profile_cube"]
+
+
+def check_ls_floor(power: np.ndarray, alloc: PowerAllocation, design: str = "") -> None:
+    """Reject the first |S_k|^2 of ``power`` (subcarriers last, in row-major
+    order) below the conditioning floor 1e-6 * P/N of ``alloc``."""
+    floor = 1e-6 * alloc.total / len(alloc)
+    bad = np.argwhere(power < floor)
+    if bad.size:
+        first = tuple(bad[0])
+        raise IllConditionedWaveformError(int(first[-1]), float(power[first]), floor, design)
 
 
 def ls_estimate(
@@ -28,11 +38,7 @@ def ls_estimate(
         raise DimensionError(f"received shape {np.shape(spectrum)} != symbols {symbols.shape}")
     if symbols.shape[0] != len(alloc):
         raise DimensionError("symbol vector length must match allocation")
-    power = np.abs(symbols.T) ** 2  # pulse-major: the first bad pulse is named
-    delta = 1e-6 * alloc.total / len(alloc)
-    bad = np.argwhere(power < delta)
-    if bad.size:
-        raise IllConditionedWaveformError(int(bad[0][-1]), float(power[tuple(bad[0])]), delta)
+    check_ls_floor(np.abs(symbols.T) ** 2, alloc)  # pulse-major: the first bad pulse is named
     return np.fft.ifft(spectrum / symbols, axis=0)
 
 

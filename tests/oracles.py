@@ -4,8 +4,9 @@ The package works in the received-spectrum domain of the symbol-eigenvalue
 circular model only; these build the fast-time view of that model
 (``apply_waveform``), the CP'd pulse, its circulant matrix and the linear
 convolution with the cyclic prefix that the model replaces, so the tests can
-check the two agree.  ``scene_coefficients_dense`` evaluates every grid cell,
-where the package evaluates the occupied cells only, and
+check the two agree.  ``scene_coefficients_dense`` evaluates every grid cell
+and adds the columns in ascending order, where the package evaluates each
+occupied column only at the pulses that have it in the beam, and
 ``synthesize_raw_per_pulse`` builds noise-free echoes one pulse at a time in
 fast time, where the package batches the pulses in the subcarrier domain.
 ``draw_symbols_truncated`` draws symbols under the magnitude law of the
@@ -95,13 +96,18 @@ def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray
 
 
 def scene_coefficients_dense(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
-    """Weighting coefficients d_m at one slow time, every grid cell evaluated."""
+    """Weighting coefficients d_m at one slow time, every grid cell evaluated,
+    with the columns' terms added one column at a time in ascending order."""
     eta_rel = eta - column_center_times(geom, scene)  # (n_az,)
     env = aperture_envelope(geom, eta_rel)
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
     r = slant_range(geom, rbar[:, None], eta_rel[None, :])
     phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    return np.sum(scene.rcs * env[None, :] * phase, axis=1)
+    terms = scene.rcs * env[None, :] * phase
+    d = np.zeros(scene.n_range_cells, dtype=complex)
+    for a in range(scene.n_azimuth):  # the columns in ascending order
+        d += terms[:, a]
+    return d
 
 
 def synthesize_raw_per_pulse(

@@ -463,7 +463,7 @@ class TestMseSweep:
 
     def test_ill_conditioned_draw_infeasible(self, tmp_path, capsys):
         # Water-filling leaves subcarrier 12 at 3.1e-4 of the mean power, so
-        # at seed 0 one truncated Gaussian draw falls below the LS floor.
+        # the smallest truncated Gaussian draw there lies below the LS floor.
         cfg = tmp_path / "ill.cfg"
         cfg.write_text("channel = multipath\nchannel_seed = 41\nsnr_grid = 29.75\n")
         out = tmp_path / "m"
@@ -472,6 +472,21 @@ class TestMseSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: infeasible: subcarrier 12") and err.count("\n") == 1
         assert not (out / "mse_sweep.csv").exists()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ill_conditioned_design_infeasible_for_every_seed(self, seed, tmp_path, capsys):
+        # Decided from P_k and q before any draw: neither the seed nor the
+        # trial count can let the design through.
+        cfg = tmp_path / "ill.cfg"
+        cfg.write_text("channel = multipath\nchannel_seed = 41\nsnr_grid = 29.75\n")
+        for trials in ("100", "200", "1000"):
+            out = tmp_path / f"m{trials}"
+            args = ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+            assert run([*args, "mse-sweep", "--trials", trials]) == EXIT_INFEASIBLE
+            err = capsys.readouterr().err
+            assert err.startswith("error: infeasible: subcarrier 12") and err.count("\n") == 1
+            assert "'gaussian comm-optimal'" in err
+            assert not (out / "mse_sweep.csv").exists()
 
     def test_too_few_trials_config_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "m"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,8 +121,9 @@ def assert_equal_to_dense(geom, scene, etas):
 
 
 class TestOccupiedCellEvaluation:
-    # Evaluating only the occupied cells must give the dense grid's bits, not
-    # just close values: the CLI's images are byte-identical either way.
+    # Evaluating only the occupied cells, each at its in-beam pulses only,
+    # must give the bits of the dense grid whose columns are added in
+    # ascending order, not just close values.
     @pytest.mark.parametrize("kind", ["point", "car", "zero"])
     def test_demo_scenes_bit_equal_to_dense(self, kind, geom, spec64):
         scene = {
@@ -159,7 +162,7 @@ class TestOccupiedCellEvaluation:
 
 class TestSlowTimeArray:
     # One call over an array of slow times returns (M, P): column p is the
-    # scalar call at eta[p], byte for byte, in any block of pulses.
+    # scalar call at eta[p], byte for byte, whatever the other slow times.
     @pytest.mark.parametrize("n_pulses", [1, 15, 16, 17, 810])
     def test_columns_are_stacked_scalar_calls(self, n_pulses, spec64):
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 810.0, 1.0)
@@ -183,6 +186,49 @@ class TestSlowTimeArray:
         d = scene_coefficients(geom, scene, geom.slow_time())
         assert d.shape == (64, geom.n_pulses)
         assert not np.any(d)
+
+
+class TestInBeamPulses:
+    # Each occupied column is evaluated only at the pulses its aperture
+    # envelope keeps, found on the slow times as given, sorted or not.
+    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
+    def test_unsorted_slow_times_give_matching_columns(self, order, geom, spec64):
+        etas = geom.slow_time()
+        perm = {
+            "shuffled": np.random.default_rng(3).permutation(etas.size),
+            "reversed": np.arange(etas.size)[::-1],
+        }[order]
+        scene = car_scene(spec64)
+        d = scene_coefficients(geom, scene, etas[perm])
+        assert d.tobytes() == scene_coefficients(geom, scene, etas)[:, perm].tobytes()
+
+    def test_columns_outside_the_aperture_give_exact_zeros(self, geom, spec64):
+        # Of 200 columns 0.0147 s apart, the outer 20 on each side reach
+        # closest approach at |eta_a| >= 1.17 s, more than T/2 = 0.5 s from
+        # every pulse of the +-0.5 s grid.
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))
+        values[:, 20:180] = 0.0
+        scene = Scene(values, range_cell_size(spec64))
+        d = scene_coefficients(geom, scene, geom.slow_time())
+        assert d.tobytes() == np.zeros((64, geom.n_pulses), dtype=complex).tobytes()
+
+    def test_wide_point_scene_equals_one_column(self, geom, spec64):
+        etas = geom.slow_time()
+        wide = scene_coefficients(geom, point_scene(spec64, 20001), etas)
+        assert wide.tobytes() == scene_coefficients(geom, point_scene(spec64, 1), etas).tobytes()
+
+    def test_wide_point_scene_peak_memory(self, geom, spec64):
+        # Memory follows the occupied cells and the output, not M x n_az x P.
+        scene = point_scene(spec64, 20001)
+        etas = geom.slow_time()
+        tracemalloc.start()
+        try:
+            scene_coefficients(geom, scene, etas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSceneImmutability:

@@ -11,7 +11,8 @@ from ofdmsar import (
     water_filling,
 )
 from ofdmsar import metrics
-from ofdmsar.errors import ConfigError, NoPeakError
+from ofdmsar.config import parse_config
+from ofdmsar.errors import ConfigError, IllConditionedWaveformError, NoPeakError
 from ofdmsar.metrics import DEFAULT_DESIGNS
 
 
@@ -168,6 +169,21 @@ class TestMseVsSnr:
         labels = [d.label for d in DEFAULT_DESIGNS]
         assert "constant-modulus uniform" in labels
         assert "gaussian comm-optimal" in labels
+
+    def test_design_below_ls_floor_rejected_before_drawing(self, monkeypatch):
+        # Water-filling leaves subcarrier 12 at 3.1e-4 P/N, and the 2P-law
+        # sampler's smallest draw, -2 ln(1 - q) P_k, is 6.3e-7 P/N: below the
+        # 1e-6 P/N floor, so the design fails whatever the draws would be.
+        cfg = parse_config("channel = multipath\nchannel_seed = 41\n")
+
+        def no_draws(*args):
+            raise AssertionError("variates drawn")
+
+        monkeypatch.setattr(metrics, "_point_streams", no_draws)
+        with pytest.raises(IllConditionedWaveformError, match="'gaussian comm-optimal'$") as err:
+            mse_vs_snr(cfg.waveform_spec(), cfg.channel_gains(), [29.75], 100, seed=0)
+        assert err.value.subcarrier == 12
+        assert err.value.power < err.value.threshold
 
     def test_too_few_trials_rejected(self, spec64):
         with pytest.raises(ValueError):

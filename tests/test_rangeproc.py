@@ -76,6 +76,7 @@ class TestLsEstimate:
         with pytest.raises(IllConditionedWaveformError) as err:
             ls_estimate(np.zeros(n, dtype=complex), sym, alloc)
         assert err.value.subcarrier == 2
+        assert err.value.threshold == 1e-6
 
     def test_symbols_must_match_allocation(self):
         sym = np.ones(4, dtype=complex)
