@@ -24,7 +24,11 @@ DB_FLOOR = -40.0
 
 @dataclass(frozen=True)
 class SarImage:
-    """Focused complex image plus its peak-normalized dB magnitude raster."""
+    """Focused complex image plus its peak-normalized dB magnitude raster.
+
+    The raster lies in [DB_FLOOR, 0] on a 1e-4 dB grid, far finer than a PGM
+    grey level (40/255 dB), so every value prints back exactly to 4 decimals.
+    """
 
     complex_image: np.ndarray
     db_image: np.ndarray
@@ -37,8 +41,9 @@ class SarImage:
             # Degenerate all-zero input: the raster is all-floor by convention.
             return cls(img, np.full(img.shape, DB_FLOOR))
         with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mag / peak)
-        return cls(img, np.clip(db, DB_FLOOR, 0.0))
+            db = np.clip(20.0 * np.log10(mag / peak), DB_FLOOR, 0.0)
+        del mag  # freed first, so rounding adds no array to the peak memory
+        return cls(img, np.rint(db * 1e4) / 1e4 + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 def _check_pulses(profiles: np.ndarray, geom: Geometry) -> None:

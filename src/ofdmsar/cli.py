@@ -130,15 +130,17 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
     policy = cfg.truncation_policy()
-    cube = echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed, policy)
-    profiles = rangeproc.range_profile_cube(cube)
-    corrected = azimuth.rcmc_bulk(profiles, geom, scene.range_cell_size)
-    image = azimuth.azimuth_compress(corrected, geom)
-    peak = np.unravel_index(np.argmax(np.abs(image.complex_image)), image.db_image.shape)
+    # Nested, so the raw cube is freed before RCMC, and its output after focusing.
+    profiles = rangeproc.range_profile_cube(
+        echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed, policy))
+    image = azimuth.azimuth_compress(
+        azimuth.rcmc_bulk(profiles, geom, scene.range_cell_size), geom)
+    mag = np.abs(image.complex_image)
+    peak = np.unravel_index(np.argmax(mag), mag.shape)
     print(f"peak_cell = {peak[0]} {peak[1]}")
     if scene.occupied[0].size == 1:  # else the cut crosses other scatterers
         try:
-            pslr, islr = metrics.sidelobe_stats(np.abs(image.complex_image[:, peak[1]]) ** 2)
+            pslr, islr = metrics.sidelobe_stats(mag[:, peak[1]] ** 2)
         except NoPeakError:
             pass  # fewer than 3 range cells: no ratios to report
         else:

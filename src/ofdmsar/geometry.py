@@ -23,6 +23,7 @@ from .errors import SceneFormatError
 from .waveform import WaveformSpec
 
 SPEED_OF_LIGHT = 299792458.0
+_LOG_PHASE_LIMIT = 32 * np.log(2.0)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -62,6 +63,16 @@ class Geometry:
             raise ValueError("slant_range_center must be >= altitude")
         if self.n_pulses < 2:
             raise ValueError("geometry yields fewer than 2 pulses")
+        # Phases past 2**32 rad resolve worse than 1e-6 rad in float64; summed as
+        # logs, the bounds are checked without overflow.
+        f, r, vt = np.log([self.carrier_freq, self.slant_range_center,
+                           self.velocity * self.aperture_time])
+        if np.log(4 * np.pi / SPEED_OF_LIGHT) + f + r > _LOG_PHASE_LIMIT:
+            raise ValueError("carrier phase 4 pi carrier_freq slant_range_center / c "
+                             "exceeds 2**32 rad")
+        if np.log(np.pi / (2 * SPEED_OF_LIGHT)) + 2 * vt + f - r > _LOG_PHASE_LIMIT:
+            raise ValueError("azimuth chirp phase pi (velocity aperture_time)^2 / "
+                             "(2 wavelength slant_range_center) exceeds 2**32 rad")
 
     @property
     def wavelength(self) -> float:

@@ -25,16 +25,15 @@ def write_pgm(path, db_image: np.ndarray) -> None:
 
 
 def write_db_csv(path, db_image: np.ndarray) -> None:
-    """Raw dB raster as CSV, one row per range cell.
+    """dB raster as CSV to four decimals, one row per range cell.
 
-    The bytes are those of ``csv.writer``: float reprs need no quoting, and
-    each row ends in its "\\r\\n" terminator.
+    Each row ends in "\\r\\n", as ``csv.writer`` ends it.  A ``SarImage``
+    raster is on the 1e-4 dB grid, so every value reads back exactly.
     """
+    db = np.asarray(db_image, dtype=float)
+    row_fmt = ",".join(["%.4f"] * db.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.writelines(
-            ",".join(map(repr, row.tolist())) + "\r\n"
-            for row in np.asarray(db_image, dtype=float)
-        )
+        fh.writelines(row_fmt % tuple(row.tolist()) for row in db)
 
 
 def write_table_csv(path, rows: list[dict]) -> None:

@@ -331,6 +331,27 @@ class TestSimulate:
         assert line.split(" = ")[0] in assert_one_line_config_error(capsys)
         assert not (out / "image_db.csv").exists()
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("velocity = 1e300", "velocity"),
+            ("slant_range_center = 1e160\naltitude = 1e160", "slant_range_center"),
+            ("slant_range_center = 1e300\naltitude = 1e300", "slant_range_center"),
+            ("carrier_freq = 1e300", "carrier_freq"),
+        ],
+    )
+    def test_unresolvable_phase_config_error(self, tmp_path, capsys, lines, key):
+        # The first three ended in an OverflowError traceback; the last wrote
+        # an image whose carrier phase float64 cannot resolve, peaking at
+        # pulse 753 instead of 400.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(lines + "\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert code == EXIT_CONFIG
+        assert key in assert_one_line_config_error(capsys)
+        assert not (out / "image_db.csv").exists()
+
     def test_swath_reaching_behind_zero_range_config_error(self, tmp_path, capsys):
         # At 1 MHz the 64 range cells are 150 m each, so the swath would start
         # 3.4 km behind the platform.

@@ -1,17 +1,58 @@
-import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ofdmsar.output import write_db_csv
+from ofdmsar.azimuth import SarImage
+from ofdmsar.cli import EXIT_OK, run
+from ofdmsar.output import write_db_csv, write_pgm
+
+# dB magnitudes in [-40, 0]; -4e-5 dB rounds to a zero that must not print as
+# "-0.0000", and -5e-5 dB lies on a rounding boundary.
+DB_RASTERS = arrays(
+    float,
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.floats(-40.0, 0.0) | st.sampled_from([-4e-5, -5e-5]),
+)
 
 
-def test_db_csv_bytes_match_csv_writer(tmp_path):
-    # 0.1 + 0.2 has a 17-digit repr; -0.0 keeps its sign.
-    raster = np.array([[-40.0, 0.0, -0.0], [1e-05, 0.1 + 0.2, -12.5]])
-    write_db_csv(tmp_path / "fast.csv", raster)
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in raster:
-            writer.writerow([repr(float(v)) for v in row])
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert repr(0.1 + 0.2) == "0.30000000000000004"
+@settings(max_examples=60, deadline=None)
+@given(db=DB_RASTERS)
+@example(db=np.array([[-40.0, 0.0, -4e-5], [-5e-5, -0.30000000000000004, -12.5]]))
+def test_db_csv_reads_back_the_raster_exactly(db):
+    raster = SarImage.from_complex(10.0 ** (db / 20.0)).db_image
+    assert (np.rint(raster * 1e4) / 1e4 + 0.0).tobytes() == raster.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "image_db.csv"
+        write_db_csv(path, raster)
+        text = path.read_bytes().decode("ascii")
+    rows = text.split("\r\n")
+    assert rows.pop() == "" and len(rows) == raster.shape[0]
+    cells = [row.split(",") for row in rows]
+    assert all("\n" not in cell and cell != "-0.0000" for row in cells for cell in row)
+    read = np.array([[float(cell) for cell in row] for row in cells])
+    assert read.shape == raster.shape
+    assert read.tobytes() == raster.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scene_cfg", ["scene = point\n", "scene = car\nsignaling = gaussian\n"]
+)
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_pgm_is_the_quantization_of_the_db_csv(tmp_path, scene_cfg, seed):
+    # What the benchmark checks on every image: image.pgm, re-derived from the
+    # parsed image_db.csv, is the same file, and the raster peaks at 0 dB.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_subcarriers = 16\nprf = 64\n" + scene_cfg)
+    out = tmp_path / "run"
+    assert run(["--config", str(cfg), "--seed", seed, "--out", str(out),
+                "simulate"]) == EXIT_OK
+    lines = (out / "image_db.csv").read_text().split()
+    db = np.array([[float(v) for v in line.split(",")] for line in lines])
+    write_pgm(tmp_path / "reference.pgm", db)
+    assert (out / "image.pgm").read_bytes() == (tmp_path / "reference.pgm").read_bytes()
+    assert db.shape == (16, 64) and db.max() == 0.0
