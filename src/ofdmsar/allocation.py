@@ -14,7 +14,8 @@ Conventions used throughout:
 * The EMSE constant ``A`` comes from the lower-truncated integral of
   ``exp(-t^2)/t``; the raw integral diverges at zero, so the lower limit is the
   q-quantile of the unit Rayleigh magnitude (default q = 1e-3, i.e. keep the
-  top 99.9% of the magnitude distribution).
+  top 99.9% of the magnitude distribution).  Gaussian symbols are sqrt(2 P_k)
+  times that magnitude (``waveform.symbol_magnitudes``), so E|S_k|^2 ~ 2 P_k.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ class Geometry:
                 raise ValueError(f"{name} must be finite and positive")
         if self.slant_range_center < self.altitude:
             raise ValueError("slant_range_center must be >= altitude")
-        if self.n_pulses < 2:
-            raise ValueError("geometry yields fewer than 2 pulses")
+        if not 1.5 <= self.prf * self.aperture_time < np.inf:  # n_pulses rounds it
+            raise ValueError("prf * aperture_time must round to a finite count of >= 2 pulses")
         # Phases past 2**32 rad resolve worse than 1e-6 rad in float64; summed as
         # logs, the bounds are checked without overflow.
         f, r, vt = np.log([self.carrier_freq, self.slant_range_center,

@@ -12,9 +12,9 @@ batched LS call per design and block on the received spectrum
 transforms its fast-time noise once for all designs, so no result depends on
 the block size.
 
-Random-signaling trials use magnitude-truncated sampling (the low-magnitude
-tail below the q-quantile is excluded), so the empirical expectation exists
-and matches the truncated constant A.
+Random-signaling trials take their magnitudes from ``symbol_magnitudes``, the
+sampler images use: the low-magnitude tail below the q-quantile is excluded,
+so the empirical expectation exists and matches the truncated constant A.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .allocation import (
 )
 from .errors import ConfigError, NoPeakError
 from .rangeproc import check_ls_floor, ls_estimate
-from .waveform import Signaling, WaveformSpec, truncated_rayleigh
+from .waveform import Signaling, WaveformSpec, symbol_magnitudes
 
 __all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
 
@@ -75,12 +75,6 @@ def _trial_variates(streams, count: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(x.T for x in draws)
 
 
-def _magnitudes(powers: np.ndarray, policy: TruncationPolicy | None, u) -> np.ndarray:
-    """|S_k| from uniforms u: sqrt(P_k) for constant modulus (policy None), else
-    the 2P-law ``truncated_rayleigh``."""
-    return np.sqrt(powers) if policy is None else truncated_rayleigh(powers, policy, u)
-
-
 def mse_vs_snr(
     spec: WaveformSpec,
     ch: ChannelGains,
@@ -120,7 +114,7 @@ def mse_vs_snr(
         alive = [not np.any(al.powers == 0.0) for al in allocs]
         for dsg, alloc, pol, live in zip(DEFAULT_DESIGNS, allocs, policies, alive):
             if live:  # magnitudes grow with u, so u = 0 gives the smallest draw
-                check_ls_floor(_magnitudes(alloc.powers, pol, 0.0) ** 2, alloc, dsg.label)
+                check_ls_floor(symbol_magnitudes(alloc.powers, pol, 0.0) ** 2, alloc, dsg.label)
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = np.where(alive, 0.0, np.inf)
         streams = _point_streams(seed, si)
@@ -132,7 +126,7 @@ def mse_vs_snr(
             for di, alloc in enumerate(allocs):
                 if not alive[di]:
                     continue
-                syms = _magnitudes(alloc.powers[:, None], policies[di], u) * rotations
+                syms = symbol_magnitudes(alloc.powers[:, None], policies[di], u) * rotations
                 err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
         for di, dsg in enumerate(DEFAULT_DESIGNS):

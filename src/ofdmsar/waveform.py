@@ -21,7 +21,7 @@ import numpy as np
 from .allocation import PowerAllocation, TruncationPolicy
 from .errors import ConfigError, DimensionError
 
-__all__ = ["Signaling", "WaveformSpec", "draw_symbols", "truncated_rayleigh"]
+__all__ = ["Signaling", "WaveformSpec", "draw_symbols", "symbol_magnitudes"]
 
 
 class Signaling(enum.Enum):
@@ -87,10 +87,10 @@ def draw_symbols(
     """The (N,) symbols of one OFDM pulse, or the (N, P) block of ``pulses``.
 
     Row p of one pulse-major block of variates serves pulse p, so column p
-    does not depend on the pulse count.  Phases are uniform.  Constant modulus
-    fixes |S_k|^2 = P_k; Gaussian magnitudes are ``truncated_rayleigh`` of
-    scale sqrt(P_k / 2) above the policy's quantile q, so E|S_k|^2 =
-    P_k (1 - ln(1 - q)) and |S_k|^2 >= -ln(1 - q) P_k.  P_k = 0 gives S_k = 0.
+    does not depend on the pulse count.  Phases are uniform; magnitudes come
+    from ``symbol_magnitudes``: |S_k|^2 = P_k for constant modulus, and for
+    Gaussian E|S_k|^2 = 2 P_k (1 - ln(1 - q)), |S_k|^2 >= -2 ln(1 - q) P_k,
+    the law of the EMSE constant A.  P_k = 0 gives S_k = 0.
     """
     if len(alloc) != spec.n_subcarriers:
         raise DimensionError(
@@ -100,19 +100,21 @@ def draw_symbols(
     lead = () if pulses is None else (pulses,)
     n = spec.n_subcarriers
     if spec.signaling is Signaling.CONSTANT_MODULUS:
-        mags, phases = np.sqrt(alloc.powers), rng.uniform(0.0, 2.0 * np.pi, (*lead, n))
+        policy, u = None, None
+        phases = rng.uniform(0.0, 2.0 * np.pi, (*lead, n))
     else:
         u = rng.uniform(0.0, 1.0, (*lead, 2, n))  # per pulse: magnitude row, phase row
-        mags = truncated_rayleigh(alloc.powers / 2.0, policy, u[..., 0, :])
-        phases = 2.0 * np.pi * u[..., 1, :]
-    return (mags * np.exp(1j * phases)).T
+        u, phases = u[..., 0, :], 2.0 * np.pi * u[..., 1, :]
+    return (symbol_magnitudes(alloc.powers, policy, u) * np.exp(1j * phases)).T
 
 
-def truncated_rayleigh(
-    powers: np.ndarray, policy: TruncationPolicy, u: np.ndarray
-) -> np.ndarray:
-    """Rayleigh magnitudes of scale sqrt(P_k) conditioned above the policy's
-    ``tail_prob`` quantile, from uniforms ``u`` by inverse-CDF sampling."""
+def symbol_magnitudes(powers: np.ndarray, policy: TruncationPolicy | None, u) -> np.ndarray:
+    """|S_k| from uniforms ``u``: sqrt(P_k) for constant modulus (policy None),
+    else Rayleigh of scale sqrt(P_k) conditioned above the policy's
+    ``tail_prob`` quantile q by inverse-CDF sampling, so that
+    |S_k|^2 / (2 P_k) = -ln(1 - q) - ln(1 - u), the law under which the EMSE
+    constant A holds."""
+    if policy is None:
+        return np.sqrt(powers)
     q = policy.tail_prob
     return np.sqrt(powers) * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
-

@@ -9,14 +9,14 @@ and adds the columns in ascending order, where the package evaluates each
 occupied column only at the pulses that have it in the beam, and
 ``synthesize_raw_per_pulse`` builds noise-free echoes one pulse at a time in
 fast time, where the package batches the pulses in the subcarrier domain.
-``draw_symbols_truncated`` draws symbols under the magnitude law of the
-truncated constant A (E|S_k|^2 = 2 P_k).
+The tests draw symbols through the package's ``draw_symbols``, whose one
+Gaussian magnitude law is the law under which the EMSE constant A holds.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
-from ofdmsar import Geometry, PowerAllocation, Scene, TruncationPolicy, WaveformSpec
+from ofdmsar import Geometry, Scene, WaveformSpec
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
@@ -25,36 +25,11 @@ from ofdmsar.geometry import (
     column_center_times,
     slant_range,
 )
-from ofdmsar.waveform import truncated_rayleigh
 
 
 def apply_waveform(symbols: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Fast-time circular model ``ifft(S * fft(d))`` along axis 0 of (N,) or (N, P)."""
     return np.fft.ifft(symbols * np.fft.fft(d, axis=0), axis=0)
-
-
-def draw_symbols_truncated(
-    spec: WaveformSpec,
-    alloc: PowerAllocation,
-    policy: TruncationPolicy,
-    seed,
-) -> np.ndarray:
-    """Magnitude-truncated random symbols for expected-MSE Monte Carlo runs.
-
-    Magnitudes come from ``truncated_rayleigh``, phases are uniform.  Under
-    this normalization E[1/|S_k|^2] = A / ((1 - q) P_k), matching the
-    truncated constant A to within the q-sized correction; note the magnitude
-    law here has E|S_k|^2 = 2 P_k, the normalization under which A is defined.
-    """
-    if len(alloc) != spec.n_subcarriers:
-        raise DimensionError(
-            f"allocation length {len(alloc)} != N = {spec.n_subcarriers}"
-        )
-    rng = np.random.default_rng(seed)
-    n = spec.n_subcarriers
-    mags = truncated_rayleigh(alloc.powers, policy, rng.uniform(0.0, 1.0, n))
-    phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    return mags * np.exp(1j * phases)
 
 
 def modulate(symbols: np.ndarray, spec: WaveformSpec) -> np.ndarray:

@@ -34,7 +34,6 @@ from ofdmsar.scenes import point_scene
 from oracles import (
     apply_waveform,
     circulant_from_pulse,
-    draw_symbols_truncated,
     modulate,
     synthesize_pulse_linear_cp,
 )
@@ -123,7 +122,7 @@ def test_criterion_03_truncated_gaussian_emse_factor():
     rng = np.random.default_rng(5)
     total = 0.0
     for _ in range(draws):
-        sym = draw_symbols_truncated(spec, alloc, policy, rng)
+        sym = draw_symbols(spec, alloc, rng, policy=policy)
         y = synthesize_pulse(sym, d, sigma2, rng)
         total += float(np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2))
     expected = policy.A * sigma2 * float(np.sum(1.0 / alloc.powers))
@@ -314,3 +313,39 @@ def test_criterion_10_simulate_determinism(tmp_path):
             (out / "image.pgm").read_bytes() + (out / "image_db.csv").read_bytes()
         )
     report(name, blobs[0] == blobs[1])
+
+
+def test_criterion_11_image_error_equals_emse():
+    name = "image error energy / n_pulses^2 equals the EMSE for both signal types (point scene, 15 dB, 16 seeds)"
+    # LS on a noise-free spectrum returns d, so with the same seed (the same
+    # symbols) the noisy-minus-clean profiles are the LS error alone.  The
+    # unit-modulus azimuth reference multiplies white error energy by
+    # n_pulses, and focusing a unit scatterer gives a peak of n_pulses.
+    scene = point_scene(SPEC_CM, 1)
+    alloc = PowerAllocation.uniform(64, 64.0)
+    policy = TruncationPolicy()
+    seeds = range(16)
+    ok = True
+    # Per-pulse expectation: A = 1 exactly for constant modulus; Gaussian
+    # E[1/|S_k|^2] = A / ((1 - q) P_k), where A omits the 1 / (1 - q).
+    for spec, pol, exact in ((SPEC_CM, None, 1.0),
+                             (SPEC_G, policy, 1.0 / (1.0 - policy.tail_prob))):
+        emse = emse_of_alloc(alloc, SNR15_SIGMA2, pol)
+        profile_ratios, image_ratios = [], []
+        for seed in seeds:
+            profiles = [  # noisy, then noise-free
+                range_profile_cube(synthesize_raw(spec, GEOM, scene, alloc, s2, seed, policy))
+                for s2 in (SNR15_SIGMA2, 0.0)
+            ]
+            images = [
+                azimuth_compress(rcmc_bulk(p, GEOM, scene.range_cell_size), GEOM).complex_image
+                for p in profiles
+            ]
+            profile_err = np.sum(np.abs(profiles[0] - profiles[1]) ** 2) / GEOM.n_pulses
+            image_err = np.sum(np.abs(images[0] - images[1]) ** 2) / GEOM.n_pulses**2
+            profile_ratios.append(profile_err / emse)
+            image_ratios.append(image_err / emse)
+        se = np.std(profile_ratios, ddof=1) / np.sqrt(len(seeds))
+        ok &= abs(np.mean(profile_ratios) - exact) <= 3.0 * se
+        ok &= 0.95 <= np.mean(image_ratios) <= 1.05
+    report(name, bool(ok))

@@ -250,7 +250,7 @@ class TestSimulate:
             pairs = [line.split(" = ") for line in lines[i + 1 : i + 3]]
             assert [key for key, _ in pairs] == ["range_pslr_db", "range_islr_db"]
             ratios[signaling] = [round(float(value), 2) for _, value in pairs]
-        assert ratios == {"constant-modulus": [-30.53, -22.68], "gaussian": [-25.72, -14.91]}
+        assert ratios == {"constant-modulus": [-30.53, -22.68], "gaussian": [-28.71, -17.9]}
         assert ratios["gaussian"][0] > ratios["constant-modulus"][0]
 
     def test_no_unique_range_peak_prints_no_ratios(self, small_cfg, tmp_path, capsys):
@@ -350,6 +350,18 @@ class TestSimulate:
         code = run(["--config", str(cfg), "--out", str(out), "simulate"])
         assert code == EXIT_CONFIG
         assert key in assert_one_line_config_error(capsys)
+        assert not (out / "image_db.csv").exists()
+
+    def test_overflowing_pulse_count_config_error(self, tmp_path, capsys):
+        # prf * aperture_time is inf: rounding it to a pulse count ended in an
+        # OverflowError traceback.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("prf = 1e300\naperture_time = 1e10\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert code == EXIT_CONFIG
+        err = assert_one_line_config_error(capsys)
+        assert "prf" in err and "aperture_time" in err
         assert not (out / "image_db.csv").exists()
 
     def test_swath_reaching_behind_zero_range_config_error(self, tmp_path, capsys):

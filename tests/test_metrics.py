@@ -171,8 +171,8 @@ class TestMseVsSnr:
         assert "gaussian comm-optimal" in labels
 
     def test_design_below_ls_floor_rejected_before_drawing(self, monkeypatch):
-        # Water-filling leaves subcarrier 12 at 3.1e-4 P/N, and the 2P-law
-        # sampler's smallest draw, -2 ln(1 - q) P_k, is 6.3e-7 P/N: below the
+        # Water-filling leaves subcarrier 12 at 3.1e-4 P/N, and the smallest
+        # Gaussian draw, -2 ln(1 - q) P_k, is 6.3e-7 P/N: below the
         # 1e-6 P/N floor, so the design fails whatever the draws would be.
         cfg = parse_config("channel = multipath\nchannel_seed = 41\n")
 

@@ -1,9 +1,11 @@
-"""The package names the benchmark harness reaches into still exist.
+"""The package names and the symbol law the benchmark harness relies on still hold.
 
 ``perfbench/tracer.py`` wraps package functions by module attribute, and
 ``perfbench/checks.py`` runs a library pass of its own; a rename in the package
 would break ``--trace 1`` or the image-point checks without failing any other
-test.  Both files are read here, never edited.
+test.  ``perfbench/reference.py`` computes the MSE checks' expected values
+under the Gaussian law |S_k|^2 = 2 P_k T; a change of the package's law must
+move it in the same change.  These files are read here, never edited.
 """
 
 import ast
@@ -12,19 +14,24 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ofdmsar import TruncationPolicy
+from ofdmsar.waveform import symbol_magnitudes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def load(name: str):
+    """``perfbench/<name>.py`` as a module of its own, outside any package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # stdlib imports only
+    spec.loader.exec_module(module)  # the tracer needs the stdlib, the reference scipy
     return module
 
 
-@pytest.mark.parametrize("module, attr, name", load_tracer().TARGETS)
+@pytest.mark.parametrize("module, attr, name", load("tracer").TARGETS)
 def test_tracer_targets_are_callable(module, attr, name):
     assert callable(getattr(importlib.import_module(module), attr))
 
@@ -73,3 +80,16 @@ def test_point_checks_calls_resolve_and_bind():
             inspect.signature(target).bind(*[None] * len(node.args), **keywords)
             calls += 1
     assert calls >= 6
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.05, 0.5])
+def test_gaussian_law_is_the_reference_law(q):
+    # The package's A and its |S_k|^2 / (2 P_k) = t0 - ln(1 - u) both match the
+    # benchmark's reference, which derives them apart from the package.
+    reference = load("reference")
+    policy = TruncationPolicy(q)
+    assert policy.A == pytest.approx(reference.emse_constant(q), rel=1e-9)
+    u = np.linspace(0.0, 0.999, 1000)
+    powers = np.linspace(0.1, 10.0, u.size)
+    t = symbol_magnitudes(powers, policy, u) ** 2 / (2.0 * powers)
+    np.testing.assert_allclose(t, reference.truncation_point(q) - np.log1p(-u), rtol=1e-12)

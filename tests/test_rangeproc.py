@@ -15,7 +15,7 @@ from ofdmsar.allocation import TruncationPolicy
 from ofdmsar.echo import RawDataCube
 from ofdmsar.errors import DimensionError, IllConditionedWaveformError
 from ofdmsar.scenes import point_scene
-from oracles import circulant_from_pulse, draw_symbols_truncated, modulate
+from oracles import circulant_from_pulse, modulate
 
 
 def random_d(n, rng):
@@ -165,7 +165,7 @@ class TestRangeProfileCube:
         rng = np.random.default_rng(23)
         total = 0.0
         for _ in range(pulses):
-            sym = draw_symbols_truncated(spec, alloc, policy, rng)
+            sym = draw_symbols(spec, alloc, rng, policy=policy)
             y = synthesize_pulse(sym, d, sigma2, rng)
             total += np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2)
         empirical = total / pulses

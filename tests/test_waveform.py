@@ -11,7 +11,7 @@ from ofdmsar import (
     draw_symbols,
 )
 from ofdmsar.errors import ConfigError, DimensionError
-from oracles import circulant_from_pulse, draw_symbols_truncated, modulate
+from oracles import circulant_from_pulse, modulate
 
 
 def gaussian_spec(n):
@@ -67,17 +67,19 @@ class TestDrawSymbols:
         np.testing.assert_array_equal(a, b)
 
     def test_gaussian_variance_monte_carlo(self):
-        # Law of large numbers: per-subcarrier sample power within 2% at 1e5 draws.
-        n, draws = 64, 10**5
-        spec = gaussian_spec(n)
-        alloc = PowerAllocation.uniform(n, float(n))
+        # Law of large numbers: per-subcarrier E|S_k|^2 = 2 P_k (1 - ln(1 - q))
+        # within 2% at 1e5 pulses (|S_k|^2 has standard deviation 2 P_k).
+        n, blocks, pulses = 64, 10, 10**4
+        powers = np.linspace(0.5, 1.5, n)
+        alloc = PowerAllocation(powers, float(np.sum(powers)))
+        policy = TruncationPolicy()
         rng = np.random.default_rng(0)
         acc = np.zeros(n)
-        for _ in range(draws // 1000):
-            z = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-            acc += np.sum(np.abs(np.sqrt(0.5) * z) ** 2, axis=0)
-        mean_power = acc / draws
-        assert np.all(np.abs(mean_power - 1.0) < 0.02)
+        for _ in range(blocks):
+            sym = draw_symbols(gaussian_spec(n), alloc, rng, pulses, policy)
+            acc += np.sum(np.abs(sym) ** 2, axis=1)
+        expected = 2.0 * powers * (1.0 - np.log1p(-policy.tail_prob))
+        assert np.all(np.abs(acc / (blocks * pulses) / expected - 1.0) < 0.02)
 
     def test_gaussian_mode_single_draw_variance(self):
         spec = gaussian_spec(64)
@@ -85,20 +87,21 @@ class TestDrawSymbols:
         draws = np.array(
             [draw_symbols(spec, alloc, seed=s) for s in range(2000)]
         )
-        assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.02
+        expected = 2.0 * (1.0 - np.log1p(-TruncationPolicy().tail_prob))
+        assert abs(np.mean(np.abs(draws) ** 2) / expected - 1.0) < 0.02
 
     def test_gaussian_truncated_above_ls_floor(self):
-        # |S_k|^2 / P_k >= -ln(1 - q) ~ 1e-3, far above the 1e-6 LS floor, and
-        # E|S_k|^2 = P_k (1 - ln(1 - q)): the budget up to the q-sized term.
+        # |S_k|^2 / P_k >= -2 ln(1 - q) ~ 2e-3, far above the 1e-6 LS floor, and
+        # E|S_k|^2 = 2 P_k (1 - ln(1 - q)): the law under which A holds.
         n, pulses = 64, 4000
         policy = TruncationPolicy()
         alloc = PowerAllocation.uniform(n, float(n))
         sym = draw_symbols(gaussian_spec(n), alloc, 17, pulses, policy)
         ratio = np.abs(sym) ** 2 / alloc.powers[:, None]
-        floor = -np.log1p(-policy.tail_prob)
+        floor = -2.0 * np.log1p(-policy.tail_prob)
         assert ratio.min() >= floor * (1.0 - 1e-12)
-        # |S|^2 / P_k is Exp(1) shifted by the floor: standard deviation 1.
-        assert abs(ratio.mean() - (1.0 + floor)) < 5.0 / np.sqrt(ratio.size)
+        # |S|^2 / P_k is 2 Exp(1) shifted by the floor: standard deviation 2.
+        assert abs(ratio.mean() - (2.0 + floor)) < 10.0 / np.sqrt(ratio.size)
 
     @pytest.mark.parametrize("signaling", list(Signaling))
     def test_pulse_columns_independent_of_block(self, signaling):
@@ -198,7 +201,7 @@ class TestTruncatedSampler:
         policy = TruncationPolicy(0.05)
         floor = np.sqrt(-2.0 * np.log1p(-0.05))  # per-subcarrier quantile, P_k = 1
         for s in range(50):
-            sym = draw_symbols_truncated(spec, alloc, policy, seed=s)
+            sym = draw_symbols(spec, alloc, s, policy=policy)
             assert np.all(np.abs(sym) >= floor - 1e-12)
 
     def test_inverse_moment_matches_A(self):
@@ -210,7 +213,7 @@ class TestTruncatedSampler:
         total = 0.0
         draws = 4000
         for s in range(draws):
-            sym = draw_symbols_truncated(spec, alloc, policy, seed=s)
+            sym = draw_symbols(spec, alloc, s, policy=policy)
             total += np.sum(1.0 / np.abs(sym) ** 2)
         empirical = total / (draws * n)
         expected = policy.A / (1.0 - policy.tail_prob)
