@@ -22,6 +22,6 @@ from .geometry import (
 )
 from .metrics import mse_vs_snr, sidelobe_stats
 from .rangeproc import ls_estimate, range_profile_cube
-from .waveform import Signaling, WaveformSpec, draw_symbols
+from .waveform import WaveformSpec, draw_symbols
 
 __version__ = "0.1.0"

@@ -129,10 +129,9 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     sigma2 = spec.noise_power(cfg.snr_db)
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
-    policy = cfg.truncation_policy()
     # Nested, so the raw cube is freed before RCMC, and its output after focusing.
     profiles = rangeproc.range_profile_cube(
-        echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed, policy))
+        echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_policy()))
     image = azimuth.azimuth_compress(
         azimuth.rcmc_bulk(profiles, geom, scene.range_cell_size), geom)
     mag = np.abs(image.complex_image)
@@ -196,6 +195,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed {args.seed} must be >= 0")
         cfg = load_config(args.config)
         flags = {k: v for k, v in vars(args).items() if v is not None and k in _KEYS}
         cfg = dataclasses.replace(cfg, **flags)

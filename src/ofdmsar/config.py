@@ -17,7 +17,7 @@ import numpy as np
 from .allocation import ChannelGains, TruncationPolicy
 from .errors import ConfigError
 from .geometry import Geometry, closest_approach_ranges, range_cell_size
-from .waveform import Signaling, WaveformSpec
+from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
 
@@ -46,10 +46,7 @@ class Config:
     tradeoff_points: int = 16
 
     def waveform_spec(self) -> WaveformSpec:
-        try:
-            signaling = Signaling(self.signaling)
-        except ValueError:
-            raise ConfigError(f"unknown signaling mode {self.signaling!r}") from None
+        self._gaussian()  # every subcommand rejects an unknown signaling
         # The spec sees only bandwidth / N, so the two keys are checked here.
         if self.n_subcarriers < 1:
             raise ConfigError(f"n_subcarriers = {self.n_subcarriers} must be >= 1")
@@ -61,7 +58,6 @@ class Config:
             n_subcarriers=self.n_subcarriers,
             subcarrier_spacing=self.bandwidth / self.n_subcarriers,
             power_budget=self.power_budget,
-            signaling=signaling,
         )
 
     def geometry(self) -> Geometry:
@@ -86,6 +82,16 @@ class Config:
 
     def truncation_policy(self) -> TruncationPolicy:
         return TruncationPolicy(self.tail_prob)
+
+    def symbol_policy(self) -> TruncationPolicy | None:
+        """``simulate``'s symbol law: None (constant modulus) or ``truncation_policy()``."""
+        policy = self.truncation_policy()  # tail_prob is checked under either law
+        return policy if self._gaussian() else None
+
+    def _gaussian(self) -> bool:
+        if self.signaling not in ("constant-modulus", "gaussian"):
+            raise ConfigError(f"unknown signaling mode {self.signaling!r}")
+        return self.signaling == "gaussian"
 
     def channel_gains(self) -> ChannelGains:
         """Squared channel gains at unit noise power.

@@ -70,11 +70,11 @@ def synthesize_raw(
     alloc: PowerAllocation,
     sigma2: float,
     seed: int,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy | None = None,
 ) -> RawDataCube:
-    """Fresh symbols every pulse (Gaussian ones truncated under ``policy``)
-    from stream 0 and noise from stream 1, each one pulse-major block: pulse p
-    reads row p.  All pulses are made in one ``synthesize_pulse`` call."""
+    """Fresh symbols every pulse from stream 0 (constant modulus for ``policy``
+    None) and noise from stream 1, each one pulse-major block: pulse p reads
+    row p.  All pulses are made in one ``synthesize_pulse`` call."""
     if scene.n_range_cells != spec.n_subcarriers:
         raise DimensionError("scene range cells must equal N (SWMP)")
     etas = geom.slow_time()

@@ -215,6 +215,8 @@ def load_scene(path, spec: WaveformSpec) -> Scene:
         m, n_az = (int(t) for t in lines[0][1:].split())
     except ValueError as exc:
         raise SceneFormatError("malformed header line") from exc
+    if min(m, n_az) < 1:
+        raise SceneFormatError(f"header '{lines[0]}' holds a count below 1")
     rows = lines[1:]
     if len(rows) != m:
         raise SceneFormatError(f"expected {m} rows, found {len(rows)}")

@@ -12,14 +12,12 @@ batched LS call per design and block on the received spectrum
 transforms its fast-time noise once for all designs, so no result depends on
 the block size.
 
-Random-signaling trials take their magnitudes from ``symbol_magnitudes``, the
-sampler images use: the low-magnitude tail below the q-quantile is excluded,
-so the empirical expectation exists and matches the truncated constant A.
+Every design's magnitudes come from ``symbol_magnitudes``, the sampler images
+use: a law of None is constant modulus, and a policy cuts the Gaussian tail
+below its q-quantile, so the empirical expectation exists and matches A.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +30,20 @@ from .allocation import (
 )
 from .errors import ConfigError, NoPeakError
 from .rangeproc import check_ls_floor, ls_estimate
-from .waveform import Signaling, WaveformSpec, symbol_magnitudes
+from .waveform import WaveformSpec, symbol_magnitudes
 
-__all__ = ["SignalDesign", "DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
+__all__ = ["DEFAULT_DESIGNS", "mse_vs_snr", "sidelobe_stats"]
 
 #: Trials per batched LS call; it bounds the memory a sweep holds at once.
 _TRIAL_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class SignalDesign:
-    label: str
-    signaling: Signaling
-    water_filled: bool  # water-filling allocation, else uniform
-
-
+#: (label, Gaussian symbols, water-filling allocation) of each design; the
+#: others draw constant-modulus symbols or spread the power uniformly.
 DEFAULT_DESIGNS = (
-    SignalDesign("constant-modulus uniform", Signaling.CONSTANT_MODULUS, False),
-    SignalDesign("gaussian uniform", Signaling.GAUSSIAN, False),
-    SignalDesign("gaussian comm-optimal", Signaling.GAUSSIAN, True),
+    ("constant-modulus uniform", False, False),
+    ("gaussian uniform", True, False),
+    ("gaussian comm-optimal", True, True),
 )
 
 
@@ -87,6 +80,7 @@ def mse_vs_snr(
 
     The communication noise power is tied to the radar noise power (one SNR
     knob), so the water-filling design tends to uniform as SNR grows.
+    ``policy`` is the Gaussian designs' law; the constant-modulus one's is None.
     Returns one row dict per (snr, design) with keys ``snr_db``, ``design``,
     ``empirical_nmse``, ``analytic_nmse``.  Designs whose allocation dries a
     subcarrier report infinite MSE (the LS estimator is singular there); one
@@ -95,11 +89,7 @@ def mse_vs_snr(
     """
     if n_trials < 100:
         raise ConfigError(f"trials = {n_trials} must be at least 100")
-    # Constant-modulus symbols have no truncation policy: A = 1.
-    policies = [
-        None if dsg.signaling is Signaling.CONSTANT_MODULUS else policy
-        for dsg in DEFAULT_DESIGNS
-    ]
+    policies = [policy if gaussian else None for _, gaussian, _ in DEFAULT_DESIGNS]
     n = spec.n_subcarriers
     # Error is independent of the scene, so a unit point scatterer suffices.
     d = np.zeros(n, dtype=complex)
@@ -110,11 +100,11 @@ def mse_vs_snr(
     for si, snr_db in enumerate(snr_db_grid):
         sigma2 = spec.noise_power(snr_db)
         filled = water_filling(ch.rescaled(sigma2), spec.power_budget)
-        allocs = [filled if dsg.water_filled else uniform for dsg in DEFAULT_DESIGNS]
+        allocs = [filled if filling else uniform for *_, filling in DEFAULT_DESIGNS]
         alive = [not np.any(al.powers == 0.0) for al in allocs]
-        for dsg, alloc, pol, live in zip(DEFAULT_DESIGNS, allocs, policies, alive):
+        for (label, *_), alloc, pol, live in zip(DEFAULT_DESIGNS, allocs, policies, alive):
             if live:  # magnitudes grow with u, so u = 0 gives the smallest draw
-                check_ls_floor(symbol_magnitudes(alloc.powers, pol, 0.0) ** 2, alloc, dsg.label)
+                check_ls_floor(symbol_magnitudes(alloc.powers, pol, 0.0) ** 2, alloc, label)
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = np.where(alive, 0.0, np.inf)
         streams = _point_streams(seed, si)
@@ -129,11 +119,11 @@ def mse_vs_snr(
                 syms = symbol_magnitudes(alloc.powers[:, None], policies[di], u) * rotations
                 err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
-        for di, dsg in enumerate(DEFAULT_DESIGNS):
+        for di, (label, *_) in enumerate(DEFAULT_DESIGNS):
             rows.append(
                 {
                     "snr_db": float(snr_db),
-                    "design": dsg.label,
+                    "design": label,
                     "empirical_nmse": float(sums[di] / n_trials),
                     "analytic_nmse": emse_of_alloc(allocs[di], sigma2, policies[di]),
                 }

@@ -13,7 +13,6 @@ normalization; it is chosen so the LS error closed forms
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,7 @@ import numpy as np
 from .allocation import PowerAllocation, TruncationPolicy
 from .errors import ConfigError, DimensionError
 
-__all__ = ["Signaling", "WaveformSpec", "draw_symbols", "symbol_magnitudes"]
-
-
-class Signaling(enum.Enum):
-    CONSTANT_MODULUS = "constant-modulus"
-    GAUSSIAN = "gaussian"
+__all__ = ["WaveformSpec", "draw_symbols", "symbol_magnitudes"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,6 @@ class WaveformSpec:
     n_subcarriers: int
     subcarrier_spacing: float
     power_budget: float | None = None
-    signaling: Signaling = Signaling.CONSTANT_MODULUS
 
     def __post_init__(self):
         if self.n_subcarriers < 1:
@@ -82,15 +75,16 @@ def draw_symbols(
     alloc: PowerAllocation,
     seed,
     pulses: int | None = None,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy | None = None,
 ) -> np.ndarray:
     """The (N,) symbols of one OFDM pulse, or the (N, P) block of ``pulses``.
 
     Row p of one pulse-major block of variates serves pulse p, so column p
     does not depend on the pulse count.  Phases are uniform; magnitudes come
-    from ``symbol_magnitudes``: |S_k|^2 = P_k for constant modulus, and for
-    Gaussian E|S_k|^2 = 2 P_k (1 - ln(1 - q)), |S_k|^2 >= -2 ln(1 - q) P_k,
-    the law of the EMSE constant A.  P_k = 0 gives S_k = 0.
+    from ``symbol_magnitudes``: |S_k|^2 = P_k for constant modulus (``policy``
+    None), else Gaussian with E|S_k|^2 = 2 P_k (1 - ln(1 - q)) and |S_k|^2 >=
+    -2 ln(1 - q) P_k at the policy's q, the law of the EMSE constant A.
+    P_k = 0 gives S_k = 0.
     """
     if len(alloc) != spec.n_subcarriers:
         raise DimensionError(
@@ -99,9 +93,8 @@ def draw_symbols(
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     lead = () if pulses is None else (pulses,)
     n = spec.n_subcarriers
-    if spec.signaling is Signaling.CONSTANT_MODULUS:
-        policy, u = None, None
-        phases = rng.uniform(0.0, 2.0 * np.pi, (*lead, n))
+    if policy is None:
+        u, phases = None, rng.uniform(0.0, 2.0 * np.pi, (*lead, n))
     else:
         u = rng.uniform(0.0, 1.0, (*lead, 2, n))  # per pulse: magnitude row, phase row
         u, phases = u[..., 0, :], 2.0 * np.pi * u[..., 1, :]

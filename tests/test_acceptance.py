@@ -10,7 +10,6 @@ import pytest
 from ofdmsar import (
     ChannelGains,
     PowerAllocation,
-    Signaling,
     TruncationPolicy,
     WaveformSpec,
     achievable_rate,
@@ -46,8 +45,8 @@ GEOM = Geometry(
     prf=800.0,
     aperture_time=1.0,
 )
-SPEC_CM = WaveformSpec(64, 1.5e9 / 64)
-SPEC_G = WaveformSpec(64, 1.5e9 / 64, signaling=Signaling.GAUSSIAN)
+SPEC = WaveformSpec(64, 1.5e9 / 64)
+GAUSSIAN = TruncationPolicy()  # the Gaussian symbol law; None is constant modulus
 SNR15_SIGMA2 = 10.0 ** (-1.5)  # power budget N, per-sample SNR convention
 
 
@@ -78,7 +77,7 @@ def test_criterion_01_noise_free_ls_exact():
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
-        sym = draw_symbols(SPEC_G, alloc, rng)
+        sym = draw_symbols(SPEC, alloc, rng, policy=GAUSSIAN)
         d = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         y_f = synthesize_pulse(sym, d, 0.0, rng)
         worst = max(worst, float(np.max(np.abs(ls_estimate(y_f, sym, alloc) - d))))
@@ -102,9 +101,9 @@ def test_criterion_02_constant_modulus_mse_closed_form():
     mc_ok = abs(total / draws - expected) / expected < 0.05
     trace_ok = True
     for m in (2, 4, 8, 16):
-        sp = WaveformSpec(m, 1.0, signaling=Signaling.GAUSSIAN)
+        sp = WaveformSpec(m, 1.0)
         al = PowerAllocation.uniform(m, float(m))
-        sy = draw_symbols(sp, al, seed=m)
+        sy = draw_symbols(sp, al, seed=m, policy=GAUSSIAN)
         s_mat = circulant_from_pulse(modulate(sy, sp), sp) / np.sqrt(m)
         trace = float(np.trace(np.linalg.inv(s_mat.conj().T @ s_mat)).real)
         trace_ok &= abs(trace - float(np.sum(1.0 / np.abs(sy) ** 2))) < 1e-10
@@ -114,7 +113,7 @@ def test_criterion_02_constant_modulus_mse_closed_form():
 def test_criterion_03_truncated_gaussian_emse_factor():
     name = "truncated-Gaussian expected MSE = A * sigma^2 * sum 1/P_k (5% empirical; ratio = A to 1e-9)"
     n, draws, sigma2 = 16, 10**4, 0.25
-    spec = WaveformSpec(n, 1.0, signaling=Signaling.GAUSSIAN)
+    spec = WaveformSpec(n, 1.0)
     alloc = PowerAllocation.uniform(n, float(n))
     policy = TruncationPolicy()
     d = np.zeros(n, dtype=complex)
@@ -188,10 +187,10 @@ def test_criterion_05_tradeoff_monotone_and_A_invariant():
     report(name, mono_ok and inv_ok)
 
 
-def _focused_point(spec, sigma2, seed):
-    scene = point_scene(spec, 1)
+def _focused_point(policy, sigma2, seed):
+    scene = point_scene(SPEC, 1)
     alloc = PowerAllocation.uniform(64, 64.0)
-    cube = synthesize_raw(spec, GEOM, scene, alloc, sigma2, seed)
+    cube = synthesize_raw(SPEC, GEOM, scene, alloc, sigma2, seed, policy)
     profiles = range_profile_cube(cube)
     corrected = rcmc_bulk(profiles, GEOM, scene.range_cell_size)
     return azimuth_compress(corrected, GEOM)
@@ -218,8 +217,8 @@ def test_criterion_06_point_target_focusing():
     name = "point target at 15 dB focuses within one cell for both signal types; azimuth mainlobes agree within 1 dB RMS"
     profiles = {}
     peak_ok = True
-    for label, spec in (("cm", SPEC_CM), ("gauss", SPEC_G)):
-        img = _focused_point(spec, SNR15_SIGMA2, seed=11)
+    for label, policy in (("cm", None), ("gauss", GAUSSIAN)):
+        img = _focused_point(policy, SNR15_SIGMA2, seed=11)
         peak = np.unravel_index(
             np.argmax(np.abs(img.complex_image)), img.db_image.shape
         )
@@ -249,9 +248,9 @@ def test_criterion_07_sidelobe_ordering():
     d[32] = 1.0
     pslrs = {"cm": [], "gauss": []}
     for seed in range(100):
-        for label, spec in (("cm", SPEC_CM), ("gauss", SPEC_G)):
+        for label, policy in (("cm", None), ("gauss", GAUSSIAN)):
             rng = np.random.default_rng(3000 + seed)
-            sym = draw_symbols(spec, alloc, rng)
+            sym = draw_symbols(SPEC, alloc, rng, policy=policy)
             y = synthesize_pulse(sym, d, SNR15_SIGMA2, rng)
             profile = np.abs(ls_estimate(y, sym, alloc)) ** 2
             pslr, _ = sidelobe_stats(profile)
@@ -263,7 +262,7 @@ def test_criterion_08_high_snr_gap_convergence():
     name = "comm-optimal vs imaging-optimal MSE gap shrinks monotonically over 0/10/20/30 dB"
     profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
     ch = ChannelGains(profile / profile.mean())
-    rows = mse_vs_snr(SPEC_G, ch, [0.0, 10.0, 20.0, 30.0], 500, seed=13)
+    rows = mse_vs_snr(SPEC, ch, [0.0, 10.0, 20.0, 30.0], 500, seed=13)
     gaps, emp_gaps = [], []
     for snr in (0.0, 10.0, 20.0, 30.0):
         at = {r["design"]: r for r in rows if r["snr_db"] == snr}
@@ -285,12 +284,12 @@ def test_criterion_08_high_snr_gap_convergence():
 def test_criterion_09_linear_cp_equals_circular_model():
     name = "cyclic-prefix linear convolution, trimmed, equals the circular echo model (N=8, 1e-12)"
     n = 8
-    spec = WaveformSpec(n, 1.0, signaling=Signaling.GAUSSIAN)
+    spec = WaveformSpec(n, 1.0)
     alloc = PowerAllocation.uniform(n, float(n))
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
-        sym = draw_symbols(spec, alloc, rng)
+        sym = draw_symbols(spec, alloc, rng, policy=GAUSSIAN)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         circ = apply_waveform(sym, d)
         lin = synthesize_pulse_linear_cp(modulate(sym, spec), d)
@@ -321,20 +320,19 @@ def test_criterion_11_image_error_equals_emse():
     # symbols) the noisy-minus-clean profiles are the LS error alone.  The
     # unit-modulus azimuth reference multiplies white error energy by
     # n_pulses, and focusing a unit scatterer gives a peak of n_pulses.
-    scene = point_scene(SPEC_CM, 1)
+    scene = point_scene(SPEC, 1)
     alloc = PowerAllocation.uniform(64, 64.0)
     policy = TruncationPolicy()
     seeds = range(16)
     ok = True
     # Per-pulse expectation: A = 1 exactly for constant modulus; Gaussian
     # E[1/|S_k|^2] = A / ((1 - q) P_k), where A omits the 1 / (1 - q).
-    for spec, pol, exact in ((SPEC_CM, None, 1.0),
-                             (SPEC_G, policy, 1.0 / (1.0 - policy.tail_prob))):
+    for pol, exact in ((None, 1.0), (policy, 1.0 / (1.0 - policy.tail_prob))):
         emse = emse_of_alloc(alloc, SNR15_SIGMA2, pol)
         profile_ratios, image_ratios = [], []
         for seed in seeds:
             profiles = [  # noisy, then noise-free
-                range_profile_cube(synthesize_raw(spec, GEOM, scene, alloc, s2, seed, policy))
+                range_profile_cube(synthesize_raw(SPEC, GEOM, scene, alloc, s2, seed, pol))
                 for s2 in (SNR15_SIGMA2, 0.0)
             ]
             images = [

@@ -37,6 +37,9 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+COMMANDS = ("allocate", "simulate", "mse-sweep", "tradeoff", "scene-gen")
+
+
 def assert_one_line_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
@@ -185,6 +188,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: io: ") and err.count("\n") == 1
         assert str(missing) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_unknown_signaling_config_error(self, small_cfg, tmp_path, capsys, cmd):
+        small_cfg.write_text(SMALL_CFG + "signaling = bogus\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(small_cfg), "--out", str(out), cmd]) == EXIT_CONFIG
+        assert "signaling" in assert_one_line_config_error(capsys)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_negative_seed_config_error(self, small_cfg, tmp_path, capsys, cmd):
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--seed", "-1", "--out", str(out), cmd])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the echo
+        assert captured.err.startswith("error: config: --seed") and captured.err.count("\n") == 1
         assert not out.exists()
 
 
@@ -473,6 +494,16 @@ class TestSceneGenRoundtrip:
         err = capsys.readouterr().err
         assert err.startswith("error: io:") and "'nan'" in err and err.count("\n") == 1
         assert not (out / "image.pgm").exists()
+
+    @pytest.mark.parametrize("header", ["# 8 -1", "# 8 0", "# -1 8"])
+    def test_header_count_below_one_io_exit(self, small_cfg, tmp_path, capsys, header):
+        bad = tmp_path / "counts.txt"
+        bad.write_text(f"{header}\n" + "0,0,0,0,0,0,0,0\n" * 8)
+        code = run(["--config", str(small_cfg), "--out", str(tmp_path / "run"), "simulate",
+                    "--scene", str(bad)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and header in err and err.count("\n") == 1
 
 
 class TestMseSweep:

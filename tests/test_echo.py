@@ -5,6 +5,7 @@ from ofdmsar import (
     Geometry,
     PowerAllocation,
     Scene,
+    TruncationPolicy,
     WaveformSpec,
     draw_symbols,
     ls_estimate,
@@ -16,7 +17,6 @@ from ofdmsar.echo import pulse_rng
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import range_cell_size, scene_coefficients
 from ofdmsar.scenes import car_scene, point_scene
-from ofdmsar.waveform import Signaling
 from oracles import (
     apply_waveform,
     circulant_from_pulse,
@@ -25,10 +25,15 @@ from oracles import (
     synthesize_raw_per_pulse,
 )
 
+#: The Gaussian symbol law at the default tail probability, and both laws.
+GAUSSIAN = TruncationPolicy()
+LAWS, LAW_IDS = (None, GAUSSIAN), ("constant-modulus", "gaussian")
 
-def seeded_symbols(n, seed, signaling=Signaling.GAUSSIAN):
-    spec = WaveformSpec(n, 1.0, signaling=signaling)
-    return spec, draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed)
+
+def seeded_symbols(n, seed):
+    """Gaussian symbols of one pulse at unit power per subcarrier."""
+    spec = WaveformSpec(n, 1.0)
+    return spec, draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed, policy=GAUSSIAN)
 
 
 class TestSynthesizePulse:
@@ -150,14 +155,14 @@ class TestSynthesizeRaw:
         s1 = cube.symbols[:, 1]
         assert not np.array_equal(s0, s1)
 
-    @pytest.mark.parametrize("signaling", list(Signaling))
-    def test_same_symbols_at_any_snr(self, geom, spec64, signaling):
+    @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
+    def test_same_symbols_at_any_snr(self, geom, spec64, policy):
         # Symbols and noise come from separate streams: the noise power does
         # not move the symbols.
-        spec = WaveformSpec(64, spec64.subcarrier_spacing, signaling=signaling)
-        scene = point_scene(spec, 1)
+        scene = point_scene(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cubes = [synthesize_raw(spec, geom, scene, alloc, s2, seed=9) for s2 in (0.0, 0.3, 5.0)]
+        cubes = [synthesize_raw(spec64, geom, scene, alloc, s2, 9, policy)
+                 for s2 in (0.0, 0.3, 5.0)]
         for cube in cubes[1:]:
             np.testing.assert_array_equal(cube.symbols, cubes[0].symbols)
 
@@ -183,13 +188,13 @@ class TestBatchedSynthesis:
     @pytest.mark.parametrize("prf", [800.0, 810.0])  # 810 pulses: a partial block
     @pytest.mark.parametrize("kind", ["point", "car"])
     @pytest.mark.parametrize("sigma2", [0.3, 0.0])
-    @pytest.mark.parametrize("signaling", list(Signaling))
-    def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, signaling):
-        spec = WaveformSpec(64, 1.5e9 / 64, signaling=signaling)
+    @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
+    def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, policy):
+        spec = WaveformSpec(64, 1.5e9 / 64)
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, seed=11)
+        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, 11, policy)
         profiles = range_profile_cube(cube)
         y = synthesize_raw_per_pulse(geom, scene, cube.symbols)
         if sigma2 != 0.0:

@@ -4,7 +4,6 @@ import pytest
 from ofdmsar import (
     ChannelGains,
     PowerAllocation,
-    Signaling,
     TruncationPolicy,
     mse_vs_snr,
     sidelobe_stats,
@@ -29,7 +28,7 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
             False: PowerAllocation.uniform(n, total).powers,
             True: water_filling(ch_eff, total).powers,
         }
-        sums = dict.fromkeys((dsg.label for dsg in DEFAULT_DESIGNS), 0.0)
+        sums = dict.fromkeys((label for label, *_ in DEFAULT_DESIGNS), 0.0)
         # The point's four streams; trial t reads row t of each, in trial order.
         root = np.random.SeedSequence(seed, spawn_key=(si,))
         mag, phase, re, im = (np.random.default_rng(c) for c in root.spawn(4))
@@ -37,18 +36,17 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
             u = mag.uniform(0.0, 1.0, n)
             phases = phase.uniform(0.0, 2.0 * np.pi, n)
             w = np.sqrt(sigma2 / 2.0) * (re.standard_normal(n) + 1j * im.standard_normal(n))
-            for dsg in DEFAULT_DESIGNS:
-                p = powers[dsg.water_filled]
-                mags = np.sqrt(p)
-                if dsg.signaling is Signaling.GAUSSIAN:
+            for label, gaussian, filling in DEFAULT_DESIGNS:
+                mags = np.sqrt(powers[filling])
+                if gaussian:
                     mags = mags * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
                 s = mags * np.exp(1j * phases)
                 y = np.fft.ifft(s * np.fft.fft(d)) + w
-                sums[dsg.label] += np.sum(np.abs(np.fft.ifft(np.fft.fft(y) / s) - d) ** 2)
-        for dsg in DEFAULT_DESIGNS:
-            scale = 1.0 if dsg.signaling is Signaling.CONSTANT_MODULUS else a
-            analytic = scale * sigma2 * np.sum(1.0 / powers[dsg.water_filled])
-            out[(float(snr_db), dsg.label)] = (sums[dsg.label] / n_trials, analytic)
+                sums[label] += np.sum(np.abs(np.fft.ifft(np.fft.fft(y) / s) - d) ** 2)
+        for label, gaussian, filling in DEFAULT_DESIGNS:
+            scale = a if gaussian else 1.0
+            analytic = scale * sigma2 * np.sum(1.0 / powers[filling])
+            out[(float(snr_db), label)] = (sums[label] / n_trials, analytic)
     return out
 
 
@@ -166,7 +164,7 @@ class TestMseVsSnr:
         assert first == alone
 
     def test_design_labels(self):
-        labels = [d.label for d in DEFAULT_DESIGNS]
+        labels = [label for label, *_ in DEFAULT_DESIGNS]
         assert "constant-modulus uniform" in labels
         assert "gaussian comm-optimal" in labels
 

@@ -1,7 +1,8 @@
 """The package names and the symbol law the benchmark harness relies on still hold.
 
 ``perfbench/tracer.py`` wraps package functions by module attribute, and
-``perfbench/checks.py`` runs a library pass of its own; a rename in the package
+``perfbench/checks.py`` runs a library pass of its own, which must image with
+the symbol law of the ``simulate`` runs it checks; a rename in the package
 would break ``--trace 1`` or the image-point checks without failing any other
 test.  ``perfbench/reference.py`` computes the MSE checks' expected values
 under the Gaussian law |S_k|^2 = 2 P_k T; a change of the package's law must
@@ -12,12 +13,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdmsar import TruncationPolicy
+from ofdmsar import PowerAllocation, TruncationPolicy, scenes, synthesize_raw
+from ofdmsar.config import parse_config
 from ofdmsar.waveform import symbol_magnitudes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -27,6 +30,7 @@ def load(name: str):
     """``perfbench/<name>.py`` as a module of its own, outside any package."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look their module up
     spec.loader.exec_module(module)  # the tracer needs the stdlib, the reference scipy
     return module
 
@@ -80,6 +84,24 @@ def test_point_checks_calls_resolve_and_bind():
             inspect.signature(target).bind(*[None] * len(node.args), **keywords)
             calls += 1
     assert calls >= 6
+
+
+def test_point_checks_pass_draws_the_simulate_law():
+    # run_end's noise-free pass calls synthesize_raw with six positional
+    # arguments on image-point's config; its cube must be the one ``simulate``
+    # draws, which passes the config's symbol law, constant modulus here.
+    call = next(n for n in ast.walk(run_end_of_point_checks())
+                if isinstance(n, ast.Call) and ast.unparse(n.func) == "echo.synthesize_raw")
+    assert len(call.args) == 6 and not call.keywords
+    cfg = parse_config(load("inputs")._config_text("image-point"))
+    spec, geom = cfg.waveform_spec(), cfg.geometry()
+    scene = scenes.make_scene(cfg.scene, spec, cfg.scene_azimuth)
+    alloc = PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
+    args = (spec, geom, scene, alloc, 0.0, 7)
+    bench, simulate = synthesize_raw(*args), synthesize_raw(*args, cfg.symbol_policy())
+    np.testing.assert_array_equal(bench.symbols, simulate.symbols)
+    np.testing.assert_array_equal(bench.spectrum, simulate.spectrum)
+    np.testing.assert_allclose(np.abs(bench.symbols), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("q", [1e-3, 0.05, 0.5])

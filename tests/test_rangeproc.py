@@ -3,7 +3,6 @@ import pytest
 
 from ofdmsar import (
     PowerAllocation,
-    Signaling,
     WaveformSpec,
     draw_symbols,
     ls_estimate,
@@ -25,10 +24,10 @@ def random_d(n, rng):
 class TestLsEstimate:
     def test_noise_free_exact(self):
         rng = np.random.default_rng(0)
-        spec = WaveformSpec(16, 1.0, signaling=Signaling.GAUSSIAN)
+        spec = WaveformSpec(16, 1.0)
         alloc = PowerAllocation.uniform(16, 16.0)
         for seed in range(20):
-            sym = draw_symbols(spec, alloc, seed=seed)
+            sym = draw_symbols(spec, alloc, seed=seed, policy=TruncationPolicy())
             d = random_d(16, rng)
             y_f = synthesize_pulse(sym, d, 0.0, seed=0)
             np.testing.assert_allclose(ls_estimate(y_f, sym, alloc), d, atol=1e-12)
@@ -49,10 +48,10 @@ class TestLsEstimate:
 
     def test_dense_pseudo_inverse_oracle(self):
         n = 8
-        spec = WaveformSpec(n, 1.0, signaling=Signaling.GAUSSIAN)
+        spec = WaveformSpec(n, 1.0)
         alloc = PowerAllocation.uniform(n, float(n))
         rng = np.random.default_rng(2)
-        sym = draw_symbols(spec, alloc, seed=3)
+        sym = draw_symbols(spec, alloc, seed=3, policy=TruncationPolicy())
         d = random_d(n, rng)
         y_f = synthesize_pulse(sym, d, 0.05, seed=4)
         y = np.fft.ifft(y_f)  # the fast-time echo the dense formula takes
@@ -62,9 +61,9 @@ class TestLsEstimate:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_mse_trace_identity(self, n):
-        spec = WaveformSpec(n, 1.0, signaling=Signaling.GAUSSIAN)
+        spec = WaveformSpec(n, 1.0)
         alloc = PowerAllocation.uniform(n, float(n))
-        sym = draw_symbols(spec, alloc, seed=n)
+        sym = draw_symbols(spec, alloc, seed=n, policy=TruncationPolicy())
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(n)
         trace = np.trace(np.linalg.inv(s_mat.conj().T @ s_mat)).real
         assert abs(trace - np.sum(1.0 / np.abs(sym) ** 2)) < 1e-10
@@ -156,7 +155,7 @@ class TestRangeProfileCube:
         # Fresh truncated-Gaussian symbols per pulse: empirical MSE matches
         # A * sigma^2 * sum 1/P_k within 5%.
         n, pulses = 16, 10**4
-        spec = WaveformSpec(n, 1.0, signaling=Signaling.GAUSSIAN)
+        spec = WaveformSpec(n, 1.0)
         alloc = PowerAllocation.uniform(n, float(n))
         policy = TruncationPolicy()
         sigma2 = 0.25

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ofdmsar import (
     PowerAllocation,
-    Signaling,
     TruncationPolicy,
     WaveformSpec,
     draw_symbols,
@@ -14,8 +13,8 @@ from ofdmsar.errors import ConfigError, DimensionError
 from oracles import circulant_from_pulse, modulate
 
 
-def gaussian_spec(n):
-    return WaveformSpec(n, 1.0, signaling=Signaling.GAUSSIAN)
+#: The Gaussian symbol law at the default tail probability.
+GAUSSIAN = TruncationPolicy()
 
 
 class TestSpec:
@@ -76,16 +75,16 @@ class TestDrawSymbols:
         rng = np.random.default_rng(0)
         acc = np.zeros(n)
         for _ in range(blocks):
-            sym = draw_symbols(gaussian_spec(n), alloc, rng, pulses, policy)
+            sym = draw_symbols(WaveformSpec(n, 1.0), alloc, rng, pulses, policy)
             acc += np.sum(np.abs(sym) ** 2, axis=1)
         expected = 2.0 * powers * (1.0 - np.log1p(-policy.tail_prob))
         assert np.all(np.abs(acc / (blocks * pulses) / expected - 1.0) < 0.02)
 
     def test_gaussian_mode_single_draw_variance(self):
-        spec = gaussian_spec(64)
+        spec = WaveformSpec(64, 1.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         draws = np.array(
-            [draw_symbols(spec, alloc, seed=s) for s in range(2000)]
+            [draw_symbols(spec, alloc, seed=s, policy=GAUSSIAN) for s in range(2000)]
         )
         expected = 2.0 * (1.0 - np.log1p(-TruncationPolicy().tail_prob))
         assert abs(np.mean(np.abs(draws) ** 2) / expected - 1.0) < 0.02
@@ -96,21 +95,21 @@ class TestDrawSymbols:
         n, pulses = 64, 4000
         policy = TruncationPolicy()
         alloc = PowerAllocation.uniform(n, float(n))
-        sym = draw_symbols(gaussian_spec(n), alloc, 17, pulses, policy)
+        sym = draw_symbols(WaveformSpec(n, 1.0), alloc, 17, pulses, policy)
         ratio = np.abs(sym) ** 2 / alloc.powers[:, None]
         floor = -2.0 * np.log1p(-policy.tail_prob)
         assert ratio.min() >= floor * (1.0 - 1e-12)
         # |S|^2 / P_k is 2 Exp(1) shifted by the floor: standard deviation 2.
         assert abs(ratio.mean() - (2.0 + floor)) < 10.0 / np.sqrt(ratio.size)
 
-    @pytest.mark.parametrize("signaling", list(Signaling))
-    def test_pulse_columns_independent_of_block(self, signaling):
-        spec = WaveformSpec(16, 1.0, signaling=signaling)
+    @pytest.mark.parametrize("policy", [None, GAUSSIAN], ids=["constant-modulus", "gaussian"])
+    def test_pulse_columns_independent_of_block(self, policy):
+        spec = WaveformSpec(16, 1.0)
         alloc = PowerAllocation.uniform(16, 16.0)
-        block = draw_symbols(spec, alloc, 5, 7)
+        block = draw_symbols(spec, alloc, 5, 7, policy)
         assert block.shape == (16, 7)
-        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, 3), block[:, :3])
-        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5), block[:, 0])
+        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, 3, policy), block[:, :3])
+        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, policy=policy), block[:, 0])
 
     def test_length_mismatch(self):
         spec = WaveformSpec(4, 1.0)
@@ -133,9 +132,9 @@ class TestModulate:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed):
-        spec = gaussian_spec(8)
+        spec = WaveformSpec(8, 1.0)
         alloc = PowerAllocation.uniform(8, 8.0)
-        sym = draw_symbols(spec, alloc, seed=seed)
+        sym = draw_symbols(spec, alloc, seed=seed, policy=GAUSSIAN)
         body = modulate(sym, spec)[spec.cp_len :]
         body_energy = np.sum(np.abs(body) ** 2)
         sym_energy = np.sum(np.abs(sym) ** 2)
@@ -144,8 +143,8 @@ class TestModulate:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_cp_replicates_tail(self, seed):
-        spec = gaussian_spec(8)
-        sym = draw_symbols(spec, PowerAllocation.uniform(8, 8.0), seed=seed)
+        spec = WaveformSpec(8, 1.0)
+        sym = draw_symbols(spec, PowerAllocation.uniform(8, 8.0), seed=seed, policy=GAUSSIAN)
         pulse = modulate(sym, spec)
         cp = pulse[: spec.cp_len]
         tail = pulse[pulse.size - spec.cp_len :]
@@ -169,8 +168,8 @@ class TestCirculant:
 
     def test_fft_diagonalization(self):
         n = 8
-        spec = gaussian_spec(n)
-        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=11)
+        spec = WaveformSpec(n, 1.0)
+        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=11, policy=GAUSSIAN)
         pulse = modulate(sym, spec)
         mat = circulant_from_pulse(pulse, spec)
         f = np.fft.fft(np.eye(n)) / np.sqrt(n)  # unitary DFT matrix
@@ -180,8 +179,8 @@ class TestCirculant:
 
     def test_eigenvalues_match_symbols(self):
         n = 8
-        spec = gaussian_spec(n)
-        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=5)
+        spec = WaveformSpec(n, 1.0)
+        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=5, policy=GAUSSIAN)
         mat = circulant_from_pulse(modulate(sym, spec), spec)
         # Eigenvalues are the unnormalized DFT of the body: sqrt(N) * S_k.
         eigs = np.fft.fft(mat[:, 0])
@@ -196,7 +195,7 @@ class TestCirculant:
 
 class TestTruncatedSampler:
     def test_magnitudes_above_quantile(self):
-        spec = gaussian_spec(64)
+        spec = WaveformSpec(64, 1.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         policy = TruncationPolicy(0.05)
         floor = np.sqrt(-2.0 * np.log1p(-0.05))  # per-subcarrier quantile, P_k = 1
@@ -207,7 +206,7 @@ class TestTruncatedSampler:
     def test_inverse_moment_matches_A(self):
         # E[1/|S|^2] = A / ((1 - q) P_k) under the truncated magnitude law.
         n = 16
-        spec = gaussian_spec(n)
+        spec = WaveformSpec(n, 1.0)
         alloc = PowerAllocation.uniform(n, float(n))
         policy = TruncationPolicy()
         total = 0.0
