@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -42,6 +43,7 @@ EXIT_IO = 4
 _KEYS = {f.name for f in dataclasses.fields(Config)}
 
 
+@functools.cache  # one parser a process, built by the first run, not on import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofdmsar",

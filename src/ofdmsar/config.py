@@ -61,7 +61,8 @@ class Config:
         )
 
     def geometry(self) -> Geometry:
-        """The platform geometry; the swath of N range cells must lie in front."""
+        """The platform geometry; the swath of N range cells must lie in front, and
+        the ``scene_azimuth`` columns, a pulse interval or more apart, in the pulses."""
         geom = Geometry(
             altitude=self.altitude,
             slant_range_center=self.slant_range_center,
@@ -78,6 +79,9 @@ class Config:
                 "not positive: slant_range_center must exceed n_subcarriers / 2 cells "
                 "of c / (2 * bandwidth)"
             )
+        if self.scene_azimuth > geom.n_pulses:
+            raise ConfigError(f"scene_azimuth = {self.scene_azimuth} exceeds the pulse count "
+                              f"{geom.n_pulses}, round(prf * aperture_time)")
         return geom
 
     def truncation_policy(self) -> TruncationPolicy:

@@ -14,6 +14,13 @@ from .azimuth import DB_FLOOR
 
 __all__ = ["write_pgm", "write_db_csv", "write_table_csv"]
 
+_BLOCK_CELLS = 4096  # cells encoded at a time, in whole rows; about 50 B of arrays each
+#: A CSV cell's parts as integers of their bytes, padded with 0 bytes that are dropped:
+#: "-", whole dB and "." (_HEADS[w + 1] for w dB, _HEADS[0] for 0); two pairs of decimals.
+_HEADS = np.array(["0.", *(f"-{w}." for w in range(1 - int(DB_FLOOR)))]).astype("S").view("<u4")
+_PAIRS = np.array([f"{i:02}" for i in range(100)]).astype("S").view("<u2")
+_CELL = np.dtype([("head", "<u4"), ("hi", "<u2"), ("lo", "<u2"), ("end", "S2")])
+
 
 def write_pgm(path, db_image: np.ndarray) -> None:
     """8-bit binary PGM (P5) with dB values mapped [DB_FLOOR, 0] -> [0, 255]."""
@@ -25,15 +32,26 @@ def write_pgm(path, db_image: np.ndarray) -> None:
 
 
 def write_db_csv(path, db_image: np.ndarray) -> None:
-    """dB raster as CSV to four decimals, one row per range cell.
-
-    Each row ends in "\\r\\n", as ``csv.writer`` ends it.  A ``SarImage``
-    raster is on the 1e-4 dB grid, so every value reads back exactly.
+    """dB raster as CSV, each cell as "%.4f" writes it (0 as "0.0000") and each
+    row ended in "\\r\\n", as ``csv.writer`` ends it.  The raster must lie on the
+    1e-4 dB grid in [DB_FLOOR, 0], as a ``SarImage`` raster does, so every value
+    reads back exactly; else ``ValueError`` is raised before the file is opened.
     """
     db = np.asarray(db_image, dtype=float)
-    row_fmt = ",".join(["%.4f"] * db.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.writelines(row_fmt % tuple(row.tolist()) for row in db)
+    blocks = np.array_split(db, max(1, db.size // _BLOCK_CELLS))
+    for block in blocks:
+        k = np.rint(block * -1e4)
+        if not ((k / -1e4 == block) & (k >= 0) & (k <= -1e4 * DB_FLOOR)).all():
+            raise ValueError(f"dB raster holds a value off the 1e-4 dB grid in [{DB_FLOOR}, 0]")
+    with open(path, "wb") as fh:
+        for block in blocks:
+            whole, rest = np.divmod(np.rint(block * -1e4).astype(np.int32), 10**4)
+            cells = np.empty(block.shape, _CELL)
+            cells["head"] = _HEADS[whole + (block < 0)]
+            cells["hi"], cells["lo"] = _PAIRS[rest // 100], _PAIRS[rest % 100]
+            cells["end"] = b","
+            cells["end"][:, -1] = b"\r\n"
+            fh.write(cells.tobytes().replace(b"\0", b""))
 
 
 def write_table_csv(path, rows: list[dict]) -> None:

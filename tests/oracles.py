@@ -11,6 +11,8 @@ occupied column only at the pulses that have it in the beam, and
 fast time, where the package batches the pulses in the subcarrier domain.
 The tests draw symbols through the package's ``draw_symbols``, whose one
 Gaussian magnitude law is the law under which the EMSE constant A holds.
+``write_db_csv_rows`` formats the dB raster one Python call per row, where the
+package builds the same bytes from integer counts in numpy.
 """
 
 import numpy as np
@@ -97,3 +99,11 @@ def synthesize_raw_per_pulse(
     for p, eta in enumerate(geom.slow_time()):
         y[:, p] = apply_waveform(symbols[:, p], scene_coefficients_dense(geom, scene, float(eta)))
     return y
+
+
+def write_db_csv_rows(path, db_image: np.ndarray) -> None:
+    """The dB raster as CSV through one ``%.4f`` row format, rows ended in "\\r\\n"."""
+    db = np.asarray(db_image, dtype=float)
+    row_fmt = ",".join(["%.4f"] * db.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.writelines(row_fmt % tuple(row.tolist()) for row in db)

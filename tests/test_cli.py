@@ -425,6 +425,21 @@ class TestSimulate:
         assert err.startswith("error: config: scene_azimuth") and err.count("\n") == 1
         assert not (out / "image_db.csv").exists()
 
+    @pytest.mark.parametrize("cmd, written", [("simulate", "image_db.csv"),
+                                              ("scene-gen", "scene_point.txt")])
+    @pytest.mark.parametrize("n_azimuth, code", [(64, EXIT_OK), (65, EXIT_CONFIG)])
+    def test_scene_azimuth_at_most_the_pulse_count(self, tmp_path, capsys, cmd, written,
+                                                   n_azimuth, code):
+        # 64 pulses: a 65th column would lie off the slow-time grid it is imaged on.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"n_subcarriers = 16\nprf = 64\nscene_azimuth = {n_azimuth}\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "--out", str(out), cmd]) == code
+        assert (out / written).exists() == (code == EXIT_OK)
+        if code == EXIT_CONFIG:
+            err = assert_one_line_config_error(capsys)
+            assert "scene_azimuth = 65" in err and "pulse count 64" in err
+
     def test_infinite_snr_is_noise_free(self, small_cfg, tmp_path):
         out = tmp_path / "run"
         code = run(["--config", str(small_cfg), "--out", str(out), "simulate",

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ofdmsar.azimuth import SarImage
+from ofdmsar.azimuth import DB_FLOOR, SarImage
 from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.output import write_db_csv, write_pgm
+from oracles import write_db_csv_rows
 
 # dB magnitudes in [-40, 0]; -4e-5 dB rounds to a zero that must not print as
 # "-0.0000", and -5e-5 dB lies on a rounding boundary.
@@ -56,3 +57,42 @@ def test_pgm_is_the_quantization_of_the_db_csv(tmp_path, scene_cfg, seed):
     write_pgm(tmp_path / "reference.pgm", db)
     assert (out / "image.pgm").read_bytes() == (tmp_path / "reference.pgm").read_bytes()
     assert db.shape == (16, 64) and db.max() == 0.0
+
+
+# Every on-grid value from the floor to 0 dB, and the cells whose text is
+# irregular: 0 (no sign), the floor, one whole-dB digit against two.
+GRID_RASTERS = arrays(
+    float,
+    st.tuples(st.integers(1, 6), st.integers(1, 9)),
+    elements=st.floats(DB_FLOOR, 0.0)
+    | st.sampled_from([0.0, DB_FLOOR, -9.9999, -10.0, -0.0001, -4e-5, -5e-5]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(db=GRID_RASTERS)
+@example(db=np.array([[0.0]]))
+@example(db=np.array([[DB_FLOOR], [-9.9999], [-10.0], [0.0]]))
+@example(db=np.array([[0.0, DB_FLOOR, -9.9999, -10.0, -0.0001, -0.9999, -39.9999, -1.0, -12.3456]]))
+def test_db_csv_bytes_equal_the_row_format_oracle(db):
+    raster = SarImage.from_complex(10.0 ** (db / 20.0)).db_image
+    with tempfile.TemporaryDirectory() as tmp:
+        write_db_csv(Path(tmp) / "numpy.csv", raster)
+        write_db_csv_rows(Path(tmp) / "oracle.csv", raster)
+        assert (Path(tmp) / "numpy.csv").read_bytes() == (Path(tmp) / "oracle.csv").read_bytes()
+
+
+def test_db_csv_bytes_of_every_grid_value(tmp_path):
+    raster = (np.arange(round(-DB_FLOOR * 1e4) + 1) / -1e4 + 0.0).reshape(-1, 1)
+    write_db_csv(tmp_path / "numpy.csv", raster)
+    write_db_csv_rows(tmp_path / "oracle.csv", raster)
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [-0.00005, DB_FLOOR - 1e-4, 1e-4, np.nan, -np.inf])
+def test_db_csv_rejects_a_value_off_the_grid(tmp_path, value):
+    db = np.full((3, 4), -12.5)
+    db[2, 1] = value
+    with pytest.raises(ValueError, match="1e-4 dB grid"):
+        write_db_csv(tmp_path / "image_db.csv", db)
+    assert not (tmp_path / "image_db.csv").exists()

@@ -6,7 +6,9 @@ the symbol law of the ``simulate`` runs it checks; a rename in the package
 would break ``--trace 1`` or the image-point checks without failing any other
 test.  ``perfbench/reference.py`` computes the MSE checks' expected values
 under the Gaussian law |S_k|^2 = 2 P_k T; a change of the package's law must
-move it in the same change.  These files are read here, never edited.
+move it in the same change.  ``checks.read_db_csv`` parses every
+``image_db.csv``, so a writer change it cannot parse must fail here, not end
+the benchmark run.  These files are read here, never edited.
 """
 
 import ast
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from ofdmsar import PowerAllocation, TruncationPolicy, scenes, synthesize_raw
+from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.config import parse_config
 from ofdmsar.waveform import symbol_magnitudes
 
@@ -115,3 +118,16 @@ def test_gaussian_law_is_the_reference_law(q):
     powers = np.linspace(0.1, 10.0, u.size)
     t = symbol_magnitudes(powers, policy, u) ** 2 / (2.0 * powers)
     np.testing.assert_allclose(t, reference.truncation_point(q) - np.log1p(-u), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scene_cfg", ["scene = point\n", "scene = car\nsignaling = gaussian\n"])
+def test_benchmark_reader_parses_simulate_images(tmp_path, monkeypatch, scene_cfg):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports inputs and reference
+    checks = load("checks")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_subcarriers = 16\nprf = 64\n" + scene_cfg)
+    out = tmp_path / "run"
+    assert run(["--config", str(cfg), "--seed", "3", "--out", str(out), "simulate"]) == EXIT_OK
+    db = checks.read_db_csv(out / "image_db.csv")
+    assert db.shape == (16, 64) and db.max() == 0.0
+    checks.check_pgm(checks.read_pgm(out / "image.pgm"), db)
