@@ -191,7 +191,7 @@ def emse_of_alloc(
 
 
 # ---------------------------------------------------------------------------
-# Rate-constrained EMSE minimization: safeguarded Newton on the KKT system
+# Rate-constrained EMSE minimization: damped Newton on the KKT system
 # (Boyd & Vandenberghe, Convex Optimization, sec. 5.5).  Stationarity for
 # subcarrier k:
 #
@@ -200,16 +200,15 @@ def emse_of_alloc(
 # with lam >= 0 the rate multiplier and mu the power multiplier.  f_k is
 # convex and decreasing in P, so a Newton step from any point lands at or left
 # of its root, and Newton then climbs to it; iterates are clipped to a closed-
-# form lower bound, so any start is safe.  Each root P_k(mu) inverts a convex
-# decreasing map, so the power sum is convex and decreasing in mu, and Newton
-# on mu behaves the same way inside a closed-form bracket.  The achieved rate
-# is nondecreasing in lam; lam is found by a bracketing secant method, and the
-# powers returned are those at the bracket's feasible end.  Each solve starts
-# from the last along the tangent of the solution path (Allgower & Georg,
-# Numerical Continuation Methods).
+# form lower bound, so any start is safe.  With the roots P_k(mu, lam), the
+# budget and the rate floor are two equations in (mu, lam), solved together
+# by Newton from the uniform allocation's multipliers.  Each step is damped by
+# the natural monotonicity test (Deuflhard, Newton Methods for Nonlinear
+# Problems, 2004): the old Jacobian's correction at the trial point must
+# shrink against the full step.
 #
-# Each loop stops on a tolerance its bracket guarantees to reach; the step
-# caps only turn a broken invariant into an error instead of a wrong answer.
+# The step caps only turn a broken invariant into an error instead of a
+# wrong answer; no tested or fuzzed case reaches one.
 # ---------------------------------------------------------------------------
 
 _RATE_TOL = 1e-8  # relative rate tolerance of the rate-constrained solver
@@ -237,65 +236,11 @@ def _stationarity_roots(
     raise RuntimeError("per-subcarrier Newton did not converge")
 
 
-def _powers_for_lambda(
-    lam: float, g: np.ndarray, total: float, a: float, level: float,
-    prev: tuple | None = None,
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """The state (lam, mu, powers, slopes f_k') meeting the budget at ``lam``.
-
-    ``level`` is the water level of the channel's water-filling allocation;
-    ``prev`` is the state of another solve on the channel, to start from.
-    """
-    # The lam = 0 multiplier puts every root at or right of total/N, so the
-    # power sum is at least the budget there; adding lam * max(g) puts every
-    # root at or left of total/N.
-    mu_lo = a * (g.size / total) ** 2
-    mu_hi = mu_lo + lam * np.max(g)
-    # Each root lies right of lam/mu - 1/g_k, so at mu = lam/level the power sum
-    # is at least the water-filling budget: a second lower bound on mu, the
-    # tighter one when the rate term dominates.
-    mu, guess = max(mu_lo, lam / level), None
-    if prev is not None:
-        # dP_k = (dmu - gd_k dlam) / f_k' keeps f_k at zero; the budget fixes dmu.
-        lam0, mu0, p0, slope0 = prev
-        gd = g / (1.0 + g * p0)
-        pred = mu0 + (lam - lam0) * np.sum(gd / slope0) / np.sum(1.0 / slope0)
-        mu = pred if mu < pred < mu_hi else mu
-        guess = p0 + (mu - mu0 - gd * (lam - lam0)) / slope0
-    for _ in range(_MAX_STEPS):
-        p, slope = _stationarity_roots(mu, lam, g, a, guess)
-        psum = p.sum()
-        if psum > total:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-        # dP_k/d(mu) = 1 / f_k'(P_k).  Once the step is below 1e-13 of mu, mu
-        # is as close as its rounding allows; the last step is taken on the
-        # powers alone, to first order, which meets the budget without
-        # moving the stationarity levels apart.
-        step = (total - psum) / np.sum(1.0 / slope)
-        if abs(step) <= 1e-13 * mu:
-            return lam, mu, p + step / slope, slope
-        new = mu + step
-        if not mu_lo < new < mu_hi:
-            new = 0.5 * (mu_lo + mu_hi)  # the step left the bracket: bisect
-        mu, guess = new, p + (new - mu) / slope
-    raise RuntimeError("power-multiplier Newton did not converge")
-
-
 def _rate_constrained(
-    ch: ChannelGains,
-    total: float,
-    rate_floor: float,
-    a: float,
-    wf: PowerAllocation,
-    lam_start: float = 0.0,
+    ch: ChannelGains, total: float, rate_floor: float, a: float, wf: PowerAllocation
 ) -> tuple[PowerAllocation, float]:
-    """The minimizer and its rate multiplier lam (inf at capacity).
-
-    ``wf`` is the channel's water-filling allocation.  ``lam_start`` is a
-    guess for lam, e.g. the multiplier of a lower rate floor on the channel.
-    """
+    """The minimizer and its rate multiplier lam (inf at capacity), given the
+    channel's water-filling allocation ``wf``."""
     g = ch.gains
     capacity = achievable_rate(wf, ch)
     cap_tol = _RATE_TOL * max(1.0, capacity)
@@ -305,54 +250,56 @@ def _rate_constrained(
         return wf, np.inf
     floor_tol = _RATE_TOL * max(1.0, rate_floor)
     uniform = PowerAllocation.uniform(g.size, total)
-    r_uniform = achievable_rate(uniform, ch)
-    if r_uniform >= rate_floor - floor_tol:
+    if achievable_rate(uniform, ch) >= rate_floor - floor_tol:
         return uniform, 0.0
 
-    wet = wf.powers > 0
-    level = float(np.max(wf.powers[wet] + 1.0 / g[wet]))
-    prev = None  # the last solve's state starts the next
+    def residuals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g_k / (1 + g_k P_k), and the budget and rate residuals."""
+        r = np.array([p.sum() - total, np.sum(np.log2(1.0 + g * p)) - rate_floor])
+        return g / (1.0 + g * p), r
 
-    def rate_at(lam: float) -> tuple[np.ndarray, float]:
-        nonlocal prev
-        prev = _powers_for_lambda(lam, g, total, a, level, prev)
-        return prev[2], float(np.sum(np.log2(1.0 + prev[2] * g)))
+    def budget_step(mu: float, slope: np.ndarray, r: np.ndarray) -> float | None:
+        """The last step on mu, taken on the powers alone to first order, once
+        it is below 1e-13 of mu and the rate is within half the tolerance."""
+        step = -r[0] / np.sum(1.0 / slope)
+        done = abs(step) <= 1e-13 * mu and abs(r[1]) <= 0.5 * floor_tol
+        return step if done else None
 
-    # Bracket lam: rate(lo) < rate_floor <= rate(hi), lam = 0 being uniform.
-    # f_lo and f_hi are the rate excesses at the ends, as the secant weighs them.
-    lo, f_lo = 0.0, r_uniform - rate_floor
-    hi = lam_start if lam_start > 0 else a * (g.size / total) ** 2
-    p_hi, r_hi = rate_at(hi)
+    # The uniform allocation's multipliers, where the budget residual is 0.
+    mu, lam, p = a * (g.size / total) ** 2, 0.0, uniform.powers
+    slope = -2.0 * a / p**3
+    gd, r = residuals(p)
     for _ in range(_MAX_STEPS):
-        if r_hi >= rate_floor:
-            break
-        lo, f_lo = hi, r_hi - rate_floor
-        hi *= 4.0
-        p_hi, r_hi = rate_at(hi)
-    else:
-        raise RuntimeError("no rate multiplier reaches the rate floor")
-
-    # Illinois: regula falsi that halves the weight of an end kept twice.
-    f_hi = r_hi - rate_floor
-    kept = 0
-    for _ in range(_MAX_STEPS):
-        if r_hi - rate_floor <= floor_tol or hi - lo <= 1e-15 * hi:
-            return PowerAllocation(p_hi, total), hi
-        lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-        p, r = rate_at(lam)
-        if r < rate_floor:
-            lo, f_lo = lam, r - rate_floor
-            if kept < 0:
-                f_hi *= 0.5
-            kept = -1
+        last = budget_step(mu, slope, r)
+        if last is not None:
+            return PowerAllocation(p + last / slope, total), lam
+        # dP_k = (dmu - gd_k dlam) / f_k' keeps f_k at zero, so with w = 1/f'
+        # the Jacobian is [[sw, -sgw], [sgw, -sggw] / ln 2].  Its determinant
+        # times ln 2 is -sw * sum(w (gd - sgw/sw)^2), free of cancellation.
+        w, ln2 = 1.0 / slope, math.log(2.0)
+        sw, sgw, sggw = w.sum(), (gd * w).sum(), (gd * gd * w).sum()
+        spread = sw * np.sum(w * (gd - sgw / sw) ** 2)
+        inv = np.array([[sggw, -sgw * ln2], [sgw, -sw * ln2]]) / spread
+        step = -inv @ r
+        # Sizes are relative to (mu, lam), with lam at least its step: lam starts at 0.
+        scale = np.array([mu, max(lam, abs(step[1]))])
+        size = np.linalg.norm(step / scale)
+        t = 1.0
+        for _ in range(_MAX_STEPS):
+            mu_t, lam_t = mu + t * step[0], max(lam + t * step[1], 0.0)
+            if mu_t > 0.0:
+                guess = p + (mu_t - mu - gd * (lam_t - lam)) / slope
+                p_t, slope_t = _stationarity_roots(mu_t, lam_t, g, a, guess)
+                gd_t, r_t = residuals(p_t)
+                # A converged trial is taken as it is: rounding stalls the test there.
+                if (budget_step(mu_t, slope_t, r_t) is not None
+                        or np.linalg.norm(inv @ r_t / scale) <= (1.0 - t / 4.0) * size):
+                    break
+            t *= 0.5
         else:
-            hi, r_hi, p_hi, f_hi = lam, r, p, r - rate_floor
-            if kept > 0:
-                f_lo *= 0.5
-            kept = 1
-    raise RuntimeError("rate-multiplier secant did not converge")
+            raise RuntimeError("multiplier Newton found no descending step")
+        mu, lam, p, slope, gd, r = mu_t, lam_t, p_t, slope_t, gd_t, r_t
+    raise RuntimeError("multiplier Newton did not converge")
 
 
 def emse_rate_constrained(
@@ -363,10 +310,11 @@ def emse_rate_constrained(
 ) -> PowerAllocation:
     """Minimize A*sigma^2*sum(1/P_k) subject to the budget and rate floor.
 
-    Solved on the KKT system by Newton steps on the per-subcarrier powers
-    and the power multiplier, and a bracketing secant on the rate multiplier
-    (no general-purpose solver).  The achieved rate is at least
-    ``rate_floor - 1e-8 * max(1, rate_floor)``.  The optimizer is invariant to
+    Solved on the KKT system (no general-purpose solver): Newton on the
+    per-subcarrier powers inside a damped Newton on the power and rate
+    multipliers together, started from the uniform allocation.  The achieved
+    rate is at least ``rate_floor - 1e-8 * max(1, rate_floor)``; where the
+    floor binds, it lies within half that tolerance of the floor.  The optimizer is invariant to
     the values of A and sigma^2; they only scale the objective, so sigma^2 is
     not an argument.  Endpoints: rate_floor <= uniform rate returns the
     uniform allocation (lam = 0, slack rate constraint); rate_floor at
@@ -409,9 +357,8 @@ def tradeoff_sweep(
     capacity = achievable_rate(wf, ch)
     a = policy.A
     points = []
-    lam = 0.0  # lam is nondecreasing in the floor: each solve starts from the last
     for r0 in np.linspace(0.0, capacity, n_points):
-        alloc, lam = _rate_constrained(ch, total, float(r0), a, wf, lam)
+        alloc, _ = _rate_constrained(ch, total, float(r0), a, wf)
         emse = emse_of_alloc(alloc, sigma2, policy)
         points.append(
             TradeoffPoint(float(r0), achievable_rate(alloc, ch), emse, alloc)

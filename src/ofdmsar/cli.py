@@ -147,6 +147,7 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
         else:
             print(f"range_pslr_db = {pslr!r}")
             print(f"range_islr_db = {islr!r}")
+    del mag  # not held through the writers' buffers
     write_pgm(out / "image.pgm", image.db_image)
     write_db_csv(out / "image_db.csv", image.db_image)
     print(f"wrote {out / 'image.pgm'}")

@@ -8,7 +8,10 @@ test.  ``perfbench/reference.py`` computes the MSE checks' expected values
 under the Gaussian law |S_k|^2 = 2 P_k T; a change of the package's law must
 move it in the same change.  ``checks.read_db_csv`` parses every
 ``image_db.csv``, so a writer change it cannot parse must fail here, not end
-the benchmark run.  These files are read here, never edited.
+the benchmark run.  The benchmark checks one interior tradeoff point per run
+against an SQP solve; every sweep of its round, and every binding point of
+each, is checked here, so a solver change it would refuse fails here first.
+These files are read here, never edited.
 """
 
 import ast
@@ -131,3 +134,21 @@ def test_benchmark_reader_parses_simulate_images(tmp_path, monkeypatch, scene_cf
     db = checks.read_db_csv(out / "image_db.csv")
     assert db.shape == (16, 64) and db.max() == 0.0
     checks.check_pgm(checks.read_pgm(out / "image.pgm"), db)
+
+
+@pytest.mark.parametrize("channel_seed", range(8))
+def test_benchmark_checks_pass_every_tradeoff_sweep(tmp_path, monkeypatch, channel_seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports inputs and reference
+    checks, inputs = load("checks"), load("inputs")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(inputs._config_text("tradeoff", channel_seed))
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg), "--out", str(out), "tradeoff",
+            "--snr-db", repr(inputs.TRADEOFF_SNR_DB), "--points", str(inputs.TRADEOFF_POINTS)]
+    assert run(argv) == EXIT_OK
+    rows = checks.read_table(out / "tradeoff.csv")
+    ref = checks.tradeoff_reference(channel_seed)
+    checks.check_tradeoff_rows(rows, ref, inputs.TRADEOFF_POINTS)
+    for i in range(1, len(rows) - 1):
+        if rows[i]["rate_floor"] > rows[0]["rate_achieved"]:  # the floor binds
+            checks.check_convex_point(rows, ref, i)
