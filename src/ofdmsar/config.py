@@ -21,6 +21,8 @@ from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
 
+_MAX_IMAGE_CELLS = 2**24  # N x n_pulses of one image: 256 MiB in each complex array
+
 
 @dataclass
 class Config:
@@ -61,8 +63,8 @@ class Config:
         )
 
     def geometry(self) -> Geometry:
-        """The platform geometry; the swath of N range cells must lie in front, and
-        the ``scene_azimuth`` columns, a pulse interval or more apart, in the pulses."""
+        """Geometry of an image of N x n_pulses <= 2**24 cells, its swath in front of
+        the platform and its ``scene_azimuth`` columns, a pulse apart or more, in it."""
         geom = Geometry(
             altitude=self.altitude,
             slant_range_center=self.slant_range_center,
@@ -72,6 +74,9 @@ class Config:
             aperture_time=self.aperture_time,
         )
         spec = self.waveform_spec()
+        if spec.n_subcarriers * geom.n_pulses > _MAX_IMAGE_CELLS:
+            raise ConfigError(f"prf * aperture_time = {geom.n_pulses} pulses times N = "
+                              f"{spec.n_subcarriers} exceeds {_MAX_IMAGE_CELLS} image cells")
         near = closest_approach_ranges(geom, spec.n_subcarriers, range_cell_size(spec))[0]
         if not near > 0.0:
             raise ConfigError(

@@ -77,7 +77,6 @@ def synthesize_raw(
     row p.  All pulses are made in one ``synthesize_pulse`` call."""
     if scene.n_range_cells != spec.n_subcarriers:
         raise DimensionError("scene range cells must equal N (SWMP)")
-    etas = geom.slow_time()
-    symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), etas.size, policy)
-    d = scene_coefficients(geom, scene, etas)
+    symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), geom.n_pulses, policy)
+    d = scene_coefficients(geom, scene, np.arange(geom.n_pulses))
     return RawDataCube(synthesize_pulse(symbols, d, sigma2, pulse_rng(seed, 1)), symbols, alloc)

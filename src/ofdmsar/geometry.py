@@ -1,15 +1,14 @@
 """Side-looking SAR geometry, slow-time grid, scenes, and pulse coefficients.
 
-A scatterer in range cell m and azimuth column a contributes, at slow time
-eta, the weighting coefficient
+A scatterer in range cell m and azimuth column a contributes, at pulse p, the
+weighting coefficient
 
-    d_m = g_m * env(eta - eta_a) * exp(-j 4 pi f_c R_m(eta - eta_a) / c)
+    d_m = g_m * env(o / prf) * exp(-j 4 pi f_c R_m(o / prf) / c)
 
-where R_m is the hyperbolic slant-range history about the scatterer's own
-closest approach and env is a rectangular aperture window of width T_a.
-Scene columns sit at the centers of resolvable azimuth cells.  A scatterer is
-synthesized only while in the beam, |eta - eta_a| <= T_a / 2: each occupied
-column is evaluated at those pulses alone and added into d in ascending order.
+where o = p - n_pulses // 2 - s_a is the pulse's offset from the column's
+closest approach, R_m is row m's hyperbolic slant-range history and env a
+rectangular aperture window of width T_a.  Columns lie a whole number of
+pulses apart, so the scatterers of row m share one range-history kernel.
 """
 
 from __future__ import annotations
@@ -136,15 +135,18 @@ def closest_approach_ranges(geom: Geometry, m: int, cell_size: float) -> np.ndar
     return r0 + np.arange(m) * cell_size
 
 
-def column_center_times(geom: Geometry, scene: Scene) -> np.ndarray:
-    """Closest-approach slow times of the scene's azimuth columns.
+def _column_shifts(geom: Geometry, n_azimuth: int) -> np.ndarray:
+    """Columns' closest approaches s_a in pulses after pulse n_pulses // 2, a
+    step of max(1, round(prf * rho_a / v)) apart, the count nearest one azimuth
+    cell; a step past n_pulses, where no other column is ever in the beam, is held."""
+    step = max(1, round(min(geom.prf * geom.azimuth_resolution() / geom.velocity,
+                            geom.n_pulses)))
+    return (np.arange(n_azimuth) - n_azimuth // 2) * step
 
-    Columns are one resolvable azimuth cell apart with the middle column at
-    eta = 0.
-    """
-    step = geom.azimuth_resolution() / geom.velocity
-    a = np.arange(scene.n_azimuth)
-    return (a - scene.n_azimuth // 2) * step
+
+def column_center_times(geom: Geometry, scene: Scene) -> np.ndarray:
+    """Closest-approach slow times s_a / prf of the scene's azimuth columns."""
+    return _column_shifts(geom, scene.n_azimuth) / geom.prf
 
 
 def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
@@ -152,27 +154,36 @@ def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
     return (np.abs(eta) <= geom.aperture_time / 2.0).astype(float)
 
 
-def scene_coefficients(geom: Geometry, scene: Scene, eta) -> np.ndarray:
-    """Coefficients d_m summed over the columns: (M,), or (M, P) for P slow times.
+def scene_coefficients(geom: Geometry, scene: Scene, pulses) -> np.ndarray:
+    """Coefficients d_m summed over the columns at pulse indices into
+    ``geom.slow_time()``, in any order: (M,) for one index, (M, P) for P.
 
-    Each occupied column is evaluated only at the slow times its aperture
-    envelope keeps, |eta - eta_a| <= T_a / 2, and its terms are added into d
-    column by column in ascending order, so column p is bit-identical to
-    evaluating the scene at slow time ``eta[p]`` alone.
+    The kernel exp(-j 4 pi f_c R_m(o / prf) / c) is evaluated once per occupied
+    row m at each distinct in-beam offset o = p - n_pulses // 2 - s_a; columns
+    add rcs times it into d in ascending order, column p bit for bit as at
+    ``pulses[p]`` alone.
     """
-    etas = np.atleast_1d(np.asarray(eta, dtype=float))
+    q, back = np.unique(pulses, return_inverse=True)  # ascending distinct pulses
     rows, cols = scene.occupied
-    centers = column_center_times(geom, scene)
+    columns, starts, counts = np.unique(cols, return_index=True, return_counts=True)
+    offsets = q - geom.n_pulses // 2 - _column_shifts(geom, scene.n_azimuth)[columns, None]
+    in_beam = aperture_envelope(geom, offsets / geom.prf).astype(bool)  # a run of q per column
+    base = geom.n_pulses // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1
+    needed = np.flatnonzero(np.bincount(offsets[in_beam] + base)) - base
+    kernel_rows = np.flatnonzero(np.bincount(rows))
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
-    d = np.zeros((scene.n_range_cells, etas.size), dtype=complex)
-    columns, starts = np.unique(cols, return_index=True)
-    for a, rows_a in zip(columns, np.split(rows, starts[1:])):
-        eta_rel = etas - centers[a]
-        kept = np.flatnonzero(aperture_envelope(geom, eta_rel))
-        r = slant_range(geom, rbar[rows_a, None], eta_rel[kept])
-        phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-        d[rows_a[:, None], kept] += scene.rcs[rows_a, a, None] * phase
-    return d if np.ndim(eta) else d[:, 0]
+    r = slant_range(geom, rbar[kernel_rows, None], needed / geom.prf)
+    kernel = np.zeros((rows.max(initial=-1) + 1, 2 * base + 1), dtype=complex)  # at o + base
+    kernel[kernel_rows[:, None], needed + base] = np.exp(
+        -4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+    d = np.zeros((scene.n_range_cells, q.size), dtype=complex)
+    # r0:r1 spans a column's occupied rows; the zeros its empty cells add change no bit.
+    for a, r0, r1, k, lo, n in zip(columns, rows[starts], rows[starts + counts - 1] + 1,
+                                   offsets + base, in_beam.argmax(1), in_beam.sum(1)):
+        if n:
+            window = kernel[r0:r1].take(k[lo:lo + n], axis=1)
+            d[r0:r1, lo:lo + n] += scene.rcs[r0:r1, a, None] * window
+    return d if np.array_equal(q, pulses) else d[:, back]
 
 
 # --- scene file I/O ---------------------------------------------------------

@@ -5,8 +5,9 @@ circular model only; these build the fast-time view of that model
 (``apply_waveform``), the CP'd pulse, its circulant matrix and the linear
 convolution with the cyclic prefix that the model replaces, so the tests can
 check the two agree.  ``scene_coefficients_dense`` evaluates every grid cell
-and adds the columns in ascending order, where the package evaluates each
-occupied column only at the pulses that have it in the beam, and
+at every pulse with its own exponential and adds the columns in ascending
+order, where the package evaluates one range-history kernel per occupied row
+and adds each occupied column's in-beam window of it, and
 ``synthesize_raw_per_pulse`` builds noise-free echoes one pulse at a time in
 fast time, where the package batches the pulses in the subcarrier domain.
 The tests draw symbols through the package's ``draw_symbols``, whose one
@@ -24,7 +25,6 @@ from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
     aperture_envelope,
     closest_approach_ranges,
-    column_center_times,
     slant_range,
 )
 
@@ -72,19 +72,24 @@ def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray
     return full[n - 1 : 2 * n - 1] / np.sqrt(n)
 
 
-def scene_coefficients_dense(geom: Geometry, scene: Scene, eta: float) -> np.ndarray:
-    """Weighting coefficients d_m at one slow time, every grid cell evaluated,
-    with the columns' terms added one column at a time in ascending order."""
-    eta_rel = eta - column_center_times(geom, scene)  # (n_az,)
-    env = aperture_envelope(geom, eta_rel)
+def scene_coefficients_dense(geom: Geometry, scene: Scene, pulses) -> np.ndarray:
+    """Weighting coefficients d_m at pulse indices, (M,) for one or (M, P) for P.
+
+    Columns lie max(1, round(prf * rho_a / v)) pulses apart, the middle one
+    at pulse n // 2.  Every grid cell is evaluated at every pulse with its own
+    exponential, and the columns' terms are added one column at a time in
+    ascending order.
+    """
+    p = np.atleast_1d(pulses)
+    step = max(1, round(geom.prf * geom.azimuth_resolution() / geom.velocity))
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
-    r = slant_range(geom, rbar[:, None], eta_rel[None, :])
-    phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    terms = scene.rcs * env[None, :] * phase
-    d = np.zeros(scene.n_range_cells, dtype=complex)
+    d = np.zeros((scene.n_range_cells, p.size), dtype=complex)
     for a in range(scene.n_azimuth):  # the columns in ascending order
-        d += terms[:, a]
-    return d
+        eta = (p - geom.n_pulses // 2 - (a - scene.n_azimuth // 2) * step) / geom.prf
+        r = slant_range(geom, rbar[:, None], eta)
+        phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+        d += scene.rcs[:, a, None] * aperture_envelope(geom, eta) * phase
+    return d if np.ndim(pulses) else d[:, 0]
 
 
 def synthesize_raw_per_pulse(
@@ -92,12 +97,13 @@ def synthesize_raw_per_pulse(
 ) -> np.ndarray:
     """Noise-free fast-time echoes (N, P), one pulse at a time.
 
-    Pulse p passes every grid cell's weighting coefficients at its slow time
+    Pulse p passes every grid cell's weighting coefficients at that pulse
     through the circular model with its own symbols, column p of ``symbols``.
     """
+    d = scene_coefficients_dense(geom, scene, np.arange(geom.n_pulses))
     y = np.empty(symbols.shape, dtype=complex)
-    for p, eta in enumerate(geom.slow_time()):
-        y[:, p] = apply_waveform(symbols[:, p], scene_coefficients_dense(geom, scene, float(eta)))
+    for p in range(geom.n_pulses):
+        y[:, p] = apply_waveform(symbols[:, p], d[:, p])
     return y
 
 

@@ -141,11 +141,11 @@ class TestAzimuthCompress:
         )
 
     def test_shift_consistency(self, geom, spec64):
-        # Moving the scatterer by one azimuth cell moves the peak by one
-        # azimuth cell (one resolution cell worth of pulses).
+        # Moving the scatterer by k columns moves the noise-free peak by
+        # exactly k column steps of max(1, round(prf * rho_a / v)) pulses.
         alloc = PowerAllocation.uniform(64, 64.0)
         peaks = []
-        for col in (4, 5):
+        for col in (4, 5, 3, 8):
             rcs = np.zeros((64, 9))
             rcs[32, col] = 1.0
             scene = Scene(rcs, range_cell_size(spec64))
@@ -156,8 +156,8 @@ class TestAzimuthCompress:
             peaks.append(
                 np.unravel_index(np.argmax(np.abs(img.complex_image)), img.db_image.shape)[1]
             )
-        step = geom.azimuth_resolution() * geom.prf / geom.velocity
-        assert peaks[1] - peaks[0] == pytest.approx(step, abs=1.0)
+        step = max(1, round(geom.azimuth_resolution() * geom.prf / geom.velocity))
+        assert [p - peaks[0] for p in peaks[1:]] == [step, -step, 4 * step]
 
     def test_zero_profiles_all_floor(self, geom):
         img = azimuth_compress(np.zeros((4, geom.n_pulses), dtype=complex), geom)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import ofdmsar
 from ofdmsar.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, run
 from ofdmsar.config import Config, load_config, parse_config
+from ofdmsar.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -384,6 +386,31 @@ class TestSimulate:
         err = assert_one_line_config_error(capsys)
         assert "prf" in err and "aperture_time" in err
         assert not (out / "image_db.csv").exists()
+
+    @pytest.mark.parametrize("cmd", ["simulate", "scene-gen"])
+    def test_pulse_count_past_the_image_cap_config_error(self, tmp_path, capsys, cmd):
+        # prf = 1e12 passes Geometry, and synthesis would size its arrays at
+        # 64 x 1e12 cells; the cap refuses it before any array is made.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("prf = 1e12\n")
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code = run(["--config", str(cfg), "--out", str(out), cmd])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        err = assert_one_line_config_error(capsys)
+        assert "prf" in err and "aperture_time" in err
+        assert peak < 2**20
+        assert not any(out.iterdir())
+
+    def test_image_cap_is_n_times_pulses(self):
+        # 64 subcarriers x 262144 pulses is 2**24 cells, the most an image holds.
+        assert Config(prf=262144.0).geometry().n_pulses == 262144
+        with pytest.raises(ConfigError, match="262145 pulses times N = 64"):
+            Config(prf=262145.0).geometry()
 
     def test_swath_reaching_behind_zero_range_config_error(self, tmp_path, capsys):
         # At 1 MHz the 64 range cells are 150 m each, so the swath would start

@@ -18,6 +18,7 @@ from ofdmsar.errors import SceneFormatError
 from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
     closest_approach_ranges,
+    column_center_times,
     range_cell_size,
     scene_coefficients,
 )
@@ -43,6 +44,38 @@ class TestGeometry:
             Geometry(1000.0, 1400.0, 40.0, 9e9, 1.0, 1.0)  # single pulse
 
 
+class TestColumnGrid:
+    # Columns lie a whole number of pulses apart: step = max(1, round(prf *
+    # rho_a / v)), the count nearest one resolvable azimuth cell.
+    def test_columns_are_whole_pulses_apart(self, geom, spec64):
+        step = max(1, round(geom.prf * geom.azimuth_resolution() / geom.velocity))
+        assert step == 12  # rho_a / v is 11.777 pulse intervals here
+        times = column_center_times(geom, point_scene(spec64, 64))
+        assert times.tobytes() == ((np.arange(64) - 32) * step / geom.prf).tobytes()
+        pulses = times * geom.prf
+        np.testing.assert_allclose(pulses, np.rint(pulses), rtol=0, atol=1e-9)
+        assert np.all(np.diff(np.rint(pulses)) == step)
+
+    def test_sub_pulse_cell_gives_a_step_of_one(self, spec64):
+        # At 16 Hz one azimuth cell is 0.236 pulse intervals, which rounds to 0.
+        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 16.0, 1.0)
+        assert round(geom.prf * geom.azimuth_resolution() / geom.velocity) == 0
+        times = column_center_times(geom, point_scene(spec64, 9))
+        assert times.tobytes() == ((np.arange(9) - 4) / geom.prf).tobytes()
+
+    def test_step_past_the_aperture_is_held_at_n_pulses(self, spec64):
+        # At 1e-9 m/s a cell is 1.9e22 pulses wide, past int64 when multiplied
+        # out; held at n_pulses, no column but the middle one is ever in the
+        # beam, as at the true step, and the middle one stays in it.
+        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 1e-9, 9e9, 800.0, 1.0)
+        times = column_center_times(geom, point_scene(spec64, 3))
+        assert times.tobytes() == (np.array([-800, 0, 800]) / geom.prf).tobytes()
+        pulses = np.arange(geom.n_pulses)
+        d = scene_coefficients(geom, point_scene(spec64, 3), pulses)
+        assert d.tobytes() == scene_coefficients(geom, point_scene(spec64, 1), pulses).tobytes()
+        np.testing.assert_allclose(np.abs(d[32]), 1.0, rtol=1e-12)
+
+
 class TestSlantRange:
     def test_closest_approach(self, geom):
         assert slant_range(geom, 1234.0, 0.0) == 1234.0
@@ -65,20 +98,23 @@ class TestSlantRange:
 
 
 class TestWeightingCoefficients:
-    # One-column scenes: the summed coefficients are that column's own.
+    # One occupied column: the summed coefficients are that column's own.
     def test_zero_rcs_gives_zero(self, geom, spec64):
         scene = Scene(np.zeros((64, 1)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, 0.1)
+        d = scene_coefficients(geom, scene, 480)  # 0.1 s
         np.testing.assert_array_equal(d, 0.0)
 
     def test_unit_modulus_inside_aperture(self, geom, spec64):
         scene = Scene(np.ones((64, 1)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, 0.2)
+        d = scene_coefficients(geom, scene, 560)  # 0.2 s
         np.testing.assert_allclose(np.abs(d), 1.0, atol=1e-12)
 
     def test_envelope_vanishes_outside_aperture(self, geom, spec64):
-        scene = Scene(np.ones((64, 1)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, 0.6)
+        # Column 2 of 3 reaches closest approach 12 pulses after pulse 400, so
+        # pulse 0 lies 412 pulses, 0.515 s, before it.
+        rcs = np.zeros((64, 3))
+        rcs[:, 2] = 1.0
+        d = scene_coefficients(geom, Scene(rcs, range_cell_size(spec64)), 0)
         np.testing.assert_array_equal(d, 0.0)
 
     def test_phase_at_closest_approach(self, geom, spec64):
@@ -86,7 +122,7 @@ class TestWeightingCoefficients:
         m = spec64.n_subcarriers // 2
         rbar = closest_approach_ranges(geom, 64, scene.range_cell_size)[m]
         assert rbar == pytest.approx(geom.slant_range_center)
-        d = scene_coefficients(geom, scene, 0.0)
+        d = scene_coefficients(geom, scene, geom.n_pulses // 2)
         expected = -4.0 * np.pi * geom.carrier_freq * rbar / SPEED_OF_LIGHT
         assert np.angle(d[m]) == pytest.approx(
             np.angle(np.exp(1j * expected)), abs=1e-9
@@ -97,32 +133,31 @@ class TestWeightingCoefficients:
         # below 0.1 rad over the aperture for the swath-center scatterer.
         scene = point_scene(spec64, 1)
         m = spec64.n_subcarriers // 2
-        etas = geom.slow_time()
         hist = np.array(
-            [scene_coefficients(geom, scene, float(e))[m] for e in etas]
+            [scene_coefficients(geom, scene, p)[m] for p in range(geom.n_pulses)]
         )
         ref = azimuth_reference(geom)
         residual = hist * np.conj(ref)
-        phase = np.angle(residual * np.conj(residual[etas.size // 2]))
+        phase = np.angle(residual * np.conj(residual[geom.n_pulses // 2]))
         assert np.max(np.abs(phase)) < 0.1
 
 
-def assert_equal_to_dense(geom, scene, etas):
-    # Both the scalar call and each column of the one call over all slow
-    # times must carry the dense grid's bits.
-    batched = scene_coefficients(geom, scene, etas)
-    assert batched.shape == (scene.n_range_cells, etas.size)
-    for p, eta in enumerate(etas):
-        sparse = scene_coefficients(geom, scene, float(eta))
+def assert_equal_to_dense(geom, scene, pulses):
+    # Both the scalar call and each column of the one call over all the
+    # pulses must carry the dense grid's bits.
+    batched = scene_coefficients(geom, scene, pulses)
+    assert batched.shape == (scene.n_range_cells, pulses.size)
+    dense = scene_coefficients_dense(geom, scene, pulses)
+    for p, pulse in enumerate(pulses):
+        sparse = scene_coefficients(geom, scene, int(pulse))
         assert sparse.shape == (scene.n_range_cells,)
-        dense = scene_coefficients_dense(geom, scene, float(eta))
-        assert sparse.tobytes() == dense.tobytes()
-        assert batched[:, p].tobytes() == dense.tobytes()
+        assert sparse.tobytes() == dense[:, p].tobytes()
+        assert batched[:, p].tobytes() == dense[:, p].tobytes()
 
 
 class TestOccupiedCellEvaluation:
-    # Evaluating only the occupied cells, each at its in-beam pulses only,
-    # must give the bits of the dense grid whose columns are added in
+    # One kernel per occupied row, each occupied column adding its in-beam
+    # window, must give the bits of the dense grid whose columns are added in
     # ascending order, not just close values.
     @pytest.mark.parametrize("kind", ["point", "car", "zero"])
     def test_demo_scenes_bit_equal_to_dense(self, kind, geom, spec64):
@@ -131,15 +166,16 @@ class TestOccupiedCellEvaluation:
             "car": lambda: car_scene(spec64),
             "zero": lambda: Scene(np.zeros((64, 64)), range_cell_size(spec64)),
         }[kind]()
-        assert_equal_to_dense(geom, scene, geom.slow_time())
+        assert_equal_to_dense(geom, scene, np.arange(geom.n_pulses))
 
     def test_random_complex_scene_bit_equal_to_dense(self, geom, spec64):
-        # 200 columns span +-1.47 s of closest-approach times, so the outer
-        # ones never enter the +-0.5 s aperture of the +-0.5 s slow-time grid.
+        # 200 columns 12 pulses apart span +-1.5 s of closest-approach times,
+        # so the outer ones never enter the +-0.5 s aperture of the +-0.5 s
+        # slow-time grid.
         rng = np.random.default_rng(7)
         values = rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))
         scene = Scene(values * (rng.random((64, 200)) < 0.2), range_cell_size(spec64))
-        assert_equal_to_dense(geom, scene, geom.slow_time())
+        assert_equal_to_dense(geom, scene, np.arange(geom.n_pulses))
 
     @given(
         n_azimuth=st.integers(1, 24),
@@ -153,7 +189,7 @@ class TestOccupiedCellEvaluation:
         shape = (16, n_azimuth)
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         scene = Scene(values * (rng.random(shape) < density), range_cell_size(spec))
-        assert_equal_to_dense(DEFAULT_GEOM, scene, DEFAULT_GEOM.slow_time()[::8])
+        assert_equal_to_dense(DEFAULT_GEOM, scene, np.arange(DEFAULT_GEOM.n_pulses)[::8])
 
     def test_occupied_cells(self, spec64):
         assert car_scene(spec64).occupied[0].size == 819
@@ -161,70 +197,70 @@ class TestOccupiedCellEvaluation:
 
 
 class TestSlowTimeArray:
-    # One call over an array of slow times returns (M, P): column p is the
-    # scalar call at eta[p], byte for byte, whatever the other slow times.
+    # One call over an array of pulse indices returns (M, P): column p is the
+    # scalar call at pulses[p], byte for byte, whatever the other pulses.
     @pytest.mark.parametrize("n_pulses", [1, 15, 16, 17, 810])
     def test_columns_are_stacked_scalar_calls(self, n_pulses, spec64):
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 810.0, 1.0)
-        etas = geom.slow_time()[405 - n_pulses // 2 :][:n_pulses]
+        pulses = np.arange(geom.n_pulses)[405 - n_pulses // 2 :][:n_pulses]
         scene = car_scene(spec64)
-        batched = scene_coefficients(geom, scene, etas)
+        batched = scene_coefficients(geom, scene, pulses)
         stacked = np.stack(
-            [scene_coefficients(geom, scene, float(eta)) for eta in etas], axis=1
+            [scene_coefficients(geom, scene, int(p)) for p in pulses], axis=1
         )
-        assert batched.shape == (64, etas.size)
+        assert batched.shape == (64, pulses.size)
         assert batched.tobytes() == stacked.tobytes()
 
     def test_scalar_call_returns_one_vector(self, geom, spec64):
         scene = point_scene(spec64, 3)
-        assert scene_coefficients(geom, scene, 0.1).shape == (64,)
-        assert scene_coefficients(geom, scene, np.float64(0.1)).shape == (64,)
-        assert scene_coefficients(geom, scene, np.array([0.1])).shape == (64, 1)
+        assert scene_coefficients(geom, scene, 480).shape == (64,)
+        assert scene_coefficients(geom, scene, np.int64(480)).shape == (64,)
+        assert scene_coefficients(geom, scene, np.array([480])).shape == (64, 1)
 
     def test_empty_scene_gives_zeros(self, geom, spec64):
         scene = Scene(np.zeros((64, 5)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, geom.slow_time())
+        d = scene_coefficients(geom, scene, np.arange(geom.n_pulses))
         assert d.shape == (64, geom.n_pulses)
         assert not np.any(d)
 
 
 class TestInBeamPulses:
     # Each occupied column is evaluated only at the pulses its aperture
-    # envelope keeps, found on the slow times as given, sorted or not.
+    # envelope keeps, found on the pulse indices as given, sorted or not.
     @pytest.mark.parametrize("order", ["shuffled", "reversed"])
     def test_unsorted_slow_times_give_matching_columns(self, order, geom, spec64):
-        etas = geom.slow_time()
+        pulses = np.arange(geom.n_pulses)
         perm = {
-            "shuffled": np.random.default_rng(3).permutation(etas.size),
-            "reversed": np.arange(etas.size)[::-1],
+            "shuffled": np.random.default_rng(3).permutation(pulses.size),
+            "reversed": pulses[::-1],
         }[order]
         scene = car_scene(spec64)
-        d = scene_coefficients(geom, scene, etas[perm])
-        assert d.tobytes() == scene_coefficients(geom, scene, etas)[:, perm].tobytes()
+        d = scene_coefficients(geom, scene, pulses[perm])
+        assert d.tobytes() == scene_coefficients(geom, scene, pulses)[:, perm].tobytes()
 
     def test_columns_outside_the_aperture_give_exact_zeros(self, geom, spec64):
-        # Of 200 columns 0.0147 s apart, the outer 20 on each side reach
-        # closest approach at |eta_a| >= 1.17 s, more than T/2 = 0.5 s from
-        # every pulse of the +-0.5 s grid.
+        # Of 200 columns 12 pulses apart, the outer 20 on each side reach
+        # closest approach at |eta_a| >= 960 pulses = 1.2 s, more than
+        # T/2 = 0.5 s from every pulse of the +-0.5 s grid.
         rng = np.random.default_rng(11)
         values = rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))
         values[:, 20:180] = 0.0
         scene = Scene(values, range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, geom.slow_time())
+        d = scene_coefficients(geom, scene, np.arange(geom.n_pulses))
         assert d.tobytes() == np.zeros((64, geom.n_pulses), dtype=complex).tobytes()
 
     def test_wide_point_scene_equals_one_column(self, geom, spec64):
-        etas = geom.slow_time()
-        wide = scene_coefficients(geom, point_scene(spec64, 20001), etas)
-        assert wide.tobytes() == scene_coefficients(geom, point_scene(spec64, 1), etas).tobytes()
+        pulses = np.arange(geom.n_pulses)
+        wide = scene_coefficients(geom, point_scene(spec64, 20001), pulses)
+        assert wide.tobytes() == scene_coefficients(geom, point_scene(spec64, 1), pulses).tobytes()
 
     def test_wide_point_scene_peak_memory(self, geom, spec64):
         # Memory follows the occupied cells and the output, not M x n_az x P.
         scene = point_scene(spec64, 20001)
-        etas = geom.slow_time()
+        pulses = np.arange(geom.n_pulses)
         tracemalloc.start()
         try:
-            scene_coefficients(geom, scene, etas)
+            scene_coefficients(geom, scene, pulses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,6 +11,8 @@ move it in the same change.  ``checks.read_db_csv`` parses every
 the benchmark run.  The benchmark checks one interior tradeoff point per run
 against an SQP solve; every sweep of its round, and every binding point of
 each, is checked here, so a solver change it would refuse fails here first.
+Likewise the car images of image-car's short round must pass its image
+checks, so a synthesis change it would refuse fails here first.
 These files are read here, never edited.
 """
 
@@ -134,6 +136,22 @@ def test_benchmark_reader_parses_simulate_images(tmp_path, monkeypatch, scene_cf
     db = checks.read_db_csv(out / "image_db.csv")
     assert db.shape == (16, 64) and db.max() == 0.0
     checks.check_pgm(checks.read_pgm(out / "image.pgm"), db)
+
+
+@pytest.mark.parametrize("seed", [0, 12])
+def test_benchmark_checks_pass_car_images(tmp_path, monkeypatch, seed):
+    # image-car's short round, on the benchmark's own config: the default
+    # geometry, the car scene and Gaussian symbols.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports inputs and reference
+    checks, inputs = load("checks"), load("inputs")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(inputs._config_text("image-car"))
+    out = tmp_path / "run"
+    assert run(["--config", str(cfg), "--seed", str(seed), "--out", str(out), "simulate"]) == EXIT_OK
+    db = checks.read_db_csv(out / "image_db.csv")
+    assert db.shape == (inputs.N_SUBCARRIERS, inputs.N_PULSES)
+    checks.check_pgm(checks.read_pgm(out / "image.pgm"), db)
+    assert checks.check_car_image(db) >= checks.CAR_ROW_SHARE
 
 
 @pytest.mark.parametrize("channel_seed", range(8))
