@@ -78,5 +78,5 @@ def synthesize_raw(
     if scene.n_range_cells != spec.n_subcarriers:
         raise DimensionError("scene range cells must equal N (SWMP)")
     symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), geom.n_pulses, policy)
-    d = scene_coefficients(geom, scene, np.arange(geom.n_pulses))
+    d = scene_coefficients(geom, scene)
     return RawDataCube(synthesize_pulse(symbols, d, sigma2, pulse_rng(seed, 1)), symbols, alloc)

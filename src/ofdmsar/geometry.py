@@ -8,7 +8,9 @@ weighting coefficient
 where o = p - n_pulses // 2 - s_a is the pulse's offset from the column's
 closest approach, R_m is row m's hyperbolic slant-range history and env a
 rectangular aperture window of width T_a.  Columns lie a whole number of
-pulses apart, so the scatterers of row m share one range-history kernel.
+pulses apart, so the scatterers of row m share one range-history kernel,
+evaluated once on the run of in-beam offsets; ``scene_coefficients`` returns
+d at every pulse of the grid.
 """
 
 from __future__ import annotations
@@ -135,55 +137,43 @@ def closest_approach_ranges(geom: Geometry, m: int, cell_size: float) -> np.ndar
     return r0 + np.arange(m) * cell_size
 
 
-def _column_shifts(geom: Geometry, n_azimuth: int) -> np.ndarray:
-    """Columns' closest approaches s_a in pulses after pulse n_pulses // 2, a
-    step of max(1, round(prf * rho_a / v)) apart, the count nearest one azimuth
-    cell; a step past n_pulses, where no other column is ever in the beam, is held."""
-    step = max(1, round(min(geom.prf * geom.azimuth_resolution() / geom.velocity,
-                            geom.n_pulses)))
-    return (np.arange(n_azimuth) - n_azimuth // 2) * step
-
-
-def column_center_times(geom: Geometry, scene: Scene) -> np.ndarray:
-    """Closest-approach slow times s_a / prf of the scene's azimuth columns."""
-    return _column_shifts(geom, scene.n_azimuth) / geom.prf
-
-
 def aperture_envelope(geom: Geometry, eta) -> np.ndarray:
     """Rectangular azimuth envelope: 1 inside the aperture, 0 outside."""
     return (np.abs(eta) <= geom.aperture_time / 2.0).astype(float)
 
 
-def scene_coefficients(geom: Geometry, scene: Scene, pulses) -> np.ndarray:
-    """Coefficients d_m summed over the columns at pulse indices into
-    ``geom.slow_time()``, in any order: (M,) for one index, (M, P) for P.
+def scene_coefficients(geom: Geometry, scene: Scene) -> np.ndarray:
+    """Coefficients d_m summed over the columns, (M, n_pulses): column p is
+    pulse p of ``geom.slow_time()``.
 
     The kernel exp(-j 4 pi f_c R_m(o / prf) / c) is evaluated once per occupied
-    row m at each distinct in-beam offset o = p - n_pulses // 2 - s_a; columns
-    add rcs times it into d in ascending order, column p bit for bit as at
-    ``pulses[p]`` alone.
+    row m on the run of in-beam offsets o; each occupied column adds rcs times
+    the slice of it that falls on the grid, over the rows it spans, in
+    ascending column order.
     """
-    q, back = np.unique(pulses, return_inverse=True)  # ascending distinct pulses
+    n = geom.n_pulses
+    base = n // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1
+    o = np.arange(-base, base + 1)
+    o = o[aperture_envelope(geom, o / geom.prf).astype(bool)]
     rows, cols = scene.occupied
-    columns, starts, counts = np.unique(cols, return_index=True, return_counts=True)
-    offsets = q - geom.n_pulses // 2 - _column_shifts(geom, scene.n_azimuth)[columns, None]
-    in_beam = aperture_envelope(geom, offsets / geom.prf).astype(bool)  # a run of q per column
-    base = geom.n_pulses // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1
-    needed = np.flatnonzero(np.bincount(offsets[in_beam] + base)) - base
-    kernel_rows = np.flatnonzero(np.bincount(rows))
+    kernel_rows = np.unique(rows)
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
-    r = slant_range(geom, rbar[kernel_rows, None], needed / geom.prf)
-    kernel = np.zeros((rows.max(initial=-1) + 1, 2 * base + 1), dtype=complex)  # at o + base
-    kernel[kernel_rows[:, None], needed + base] = np.exp(
-        -4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    d = np.zeros((scene.n_range_cells, q.size), dtype=complex)
+    r = slant_range(geom, rbar[kernel_rows, None], o / geom.prf)
+    kernel = np.zeros((scene.n_range_cells, o.size), dtype=complex)
+    kernel[kernel_rows] = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+    # Columns lie max(1, round(prf rho_a / v)) pulses apart, the count nearest
+    # one azimuth cell; a step past n_pulses, where no other column is ever in
+    # the beam, is held.
+    step = max(1, round(min(geom.prf * geom.azimuth_resolution() / geom.velocity, n)))
+    columns, starts, counts = np.unique(cols, return_index=True, return_counts=True)
+    firsts = n // 2 + (columns - scene.n_azimuth // 2) * step + o[0]  # pulse at o[0]
+    d = np.zeros((scene.n_range_cells, n), dtype=complex)
     # r0:r1 spans a column's occupied rows; the zeros its empty cells add change no bit.
-    for a, r0, r1, k, lo, n in zip(columns, rows[starts], rows[starts + counts - 1] + 1,
-                                   offsets + base, in_beam.argmax(1), in_beam.sum(1)):
-        if n:
-            window = kernel[r0:r1].take(k[lo:lo + n], axis=1)
-            d[r0:r1, lo:lo + n] += scene.rcs[r0:r1, a, None] * window
-    return d if np.array_equal(q, pulses) else d[:, back]
+    for a, r0, r1, s in zip(columns, rows[starts], rows[starts + counts - 1] + 1, firsts):
+        lo, hi = max(s, 0), min(s + o.size, n)
+        if lo < hi:
+            d[r0:r1, lo:hi] += scene.rcs[r0:r1, a, None] * kernel[r0:r1, lo - s:hi - s]
+    return d
 
 
 # --- scene file I/O ---------------------------------------------------------

@@ -9,8 +9,10 @@ uniforms, phase uniforms, real and imaginary noise normals), and trial t reads
 row t of each, in trial order.  The trials are estimated in fixed blocks, one
 batched LS call per design and block on the received spectrum
 ``S * fft(d) + fft(w)``; a block reads its rows of each stream in one draw and
-transforms its fast-time noise once for all designs, so no result depends on
-the block size.
+transforms its fast-time noise once for all designs.  So the draws do not
+depend on the block size, and the analytic column does not either; the summed
+empirical column does, by its summation order only (up to 8.9e-16 relative
+between blocks of 1, 7, 128, 256 and 1000 trials).
 
 Every design's magnitudes come from ``symbol_magnitudes``, the sampler images
 use: a law of None is constant modulus, and a policy cuts the Gaussian tail

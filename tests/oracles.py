@@ -72,15 +72,15 @@ def synthesize_pulse_linear_cp(samples: np.ndarray, d: np.ndarray) -> np.ndarray
     return full[n - 1 : 2 * n - 1] / np.sqrt(n)
 
 
-def scene_coefficients_dense(geom: Geometry, scene: Scene, pulses) -> np.ndarray:
-    """Weighting coefficients d_m at pulse indices, (M,) for one or (M, P) for P.
+def scene_coefficients_dense(geom: Geometry, scene: Scene) -> np.ndarray:
+    """Weighting coefficients d_m at every pulse of the grid, (M, n_pulses).
 
     Columns lie max(1, round(prf * rho_a / v)) pulses apart, the middle one
     at pulse n // 2.  Every grid cell is evaluated at every pulse with its own
     exponential, and the columns' terms are added one column at a time in
     ascending order.
     """
-    p = np.atleast_1d(pulses)
+    p = np.arange(geom.n_pulses)
     step = max(1, round(geom.prf * geom.azimuth_resolution() / geom.velocity))
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
     d = np.zeros((scene.n_range_cells, p.size), dtype=complex)
@@ -89,7 +89,7 @@ def scene_coefficients_dense(geom: Geometry, scene: Scene, pulses) -> np.ndarray
         r = slant_range(geom, rbar[:, None], eta)
         phase = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
         d += scene.rcs[:, a, None] * aperture_envelope(geom, eta) * phase
-    return d if np.ndim(pulses) else d[:, 0]
+    return d
 
 
 def synthesize_raw_per_pulse(
@@ -100,7 +100,7 @@ def synthesize_raw_per_pulse(
     Pulse p passes every grid cell's weighting coefficients at that pulse
     through the circular model with its own symbols, column p of ``symbols``.
     """
-    d = scene_coefficients_dense(geom, scene, np.arange(geom.n_pulses))
+    d = scene_coefficients_dense(geom, scene)
     y = np.empty(symbols.shape, dtype=complex)
     for p in range(geom.n_pulses):
         y[:, p] = apply_waveform(symbols[:, p], d[:, p])

@@ -11,7 +11,7 @@ from ofdmsar import (
     synthesize_raw,
 )
 from ofdmsar.azimuth import SarImage, rcmc_shifts
-from ofdmsar.geometry import Scene, range_cell_size, scene_coefficients
+from ofdmsar.geometry import Scene, range_cell_size
 from ofdmsar.scenes import point_scene
 
 

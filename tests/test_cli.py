@@ -642,6 +642,26 @@ class TestTradeoff:
         assert all(b >= a - 1e-9 for a, b in zip(emses, emses[1:]))
         assert rates == sorted(rates)
 
+    def test_dry_subcarrier_at_capacity_reads_inf(self, tmp_path, capsys):
+        # On multipath channel seed 0 at -10 dB water-filling leaves a
+        # subcarrier without power, so the EMSE A sigma^2 sum 1/P_k at capacity
+        # is infinite: a legal table value, written as inf, never nan.
+        cfg = tmp_path / "mp.cfg"
+        cfg.write_text("channel = multipath\nchannel_seed = 0\nsnr_db = -10\n")
+        out = tmp_path / "t"
+        code = run(["--config", str(cfg), "--out", str(out), "tradeoff", "--points", "8"])
+        assert code == EXIT_OK
+        capacity_row = read_csv(out / "tradeoff.csv")[-1]
+        assert capacity_row[2] == "inf"
+        assert all(np.isfinite(float(v)) for v in capacity_row[:2])
+        capsys.readouterr()
+        code = run(["--config", str(cfg), "--out", str(out), "allocate",
+                    "--rate-target", "capacity"])
+        assert code == EXIT_OK
+        assert "emse = inf" in capsys.readouterr().out.splitlines()
+        powers = [float(r[1]) for r in read_csv(out / "allocation.csv")[1:]]
+        assert min(powers) == 0.0 and not any(np.isnan(powers))
+
     @pytest.mark.parametrize(
         "taps, code",
         [("0", EXIT_CONFIG), ("-1", EXIT_CONFIG), ("17", EXIT_CONFIG), ("16", EXIT_OK)],

@@ -124,7 +124,7 @@ class TestSynthesizeRaw:
         m, n = 32, 64
         for p in (0, 400, 799):
             body = modulate(cube.symbols[:, p], spec64)[spec64.cp_len :]
-            d_m = scene_coefficients(geom, scene, p)[m]
+            d_m = scene_coefficients(geom, scene)[m, p]
             assert abs(abs(d_m) - 1.0) < 1e-12
             np.testing.assert_allclose(
                 cube.spectrum[:, p],

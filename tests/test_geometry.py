@@ -18,7 +18,6 @@ from ofdmsar.errors import SceneFormatError
 from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
     closest_approach_ranges,
-    column_center_times,
     range_cell_size,
     scene_coefficients,
 )
@@ -44,35 +43,53 @@ class TestGeometry:
             Geometry(1000.0, 1400.0, 40.0, 9e9, 1.0, 1.0)  # single pulse
 
 
+def in_beam_spans(geom, spec, n_azimuth):
+    # First and last in-beam pulse of each column, or None where a column never
+    # enters the beam: on a diagonal scene, row a holds column a alone.
+    rcs = np.zeros((spec.n_subcarriers, n_azimuth))
+    rcs[np.arange(n_azimuth), np.arange(n_azimuth)] = 1.0
+    d = scene_coefficients(geom, Scene(rcs, range_cell_size(spec)))
+    spans = [np.flatnonzero(row) for row in d[:n_azimuth]]
+    return [(int(p[0]), int(p[-1])) if p.size else None for p in spans]
+
+
+def expected_spans(geom, centers):
+    # Pulses p of the grid with |p - c| <= prf T / 2, for closest approach c.
+    half = int(geom.prf * geom.aperture_time / 2)
+    return [(max(c - half, 0), min(c + half, geom.n_pulses - 1))
+            if c - half < geom.n_pulses and c + half >= 0 else None for c in centers]
+
+
 class TestColumnGrid:
     # Columns lie a whole number of pulses apart: step = max(1, round(prf *
     # rho_a / v)), the count nearest one resolvable azimuth cell.
     def test_columns_are_whole_pulses_apart(self, geom, spec64):
         step = max(1, round(geom.prf * geom.azimuth_resolution() / geom.velocity))
         assert step == 12  # rho_a / v is 11.777 pulse intervals here
-        times = column_center_times(geom, point_scene(spec64, 64))
-        assert times.tobytes() == ((np.arange(64) - 32) * step / geom.prf).tobytes()
-        pulses = times * geom.prf
-        np.testing.assert_allclose(pulses, np.rint(pulses), rtol=0, atol=1e-9)
-        assert np.all(np.diff(np.rint(pulses)) == step)
+        centers = 400 + (np.arange(64) - 32) * step
+        spans = in_beam_spans(geom, spec64, 64)
+        assert spans == expected_spans(geom, centers)
+        # Columns right of the middle enter the beam 12 pulses after each other.
+        assert np.all(np.diff([first for first, _ in spans[32:]]) == step)
 
     def test_sub_pulse_cell_gives_a_step_of_one(self, spec64):
         # At 16 Hz one azimuth cell is 0.236 pulse intervals, which rounds to 0.
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 16.0, 1.0)
         assert round(geom.prf * geom.azimuth_resolution() / geom.velocity) == 0
-        times = column_center_times(geom, point_scene(spec64, 9))
-        assert times.tobytes() == ((np.arange(9) - 4) / geom.prf).tobytes()
+        spans = in_beam_spans(geom, spec64, 9)
+        assert spans == expected_spans(geom, 8 + np.arange(9) - 4)
+        assert spans[5:] == [(1, 15), (2, 15), (3, 15), (4, 15)]
 
     def test_step_past_the_aperture_is_held_at_n_pulses(self, spec64):
         # At 1e-9 m/s a cell is 1.9e22 pulses wide, past int64 when multiplied
         # out; held at n_pulses, no column but the middle one is ever in the
-        # beam, as at the true step, and the middle one stays in it.
+        # beam away from the grid's edge, and the middle one stays in it.  The
+        # left column's closest approach, pulse -400, leaves pulse 0 on the
+        # aperture's edge.
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 1e-9, 9e9, 800.0, 1.0)
-        times = column_center_times(geom, point_scene(spec64, 3))
-        assert times.tobytes() == (np.array([-800, 0, 800]) / geom.prf).tobytes()
-        pulses = np.arange(geom.n_pulses)
-        d = scene_coefficients(geom, point_scene(spec64, 3), pulses)
-        assert d.tobytes() == scene_coefficients(geom, point_scene(spec64, 1), pulses).tobytes()
+        assert in_beam_spans(geom, spec64, 3) == [(0, 0), (0, 799), None]
+        d = scene_coefficients(geom, point_scene(spec64, 3))
+        assert d.tobytes() == scene_coefficients(geom, point_scene(spec64, 1)).tobytes()
         np.testing.assert_allclose(np.abs(d[32]), 1.0, rtol=1e-12)
 
 
@@ -101,28 +118,30 @@ class TestWeightingCoefficients:
     # One occupied column: the summed coefficients are that column's own.
     def test_zero_rcs_gives_zero(self, geom, spec64):
         scene = Scene(np.zeros((64, 1)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, 480)  # 0.1 s
-        np.testing.assert_array_equal(d, 0.0)
+        np.testing.assert_array_equal(scene_coefficients(geom, scene), 0.0)
 
     def test_unit_modulus_inside_aperture(self, geom, spec64):
         scene = Scene(np.ones((64, 1)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, 560)  # 0.2 s
+        # A lone middle column is in the beam at every pulse of the grid.
+        d = scene_coefficients(geom, scene)
         np.testing.assert_allclose(np.abs(d), 1.0, atol=1e-12)
 
     def test_envelope_vanishes_outside_aperture(self, geom, spec64):
         # Column 2 of 3 reaches closest approach 12 pulses after pulse 400, so
-        # pulse 0 lies 412 pulses, 0.515 s, before it.
+        # pulse 0 lies 412 pulses, 0.515 s, before it, and pulse 12 is the first
+        # within T/2 = 400 pulses.
         rcs = np.zeros((64, 3))
         rcs[:, 2] = 1.0
-        d = scene_coefficients(geom, Scene(rcs, range_cell_size(spec64)), 0)
-        np.testing.assert_array_equal(d, 0.0)
+        d = scene_coefficients(geom, Scene(rcs, range_cell_size(spec64)))
+        np.testing.assert_array_equal(d[:, :12], 0.0)
+        np.testing.assert_allclose(np.abs(d[:, 12:]), 1.0, atol=1e-12)
 
     def test_phase_at_closest_approach(self, geom, spec64):
         scene = point_scene(spec64, 1)
         m = spec64.n_subcarriers // 2
         rbar = closest_approach_ranges(geom, 64, scene.range_cell_size)[m]
         assert rbar == pytest.approx(geom.slant_range_center)
-        d = scene_coefficients(geom, scene, geom.n_pulses // 2)
+        d = scene_coefficients(geom, scene)[:, geom.n_pulses // 2]
         expected = -4.0 * np.pi * geom.carrier_freq * rbar / SPEED_OF_LIGHT
         assert np.angle(d[m]) == pytest.approx(
             np.angle(np.exp(1j * expected)), abs=1e-9
@@ -133,26 +152,18 @@ class TestWeightingCoefficients:
         # below 0.1 rad over the aperture for the swath-center scatterer.
         scene = point_scene(spec64, 1)
         m = spec64.n_subcarriers // 2
-        hist = np.array(
-            [scene_coefficients(geom, scene, p)[m] for p in range(geom.n_pulses)]
-        )
+        hist = scene_coefficients(geom, scene)[m]
         ref = azimuth_reference(geom)
         residual = hist * np.conj(ref)
         phase = np.angle(residual * np.conj(residual[geom.n_pulses // 2]))
         assert np.max(np.abs(phase)) < 0.1
 
 
-def assert_equal_to_dense(geom, scene, pulses):
-    # Both the scalar call and each column of the one call over all the
-    # pulses must carry the dense grid's bits.
-    batched = scene_coefficients(geom, scene, pulses)
-    assert batched.shape == (scene.n_range_cells, pulses.size)
-    dense = scene_coefficients_dense(geom, scene, pulses)
-    for p, pulse in enumerate(pulses):
-        sparse = scene_coefficients(geom, scene, int(pulse))
-        assert sparse.shape == (scene.n_range_cells,)
-        assert sparse.tobytes() == dense[:, p].tobytes()
-        assert batched[:, p].tobytes() == dense[:, p].tobytes()
+def assert_equal_to_dense(geom, scene):
+    # Every pulse of the grid must carry the dense grid's bits.
+    d = scene_coefficients(geom, scene)
+    assert d.shape == (scene.n_range_cells, geom.n_pulses)
+    assert d.tobytes() == scene_coefficients_dense(geom, scene).tobytes()
 
 
 class TestOccupiedCellEvaluation:
@@ -166,7 +177,7 @@ class TestOccupiedCellEvaluation:
             "car": lambda: car_scene(spec64),
             "zero": lambda: Scene(np.zeros((64, 64)), range_cell_size(spec64)),
         }[kind]()
-        assert_equal_to_dense(geom, scene, np.arange(geom.n_pulses))
+        assert_equal_to_dense(geom, scene)
 
     def test_random_complex_scene_bit_equal_to_dense(self, geom, spec64):
         # 200 columns 12 pulses apart span +-1.5 s of closest-approach times,
@@ -175,7 +186,7 @@ class TestOccupiedCellEvaluation:
         rng = np.random.default_rng(7)
         values = rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))
         scene = Scene(values * (rng.random((64, 200)) < 0.2), range_cell_size(spec64))
-        assert_equal_to_dense(geom, scene, np.arange(geom.n_pulses))
+        assert_equal_to_dense(geom, scene)
 
     @given(
         n_azimuth=st.integers(1, 24),
@@ -189,7 +200,7 @@ class TestOccupiedCellEvaluation:
         shape = (16, n_azimuth)
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         scene = Scene(values * (rng.random(shape) < density), range_cell_size(spec))
-        assert_equal_to_dense(DEFAULT_GEOM, scene, np.arange(DEFAULT_GEOM.n_pulses)[::8])
+        assert_equal_to_dense(DEFAULT_GEOM, scene)
 
     def test_occupied_cells(self, spec64):
         assert car_scene(spec64).occupied[0].size == 819
@@ -197,47 +208,17 @@ class TestOccupiedCellEvaluation:
 
 
 class TestSlowTimeArray:
-    # One call over an array of pulse indices returns (M, P): column p is the
-    # scalar call at pulses[p], byte for byte, whatever the other pulses.
-    @pytest.mark.parametrize("n_pulses", [1, 15, 16, 17, 810])
-    def test_columns_are_stacked_scalar_calls(self, n_pulses, spec64):
-        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 810.0, 1.0)
-        pulses = np.arange(geom.n_pulses)[405 - n_pulses // 2 :][:n_pulses]
-        scene = car_scene(spec64)
-        batched = scene_coefficients(geom, scene, pulses)
-        stacked = np.stack(
-            [scene_coefficients(geom, scene, int(p)) for p in pulses], axis=1
-        )
-        assert batched.shape == (64, pulses.size)
-        assert batched.tobytes() == stacked.tobytes()
-
-    def test_scalar_call_returns_one_vector(self, geom, spec64):
-        scene = point_scene(spec64, 3)
-        assert scene_coefficients(geom, scene, 480).shape == (64,)
-        assert scene_coefficients(geom, scene, np.int64(480)).shape == (64,)
-        assert scene_coefficients(geom, scene, np.array([480])).shape == (64, 1)
-
+    # One call returns (M, n_pulses), column p for pulse p of the grid.
     def test_empty_scene_gives_zeros(self, geom, spec64):
         scene = Scene(np.zeros((64, 5)), range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, np.arange(geom.n_pulses))
+        d = scene_coefficients(geom, scene)
         assert d.shape == (64, geom.n_pulses)
         assert not np.any(d)
 
 
 class TestInBeamPulses:
     # Each occupied column is evaluated only at the pulses its aperture
-    # envelope keeps, found on the pulse indices as given, sorted or not.
-    @pytest.mark.parametrize("order", ["shuffled", "reversed"])
-    def test_unsorted_slow_times_give_matching_columns(self, order, geom, spec64):
-        pulses = np.arange(geom.n_pulses)
-        perm = {
-            "shuffled": np.random.default_rng(3).permutation(pulses.size),
-            "reversed": pulses[::-1],
-        }[order]
-        scene = car_scene(spec64)
-        d = scene_coefficients(geom, scene, pulses[perm])
-        assert d.tobytes() == scene_coefficients(geom, scene, pulses)[:, perm].tobytes()
-
+    # envelope keeps.
     def test_columns_outside_the_aperture_give_exact_zeros(self, geom, spec64):
         # Of 200 columns 12 pulses apart, the outer 20 on each side reach
         # closest approach at |eta_a| >= 960 pulses = 1.2 s, more than
@@ -246,21 +227,19 @@ class TestInBeamPulses:
         values = rng.standard_normal((64, 200)) + 1j * rng.standard_normal((64, 200))
         values[:, 20:180] = 0.0
         scene = Scene(values, range_cell_size(spec64))
-        d = scene_coefficients(geom, scene, np.arange(geom.n_pulses))
+        d = scene_coefficients(geom, scene)
         assert d.tobytes() == np.zeros((64, geom.n_pulses), dtype=complex).tobytes()
 
     def test_wide_point_scene_equals_one_column(self, geom, spec64):
-        pulses = np.arange(geom.n_pulses)
-        wide = scene_coefficients(geom, point_scene(spec64, 20001), pulses)
-        assert wide.tobytes() == scene_coefficients(geom, point_scene(spec64, 1), pulses).tobytes()
+        wide = scene_coefficients(geom, point_scene(spec64, 20001))
+        assert wide.tobytes() == scene_coefficients(geom, point_scene(spec64, 1)).tobytes()
 
     def test_wide_point_scene_peak_memory(self, geom, spec64):
         # Memory follows the occupied cells and the output, not M x n_az x P.
         scene = point_scene(spec64, 20001)
-        pulses = np.arange(geom.n_pulses)
         tracemalloc.start()
         try:
-            scene_coefficients(geom, scene, pulses)
+            scene_coefficients(geom, scene)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
