@@ -95,10 +95,24 @@ def _resolve_scene(cfg: Config, spec):
     return load_scene(cfg.scene, spec)
 
 
-def _cmd_allocate(cfg: Config, args, out: Path) -> int:
+def _noise_power(spec, snr_db: float, key: str) -> float:
+    """sigma^2 at ``snr_db``, the value of config key ``key``; the channel gains
+    and the LS Monte Carlo are scaled by it, so it must not be 0."""
+    sigma2 = spec.noise_power(snr_db)
+    if sigma2 == 0.0:
+        raise ConfigError(f"{key} holds {snr_db!r} dB, which leaves no noise power")
+    return sigma2
+
+
+def _channel_setup(cfg: Config):
+    """Spec, noise power at ``snr_db`` and channel gains at that noise power."""
     spec = cfg.waveform_spec()
-    sigma2 = spec.noise_power(cfg.snr_db)
-    ch = cfg.channel_gains().rescaled(sigma2)
+    sigma2 = _noise_power(spec, cfg.snr_db, "snr_db")
+    return spec, sigma2, cfg.channel_gains().rescaled(sigma2)
+
+
+def _cmd_allocate(cfg: Config, args, out: Path) -> int:
+    spec, sigma2, ch = _channel_setup(cfg)
     policy = cfg.truncation_policy()
     capacity = allocation.achievable_rate(
         allocation.water_filling(ch, spec.power_budget), ch
@@ -156,24 +170,18 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
 
 
 def _cmd_mse_sweep(cfg: Config, args, out: Path) -> int:
-    spec = cfg.waveform_spec()
+    spec, grid = cfg.waveform_spec(), cfg.snr_grid_values()
+    for snr_db in grid:
+        _noise_power(spec, snr_db, "snr_grid")
     rows = metrics.mse_vs_snr(
-        spec,
-        cfg.channel_gains(),
-        cfg.snr_grid_values(),
-        cfg.trials,
-        args.seed,
-        cfg.truncation_policy(),
-    )
+        spec, cfg.channel_gains(), grid, cfg.trials, args.seed, cfg.truncation_policy())
     write_table_csv(out / "mse_sweep.csv", rows)
     print(f"wrote {out / 'mse_sweep.csv'}")
     return EXIT_OK
 
 
 def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
-    spec = cfg.waveform_spec()
-    sigma2 = spec.noise_power(cfg.snr_db)
-    ch = cfg.channel_gains().rescaled(sigma2)
+    spec, sigma2, ch = _channel_setup(cfg)
     points = allocation.tradeoff_sweep(
         ch, spec.power_budget, sigma2, cfg.truncation_policy(), cfg.tradeoff_points
     )

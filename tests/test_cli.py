@@ -48,6 +48,10 @@ def assert_one_line_config_error(capsys):
     return err
 
 
+#: SNRs in dB whose noise power is 0: infinity, and one beyond the float range.
+NOISE_FREE_SNRS = ("inf", "1e400")
+
+
 # Runs in a fresh interpreter where importing scipy fails, as if it were not
 # installed: every subcommand must still work.
 NO_SCIPY_RUN = """\
@@ -151,10 +155,12 @@ class TestAllocate:
 
     def test_infinite_snr_config_error(self, tmp_path, capsys):
         # Noise power 0 leaves the channel gains undefined.
-        code = run(["--out", str(tmp_path), "allocate", "--snr-db", "inf"])
-        assert code == EXIT_CONFIG
-        assert_one_line_config_error(capsys)
-        assert not (tmp_path / "allocation.csv").exists()
+        for snr in NOISE_FREE_SNRS:
+            code = run(["--out", str(tmp_path), "allocate", "--snr-db", snr])
+            assert code == EXIT_CONFIG
+            err = assert_one_line_config_error(capsys)
+            assert "snr_db holds inf dB, which leaves no noise" in err
+            assert not (tmp_path / "allocation.csv").exists()
 
     def test_selective_channel_config(self, tmp_path):
         cfg = tmp_path / "mp.cfg"
@@ -594,6 +600,20 @@ class TestMseSweep:
             assert "'gaussian comm-optimal'" in err
             assert not (out / "mse_sweep.csv").exists()
 
+    def test_infinite_snr_config_error(self, small_cfg, tmp_path, capsys):
+        out = tmp_path / "m"
+        # (extra config, grid SNR, the SNR as named): a finite SNR also leaves
+        # no noise when (P/N) / snr underflows, as 1e-300 / 1e300 does.
+        cases = [("", snr, "inf") for snr in NOISE_FREE_SNRS]
+        cases.append(("power_budget = 1e-300\n", "3000", "3000.0"))
+        for extra, snr, named in cases:
+            small_cfg.write_text(SMALL_CFG + extra + f"snr_grid = 0,{snr}\n")
+            code = run(["--config", str(small_cfg), "--out", str(out), "mse-sweep"])
+            assert code == EXIT_CONFIG
+            err = assert_one_line_config_error(capsys)
+            assert f"snr_grid holds {named} dB, which leaves no noise" in err
+            assert not (out / "mse_sweep.csv").exists()
+
     def test_too_few_trials_config_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "m"
         code = run(["--config", str(small_cfg), "--out", str(out), "mse-sweep", "--trials", "99"])
@@ -625,11 +645,13 @@ class TestTradeoff:
 
     def test_infinite_snr_config_error(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "t"
-        code = run(["--config", str(small_cfg), "--out", str(out), "tradeoff",
-                    "--snr-db", "inf"])
-        assert code == EXIT_CONFIG
-        assert_one_line_config_error(capsys)
-        assert not (out / "tradeoff.csv").exists()
+        for snr in NOISE_FREE_SNRS:
+            code = run(["--config", str(small_cfg), "--out", str(out), "tradeoff",
+                        "--snr-db", snr])
+            assert code == EXIT_CONFIG
+            err = assert_one_line_config_error(capsys)
+            assert "snr_db holds inf dB, which leaves no noise" in err
+            assert not (out / "tradeoff.csv").exists()
 
     def test_selective_channel_monotone(self, tmp_path):
         cfg = tmp_path / "mp.cfg"

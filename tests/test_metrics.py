@@ -11,8 +11,22 @@ from ofdmsar import (
 )
 from ofdmsar import metrics
 from ofdmsar.config import parse_config
+from ofdmsar.echo import synthesize_pulse
 from ofdmsar.errors import ConfigError, IllConditionedWaveformError, NoPeakError
-from ofdmsar.metrics import DEFAULT_DESIGNS
+from ofdmsar.waveform import draw_symbols
+
+#: (label, Gaussian symbols, water-filling allocation) of each design, in row order.
+DESIGNS = (
+    ("constant-modulus uniform", False, False),
+    ("gaussian uniform", True, False),
+    ("gaussian comm-optimal", True, True),
+)
+
+
+def point_streams(seed, si):
+    """The symbol and noise streams of SNR point si."""
+    root = np.random.SeedSequence(seed, spawn_key=(si,))
+    return [np.random.default_rng(child) for child in root.spawn(2)]
 
 
 def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
@@ -20,6 +34,7 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
     n, total, q, a = spec.n_subcarriers, spec.power_budget, policy.tail_prob, policy.A
     d = np.zeros(n, dtype=complex)
     d[n // 2] = 1.0
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n  # circulant index of a convolution
     out = {}
     for si, snr_db in enumerate(snr_grid):
         sigma2 = (total / n) / 10.0 ** (snr_db / 10.0)
@@ -28,22 +43,21 @@ def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
             False: PowerAllocation.uniform(n, total).powers,
             True: water_filling(ch_eff, total).powers,
         }
-        sums = dict.fromkeys((label for label, *_ in DEFAULT_DESIGNS), 0.0)
-        # The point's four streams; trial t reads row t of each, in trial order.
-        root = np.random.SeedSequence(seed, spawn_key=(si,))
-        mag, phase, re, im = (np.random.default_rng(c) for c in root.spawn(4))
+        sums = dict.fromkeys((label for label, *_ in DESIGNS), 0.0)
+        # Trial t reads row t of each stream: a magnitude and a phase row of
+        # uniforms, and 2N interleaved normals of subcarrier noise.
+        symbol_rng, noise_rng = point_streams(seed, si)
         for _ in range(n_trials):
-            u = mag.uniform(0.0, 1.0, n)
-            phases = phase.uniform(0.0, 2.0 * np.pi, n)
-            w = np.sqrt(sigma2 / 2.0) * (re.standard_normal(n) + 1j * im.standard_normal(n))
-            for label, gaussian, filling in DEFAULT_DESIGNS:
+            u, v = symbol_rng.uniform(0.0, 1.0, (2, n))
+            w_f = np.sqrt(n * sigma2 / 2.0) * noise_rng.standard_normal(2 * n).view(complex)
+            for label, gaussian, filling in DESIGNS:
                 mags = np.sqrt(powers[filling])
                 if gaussian:
                     mags = mags * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
-                s = mags * np.exp(1j * phases)
-                y = np.fft.ifft(s * np.fft.fft(d)) + w
+                s = mags * np.exp(2j * np.pi * v)
+                y = np.fft.ifft(s)[lag] @ d + np.fft.ifft(w_f)  # fast-time echo
                 sums[label] += np.sum(np.abs(np.fft.ifft(np.fft.fft(y) / s) - d) ** 2)
-        for label, gaussian, filling in DEFAULT_DESIGNS:
+        for label, gaussian, filling in DESIGNS:
             scale = a if gaussian else 1.0
             analytic = scale * sigma2 * np.sum(1.0 / powers[filling])
             out[(float(snr_db), label)] = (sums[label] / n_trials, analytic)
@@ -108,6 +122,14 @@ class TestMseVsSnr:
         assert g["analytic_nmse"] == pytest.approx(policy.A * 0.1 * 64.0)
         assert g["empirical_nmse"] == pytest.approx(g["analytic_nmse"], rel=0.05)
 
+    def test_truncated_gaussian_mean_is_A_over_kept_mass(self, spec64):
+        # E 1/|S_k|^2 under the truncated law is A / (1 - q) per unit power:
+        # A is the truncated integral, not normalised by the kept mass.
+        ch = ChannelGains(np.ones(64))
+        rows = mse_vs_snr(spec64, ch, [10.0], 1000, seed=3, policy=TruncationPolicy(0.5))
+        g = next(r for r in rows if r["design"] == "gaussian uniform")
+        assert g["empirical_nmse"] / g["analytic_nmse"] == pytest.approx(2.0, rel=0.05)
+
     def test_water_filling_gap_shrinks_with_snr(self, spec64):
         # Mild selectivity so water-filling keeps every subcarrier wet even
         # at 0 dB (dry subcarriers make the Gaussian MSE infinite).
@@ -163,10 +185,34 @@ class TestMseVsSnr:
         first = mse_vs_snr(spec64, ch, [0.0, 20.0], 100, seed=6)[: len(alone)]
         assert first == alone
 
-    def test_design_labels(self):
-        labels = [label for label, *_ in DEFAULT_DESIGNS]
-        assert "constant-modulus uniform" in labels
-        assert "gaussian comm-optimal" in labels
+    def test_design_labels(self, spec64):
+        rows = mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0, 10.0], 100, seed=0)
+        assert [r["design"] for r in rows] == [label for label, *_ in DESIGNS] * 2
+
+    def test_trials_are_draw_symbols_pulses(self, spec64, monkeypatch):
+        # Trial t's symbols are pulse t of draw_symbols on the point's symbol
+        # stream, and its noise is pulse t of synthesize_pulse's on the noise stream.
+        calls, ls_estimate = [], metrics.ls_estimate
+
+        def capture(spectrum, symbols, alloc):
+            calls.append((spectrum, symbols))
+            return ls_estimate(spectrum, symbols, alloc)
+
+        monkeypatch.setattr(metrics, "ls_estimate", capture)
+        policy = TruncationPolicy()
+        mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 300, seed=8, policy=policy)
+        labels = [label for label, *_ in DESIGNS] * 3  # blocks of 128, 128 and 44
+        spectrum, symbols = (np.hstack(x) for x in zip(*(
+            call for call, label in zip(calls, labels, strict=True)
+            if label == "gaussian uniform")))
+        symbol_rng, noise_rng = point_streams(8, 0)
+        uniform = PowerAllocation.uniform(64, spec64.power_budget)
+        expected = draw_symbols(spec64, uniform, symbol_rng, 300, policy)
+        np.testing.assert_allclose(symbols, expected, rtol=1e-13)
+        d_f = np.fft.fft(np.eye(64)[32])[:, None]
+        zeros = np.zeros((64, 300), dtype=complex)
+        noise = synthesize_pulse(zeros, zeros, spec64.noise_power(10.0), noise_rng)
+        np.testing.assert_allclose(spectrum - symbols * d_f, noise, atol=1e-13)
 
     def test_design_below_ls_floor_rejected_before_drawing(self, monkeypatch):
         # Water-filling leaves subcarrier 12 at 3.1e-4 P/N, and the smallest
@@ -175,18 +221,15 @@ class TestMseVsSnr:
         cfg = parse_config("channel = multipath\nchannel_seed = 41\n")
 
         def no_draws(*args):
-            raise AssertionError("variates drawn")
+            raise AssertionError("symbols drawn")
 
-        monkeypatch.setattr(metrics, "_point_streams", no_draws)
+        monkeypatch.setattr(metrics, "draw_symbols", no_draws)
         with pytest.raises(IllConditionedWaveformError, match="'gaussian comm-optimal'$") as err:
             mse_vs_snr(cfg.waveform_spec(), cfg.channel_gains(), [29.75], 100, seed=0)
         assert err.value.subcarrier == 12
         assert err.value.power < err.value.threshold
 
-    def test_too_few_trials_rejected(self, spec64):
-        with pytest.raises(ValueError):
-            mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0], 10, seed=0)
-
-    def test_too_few_trials_names_the_key(self, spec64):
-        with pytest.raises(ConfigError, match=r"^trials = 99 must be at least 100$"):
-            mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0], 99, seed=0)
+    @pytest.mark.parametrize("trials", [10, 99])
+    def test_too_few_trials_names_the_key(self, spec64, trials):
+        with pytest.raises(ConfigError, match=rf"^trials = {trials} must be at least 100$"):
+            mse_vs_snr(spec64, ChannelGains(np.ones(64)), [0.0], trials, seed=0)
