@@ -110,7 +110,7 @@ class TruncationPolicy:
 
     def __post_init__(self):
         if not 0.0 < self.tail_prob < 1.0:
-            raise ValueError("tail_prob must lie in (0, 1)")
+            raise ConfigError(f"tail_prob = {self.tail_prob} must lie in (0, 1)")
 
     @property
     def A(self) -> float:
@@ -253,9 +253,13 @@ def _rate_constrained(
     if achievable_rate(uniform, ch) >= rate_floor - floor_tol:
         return uniform, 0.0
 
+    # In units of the mean power, the powers start at 1 whatever the budget.
+    unit = total / g.size
+    g, budget = g * unit, float(g.size)
+
     def residuals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g_k / (1 + g_k P_k), and the budget and rate residuals."""
-        r = np.array([p.sum() - total, np.sum(np.log2(1.0 + g * p)) - rate_floor])
+        r = np.array([p.sum() - budget, np.sum(np.log2(1.0 + g * p)) - rate_floor])
         return g / (1.0 + g * p), r
 
     def budget_step(mu: float, slope: np.ndarray, r: np.ndarray) -> float | None:
@@ -266,13 +270,13 @@ def _rate_constrained(
         return step if done else None
 
     # The uniform allocation's multipliers, where the budget residual is 0.
-    mu, lam, p = a * (g.size / total) ** 2, 0.0, uniform.powers
+    mu, lam, p = a, 0.0, np.ones(g.size)
     slope = -2.0 * a / p**3
     gd, r = residuals(p)
     for _ in range(_MAX_STEPS):
         last = budget_step(mu, slope, r)
         if last is not None:
-            return PowerAllocation(p + last / slope, total), lam
+            return PowerAllocation((p + last / slope) * unit, total), lam / unit
         # dP_k = (dmu - gd_k dlam) / f_k' keeps f_k at zero, so with w = 1/f'
         # the Jacobian is [[sw, -sgw], [sgw, -sggw] / ln 2].  Its determinant
         # times ln 2 is -sw * sum(w (gd - sgw/sw)^2), free of cancellation.

@@ -9,7 +9,9 @@ flag named after a config key (``--snr-db``, ``--scene``, ``--trials``;
 echoes the resolved configuration and master seed; identical config + seed
 gives byte-identical outputs.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible problem, 4 I/O error.
+Exit codes: 0 ok, else the code of an ``OfdmSarError`` (2 config error, 3
+infeasible problem, 4 bad scene file) or 4 for an ``OSError``, with one line on
+stderr.  Any other exception is a fault and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -24,21 +26,9 @@ import numpy as np
 
 from . import allocation, azimuth, echo, metrics, rangeproc, scenes
 from .config import Config, load_config
-from .errors import (
-    ConfigError,
-    IllConditionedWaveformError,
-    InfeasibleChannelError,
-    InfeasibleRateError,
-    NoPeakError,
-    SceneFormatError,
-)
+from .errors import EXIT_IO, EXIT_OK, ConfigError, NoPeakError, OfdmSarError
 from .geometry import load_scene, save_scene
 from .output import write_db_csv, write_pgm, write_table_csv
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_IO = 4
 
 _KEYS = {f.name for f in dataclasses.fields(Config)}
 
@@ -96,11 +86,13 @@ def _resolve_scene(cfg: Config, spec):
 
 
 def _noise_power(spec, snr_db: float, key: str) -> float:
-    """sigma^2 at ``snr_db``, the value of config key ``key``; the channel gains
-    and the LS Monte Carlo are scaled by it, so it must not be 0."""
-    sigma2 = spec.noise_power(snr_db)
-    if sigma2 == 0.0:
-        raise ConfigError(f"{key} holds {snr_db!r} dB, which leaves no noise power")
+    """sigma^2 at ``snr_db``, the value of config key ``key``, for a channel: an SNR
+    of at most 1000 dB keeps P_k g_k <= N^2 1e100, and the gains, at most N at unit
+    noise power as their mean is 1, are divided by sigma^2."""
+    sigma2 = spec.noise_power(snr_db, key)
+    if not (snr_db <= 1000.0 and spec.n_subcarriers < sigma2 * sys.float_info.max):
+        raise ConfigError(f"{key} holds {snr_db!r} dB, which leaves no noise power for a "
+                          f"channel (sigma^2 = {sigma2!r}): SNR past 1000 dB or N / sigma^2 inf")
     return sigma2
 
 
@@ -114,17 +106,17 @@ def _channel_setup(cfg: Config):
 def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     spec, sigma2, ch = _channel_setup(cfg)
     policy = cfg.truncation_policy()
-    capacity = allocation.achievable_rate(
-        allocation.water_filling(ch, spec.power_budget), ch
-    )
+    capacity = allocation.achievable_rate(allocation.water_filling(ch, spec.power_budget), ch)
     if args.rate_target is None:
         alloc = allocation.PowerAllocation.uniform(len(ch), spec.power_budget)
     else:
         try:
             r0 = capacity if args.rate_target == "capacity" else float(args.rate_target)
         except ValueError:
+            r0 = np.nan
+        if not r0 > -np.inf:  # not a number, NaN or -inf
             raise ConfigError("--rate-target takes a number of bits or 'capacity', "
-                              f"not {args.rate_target!r}") from None
+                              f"not {args.rate_target!r}")
         alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0, policy)
     rate = allocation.achievable_rate(alloc, ch)
     emse = allocation.emse_of_alloc(alloc, sigma2, policy)
@@ -214,15 +206,14 @@ def run(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, args.seed)
         return args.command(cfg, args, args.out)
-    except (SceneFormatError, OSError) as exc:
+    except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InfeasibleRateError, InfeasibleChannelError, IllConditionedWaveformError) as exc:
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ConfigError, ValueError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except OfdmSarError as exc:
+        if exc.exit_code is None:
+            raise
+        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def main() -> None:

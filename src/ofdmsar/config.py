@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocation import ChannelGains, TruncationPolicy
 from .errors import ConfigError
-from .geometry import Geometry, closest_approach_ranges, range_cell_size
+from .geometry import Geometry, range_cell_size
 from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
@@ -49,18 +49,15 @@ class Config:
 
     def waveform_spec(self) -> WaveformSpec:
         self._gaussian()  # every subcommand rejects an unknown signaling
-        # The spec sees only bandwidth / N, so the two keys are checked here.
+        # The spec sees only bandwidth / N, so the two keys are checked here, and
+        # neither bandwidth / N nor the range cell c / (2 N (bandwidth / N)) may be 0.
         if self.n_subcarriers < 1:
             raise ConfigError(f"n_subcarriers = {self.n_subcarriers} must be >= 1")
-        if not 0.0 < self.bandwidth < np.inf:
-            raise ConfigError(
-                f"bandwidth = {self.bandwidth} must be finite and positive"
-            )
-        return WaveformSpec(
-            n_subcarriers=self.n_subcarriers,
-            subcarrier_spacing=self.bandwidth / self.n_subcarriers,
-            power_budget=self.power_budget,
-        )
+        spacing = self.bandwidth / self.n_subcarriers
+        if not (0.0 < spacing and 2.0 * self.n_subcarriers * spacing < np.inf):
+            raise ConfigError(f"bandwidth = {self.bandwidth} must be finite and positive, "
+                              "with bandwidth / n_subcarriers and c / (2 bandwidth) above 0")
+        return WaveformSpec(self.n_subcarriers, spacing, self.power_budget)
 
     def geometry(self) -> Geometry:
         """Geometry of an image of N x n_pulses <= 2**24 cells, its swath in front of
@@ -77,7 +74,8 @@ class Config:
         if spec.n_subcarriers * geom.n_pulses > _MAX_IMAGE_CELLS:
             raise ConfigError(f"prf * aperture_time = {geom.n_pulses} pulses times N = "
                               f"{spec.n_subcarriers} exceeds {_MAX_IMAGE_CELLS} image cells")
-        near = closest_approach_ranges(geom, spec.n_subcarriers, range_cell_size(spec))[0]
+        # Row 0 of closest_approach_ranges, alone: the row array can overflow.
+        near = geom.slant_range_center - (spec.n_subcarriers / 2) * range_cell_size(spec)
         if not near > 0.0:
             raise ConfigError(
                 f"closest-approach range {near:.6g} m of the swath's near edge is "

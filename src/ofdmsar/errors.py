@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exit code of each."""
+
+EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO = 0, 2, 3, 4
 
 
 class OfdmSarError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  One that input can cause has
+    an exit code and ``kind``, the first word of its one-line message; one with
+    none (``DimensionError``, ``NoPeakError``) is a fault, and ends in a traceback."""
+
+    exit_code: int | None = None
+    kind: str
 
 
 class DimensionError(OfdmSarError, ValueError):
@@ -12,13 +19,19 @@ class DimensionError(OfdmSarError, ValueError):
 class ConfigError(OfdmSarError, ValueError):
     """Malformed or unknown configuration key/value."""
 
+    exit_code, kind = EXIT_CONFIG, "config"
+
 
 class SceneFormatError(OfdmSarError, ValueError):
     """Scene file does not parse or has the wrong dimensions."""
 
+    exit_code, kind = EXIT_IO, "io"
+
 
 class IllConditionedWaveformError(OfdmSarError):
     """Subcarrier power is below the conditioning threshold for LS inversion."""
+
+    exit_code, kind = EXIT_INFEASIBLE, "infeasible"
 
     def __init__(self, subcarrier: int, power: float, threshold: float, design: str = ""):
         self.subcarrier = subcarrier
@@ -34,9 +47,13 @@ class IllConditionedWaveformError(OfdmSarError):
 class InfeasibleChannelError(OfdmSarError):
     """All channel gains are zero; no rate can be achieved."""
 
+    exit_code, kind = EXIT_INFEASIBLE, "infeasible"
+
 
 class InfeasibleRateError(OfdmSarError):
     """Requested rate exceeds the water-filling capacity of the channel."""
+
+    exit_code, kind = EXIT_INFEASIBLE, "infeasible"
 
     def __init__(self, requested: float, capacity: float):
         self.requested = requested

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SceneFormatError
+from .errors import ConfigError, SceneFormatError
 from .waveform import WaveformSpec
 
 SPEED_OF_LIGHT = 299792458.0
@@ -59,21 +59,25 @@ class Geometry:
             "aperture_time",
         ):
             if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+                raise ConfigError(f"{name} must be finite and positive")
         if self.slant_range_center < self.altitude:
-            raise ValueError("slant_range_center must be >= altitude")
+            raise ConfigError("slant_range_center must be >= altitude")
         if not 1.5 <= self.prf * self.aperture_time < np.inf:  # n_pulses rounds it
-            raise ValueError("prf * aperture_time must round to a finite count of >= 2 pulses")
+            raise ConfigError("prf * aperture_time must round to a finite count of >= 2 pulses")
+        # Range histories square R_m < 2 R_c, v and v eta with |eta| <= T / 2.
+        vt = self.velocity * self.aperture_time
+        if not (0.0 < vt and max(self.slant_range_center, self.velocity, vt) <= 1e150):
+            raise ConfigError("velocity * aperture_time must not round to 0, and neither it, "
+                              "velocity nor slant_range_center may exceed 1e150")
         # Phases past 2**32 rad resolve worse than 1e-6 rad in float64; summed as
         # logs, the bounds are checked without overflow.
-        f, r, vt = np.log([self.carrier_freq, self.slant_range_center,
-                           self.velocity * self.aperture_time])
+        f, r, vt = np.log([self.carrier_freq, self.slant_range_center, vt])
         if np.log(4 * np.pi / SPEED_OF_LIGHT) + f + r > _LOG_PHASE_LIMIT:
-            raise ValueError("carrier phase 4 pi carrier_freq slant_range_center / c "
-                             "exceeds 2**32 rad")
+            raise ConfigError("carrier phase 4 pi carrier_freq slant_range_center / c "
+                              "exceeds 2**32 rad")
         if np.log(np.pi / (2 * SPEED_OF_LIGHT)) + 2 * vt + f - r > _LOG_PHASE_LIMIT:
-            raise ValueError("azimuth chirp phase pi (velocity aperture_time)^2 / "
-                             "(2 wavelength slant_range_center) exceeds 2**32 rad")
+            raise ConfigError("azimuth chirp phase pi (velocity aperture_time)^2 / "
+                              "(2 wavelength slant_range_center) exceeds 2**32 rad")
 
     @property
     def wavelength(self) -> float:
@@ -196,6 +200,8 @@ def _parse_value(tok: str) -> complex:
         raise SceneFormatError(f"bad scene value {tok!r}") from exc
     if not np.isfinite(z):
         raise SceneFormatError(f"non-finite scene value {tok!r}")
+    if abs(z) > 1e100:  # the echo and its image would overflow
+        raise SceneFormatError(f"scene value {tok!r} exceeds 1e100 in magnitude")
     return z
 
 

@@ -41,9 +41,13 @@ class WaveformSpec:
             raise ValueError("n_subcarriers must be >= 1")
         if self.power_budget is None:
             object.__setattr__(self, "power_budget", float(self.n_subcarriers))
-        for name in ("subcarrier_spacing", "power_budget"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 < self.subcarrier_spacing < np.inf:
+            raise ValueError("subcarrier_spacing must be finite and positive")
+        # A normal P/N keeps a uniform allocation's sum on the budget; at most 1e100,
+        # with noise_power's SNR floor of 1e-100, it keeps sigma^2 <= 1e200.
+        if not np.finfo(float).tiny <= self.power_budget / self.n_subcarriers <= 1e100:
+            raise ConfigError(f"power_budget / n_subcarriers = {self.power_budget} / "
+                              f"{self.n_subcarriers} must be a normal float of at most 1e100")
 
     @property
     def bandwidth(self) -> float:
@@ -54,19 +58,19 @@ class WaveformSpec:
         # SWMP: n_range_cells == N, CP covers M - 1 samples.
         return self.n_subcarriers - 1
 
-    def noise_power(self, snr_db: float) -> float:
+    def noise_power(self, snr_db: float, key: str = "snr_db") -> float:
         """Radar noise power sigma^2 under the per-sample SNR = (P/N) / sigma^2.
 
         An SNR of inf, or one too large for a float, is the noise-free case,
-        sigma^2 = 0.  NaN, -inf or an SNR whose linear value underflows to 0
-        raises ConfigError.
+        sigma^2 = 0.  NaN, or an SNR below -1000 dB (1e-100), raises
+        ConfigError naming ``key``, the config key that holds ``snr_db``.
         """
         try:
             snr = 10.0 ** (snr_db / 10.0)
         except OverflowError:
             snr = np.inf
-        if not snr > 0.0:
-            raise ConfigError(f"SNR of {snr_db!r} dB gives no finite noise power")
+        if not snr >= 1e-100:
+            raise ConfigError(f"{key} holds {snr_db!r} dB, not an SNR of at least -1000 dB")
         return (self.power_budget / self.n_subcarriers) / snr
 
 

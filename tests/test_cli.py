@@ -10,9 +10,20 @@ import numpy as np
 import pytest
 
 import ofdmsar
-from ofdmsar.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, run
+from ofdmsar import cli
+from ofdmsar.cli import EXIT_IO, EXIT_OK, run
 from ofdmsar.config import Config, load_config, parse_config
-from ofdmsar.errors import ConfigError
+from ofdmsar.errors import (
+    EXIT_CONFIG,
+    EXIT_INFEASIBLE,
+    ConfigError,
+    DimensionError,
+    IllConditionedWaveformError,
+    InfeasibleChannelError,
+    InfeasibleRateError,
+    NoPeakError,
+    SceneFormatError,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,6 +120,45 @@ def test_cli_import_loads_no_scipy(tmp_path):
     ], proc.stderr
 
 
+def raising(exc):
+    def stage(*args, **kwargs):
+        raise exc
+    return stage
+
+
+#: Each error a user's input can cause, with the exit code and kind it ends a run with.
+REPORTED = [
+    (ConfigError("bad key"), EXIT_CONFIG, "config"),
+    (SceneFormatError("bad row"), EXIT_IO, "io"),
+    (InfeasibleChannelError("all channel gains are zero"), EXIT_INFEASIBLE, "infeasible"),
+    (InfeasibleRateError(2.0, 1.0), EXIT_INFEASIBLE, "infeasible"),
+    (IllConditionedWaveformError(3, 1e-9, 1e-6), EXIT_INFEASIBLE, "infeasible"),
+]
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("exc, code, kind", REPORTED,
+                             ids=[type(e).__name__ for e, _, _ in REPORTED])
+    def test_reported_error_ends_the_run_with_its_code(self, tmp_path, capsys, monkeypatch,
+                                                       exc, code, kind):
+        assert (exc.exit_code, exc.kind) == (code, kind)
+        monkeypatch.setattr(cli, "write_table_csv", raising(exc))
+        assert run(["--out", str(tmp_path), "allocate"]) == code
+        assert capsys.readouterr().err == f"error: {kind}: {exc}\n"
+
+    @pytest.mark.parametrize(
+        "fault", [ValueError("bug"), DimensionError("bug"), NoPeakError("bug"), RuntimeError("bug")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_fault_propagates(self, tmp_path, capsys, monkeypatch, fault):
+        # A fault is not a user's mistake: it ends in a traceback, not in exit 2.
+        monkeypatch.setattr(cli, "write_table_csv", raising(fault))
+        with pytest.raises(type(fault)) as caught:
+            run(["--out", str(tmp_path), "allocate"])
+        assert caught.value is fault
+        assert capsys.readouterr().err == ""
+
+
 class TestAllocate:
     def test_default_writes_allocation(self, tmp_path, capsys):
         code = run(["--out", str(tmp_path), "allocate"])
@@ -141,10 +191,13 @@ class TestAllocate:
         assert "infeasible" in capsys.readouterr().err
 
     def test_nan_rate_target_config_error(self, tmp_path, capsys):
-        code = run(["--out", str(tmp_path), "allocate", "--rate-target", "nan"])
-        assert code == EXIT_CONFIG
-        assert_one_line_config_error(capsys)
-        assert not (tmp_path / "allocation.csv").exists()
+        # Both reached the solver's own check, whose message named no flag.
+        for target in ("nan", "-inf"):
+            code = run(["--out", str(tmp_path), "allocate", f"--rate-target={target}"])
+            assert code == EXIT_CONFIG
+            err = assert_one_line_config_error(capsys)
+            assert "--rate-target" in err and repr(target) in err
+            assert not (tmp_path / "allocation.csv").exists()
 
     def test_non_number_rate_target_names_the_flag(self, tmp_path, capsys):
         code = run(["--out", str(tmp_path), "allocate", "--rate-target", "abc"])
@@ -161,6 +214,24 @@ class TestAllocate:
             err = assert_one_line_config_error(capsys)
             assert "snr_db holds inf dB, which leaves no noise" in err
             assert not (tmp_path / "allocation.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("budget", ["8e-300", "8e99"])
+    def test_rate_constrained_powers_scale_with_the_budget(self, tmp_path, capsys, budget):
+        # The solver runs in units of P/N.  In absolute units its starting
+        # multiplier A (N/P)^2 overflowed at 8e-300, and at 8e99 Newton found
+        # no descending step.
+        def powers(budget):
+            cfg = tmp_path / "mp.cfg"
+            cfg.write_text(f"n_subcarriers = 8\npower_budget = {budget}\nchannel = multipath\n"
+                           "snr_db = -10\n")
+            out = tmp_path / budget
+            argv = ["--config", str(cfg), "--out", str(out), "allocate", "--rate-target=1.5"]
+            assert run(argv) == EXIT_OK
+            return np.array([float(r[1]) for r in read_csv(out / "allocation.csv")[1:]])
+
+        scale = float(budget) / 8.0
+        np.testing.assert_allclose(powers(budget) / scale, powers("8"), rtol=1e-12)
 
     def test_selective_channel_config(self, tmp_path):
         cfg = tmp_path / "mp.cfg"
@@ -215,6 +286,33 @@ class TestConfigErrors:
         assert captured.out == ""  # rejected before the echo
         assert captured.err.startswith("error: config: --seed") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["allocate", "tradeoff", "mse-sweep"])
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            # sigma^2 = (P/N) / snr overflowed: "noise power inf is not positive and finite".
+            ("power_budget = 1e308\nsnr_db = -100\nsnr_grid = -100", "power_budget"),
+            # 1 / sigma^2 overflowed: "gains must be finite and nonnegative".
+            ("power_budget = 1e-310", "power_budget"),
+            # 1 / sigma^2 is finite, but the largest gain over sigma^2 was not.
+            ("power_budget = 8e-300\nsnr_db = 80\nsnr_grid = 80\nchannel = multipath",
+             "snr"),
+            # The channel commands' SNR range, -1000 to 1000 dB.
+            ("snr_db = -3000\nsnr_grid = -3000", "snr"),
+            ("snr_db = 1001\nsnr_grid = 1001", "snr"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_power_and_noise_extremes_config_error(self, small_cfg, tmp_path, capsys, cmd,
+                                                   lines, key):
+        small_cfg.write_text(SMALL_CFG + lines + "\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(small_cfg), "--out", str(out), cmd]) == EXIT_CONFIG
+        if key == "snr":
+            key = "snr_grid" if cmd == "mse-sweep" else "snr_db"
+        assert key in assert_one_line_config_error(capsys)
+        assert list(out.iterdir()) == []
 
 
 # Each flag sets the config key named in the second element.
@@ -346,19 +444,34 @@ class TestSimulate:
             "aperture_time = inf",
             "bandwidth = inf",
             "n_subcarriers = 0",
+            "bandwidth = 1e308",
+            "bandwidth = 5e-324",
+            "bandwidth = 1e-300",
+            "power_budget = 1e-320",
+            "power_budget = 1e308\nsnr_db = -100",
+            "power_budget = 1e308\nsignaling = gaussian\nn_subcarriers = 3",
+            "snr_db = -3000",
+            "velocity = 5e-324\naperture_time = 0.25",
+            "slant_range_center = 1e308\ncarrier_freq = 1e-320",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_geometry_config_error(self, small_cfg, tmp_path, capsys, line):
         # NaN and inf pass a "<= 0" test: the first seven used to write a NaN
         # or meaningless image with exit 0, the next two to end in a traceback.
         # The key the user set is named, not a value derived from it such as
-        # the subcarrier spacing bandwidth / n_subcarriers.
+        # the subcarrier spacing bandwidth / n_subcarriers.  Most of the rest
+        # reached an internal check (c / (2 bandwidth) = 0, a zero spacing, a
+        # power sum off its budget, a raster off its dB grid after NaN ratios
+        # and a written image.pgm) or a numpy warning (an overflowing swath row
+        # array, |S_k|^2, log(0) or a squared range); snr_db = -3000 pins the
+        # SNR floor of -1000 dB, which keeps sigma^2 <= 1e100 P/N.
         small_cfg.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "run"
         code = run(["--config", str(small_cfg), "--out", str(out), "simulate"])
         assert code == EXIT_CONFIG
         assert line.split(" = ")[0] in assert_one_line_config_error(capsys)
-        assert not (out / "image_db.csv").exists()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "lines, key",
@@ -542,6 +655,20 @@ class TestSceneGenRoundtrip:
         err = capsys.readouterr().err
         assert err.startswith("error: io:") and "'nan'" in err and err.count("\n") == 1
         assert not (out / "image.pgm").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_scene_value_past_1e100_io_exit(self, small_cfg, tmp_path, capsys):
+        # 1e308 overflowed the echo: image.pgm was written, then the raster of
+        # NaN failed write_db_csv's grid check.
+        bad = tmp_path / "big.txt"
+        bad.write_text("# 8 1\n" + "0\n" * 4 + "1e308\n" + "0\n" * 3)
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate",
+                    "--scene", str(bad)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and "'1e308'" in err and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("header", ["# 8 -1", "# 8 0", "# -1 8"])
     def test_header_count_below_one_io_exit(self, small_cfg, tmp_path, capsys, header):
