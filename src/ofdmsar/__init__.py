@@ -10,7 +10,7 @@ from .allocation import (
     tradeoff_sweep,
     water_filling,
 )
-from .azimuth import SarImage, azimuth_compress, azimuth_reference, rcmc_bulk
+from .azimuth import SarImage, azimuth_compress, azimuth_reference, form_image, rcmc_bulk
 from .echo import RawDataCube, synthesize_pulse, synthesize_raw
 from .geometry import (
     SPEED_OF_LIGHT,

@@ -1,11 +1,11 @@
-"""Bulk RCMC and Range-Doppler azimuth compression.
+"""Bulk RCMC, Range-Doppler azimuth compression, and ``form_image``, the chain.
 
 Range cell migration is corrected with nearest-cell shifts computed from the
-swath-center hyperbola, applied as one gather over all pulses; at the default
-geometry the total migration is under two range cells, so sub-cell
-interpolation buys nothing.  Azimuth focusing correlates each range row with
-the conjugate quadratic-phase reference (zero Doppler centroid, single
-reference range), implemented in the frequency domain.
+swath-center hyperbola; at the default geometry the total migration is under
+two range cells, so sub-cell interpolation buys nothing.  Azimuth focusing
+correlates each range row with the conjugate quadratic-phase reference (zero
+Doppler centroid, single reference range), in the frequency domain.  Both work
+in place, so ``form_image`` forms an image in its scene-coefficient array.
 """
 
 from __future__ import annotations
@@ -14,12 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import echo, rangeproc
+from .allocation import PowerAllocation, TruncationPolicy
 from .errors import DimensionError
-from .geometry import Geometry, slant_range
+from .geometry import Geometry, Scene, slant_range
+from .waveform import WaveformSpec
 
-__all__ = ["SarImage", "rcmc_bulk", "rcmc_shifts", "azimuth_reference", "azimuth_compress"]
+__all__ = ["SarImage", "rcmc_bulk", "rcmc_shifts", "azimuth_reference", "azimuth_compress",
+           "form_image"]
 
 DB_FLOOR = -40.0
+_BLOCK_CELLS = 8192  # cells of whole pulses, or whole range rows, worked on at a time
 
 
 @dataclass(frozen=True)
@@ -35,15 +40,16 @@ class SarImage:
 
     @classmethod
     def from_complex(cls, img: np.ndarray) -> "SarImage":
-        mag = np.abs(img)
-        peak = mag.max()
+        db = np.abs(img)  # the raster's one array: each step below writes into it
+        peak = db.max()
         if peak == 0.0:
             # Degenerate all-zero input: the raster is all-floor by convention.
             return cls(img, np.full(img.shape, DB_FLOOR))
         with np.errstate(divide="ignore"):
-            db = np.clip(20.0 * np.log10(mag / peak), DB_FLOOR, 0.0)
-        del mag  # freed first, so rounding adds no array to the peak memory
-        return cls(img, np.rint(db * 1e4) / 1e4 + 0.0)  # + 0.0 turns -0.0 into 0.0
+            np.log10(np.divide(db, peak, out=db), out=db)
+        np.clip(np.multiply(db, 20.0, out=db), DB_FLOOR, 0.0, out=db)
+        np.divide(np.rint(np.multiply(db, 1e4, out=db), out=db), 1e4, out=db)
+        return cls(img, np.add(db, 0.0, out=db))  # + 0.0 turns -0.0 into 0.0
 
 
 def _check_pulses(profiles: np.ndarray, geom: Geometry) -> None:
@@ -53,28 +59,31 @@ def _check_pulses(profiles: np.ndarray, geom: Geometry) -> None:
         )
 
 
-def rcmc_shifts(geom: Geometry, range_cell_size: float) -> np.ndarray:
-    """Integer cell shifts round(dR(eta) / cell) from the center hyperbola."""
+def rcmc_shifts(geom: Geometry, range_cell_size: float, n_cells: int) -> np.ndarray:
+    """Integer cell shifts round(dR(eta) / cell) from the center hyperbola, held to
+    [-n_cells, n_cells], as a shift of n_cells or more empties a column anyway."""
     rc = geom.slant_range_center
     dr = slant_range(geom, rc, geom.slow_time()) - rc
-    return np.rint(dr / range_cell_size).astype(int)
+    return np.rint(np.clip(dr / range_cell_size, -n_cells, n_cells)).astype(int)
 
 
 def rcmc_bulk(
     profiles: np.ndarray, geom: Geometry, range_cell_size: float
 ) -> np.ndarray:
-    """Shift each pulse's range column back by its bulk migration.
+    """Shift each pulse's range column back by its bulk migration, in place.
 
     Output cell m of pulse p is input cell m + shift_p; cells whose source
-    lies outside the swath are zeroed (validity mask).
+    lies outside the swath are zeroed.  ``profiles`` is overwritten and
+    returned; the pulses that share a shift move together.
     """
     _check_pulses(profiles, geom)
     n = profiles.shape[0]
-    src = np.arange(n)[:, None] + rcmc_shifts(geom, range_cell_size)[None, :]
-    valid = (src >= 0) & (src < n)
-    out = np.take_along_axis(profiles, np.clip(src, 0, n - 1), axis=0)
-    out[~valid] = 0.0
-    return out
+    shifts = rcmc_shifts(geom, range_cell_size, n)
+    for s in np.unique(shifts[shifts != 0]).tolist():
+        pulses, lo, hi = shifts == s, max(0, -s), min(n, n - s)  # lo:hi have a source
+        profiles[lo:hi, pulses] = profiles[lo + s:hi + s, pulses]
+        profiles[:lo, pulses] = profiles[hi:, pulses] = 0.0
+    return profiles
 
 
 def azimuth_reference(geom: Geometry) -> np.ndarray:
@@ -88,10 +97,34 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
     """Correlate every range row with the conjugate azimuth reference.
 
     Circular correlation via FFT; the output is rolled so a scatterer whose
-    closest approach falls at pulse index p peaks at azimuth index p.
+    closest approach falls at pulse index p peaks at azimuth index p.  A
+    complex ``profiles`` is overwritten, a block of whole rows at a time, and
+    becomes the image's ``complex_image``.
     """
     _check_pulses(profiles, geom)
+    profiles = np.asarray(profiles, dtype=complex)
     ref_f = np.conj(np.fft.fft(azimuth_reference(geom)))
-    corr = np.fft.ifft(np.fft.fft(profiles, axis=1) * ref_f[None, :], axis=1)
-    focused = np.roll(corr, geom.n_pulses // 2, axis=1)
-    return SarImage.from_complex(focused)
+    rows = max(1, _BLOCK_CELLS // geom.n_pulses)
+    for r in range(0, profiles.shape[0], rows):
+        corr = np.fft.fft(profiles[r:r + rows], axis=1)
+        corr *= ref_f
+        profiles[r:r + rows] = np.roll(np.fft.ifft(corr, axis=1), geom.n_pulses // 2, axis=1)
+    return SarImage.from_complex(profiles)
+
+
+def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAllocation,
+               sigma2: float, seed: int, policy: TruncationPolicy | None = None) -> SarImage:
+    """``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))``, formed
+    in the scene-coefficient array.  Synthesis and LS run on blocks of whole pulses,
+    drawn from the image's two streams as ``synthesize_raw`` draws them, and each
+    block's profiles overwrite its coefficients.  Each stage is looked up through its
+    module, where a tracer can wrap it."""
+    cells = echo.scene_coefficients(geom, scene)
+    symbol_rng, noise_rng = echo.pulse_rng(seed, 0), echo.pulse_rng(seed, 1)
+    step = max(1, _BLOCK_CELLS // spec.n_subcarriers)
+    for p in range(0, geom.n_pulses, step):
+        block = cells[:, p:p + step]
+        symbols = echo.draw_symbols(spec, alloc, symbol_rng, block.shape[1], policy)
+        spectrum = echo.synthesize_pulse(symbols, block, sigma2, noise_rng)
+        block[:] = rangeproc.ls_estimate(spectrum, symbols, alloc)
+    return azimuth_compress(rcmc_bulk(cells, geom, scene.range_cell_size), geom)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import allocation, azimuth, echo, metrics, rangeproc, scenes
+from . import allocation, azimuth, metrics, scenes
 from .config import Config, load_config
 from .errors import EXIT_IO, EXIT_OK, ConfigError, NoPeakError, OfdmSarError
 from .geometry import load_scene, save_scene
@@ -137,11 +137,7 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     sigma2 = spec.noise_power(cfg.snr_db)
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
-    # Nested, so the raw cube is freed before RCMC, and its output after focusing.
-    profiles = rangeproc.range_profile_cube(
-        echo.synthesize_raw(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_policy()))
-    image = azimuth.azimuth_compress(
-        azimuth.rcmc_bulk(profiles, geom, scene.range_cell_size), geom)
+    image = azimuth.form_image(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_policy())
     mag = np.abs(image.complex_image)
     peak = np.unravel_index(np.argmax(mag), mag.shape)
     print(f"peak_cell = {peak[0]} {peak[1]}")
@@ -153,9 +149,10 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
         else:
             print(f"range_pslr_db = {pslr!r}")
             print(f"range_islr_db = {islr!r}")
-    del mag  # not held through the writers' buffers
-    write_pgm(out / "image.pgm", image.db_image)
-    write_db_csv(out / "image_db.csv", image.db_image)
+    db = image.db_image
+    del mag, image  # only the raster is held through the writers' buffers
+    write_pgm(out / "image.pgm", db)
+    write_db_csv(out / "image_db.csv", db)
     print(f"wrote {out / 'image.pgm'}")
     print(f"wrote {out / 'image_db.csv'}")
     return EXIT_OK

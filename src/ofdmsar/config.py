@@ -21,7 +21,7 @@ from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
 
-_MAX_IMAGE_CELLS = 2**24  # N x n_pulses of one image: 256 MiB in each complex array
+_MAX_IMAGE_CELLS = 2**24  # N x n_pulses; simulate peaks near 38 B a cell, 567 MiB at the cap
 
 
 @dataclass

@@ -47,7 +47,8 @@ def synthesize_pulse(symbols: np.ndarray, d: np.ndarray, sigma2: float, seed) ->
     d = np.asarray(d, dtype=complex)
     if d.shape != symbols.shape:
         raise DimensionError(f"coefficient shape {d.shape} != symbols {symbols.shape}")
-    spectrum = symbols * np.fft.fft(d, axis=0)
+    spectrum = np.fft.fft(d, axis=0)
+    spectrum *= symbols  # in place, as numpy does for a whole image: blocks round the same
     if sigma2 != 0.0:
         n = d.shape[0]
         rng = np.random.default_rng(seed)  # a Generator passes through unchanged

@@ -24,9 +24,9 @@ _CELL = np.dtype([("head", "<u4"), ("hi", "<u2"), ("lo", "<u2"), ("end", "S2")])
 
 def write_pgm(path, db_image: np.ndarray) -> None:
     """8-bit binary PGM (P5) with dB values mapped [DB_FLOOR, 0] -> [0, 255]."""
-    db = np.asarray(db_image, dtype=float)
-    scaled = np.clip((db - DB_FLOOR) / (-DB_FLOOR), 0.0, 1.0)
-    pixels = np.rint(scaled * 255.0).astype(np.uint8)
+    scaled = np.subtract(db_image, DB_FLOOR, dtype=float)  # the one float array, reused
+    np.clip(np.divide(scaled, -DB_FLOOR, out=scaled), 0.0, 1.0, out=scaled)
+    pixels = np.rint(np.multiply(scaled, 255.0, out=scaled), out=scaled).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())
 

@@ -24,9 +24,8 @@ def check_ls_floor(power: np.ndarray, alloc: PowerAllocation, design: str = "") 
     """Reject the first |S_k|^2 of ``power`` (subcarriers last, in row-major
     order) below the conditioning floor 1e-6 * P/N of ``alloc``."""
     floor = 1e-6 * alloc.total / len(alloc)
-    bad = np.argwhere(power < floor)
-    if bad.size:
-        first = tuple(bad[0])
+    if np.fmin.reduce(power, axis=None) < floor:  # fmin skips NaN, as power < floor does
+        first = tuple(np.argwhere(power < floor)[0])
         raise IllConditionedWaveformError(int(first[-1]), float(power[first]), floor, design)
 
 

@@ -13,14 +13,13 @@ from ofdmsar import (
     TruncationPolicy,
     WaveformSpec,
     achievable_rate,
-    azimuth_compress,
     draw_symbols,
     emse_of_alloc,
     emse_rate_constrained,
+    form_image,
     ls_estimate,
     mse_vs_snr,
     range_profile_cube,
-    rcmc_bulk,
     sidelobe_stats,
     synthesize_pulse,
     synthesize_raw,
@@ -190,10 +189,7 @@ def test_criterion_05_tradeoff_monotone_and_A_invariant():
 def _focused_point(policy, sigma2, seed):
     scene = point_scene(SPEC, 1)
     alloc = PowerAllocation.uniform(64, 64.0)
-    cube = synthesize_raw(SPEC, GEOM, scene, alloc, sigma2, seed, policy)
-    profiles = range_profile_cube(cube)
-    corrected = rcmc_bulk(profiles, GEOM, scene.range_cell_size)
-    return azimuth_compress(corrected, GEOM)
+    return form_image(SPEC, GEOM, scene, alloc, sigma2, seed, policy)
 
 
 def _aligned_db_profile(row: np.ndarray, upsample: int = 16) -> np.ndarray:
@@ -331,13 +327,14 @@ def test_criterion_11_image_error_equals_emse():
         emse = emse_of_alloc(alloc, SNR15_SIGMA2, pol)
         profile_ratios, image_ratios = [], []
         for seed in seeds:
-            profiles = [  # noisy, then noise-free
+            noise_powers = (SNR15_SIGMA2, 0.0)  # noisy, then noise-free
+            profiles = [
                 range_profile_cube(synthesize_raw(SPEC, GEOM, scene, alloc, s2, seed, pol))
-                for s2 in (SNR15_SIGMA2, 0.0)
+                for s2 in noise_powers
             ]
             images = [
-                azimuth_compress(rcmc_bulk(p, GEOM, scene.range_cell_size), GEOM).complex_image
-                for p in profiles
+                form_image(SPEC, GEOM, scene, alloc, s2, seed, pol).complex_image
+                for s2 in noise_powers
             ]
             profile_err = np.sum(np.abs(profiles[0] - profiles[1]) ** 2) / GEOM.n_pulses
             image_err = np.sum(np.abs(images[0] - images[1]) ** 2) / GEOM.n_pulses**2

@@ -362,6 +362,21 @@ class TestSimulate:
         assert (out / "image_db.csv").exists()
         assert "peak_cell = " in capsys.readouterr().out
 
+    def test_peak_memory_per_image_cell(self, tmp_path):
+        # The image is formed in its scene-coefficient array: synthesis and LS in
+        # pulse blocks, RCMC and focusing in place.  About 38 bytes a cell at the
+        # peak here, where whole-image stages took 94.
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("n_subcarriers = 256\nprf = 2048\nsignaling = gaussian\n")
+        tracemalloc.start()
+        try:
+            code = run(["--config", str(cfg), "--out", str(tmp_path), "simulate"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 40 * 256 * 2048
+
     def test_range_sidelobe_ratios(self, tmp_path, capsys):
         # Default config, seed 3: Gaussian symbols carry data but raise the
         # range sidelobes that constant-modulus symbols do not have.

@@ -20,13 +20,22 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdmsar import PowerAllocation, TruncationPolicy, scenes, synthesize_raw
+from ofdmsar import (
+    Geometry,
+    PowerAllocation,
+    TruncationPolicy,
+    azimuth,
+    form_image,
+    scenes,
+    synthesize_raw,
+)
 from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.config import parse_config
 from ofdmsar.waveform import symbol_magnitudes
@@ -46,6 +55,34 @@ def load(name: str):
 @pytest.mark.parametrize("module, attr, name", load("tracer").TARGETS)
 def test_tracer_targets_are_callable(module, attr, name):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("prf", [800.0, 100.0])
+def test_form_image_calls_each_stage_where_the_tracer_wraps_it(monkeypatch, spec64, prf):
+    # Counted at the tracer's own module attributes: each synthesis and LS stage
+    # once a pulse block, the whole-image stages once, the one-block forms never.
+    counts = {}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, attr, name in load("tracer").TARGETS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr), name))
+    geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
+    alloc = PowerAllocation.uniform(64, 64.0)
+    form_image(spec64, geom, scenes.point_scene(spec64), alloc, 0.03, 1, TruncationPolicy())
+    blocks = math.ceil(geom.n_pulses / (azimuth._BLOCK_CELLS // 64))
+    assert blocks == (7 if prf == 800.0 else 1)
+    assert counts == {
+        "geometry.scene_coefficients": 1, "echo.pulse_rng": 2,
+        "waveform.draw_symbols": blocks, "echo.synthesize_pulse": blocks,
+        "rangeproc.ls_estimate": blocks,
+        "azimuth.rcmc_bulk": 1, "azimuth.azimuth_compress": 1,
+    }
 
 
 def run_end_of_point_checks() -> ast.FunctionDef:
