@@ -10,6 +10,7 @@ in place, so ``form_image`` forms an image in its scene-coefficient array.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ __all__ = ["SarImage", "rcmc_bulk", "rcmc_shifts", "azimuth_reference", "azimuth
 
 DB_FLOOR = -40.0
 _BLOCK_CELLS = 8192  # cells of whole pulses, or whole range rows, worked on at a time
+_DRAWS_AHEAD = 2  # symbol blocks a worker draws ahead of the block being formed
 
 
 @dataclass(frozen=True)
 class SarImage:
-    """Focused complex image plus its peak-normalized dB magnitude raster.
+    """Focused complex image, its peak-normalized dB magnitude raster and the
+    (row, column) of its first largest magnitude, as ``argmax`` finds it.
 
     The raster lies in [DB_FLOOR, 0] on a 1e-4 dB grid, far finer than a PGM
     grey level (40/255 dB), so every value prints back exactly to 4 decimals.
@@ -37,19 +40,21 @@ class SarImage:
 
     complex_image: np.ndarray
     db_image: np.ndarray
+    peak_cell: tuple[int, int]
 
     @classmethod
     def from_complex(cls, img: np.ndarray) -> "SarImage":
         db = np.abs(img)  # the raster's one array: each step below writes into it
-        peak = db.max()
+        first = int(np.argmax(db))
+        peak, cell = db.flat[first], tuple(int(i) for i in np.unravel_index(first, db.shape))
         if peak == 0.0:
             # Degenerate all-zero input: the raster is all-floor by convention.
-            return cls(img, np.full(img.shape, DB_FLOOR))
+            return cls(img, np.full(img.shape, DB_FLOOR), cell)
         with np.errstate(divide="ignore"):
             np.log10(np.divide(db, peak, out=db), out=db)
         np.clip(np.multiply(db, 20.0, out=db), DB_FLOOR, 0.0, out=db)
         np.divide(np.rint(np.multiply(db, 1e4, out=db), out=db), 1e4, out=db)
-        return cls(img, np.add(db, 0.0, out=db))  # + 0.0 turns -0.0 into 0.0
+        return cls(img, np.add(db, 0.0, out=db), cell)  # + 0.0 turns -0.0 into 0.0
 
 
 def _check_pulses(profiles: np.ndarray, geom: Geometry) -> None:
@@ -117,14 +122,26 @@ def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAll
     """``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))``, formed
     in the scene-coefficient array.  Synthesis and LS run on blocks of whole pulses,
     drawn from the image's two streams as ``synthesize_raw`` draws them, and each
-    block's profiles overwrite its coefficients.  Each stage is looked up through its
-    module, where a tracer can wrap it."""
-    cells = echo.scene_coefficients(geom, scene)
+    block's profiles overwrite its coefficients.  The symbol blocks are drawn in order
+    on one worker thread, ``_DRAWS_AHEAD`` blocks ahead of the block being formed;
+    each stream is drawn by one thread, so no output depends on the worker.  Each
+    stage is looked up through its module, where a tracer can wrap it."""
+    from concurrent.futures import ThreadPoolExecutor  # only an image needs the worker
+
     symbol_rng, noise_rng = echo.pulse_rng(seed, 0), echo.pulse_rng(seed, 1)
-    step = max(1, _BLOCK_CELLS // spec.n_subcarriers)
-    for p in range(0, geom.n_pulses, step):
-        block = cells[:, p:p + step]
-        symbols = echo.draw_symbols(spec, alloc, symbol_rng, block.shape[1], policy)
-        spectrum = echo.synthesize_pulse(symbols, block, sigma2, noise_rng)
-        block[:] = rangeproc.ls_estimate(spectrum, symbols, alloc)
+    n, step = geom.n_pulses, max(1, _BLOCK_CELLS // spec.n_subcarriers)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def draw(p):  # the symbols of the block that starts at pulse p
+            return worker.submit(echo.draw_symbols, spec, alloc, symbol_rng,
+                                 min(step, n - p), policy)
+
+        ahead = deque(draw(p) for p in range(0, min(n, _DRAWS_AHEAD * step), step))
+        cells = echo.scene_coefficients(geom, scene)
+        for p in range(0, n, step):
+            symbols = ahead.popleft().result()
+            if p + _DRAWS_AHEAD * step < n:
+                ahead.append(draw(p + _DRAWS_AHEAD * step))
+            block = cells[:, p:p + step]
+            spectrum = echo.synthesize_pulse(symbols, block, sigma2, noise_rng)
+            block[:] = rangeproc.ls_estimate(spectrum, symbols, alloc)
     return azimuth_compress(rcmc_bulk(cells, geom, scene.range_cell_size), geom)

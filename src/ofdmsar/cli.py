@@ -138,19 +138,18 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
     image = azimuth.form_image(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_policy())
-    mag = np.abs(image.complex_image)
-    peak = np.unravel_index(np.argmax(mag), mag.shape)
-    print(f"peak_cell = {peak[0]} {peak[1]}")
+    row, col = image.peak_cell
+    print(f"peak_cell = {row} {col}")
     if scene.occupied[0].size == 1:  # else the cut crosses other scatterers
         try:
-            pslr, islr = metrics.sidelobe_stats(mag[:, peak[1]] ** 2)
+            pslr, islr = metrics.sidelobe_stats(np.abs(image.complex_image[:, col]) ** 2)
         except NoPeakError:
             pass  # fewer than 3 range cells: no ratios to report
         else:
             print(f"range_pslr_db = {pslr!r}")
             print(f"range_islr_db = {islr!r}")
     db = image.db_image
-    del mag, image  # only the raster is held through the writers' buffers
+    del image  # only the raster is held through the writers' buffers
     write_pgm(out / "image.pgm", db)
     write_db_csv(out / "image_db.csv", db)
     print(f"wrote {out / 'image.pgm'}")

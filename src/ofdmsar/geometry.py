@@ -153,30 +153,38 @@ def scene_coefficients(geom: Geometry, scene: Scene) -> np.ndarray:
     The kernel exp(-j 4 pi f_c R_m(o / prf) / c) is evaluated once per occupied
     row m on the run of in-beam offsets o; each occupied column adds rcs times
     the slice of it that falls on the grid, over the rows it spans, in
-    ascending column order.
+    ascending column order.  The run is symmetric, -k..k, and R_m depends on
+    o only through o^2, so the kernel is evaluated on 0..k and mirrored; it
+    spans the rows from the first occupied one to the last.
     """
     n = geom.n_pulses
+    d = np.zeros((scene.n_range_cells, n), dtype=complex)
+    rows, cols = scene.occupied
+    if rows.size == 0:
+        return d
     base = n // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1
     o = np.arange(-base, base + 1)
     o = o[aperture_envelope(geom, o / geom.prf).astype(bool)]
-    rows, cols = scene.occupied
+    k = o.size // 2  # o is -k..k
     kernel_rows = np.unique(rows)
+    first = kernel_rows[0]  # kernel row i is range row first + i
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
-    r = slant_range(geom, rbar[kernel_rows, None], o / geom.prf)
-    kernel = np.zeros((scene.n_range_cells, o.size), dtype=complex)
-    kernel[kernel_rows] = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+    r = slant_range(geom, rbar[kernel_rows, None], o[k:] / geom.prf)
+    kernel = np.zeros((kernel_rows[-1] + 1 - first, o.size), dtype=complex)
+    kernel[kernel_rows - first, k:] = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+    kernel[:, :k] = kernel[:, :k:-1]
     # Columns lie max(1, round(prf rho_a / v)) pulses apart, the count nearest
     # one azimuth cell; a step past n_pulses, where no other column is ever in
     # the beam, is held.
     step = max(1, round(min(geom.prf * geom.azimuth_resolution() / geom.velocity, n)))
     columns, starts, counts = np.unique(cols, return_index=True, return_counts=True)
     firsts = n // 2 + (columns - scene.n_azimuth // 2) * step + o[0]  # pulse at o[0]
-    d = np.zeros((scene.n_range_cells, n), dtype=complex)
     # r0:r1 spans a column's occupied rows; the zeros its empty cells add change no bit.
     for a, r0, r1, s in zip(columns, rows[starts], rows[starts + counts - 1] + 1, firsts):
         lo, hi = max(s, 0), min(s + o.size, n)
         if lo < hi:
-            d[r0:r1, lo:hi] += scene.rcs[r0:r1, a, None] * kernel[r0:r1, lo - s:hi - s]
+            span = kernel[r0 - first:r1 - first, lo - s:hi - s]
+            d[r0:r1, lo:hi] += scene.rcs[r0:r1, a, None] * span
     return d
 
 

@@ -15,11 +15,14 @@ from .azimuth import DB_FLOOR
 __all__ = ["write_pgm", "write_db_csv", "write_table_csv"]
 
 _BLOCK_CELLS = 4096  # cells encoded at a time, in whole rows; about 50 B of arrays each
-#: A CSV cell's parts as integers of their bytes, padded with 0 bytes that are dropped:
-#: "-", whole dB and "." (_HEADS[w + 1] for w dB, _HEADS[0] for 0); two pairs of decimals.
-_HEADS = np.array(["0.", *(f"-{w}." for w in range(1 - int(DB_FLOOR)))]).astype("S").view("<u4")
-_PAIRS = np.array([f"{i:02}" for i in range(100)]).astype("S").view("<u2")
-_CELL = np.dtype([("head", "<u4"), ("hi", "<u2"), ("lo", "<u2"), ("end", "S2")])
+#: A CSV cell's text as the integer of its bytes, padded with 0 bytes that are dropped:
+#: "-", whole dB and "." in the low 4 bytes (_HEADS[w + 1] for w dB, _HEADS[0] for 0),
+#: the 4 decimals (_DECIMALS[i] for i / 1e4 dB) in the high 4.
+_HEADS = np.array(["0.", *(f"-{w}." for w in range(1 - int(DB_FLOOR)))], "S4")
+_HEADS = _HEADS.view("<u4").astype("<u8")
+_DECIMALS = sum((np.arange(10**4, dtype="<u8") // 10**(3 - j) % 10 + ord("0")) << (32 + 8 * j)
+                for j in range(4))
+_CELL = np.dtype([("body", "<u8"), ("end", "S2")])
 
 
 def write_pgm(path, db_image: np.ndarray) -> None:
@@ -47,11 +50,10 @@ def write_db_csv(path, db_image: np.ndarray) -> None:
         for block in blocks:
             whole, rest = np.divmod(np.rint(block * -1e4).astype(np.int32), 10**4)
             cells = np.empty(block.shape, _CELL)
-            cells["head"] = _HEADS[whole + (block < 0)]
-            cells["hi"], cells["lo"] = _PAIRS[rest // 100], _PAIRS[rest % 100]
+            cells["body"] = _HEADS.take(whole + (block < 0)) | _DECIMALS.take(rest)
             cells["end"] = b","
             cells["end"][:, -1] = b"\r\n"
-            fh.write(cells.tobytes().replace(b"\0", b""))
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def write_table_csv(path, rows: list[dict]) -> None:

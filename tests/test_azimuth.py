@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,7 @@ class TestFormImage:
 
         monkeypatch.setattr(echo, "draw_symbols", draw_with_a_dry_last_pulse)
         errors, draws = [], []
+        threads = threading.active_count()
         for form in (form_image, self.chain):
             drawn.clear()
             with pytest.raises(IllConditionedWaveformError) as err:
@@ -225,3 +228,23 @@ class TestFormImage:
         assert errors[0] == errors[1]
         assert errors[0][:2] == (17, pytest.approx(9e-8))
         assert draws == [[128, 127], [255]]
+        assert threading.active_count() == threads  # the symbol worker has ended
+
+    def test_a_failed_draw_surfaces_and_its_worker_ends(self, spec64, monkeypatch):
+        # 800 pulses: 7 blocks, drawn on a worker thread two ahead of the one formed.
+        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 800.0, 1.0)
+        alloc = PowerAllocation.uniform(64, 64.0)
+        draw, drawn = echo.draw_symbols, []
+
+        def draw_failing_on_the_third_block(spec, alloc, seed, pulses, policy):
+            drawn.append(pulses)
+            if len(drawn) == 3:
+                raise RuntimeError("third block")
+            return draw(spec, alloc, seed, pulses, policy)
+
+        monkeypatch.setattr(echo, "draw_symbols", draw_failing_on_the_third_block)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            form_image(spec64, geom, point_scene(spec64, 1), alloc, 0.03, 2, None)
+        assert threading.active_count() == threads
+        assert drawn == [128] * 4  # the third block's error is read before a fifth is asked

@@ -245,6 +245,20 @@ class TestInBeamPulses:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_point_scene_peak_memory_per_cell(self):
+        # The kernel spans the occupied rows only, not every range row by every
+        # in-beam offset: the (N, P) output's 16 B a cell and little more.
+        spec = WaveformSpec(256, 1.0e6)
+        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 2048.0, 1.0)
+        scene = point_scene(spec, 1)
+        tracemalloc.start()
+        try:
+            scene_coefficients(geom, scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 256 * 2048
+
 
 class TestSceneImmutability:
     def test_rcs_is_a_read_only_copy(self, spec8):
