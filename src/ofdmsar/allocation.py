@@ -25,24 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InfeasibleChannelError,
-    InfeasibleRateError,
-)
+from .errors import ConfigError, DimensionError, InfeasibleChannelError, InfeasibleRateError
 
-__all__ = [
-    "PowerAllocation",
-    "ChannelGains",
-    "TruncationPolicy",
-    "water_filling",
-    "achievable_rate",
-    "emse_of_alloc",
-    "emse_rate_constrained",
-    "tradeoff_sweep",
-    "TradeoffPoint",
-]
+__all__ = ["PowerAllocation", "ChannelGains", "TruncationPolicy", "water_filling",
+           "achievable_rate", "emse_of_alloc", "emse_rate_constrained", "tradeoff_sweep",
+           "TradeoffPoint"]
 
 
 @dataclass(frozen=True)

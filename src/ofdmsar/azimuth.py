@@ -10,7 +10,6 @@ in place, so ``form_image`` forms an image in its scene-coefficient array.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = ["SarImage", "rcmc_bulk", "rcmc_shifts", "azimuth_reference", "azimuth
            "form_image"]
 
 DB_FLOOR = -40.0
-_BLOCK_CELLS = 8192  # cells of whole pulses, or whole range rows, worked on at a time
-_DRAWS_AHEAD = 2  # symbol blocks a worker draws ahead of the block being formed
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
     _check_pulses(profiles, geom)
     profiles = np.asarray(profiles, dtype=complex)
     ref_f = np.conj(np.fft.fft(azimuth_reference(geom)))
-    rows = max(1, _BLOCK_CELLS // geom.n_pulses)
+    rows = max(1, echo._BLOCK_CELLS // geom.n_pulses)
     for r in range(0, profiles.shape[0], rows):
         corr = np.fft.fft(profiles[r:r + rows], axis=1)
         corr *= ref_f
@@ -120,28 +117,17 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
 def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAllocation,
                sigma2: float, seed: int, policy: TruncationPolicy | None = None) -> SarImage:
     """``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))``, formed
-    in the scene-coefficient array.  Synthesis and LS run on blocks of whole pulses,
-    drawn from the image's two streams as ``synthesize_raw`` draws them, and each
-    block's profiles overwrite its coefficients.  The symbol blocks are drawn in order
-    on one worker thread, ``_DRAWS_AHEAD`` blocks ahead of the block being formed;
-    each stream is drawn by one thread, so no output depends on the worker.  Each
-    stage is looked up through its module, where a tracer can wrap it."""
-    from concurrent.futures import ThreadPoolExecutor  # only an image needs the worker
-
-    symbol_rng, noise_rng = echo.pulse_rng(seed, 0), echo.pulse_rng(seed, 1)
-    n, step = geom.n_pulses, max(1, _BLOCK_CELLS // spec.n_subcarriers)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        def draw(p):  # the symbols of the block that starts at pulse p
-            return worker.submit(echo.draw_symbols, spec, alloc, symbol_rng,
-                                 min(step, n - p), policy)
-
-        ahead = deque(draw(p) for p in range(0, min(n, _DRAWS_AHEAD * step), step))
-        cells = echo.scene_coefficients(geom, scene)
-        for p in range(0, n, step):
-            symbols = ahead.popleft().result()
-            if p + _DRAWS_AHEAD * step < n:
-                ahead.append(draw(p + _DRAWS_AHEAD * step))
-            block = cells[:, p:p + step]
-            spectrum = echo.synthesize_pulse(symbols, block, sigma2, noise_rng)
-            block[:] = rangeproc.ls_estimate(spectrum, symbols, alloc)
+    in the scene-coefficient array.  Synthesis and LS run on the blocks of whole pulses
+    that ``echo.pulse_blocks`` draws from the image's two streams on its worker, as
+    ``synthesize_raw`` draws them, so no output depends on the worker; each block's
+    profiles overwrite its coefficients.  Each stage is looked up through its module,
+    where a tracer can wrap it."""
+    with echo.pulse_blocks(echo.pulse_rng(seed, 0), echo.pulse_rng(seed, 1), spec, alloc,
+                           policy, sigma2, geom.n_pulses) as blocks:
+        cells, p = echo.scene_coefficients(geom, scene), 0
+        for symbols, noise in blocks:
+            block = cells[:, p:p + symbols.shape[1]]
+            block[:] = rangeproc.ls_estimate(echo.synthesize_pulse(symbols, block, noise),
+                                             symbols, alloc)
+            p += symbols.shape[1]
     return azimuth_compress(rcmc_bulk(cells, geom, scene.range_cell_size), geom)

@@ -62,14 +62,7 @@ class Config:
     def geometry(self) -> Geometry:
         """Geometry of an image of N x n_pulses <= 2**24 cells, its swath in front of
         the platform and its ``scene_azimuth`` columns, a pulse apart or more, in it."""
-        geom = Geometry(
-            altitude=self.altitude,
-            slant_range_center=self.slant_range_center,
-            velocity=self.velocity,
-            carrier_freq=self.carrier_freq,
-            prf=self.prf,
-            aperture_time=self.aperture_time,
-        )
+        geom = Geometry(**{f.name: getattr(self, f.name) for f in fields(Geometry)})
         spec = self.waveform_spec()
         if spec.n_subcarriers * geom.n_pulses > _MAX_IMAGE_CELLS:
             raise ConfigError(f"prf * aperture_time = {geom.n_pulses} pulses times N = "

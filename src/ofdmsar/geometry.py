@@ -15,7 +15,7 @@ d at every pulse of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +26,8 @@ from .waveform import WaveformSpec
 SPEED_OF_LIGHT = 299792458.0
 _LOG_PHASE_LIMIT = 32 * np.log(2.0)
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "Geometry",
-    "Scene",
-    "range_cell_size",
-    "slant_range",
-    "scene_coefficients",
-    "load_scene",
-    "save_scene",
-]
+__all__ = ["SPEED_OF_LIGHT", "Geometry", "Scene", "range_cell_size", "slant_range",
+           "scene_coefficients", "load_scene", "save_scene"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +42,9 @@ class Geometry:
     aperture_time: float
 
     def __post_init__(self):
-        for name in (
-            "altitude",
-            "slant_range_center",
-            "velocity",
-            "carrier_freq",
-            "prf",
-            "aperture_time",
-        ):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and positive")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < np.inf:
+                raise ConfigError(f"{f.name} must be finite and positive")
         if self.slant_range_center < self.altitude:
             raise ConfigError("slant_range_center must be >= altitude")
         if not 1.5 <= self.prf * self.aperture_time < np.inf:  # n_pulses rounds it

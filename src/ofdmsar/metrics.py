@@ -4,9 +4,9 @@ The MSE sweep compares signal designs (constant-modulus vs random Gaussian,
 uniform vs communication-optimal allocation) against their closed-form
 predictions, with common random variates across designs within each trial.
 A trial is drawn as an image draws a pulse: each SNR point owns a symbol and
-a noise stream, trial t is pulse t of each, and a block of trials reads
-unit-power symbols from one ``draw_symbols`` call and CN(0, N sigma^2) noise
-rows in ``synthesize_pulse``'s layout.  Each design scales the symbols by
+a noise stream, trial t is pulse t of each, and the trials come in the blocks
+that ``echo.pulse_blocks`` draws on its worker thread: unit-power symbols and
+``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the symbols by
 sqrt(P_k), keeping only their phase for constant modulus, and is estimated
 by one batched LS call per block.  So the draws do not depend on the block
 size; the summed empirical MSE does, by its summation order only.
@@ -27,14 +27,12 @@ from .allocation import (
     emse_of_alloc,
     water_filling,
 )
+from .echo import pulse_blocks
 from .errors import ConfigError, NoPeakError
 from .rangeproc import check_ls_floor, ls_estimate
-from .waveform import WaveformSpec, draw_symbols, symbol_magnitudes
+from .waveform import WaveformSpec, symbol_magnitudes
 
 __all__ = ["mse_vs_snr", "sidelobe_stats"]
-
-#: Trials per batched LS call; it bounds the memory a sweep holds at once.
-_TRIAL_BLOCK = 128
 
 
 def mse_vs_snr(
@@ -80,21 +78,20 @@ def mse_vs_snr(
         for (label, law, alloc), total in zip(designs, sums):
             if total == 0.0:  # magnitudes grow with u, so u = 0 gives the smallest draw
                 check_ls_floor(symbol_magnitudes(alloc.powers, law, 0.0) ** 2, alloc, label)
-        symbol_rng, noise_rng = map(
-            np.random.default_rng, np.random.SeedSequence(seed, spawn_key=(si,)).spawn(2))
-        for start in range(0, n_trials, _TRIAL_BLOCK):
-            count = min(_TRIAL_BLOCK, n_trials - start)
-            z = draw_symbols(spec, unit, symbol_rng, count, policy)
-            # synthesize_pulse's layout: per pulse, one row of interleaved normals.
-            w_f = noise_rng.standard_normal((count, 2 * n)).view(complex).T
-            w_f *= np.sqrt(n * sigma2 / 2.0)
-            phase = z / np.abs(z)
-            for di, (_, law, alloc) in enumerate(designs):
-                if sums[di] == np.inf:
-                    continue
-                syms = np.sqrt(alloc.powers)[:, None] * (phase if law is None else z)
-                err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
-                sums[di] += np.sum(np.abs(err) ** 2)
+        streams = np.random.SeedSequence(seed, spawn_key=(si,)).spawn(2)
+        with pulse_blocks(*map(np.random.default_rng, streams), spec, unit, policy, sigma2,
+                          n_trials) as blocks:
+            for z, w_f in blocks:
+                phase = z / np.abs(z)
+                for di, (_, law, alloc) in enumerate(designs):
+                    if sums[di] == np.inf:
+                        continue
+                    # One fft(d) serves all trials, and S * fft(d) is kept: numpy fuses a
+                    # complex product's multiply-add, so synthesize_pulse's fft(d) * S
+                    # rounds apart from it.
+                    syms = np.sqrt(alloc.powers)[:, None] * (phase if law is None else z)
+                    err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
+                    sums[di] += np.sum(np.abs(err) ** 2)
         rows += [
             {
                 "snr_db": float(snr_db),

@@ -27,6 +27,7 @@ from ofdmsar import (
     water_filling,
 )
 from ofdmsar.cli import EXIT_OK, run
+from ofdmsar.echo import draw_noise
 from ofdmsar.geometry import Geometry
 from ofdmsar.scenes import point_scene
 from oracles import (
@@ -78,7 +79,7 @@ def test_criterion_01_noise_free_ls_exact():
         rng = np.random.default_rng(1000 + seed)
         sym = draw_symbols(SPEC, alloc, rng, policy=GAUSSIAN)
         d = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        y_f = synthesize_pulse(sym, d, 0.0, rng)
+        y_f = synthesize_pulse(sym, d, None)
         worst = max(worst, float(np.max(np.abs(ls_estimate(y_f, sym, alloc) - d))))
     report(name, worst < 1e-10)
 
@@ -94,7 +95,7 @@ def test_criterion_02_constant_modulus_mse_closed_form():
     rng = np.random.default_rng(3)
     total = 0.0
     for _ in range(draws):
-        y = synthesize_pulse(sym, d, sigma2, rng)
+        y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
         total += float(np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2))
     expected = sigma2 * float(np.sum(1.0 / np.abs(sym) ** 2))
     mc_ok = abs(total / draws - expected) / expected < 0.05
@@ -121,7 +122,7 @@ def test_criterion_03_truncated_gaussian_emse_factor():
     total = 0.0
     for _ in range(draws):
         sym = draw_symbols(spec, alloc, rng, policy=policy)
-        y = synthesize_pulse(sym, d, sigma2, rng)
+        y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
         total += float(np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2))
     expected = policy.A * sigma2 * float(np.sum(1.0 / alloc.powers))
     mc_ok = abs(total / draws - expected) / expected < 0.05
@@ -247,7 +248,7 @@ def test_criterion_07_sidelobe_ordering():
         for label, policy in (("cm", None), ("gauss", GAUSSIAN)):
             rng = np.random.default_rng(3000 + seed)
             sym = draw_symbols(SPEC, alloc, rng, policy=policy)
-            y = synthesize_pulse(sym, d, SNR15_SIGMA2, rng)
+            y = synthesize_pulse(sym, d, draw_noise(sym.size, SNR15_SIGMA2, rng))
             profile = np.abs(ls_estimate(y, sym, alloc)) ** 2
             pslr, _ = sidelobe_stats(profile)
             pslrs[label].append(pslr)

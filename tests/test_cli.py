@@ -377,6 +377,21 @@ class TestSimulate:
         assert code == EXIT_OK
         assert peak <= 40 * 256 * 2048
 
+    def test_point_scene_resolves_to_one_column(self):
+        # scene_azimuth tracks N in a config file, but the lone scatterer's column
+        # lies at offset 0 at any width, so simulate images one column, not an
+        # N x N complex grid (16 MiB at N = 1024).
+        cfg = parse_config("n_subcarriers = 1024\n")
+        spec = cfg.waveform_spec()
+        tracemalloc.start()
+        try:
+            scene = cli._resolve_scene(cfg, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cfg.scene_azimuth, scene.rcs.shape) == (1024, (1024, 1))
+        assert peak < 2**16
+
     def test_range_sidelobe_ratios(self, tmp_path, capsys):
         # Default config, seed 3: Gaussian symbols carry data but raise the
         # range sidelobes that constant-modulus symbols do not have.

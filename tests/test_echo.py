@@ -1,20 +1,26 @@
+import threading
+
 import numpy as np
 import pytest
 
 from ofdmsar import (
+    ChannelGains,
     Geometry,
     PowerAllocation,
     Scene,
     TruncationPolicy,
     WaveformSpec,
     draw_symbols,
+    form_image,
     ls_estimate,
+    mse_vs_snr,
     range_profile_cube,
     synthesize_pulse,
     synthesize_raw,
 )
-from ofdmsar.echo import pulse_rng
-from ofdmsar.errors import DimensionError
+from ofdmsar import echo
+from ofdmsar.echo import draw_noise, pulse_blocks, pulse_rng
+from ofdmsar.errors import DimensionError, IllConditionedWaveformError
 from ofdmsar.geometry import range_cell_size, scene_coefficients
 from ofdmsar.scenes import car_scene, point_scene
 from oracles import (
@@ -43,7 +49,7 @@ class TestSynthesizePulse:
         body = modulate(sym, spec)[spec.cp_len :]
         d = np.zeros(8, dtype=complex)
         d[0] = 1.0
-        y_f = synthesize_pulse(sym, d, 0.0, seed=0)
+        y_f = synthesize_pulse(sym, d, None)
         # Model normalization: the echo is the pulse body over sqrt(N).
         np.testing.assert_allclose(y_f, np.fft.fft(body / np.sqrt(8)), atol=1e-12)
 
@@ -53,7 +59,7 @@ class TestSynthesizePulse:
         for m in (1, 3, 7):
             d = np.zeros(8, dtype=complex)
             d[m] = 1.0
-            y_f = synthesize_pulse(sym, d, 0.0, seed=0)
+            y_f = synthesize_pulse(sym, d, None)
             np.testing.assert_allclose(
                 y_f, np.fft.fft(np.roll(body, m) / np.sqrt(8)), atol=1e-12
             )
@@ -62,7 +68,7 @@ class TestSynthesizePulse:
         spec, sym = seeded_symbols(8, 4)
         rng = np.random.default_rng(5)
         d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        y_f = synthesize_pulse(sym, d, 0.0, seed=0)
+        y_f = synthesize_pulse(sym, d, None)
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(8)
         np.testing.assert_allclose(y_f, np.fft.fft(s_mat @ d), atol=1e-12)
 
@@ -71,9 +77,9 @@ class TestSynthesizePulse:
         rng = np.random.default_rng(7)
         d1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         d2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        y1 = synthesize_pulse(sym, d1, 0.0, seed=0)
-        y2 = synthesize_pulse(sym, d2, 0.0, seed=0)
-        y12 = synthesize_pulse(sym, d1 + d2, 0.0, seed=0)
+        y1 = synthesize_pulse(sym, d1, None)
+        y2 = synthesize_pulse(sym, d2, None)
+        y12 = synthesize_pulse(sym, d1 + d2, None)
         np.testing.assert_allclose(y12, y1 + y2, atol=1e-12)
 
     def test_noise_calibration(self):
@@ -84,14 +90,14 @@ class TestSynthesizePulse:
         rng = np.random.default_rng(9)
         samples = []
         for _ in range(2000):
-            samples.append(synthesize_pulse(sym, d, sigma2, rng))
+            samples.append(synthesize_pulse(sym, d, draw_noise(64, sigma2, rng)))
         var = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert abs(var - 64 * sigma2) < 0.02 * 64 * sigma2
 
     def test_dimension_mismatch(self):
         spec, sym = seeded_symbols(8, 1)
         with pytest.raises(DimensionError):
-            synthesize_pulse(sym, np.zeros(4), 0.0, seed=0)
+            synthesize_pulse(sym, np.zeros(4), None)
 
 
 class TestLinearCpEquivalence:
@@ -215,8 +221,95 @@ class TestBatchedSynthesis:
         rng = np.random.default_rng(4)
         sym = rng.standard_normal((64, 40)) + 1j * rng.standard_normal((64, 40))
         d = rng.standard_normal((64, 40)) + 1j * rng.standard_normal((64, 40))
-        batched = synthesize_pulse(sym, d, sigma2, seed=5)
+        batched = synthesize_pulse(sym, d, draw_noise(64, sigma2, 5, 40))
         noise = np.random.default_rng(5)
         for p in range(40):
-            single = synthesize_pulse(sym[:, p], d[:, p], sigma2, noise)
+            single = synthesize_pulse(sym[:, p], d[:, p], draw_noise(64, sigma2, noise))
             assert batched[:, p].tobytes() == single.tobytes()
+
+
+class TestPulseBlocks:
+    """``pulse_blocks`` yields the whole-stream draws a block at a time, drawn on one
+    worker that ends on every exit.  The fault tests patch ``echo.draw_symbols``,
+    the name the worker looks up as it draws."""
+
+    ALLOC = PowerAllocation.uniform(64, 64.0)
+
+    def blocks(self, spec, pulses=800, sigma2=0.3):
+        return pulse_blocks(pulse_rng(3, 0), pulse_rng(3, 1), spec, self.ALLOC, GAUSSIAN,
+                            sigma2, pulses)
+
+    @staticmethod
+    def patch_draws(monkeypatch, fault=lambda drawn, symbols: None):
+        """Record each draw's pulse count and let ``fault`` act on its symbols."""
+        draw, drawn = echo.draw_symbols, []
+
+        def faulty(spec, alloc, seed, pulses, policy):
+            drawn.append(pulses)
+            symbols = draw(spec, alloc, seed, pulses, policy)
+            fault(drawn, symbols)
+            return symbols
+
+        monkeypatch.setattr(echo, "draw_symbols", faulty)
+        return drawn
+
+    @pytest.mark.parametrize("sigma2", [0.3, 0.0])
+    def test_blocks_are_the_whole_stream_draws(self, spec64, sigma2):
+        with self.blocks(spec64, 800, sigma2) as blocks:
+            symbols, noise = zip(*blocks)
+        assert [s.shape for s in symbols] == [(64, 128)] * 6 + [(64, 32)]
+        whole = draw_symbols(spec64, self.ALLOC, pulse_rng(3, 0), 800, GAUSSIAN)
+        assert np.hstack(symbols).tobytes() == whole.tobytes()
+        if sigma2 == 0.0:
+            assert noise == (None,) * 7
+        else:
+            whole = draw_noise(64, sigma2, pulse_rng(3, 1), 800)
+            assert np.hstack(noise).tobytes() == whole.tobytes()
+
+    def test_a_failed_draw_surfaces_within_the_draws_ahead(self, spec64, monkeypatch):
+        def fail_third(drawn, symbols):
+            if len(drawn) == 3:
+                raise RuntimeError("third block")
+
+        drawn, taken = self.patch_draws(monkeypatch, fail_third), []
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            with self.blocks(spec64) as blocks:
+                taken.extend(blocks)
+        assert threading.active_count() == threads
+        assert len(taken) == 2
+        assert drawn == [128] * (2 + echo._DRAWS_AHEAD)  # none after the error is read
+
+    def test_an_error_the_consumer_raises_ends_the_worker(self, spec64, monkeypatch):
+        drawn = self.patch_draws(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(IllConditionedWaveformError):
+            with self.blocks(spec64) as blocks:
+                for taken, _ in enumerate(blocks, 1):
+                    if taken == 3:
+                        raise IllConditionedWaveformError(17, 9e-8, 1e-6)
+        assert threading.active_count() == threads
+        assert drawn == [128] * (3 + echo._DRAWS_AHEAD)
+
+    @pytest.mark.parametrize("fault", ["failed draw", "dry last symbol"])
+    @pytest.mark.parametrize("caller", ["form_image", "mse_vs_snr"])
+    def test_each_caller_ends_the_worker(self, spec64, monkeypatch, caller, fault):
+        # 255 pulses or trials: one block of 128, then the last of 127.  A failed
+        # draw raises in the pulse_blocks iterator; a symbol below the LS floor
+        # raises in the caller's LS, in its last block.
+        def faulty(drawn, symbols):
+            if fault == "failed draw" and len(drawn) == 2:
+                raise RuntimeError("second block")
+            if sum(drawn) == 255:
+                symbols[17, -1] = 3e-4
+
+        self.patch_draws(monkeypatch, faulty)
+        threads = threading.active_count()
+        error = RuntimeError if fault == "failed draw" else IllConditionedWaveformError
+        with pytest.raises(error):
+            if caller == "form_image":
+                geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 255.0, 1.0)
+                form_image(spec64, geom, point_scene(spec64, 1), self.ALLOC, 0.03, 2, GAUSSIAN)
+            else:
+                mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 255, seed=2)
+        assert threading.active_count() == threads

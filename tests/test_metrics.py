@@ -9,9 +9,9 @@ from ofdmsar import (
     sidelobe_stats,
     water_filling,
 )
-from ofdmsar import metrics
+from ofdmsar import echo, metrics
 from ofdmsar.config import parse_config
-from ofdmsar.echo import synthesize_pulse
+from ofdmsar.echo import draw_noise
 from ofdmsar.errors import ConfigError, IllConditionedWaveformError, NoPeakError
 from ofdmsar.waveform import draw_symbols
 
@@ -170,7 +170,7 @@ class TestMseVsSnr:
         profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(64) / 64)
         ch = ChannelGains(profile / profile.mean())
         expected = mse_vs_snr(spec64, ch, [0.0, 20.0], 300, seed=5)
-        monkeypatch.setattr(metrics, "_TRIAL_BLOCK", block)
+        monkeypatch.setattr(echo, "_BLOCK_CELLS", 64 * block)  # blocks of `block` trials
         rows = mse_vs_snr(spec64, ch, [0.0, 20.0], 300, seed=5)
         assert [(r["snr_db"], r["design"]) for r in rows] == [
             (r["snr_db"], r["design"]) for r in expected
@@ -191,7 +191,7 @@ class TestMseVsSnr:
 
     def test_trials_are_draw_symbols_pulses(self, spec64, monkeypatch):
         # Trial t's symbols are pulse t of draw_symbols on the point's symbol
-        # stream, and its noise is pulse t of synthesize_pulse's on the noise stream.
+        # stream, and its noise is pulse t of draw_noise on the noise stream.
         calls, ls_estimate = [], metrics.ls_estimate
 
         def capture(spectrum, symbols, alloc):
@@ -210,8 +210,7 @@ class TestMseVsSnr:
         expected = draw_symbols(spec64, uniform, symbol_rng, 300, policy)
         np.testing.assert_allclose(symbols, expected, rtol=1e-13)
         d_f = np.fft.fft(np.eye(64)[32])[:, None]
-        zeros = np.zeros((64, 300), dtype=complex)
-        noise = synthesize_pulse(zeros, zeros, spec64.noise_power(10.0), noise_rng)
+        noise = draw_noise(64, spec64.noise_power(10.0), noise_rng, 300)
         np.testing.assert_allclose(spectrum - symbols * d_f, noise, atol=1e-13)
 
     def test_design_below_ls_floor_rejected_before_drawing(self, monkeypatch):
@@ -223,7 +222,7 @@ class TestMseVsSnr:
         def no_draws(*args):
             raise AssertionError("symbols drawn")
 
-        monkeypatch.setattr(metrics, "draw_symbols", no_draws)
+        monkeypatch.setattr(echo, "draw_symbols", no_draws)
         with pytest.raises(IllConditionedWaveformError, match="'gaussian comm-optimal'$") as err:
             mse_vs_snr(cfg.waveform_spec(), cfg.channel_gains(), [29.75], 100, seed=0)
         assert err.value.subcarrier == 12

@@ -28,11 +28,13 @@ import numpy as np
 import pytest
 
 from ofdmsar import (
+    ChannelGains,
     Geometry,
     PowerAllocation,
     TruncationPolicy,
-    azimuth,
+    echo,
     form_image,
+    metrics,
     scenes,
     synthesize_raw,
 )
@@ -57,10 +59,8 @@ def test_tracer_targets_are_callable(module, attr, name):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
-@pytest.mark.parametrize("prf", [800.0, 100.0])
-def test_form_image_calls_each_stage_where_the_tracer_wraps_it(monkeypatch, spec64, prf):
-    # Counted at the tracer's own module attributes: each synthesis and LS stage
-    # once a pulse block, the whole-image stages once, the one-block forms never.
+def count_tracer_targets(monkeypatch) -> dict:
+    """Span name -> calls, counted at the tracer's own module attributes."""
     counts = {}
 
     def counted(fn, name):
@@ -72,16 +72,35 @@ def test_form_image_calls_each_stage_where_the_tracer_wraps_it(monkeypatch, spec
     for module_name, attr, name in load("tracer").TARGETS:
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, counted(getattr(module, attr), name))
+    return counts
+
+
+@pytest.mark.parametrize("prf", [800.0, 100.0])
+def test_form_image_calls_each_stage_where_the_tracer_wraps_it(monkeypatch, spec64, prf):
+    # Each synthesis and LS stage once a pulse block, the whole-image stages
+    # once, the one-block forms never.
+    counts = count_tracer_targets(monkeypatch)
     geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
     alloc = PowerAllocation.uniform(64, 64.0)
     form_image(spec64, geom, scenes.point_scene(spec64), alloc, 0.03, 1, TruncationPolicy())
-    blocks = math.ceil(geom.n_pulses / (azimuth._BLOCK_CELLS // 64))
+    blocks = math.ceil(geom.n_pulses / (echo._BLOCK_CELLS // 64))
     assert blocks == (7 if prf == 800.0 else 1)
     assert counts == {
         "geometry.scene_coefficients": 1, "echo.pulse_rng": 2,
         "waveform.draw_symbols": blocks, "echo.synthesize_pulse": blocks,
         "rangeproc.ls_estimate": blocks,
         "azimuth.rcmc_bulk": 1, "azimuth.azimuth_compress": 1,
+    }
+
+
+def test_mse_vs_snr_draws_where_the_tracer_wraps_it(monkeypatch, spec64):
+    # 300 trials: blocks of 128, 128 and 44, each drawn once and estimated once
+    # per design.
+    counts = count_tracer_targets(monkeypatch)
+    metrics.mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 300, seed=0)  # as cli calls it
+    assert counts == {
+        "metrics.mse_vs_snr": 1, "allocation.water_filling": 1,
+        "waveform.draw_symbols": 3, "rangeproc.ls_estimate": 9,
     }
 
 

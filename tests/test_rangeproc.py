@@ -11,7 +11,7 @@ from ofdmsar import (
     synthesize_raw,
 )
 from ofdmsar.allocation import TruncationPolicy
-from ofdmsar.echo import RawDataCube
+from ofdmsar.echo import RawDataCube, draw_noise
 from ofdmsar.errors import DimensionError, IllConditionedWaveformError
 from ofdmsar.scenes import point_scene
 from oracles import circulant_from_pulse, modulate
@@ -29,7 +29,7 @@ class TestLsEstimate:
         for seed in range(20):
             sym = draw_symbols(spec, alloc, seed=seed, policy=TruncationPolicy())
             d = random_d(16, rng)
-            y_f = synthesize_pulse(sym, d, 0.0, seed=0)
+            y_f = synthesize_pulse(sym, d, None)
             np.testing.assert_allclose(ls_estimate(y_f, sym, alloc), d, atol=1e-12)
 
     def test_flat_spectrum_is_scaled_correlation(self):
@@ -53,7 +53,7 @@ class TestLsEstimate:
         rng = np.random.default_rng(2)
         sym = draw_symbols(spec, alloc, seed=3, policy=TruncationPolicy())
         d = random_d(n, rng)
-        y_f = synthesize_pulse(sym, d, 0.05, seed=4)
+        y_f = synthesize_pulse(sym, d, draw_noise(n, 0.05, 4))
         y = np.fft.ifft(y_f)  # the fast-time echo the dense formula takes
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(n)
         dense = np.linalg.inv(s_mat.conj().T @ s_mat) @ s_mat.conj().T @ y
@@ -93,7 +93,7 @@ class TestLsEstimate:
         draws = 10**4
         acc = np.zeros(n, dtype=complex)
         for _ in range(draws):
-            y = synthesize_pulse(sym, d, sigma2, rng)
+            y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
             acc += ls_estimate(y, sym, alloc) - d
         mean_err = acc / draws
         # Per-component 3-sigma bound on the empirical mean.
@@ -113,7 +113,7 @@ class TestLsEstimate:
             rng = np.random.default_rng(99)  # same noise seeds for both
             e = []
             for _ in range(500):
-                y = synthesize_pulse(sym, d, sigma2, rng)
+                y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
                 e.append(ls_estimate(y, sym, alloc) - d)
             errs.append(np.concatenate(e))
         np.testing.assert_allclose(errs[0], errs[1], atol=1e-10)
@@ -144,7 +144,7 @@ class TestRangeProfileCube:
         rng = np.random.default_rng(22)
         total = 0.0
         for _ in range(pulses):
-            y = synthesize_pulse(sym, d, sigma2, rng)
+            y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
             total += np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2)
         empirical = total / pulses
         expected = sigma2 * np.sum(1.0 / np.abs(sym) ** 2)
@@ -164,7 +164,7 @@ class TestRangeProfileCube:
         total = 0.0
         for _ in range(pulses):
             sym = draw_symbols(spec, alloc, rng, policy=policy)
-            y = synthesize_pulse(sym, d, sigma2, rng)
+            y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
             total += np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2)
         empirical = total / pulses
         expected = policy.A * sigma2 * np.sum(1.0 / alloc.powers)
