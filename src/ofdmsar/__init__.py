@@ -11,7 +11,7 @@ from .allocation import (
     water_filling,
 )
 from .azimuth import SarImage, azimuth_compress, azimuth_reference, form_image, rcmc_bulk
-from .echo import RawDataCube, draw_noise, synthesize_pulse, synthesize_raw
+from .echo import draw_noise, synthesize_pulse, synthesize_raw
 from .geometry import (
     SPEED_OF_LIGHT,
     Geometry,

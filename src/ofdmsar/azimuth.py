@@ -118,12 +118,11 @@ def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAll
                sigma2: float, seed: int, policy: TruncationPolicy | None = None) -> SarImage:
     """``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))``, formed
     in the scene-coefficient array.  Synthesis and LS run on the blocks of whole pulses
-    that ``echo.pulse_blocks`` draws from the image's two streams on its worker, as
+    that ``echo.pulse_blocks`` draws from the seed's streams 0 and 1 on its worker, as
     ``synthesize_raw`` draws them, so no output depends on the worker; each block's
     profiles overwrite its coefficients.  Each stage is looked up through its module,
     where a tracer can wrap it."""
-    with echo.pulse_blocks(echo.pulse_rng(seed, 0), echo.pulse_rng(seed, 1), spec, alloc,
-                           policy, sigma2, geom.n_pulses) as blocks:
+    with echo.pulse_blocks(seed, (), spec, alloc, policy, sigma2, geom.n_pulses) as blocks:
         cells, p = echo.scene_coefficients(geom, scene), 0
         for symbols, noise in blocks:
             block = cells[:, p:p + symbols.shape[1]]

@@ -3,13 +3,13 @@
 The MSE sweep compares signal designs (constant-modulus vs random Gaussian,
 uniform vs communication-optimal allocation) against their closed-form
 predictions, with common random variates across designs within each trial.
-A trial is drawn as an image draws a pulse: each SNR point owns a symbol and
-a noise stream, trial t is pulse t of each, and the trials come in the blocks
-that ``echo.pulse_blocks`` draws on its worker thread: unit-power symbols and
-``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the symbols by
-sqrt(P_k), keeping only their phase for constant modulus, and is estimated
-by one batched LS call per block.  So the draws do not depend on the block
-size; the summed empirical MSE does, by its summation order only.
+A trial is drawn as an image draws a pulse: SNR point si is the key ``(si,)``
+of ``echo.pulse_blocks``, trial t is pulse t of its two streams, and the
+trials come in the blocks that it draws on its worker thread: unit-power
+symbols and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the
+symbols by sqrt(P_k), keeping only their phase for constant modulus, and is
+estimated by one batched LS call per block.  So the draws do not depend on the
+block size; the summed empirical MSE does, by its summation order only.
 
 The Gaussian law cuts the tail below its q-quantile, so the empirical
 expectation exists.  It is A / (1 - q): A, the paper's truncated integral,
@@ -48,8 +48,8 @@ def mse_vs_snr(
     The designs, in row order: constant-modulus uniform, Gaussian uniform and
     Gaussian water-filling under ``policy``.  The communication noise power is
     tied to the radar noise power (one SNR knob), so water-filling tends to
-    uniform as SNR grows.  Point si draws symbols and noise from children 0
-    and 1 of SeedSequence(seed, spawn_key=(si,)).  Returns one row dict per
+    uniform as SNR grows.  Point si draws symbols and noise from streams
+    (si, 0) and (si, 1) of ``seed``.  Returns one row dict per
     (snr, design) with keys ``snr_db``, ``design``, ``empirical_nmse``,
     ``analytic_nmse``.  A design whose allocation dries a subcarrier reports
     infinite MSE (LS is singular there); one whose smallest possible draw lies
@@ -78,9 +78,7 @@ def mse_vs_snr(
         for (label, law, alloc), total in zip(designs, sums):
             if total == 0.0:  # magnitudes grow with u, so u = 0 gives the smallest draw
                 check_ls_floor(symbol_magnitudes(alloc.powers, law, 0.0) ** 2, alloc, label)
-        streams = np.random.SeedSequence(seed, spawn_key=(si,)).spawn(2)
-        with pulse_blocks(*map(np.random.default_rng, streams), spec, unit, policy, sigma2,
-                          n_trials) as blocks:
+        with pulse_blocks(seed, (si,), spec, unit, policy, sigma2, n_trials) as blocks:
             for z, w_f in blocks:
                 phase = z / np.abs(z)
                 for di, (_, law, alloc) in enumerate(designs):

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import echo
 from .azimuth import DB_FLOOR
 
 __all__ = ["write_pgm", "write_db_csv", "write_table_csv"]
 
-_BLOCK_CELLS = 4096  # cells encoded at a time, in whole rows; about 50 B of arrays each
 #: A CSV cell's text as the integer of its bytes, padded with 0 bytes that are dropped:
 #: "-", whole dB and "." in the low 4 bytes (_HEADS[w + 1] for w dB, _HEADS[0] for 0),
 #: the 4 decimals (_DECIMALS[i] for i / 1e4 dB) in the high 4.
@@ -39,9 +39,10 @@ def write_db_csv(path, db_image: np.ndarray) -> None:
     row ended in "\\r\\n", as ``csv.writer`` ends it.  The raster must lie on the
     1e-4 dB grid in [DB_FLOOR, 0], as a ``SarImage`` raster does, so every value
     reads back exactly; else ``ValueError`` is raised before the file is opened.
+    It is encoded in blocks of whole rows, ``echo._BLOCK_CELLS`` cells or so each.
     """
     db = np.asarray(db_image, dtype=float)
-    blocks = np.array_split(db, max(1, db.size // _BLOCK_CELLS))
+    blocks = np.array_split(db, max(1, db.size // echo._BLOCK_CELLS))
     for block in blocks:
         k = np.rint(block * -1e4)
         if not ((k / -1e4 == block) & (k >= 0) & (k <= -1e4 * DB_FLOOR)).all():

@@ -4,7 +4,7 @@ The channel operator is diagonalized by the DFT with the subcarrier symbols
 as eigenvalues, so the LS estimate of received spectrum ``Y_f`` is
 ``ifft(Y_f / S_k)``: the dense pseudo-inverse formula exactly, with no
 inter-range-cell interference.  ``ls_estimate`` takes the spectrum of one
-pulse (N,) or of a block (N, P); ``range_profile_cube`` applies it to a cube.
+pulse (N,) or of a block (N, P); ``range_profile_cube`` takes ``synthesize_raw``'s.
 There is no regularizer: a symbol below the conditioning floor 1e-6 * P/N of
 its allocation (``check_ls_floor``) rejects the call rather than biasing the MSE.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import PowerAllocation
-from .echo import RawDataCube
 from .errors import DimensionError, IllConditionedWaveformError
 
 __all__ = ["check_ls_floor", "ls_estimate", "range_profile_cube"]
@@ -41,6 +40,6 @@ def ls_estimate(
     return np.fft.ifft(spectrum / symbols, axis=0)
 
 
-def range_profile_cube(cube: RawDataCube) -> np.ndarray:
-    """LS range profiles of every pulse of the received spectrum cube."""
-    return ls_estimate(cube.spectrum, cube.symbols, cube.allocation)
+def range_profile_cube(cube: tuple) -> np.ndarray:
+    """LS range profiles of every pulse of ``synthesize_raw``'s output."""
+    return ls_estimate(*cube)

@@ -6,6 +6,7 @@ import pytest
 from ofdmsar import (
     Geometry,
     PowerAllocation,
+    WaveformSpec,
     azimuth_compress,
     azimuth_reference,
     echo,
@@ -190,12 +191,14 @@ class TestFormImage:
         ("point", 800.0, TruncationPolicy()),  # 6 blocks of 128 pulses, then 32
         ("car", 800.0, None),
         ("point", 100.0, TruncationPolicy()),  # less than one block
+        ("point48", 333.0, TruncationPolicy()),  # N = 48, not a divisor: 170 pulses, then 163
     ])
     def test_matches_the_stage_chain(self, spec64, kind, prf, policy):
+        spec = WaveformSpec(48, 1.5e9 / 48) if kind == "point48" else spec64
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
-        scene = point_scene(spec64, 1) if kind == "point" else car_scene(spec64)
-        alloc = PowerAllocation.uniform(64, 64.0)
-        args = (spec64, geom, scene, alloc, 0.03, 7, policy)
+        scene = car_scene(spec) if kind == "car" else point_scene(spec, 1)
+        alloc = PowerAllocation.uniform(spec.n_subcarriers, 64.0)
+        args = (spec, geom, scene, alloc, 0.03, 7, policy)
         image, expected = form_image(*args), self.chain(*args)
         assert image.complex_image.tobytes() == expected.complex_image.tobytes()
         assert image.db_image.tobytes() == expected.db_image.tobytes()

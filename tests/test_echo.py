@@ -117,23 +117,23 @@ class TestSynthesizeRaw:
     def test_empty_scene_zero_cube(self, geom, spec64):
         scene = Scene(np.zeros((64, 4)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=0)
-        assert not np.any(cube.spectrum)
-        assert cube.spectrum.shape[1] == geom.n_pulses
+        spectrum, _, _ = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=0)
+        assert not np.any(spectrum)
+        assert spectrum.shape[1] == geom.n_pulses
 
     def test_point_scene_pulses_are_shifted_bodies(self, geom, spec64):
         # Single unit scatterer: each pulse's spectrum is the DFT of a scaled
         # cyclic shift of its own pulse body.
         scene = point_scene(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=1)
+        spectrum, symbols, _ = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=1)
         m, n = 32, 64
         for p in (0, 400, 799):
-            body = modulate(cube.symbols[:, p], spec64)[spec64.cp_len :]
+            body = modulate(symbols[:, p], spec64)[spec64.cp_len :]
             d_m = scene_coefficients(geom, scene)[m, p]
             assert abs(abs(d_m) - 1.0) < 1e-12
             np.testing.assert_allclose(
-                cube.spectrum[:, p],
+                spectrum[:, p],
                 np.fft.fft(d_m * np.roll(body, m) / np.sqrt(n)),
                 atol=1e-10,
             )
@@ -143,21 +143,24 @@ class TestSynthesizeRaw:
         alloc = PowerAllocation.uniform(64, 64.0)
         a = synthesize_raw(spec64, geom, scene, alloc, 0.1, seed=42)
         b = synthesize_raw(spec64, geom, scene, alloc, 0.1, seed=42)
-        np.testing.assert_array_equal(a.spectrum, b.spectrum)
+        np.testing.assert_array_equal(a[0], b[0])
 
-    def test_streams_are_seed_sequence_children(self):
-        children = np.random.SeedSequence(123).spawn(2)
+    @pytest.mark.parametrize("key", [(), (2,)], ids=["image", "sweep point"])
+    def test_streams_are_seed_sequence_children(self, key):
+        # Stream (*key, k) draws as child k of SeedSequence(123, spawn_key=key).
+        children = np.random.SeedSequence(123, spawn_key=key).spawn(2)
         for index, child in enumerate(children):
-            a = pulse_rng(123, index).standard_normal(4)
+            a = pulse_rng(123, *key, index).standard_normal(4)
             np.testing.assert_array_equal(a, np.random.default_rng(child).standard_normal(4))
-        assert not np.array_equal(pulse_rng(123, 0).random(4), pulse_rng(123, 1).random(4))
+        a, b = pulse_rng(123, *key, 0).random(4), pulse_rng(123, *key, 1).random(4)
+        assert not np.array_equal(a, b)
 
     def test_fresh_symbols_each_pulse(self, geom, spec64):
         scene = Scene(np.zeros((64, 1)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=3)
-        s0 = cube.symbols[:, 0]
-        s1 = cube.symbols[:, 1]
+        _, symbols, _ = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=3)
+        s0 = symbols[:, 0]
+        s1 = symbols[:, 1]
         assert not np.array_equal(s0, s1)
 
     @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
@@ -169,7 +172,7 @@ class TestSynthesizeRaw:
         cubes = [synthesize_raw(spec64, geom, scene, alloc, s2, 9, policy)
                  for s2 in (0.0, 0.3, 5.0)]
         for cube in cubes[1:]:
-            np.testing.assert_array_equal(cube.symbols, cubes[0].symbols)
+            np.testing.assert_array_equal(cube[1], cubes[0][1])
 
     def test_subcarrier_noise_calibration(self, geom, spec64):
         # On an empty scene the cube is the noise W_f alone: white
@@ -178,7 +181,7 @@ class TestSynthesizeRaw:
         n, sigma2 = 64, 0.3
         scene = Scene(np.zeros((n, 4)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(n, float(n))
-        w = synthesize_raw(spec64, geom, scene, alloc, sigma2, seed=5).spectrum
+        w, _, _ = synthesize_raw(spec64, geom, scene, alloc, sigma2, seed=5)
         count = w.size
         ratio = np.abs(w) ** 2 / (n * sigma2)
         assert abs(ratio.mean() - 1.0) < 5.0 / np.sqrt(count)
@@ -199,9 +202,9 @@ class TestBatchedSynthesis:
         geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, 11, policy)
+        _, symbols, _ = cube = synthesize_raw(spec, geom, scene, alloc, sigma2, 11, policy)
         profiles = range_profile_cube(cube)
-        y = synthesize_raw_per_pulse(geom, scene, cube.symbols)
+        y = synthesize_raw_per_pulse(geom, scene, symbols)
         if sigma2 != 0.0:
             # Row p of the noise block holds pulse p's subcarrier noise as
             # interleaved real and imaginary parts, scaled to CN(0, N sigma^2).
@@ -210,7 +213,7 @@ class TestBatchedSynthesis:
             y += np.fft.ifft(w_f.T, axis=0)
         assert profiles.shape == (64, geom.n_pulses)
         for p in range(geom.n_pulses):
-            ref = ls_estimate(np.fft.fft(y[:, p]), cube.symbols[:, p], alloc)
+            ref = ls_estimate(np.fft.fft(y[:, p]), symbols[:, p], alloc)
             err = np.linalg.norm(profiles[:, p] - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
 
@@ -236,8 +239,7 @@ class TestPulseBlocks:
     ALLOC = PowerAllocation.uniform(64, 64.0)
 
     def blocks(self, spec, pulses=800, sigma2=0.3):
-        return pulse_blocks(pulse_rng(3, 0), pulse_rng(3, 1), spec, self.ALLOC, GAUSSIAN,
-                            sigma2, pulses)
+        return pulse_blocks(3, (), spec, self.ALLOC, GAUSSIAN, sigma2, pulses)
 
     @staticmethod
     def patch_draws(monkeypatch, fault=lambda drawn, symbols: None):

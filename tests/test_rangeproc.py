@@ -11,7 +11,7 @@ from ofdmsar import (
     synthesize_raw,
 )
 from ofdmsar.allocation import TruncationPolicy
-from ofdmsar.echo import RawDataCube, draw_noise
+from ofdmsar.echo import draw_noise
 from ofdmsar.errors import DimensionError, IllConditionedWaveformError
 from ofdmsar.scenes import point_scene
 from oracles import circulant_from_pulse, modulate
@@ -173,23 +173,22 @@ class TestRangeProfileCube:
     def test_per_pulse_symbols_used(self, geom, spec64):
         scene = point_scene(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=12)
+        spectrum, symbols, _ = cube = synthesize_raw(spec64, geom, scene, alloc, 0.0, seed=12)
         profiles = range_profile_cube(cube)
-        assert profiles.shape == cube.spectrum.shape
+        assert profiles.shape == spectrum.shape
         # The cube's estimate equals one LS call per pulse on that pulse's
         # spectrum, with its own symbols.
         for p in (0, 1, 400, 799):
-            single = ls_estimate(cube.spectrum[:, p], cube.symbols[:, p], alloc)
+            single = ls_estimate(spectrum[:, p], symbols[:, p], alloc)
             np.testing.assert_array_equal(profiles[:, p], single)
 
     def test_one_ill_conditioned_pulse_rejects_cube(self, geom, spec64):
         alloc = PowerAllocation.uniform(64, 64.0)
-        cube = synthesize_raw(spec64, geom, point_scene(spec64, 1), alloc, 0.0, seed=13)
-        symbols = cube.symbols.copy()
+        spectrum, symbols, _ = synthesize_raw(spec64, geom, point_scene(spec64, 1), alloc, 0.0,
+                                              seed=13)
         symbols[17, 513] = 1e-4  # |S|^2 = 1e-8, below the 1e-6 * P/N floor
-        bad = RawDataCube(cube.spectrum, symbols, alloc)
         with pytest.raises(IllConditionedWaveformError) as err:
-            range_profile_cube(bad)
+            range_profile_cube((spectrum, symbols, alloc))
         assert err.value.subcarrier == 17
         symbols[17, 513] = 1.0
-        range_profile_cube(RawDataCube(cube.spectrum, symbols, alloc))
+        range_profile_cube((spectrum, symbols, alloc))
