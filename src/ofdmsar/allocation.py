@@ -16,6 +16,8 @@ Conventions used throughout:
   q-quantile of the unit Rayleigh magnitude (default q = 1e-3, i.e. keep the
   top 99.9% of the magnitude distribution).  Gaussian symbols are sqrt(2 P_k)
   times that magnitude (``waveform.symbol_magnitudes``), so E|S_k|^2 ~ 2 P_k.
+  A enters only the EMSE value (``emse_of_alloc``): it scales the objective of
+  the rate-constrained design, so the optimizer works in units of it.
 """
 
 from __future__ import annotations
@@ -179,15 +181,16 @@ def emse_of_alloc(
 
 # ---------------------------------------------------------------------------
 # Rate-constrained EMSE minimization: damped Newton on the KKT system
-# (Boyd & Vandenberghe, Convex Optimization, sec. 5.5).  Stationarity for
-# subcarrier k:
+# (Boyd & Vandenberghe, Convex Optimization, sec. 5.5).  A and sigma^2 only
+# scale the objective, so it is solved in units of A: stationarity for
+# subcarrier k is
 #
-#     f_k(P) = A / P^2 + lam * g_k / (1 + g_k P) - mu = 0
+#     f_k(P) = 1 / P^2 + lam * g_k / (1 + g_k P) - mu = 0
 #
-# with lam >= 0 the rate multiplier and mu the power multiplier.  f_k is
-# convex and decreasing in P, so a Newton step from any point lands at or left
-# of its root, and Newton then climbs to it; iterates are clipped to a closed-
-# form lower bound, so any start is safe.  With the roots P_k(mu, lam), the
+# with lam >= 0 the rate multiplier and mu the power multiplier, both over A.
+# f_k is convex and decreasing in P, so a Newton step from any point lands at
+# or left of its root, and Newton then climbs to it; iterates are clipped to a
+# closed-form lower bound, so any start is safe.  With the roots P_k(mu, lam), the
 # budget and the rate floor are two equations in (mu, lam), solved together
 # by Newton from the uniform allocation's multipliers.  Each step is damped by
 # the natural monotonicity test (Deuflhard, Newton Methods for Nonlinear
@@ -203,18 +206,18 @@ _MAX_STEPS = 100  # per loop
 
 
 def _stationarity_roots(
-    mu: float, lam: float, g: np.ndarray, a: float, guess: np.ndarray | None = None
+    mu: float, lam: float, g: np.ndarray, guess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots P_k of f_k, and the slopes f_k'(P_k) there, from any ``guess``."""
-    # At sqrt(A/mu) the first term alone equals mu, and at lam/mu - 1/g_k the
+    # At sqrt(1/mu) the first term alone equals mu, and at lam/mu - 1/g_k the
     # second does, so both points lie left of the root.
     with np.errstate(divide="ignore"):
-        low = np.maximum(np.sqrt(a / mu), lam / mu - 1.0 / g)
-    p = low if guess is None else np.maximum(guess, low)
+        low = np.maximum(np.sqrt(1.0 / mu), lam / mu - 1.0 / g)
+    p = np.maximum(guess, low)
     for _ in range(_MAX_STEPS):
         gd = g / (1.0 + g * p)
-        slope = -2.0 * a / p**3 - lam * gd * gd
-        resid = a / p**2 + lam * gd - mu
+        slope = -2.0 / p**3 - lam * gd * gd
+        resid = 1.0 / p**2 + lam * gd - mu
         p = np.maximum(p - resid / slope, low)
         # Newton converges quadratically, so one step past a residual of
         # 1e-12 of the level leaves only rounding error.
@@ -224,10 +227,10 @@ def _stationarity_roots(
 
 
 def _rate_constrained(
-    ch: ChannelGains, total: float, rate_floor: float, a: float, wf: PowerAllocation
+    ch: ChannelGains, total: float, rate_floor: float, wf: PowerAllocation
 ) -> tuple[PowerAllocation, float]:
-    """The minimizer and its rate multiplier lam (inf at capacity), given the
-    channel's water-filling allocation ``wf``."""
+    """The minimizer and its rate multiplier lam / A (inf at capacity), given
+    the channel's water-filling allocation ``wf``."""
     g = ch.gains
     capacity = achievable_rate(wf, ch)
     cap_tol = _RATE_TOL * max(1.0, capacity)
@@ -257,8 +260,7 @@ def _rate_constrained(
         return step if done else None
 
     # The uniform allocation's multipliers, where the budget residual is 0.
-    mu, lam, p = a, 0.0, np.ones(g.size)
-    slope = -2.0 * a / p**3
+    mu, lam, p, slope = 1.0, 0.0, np.ones(g.size), np.full(g.size, -2.0)
     gd, r = residuals(p)
     for _ in range(_MAX_STEPS):
         last = budget_step(mu, slope, r)
@@ -280,7 +282,7 @@ def _rate_constrained(
             mu_t, lam_t = mu + t * step[0], max(lam + t * step[1], 0.0)
             if mu_t > 0.0:
                 guess = p + (mu_t - mu - gd * (lam_t - lam)) / slope
-                p_t, slope_t = _stationarity_roots(mu_t, lam_t, g, a, guess)
+                p_t, slope_t = _stationarity_roots(mu_t, lam_t, g, guess)
                 gd_t, r_t = residuals(p_t)
                 # A converged trial is taken as it is: rounding stalls the test there.
                 if (budget_step(mu_t, slope_t, r_t) is not None
@@ -293,31 +295,24 @@ def _rate_constrained(
     raise RuntimeError("multiplier Newton did not converge")
 
 
-def emse_rate_constrained(
-    ch: ChannelGains,
-    total: float,
-    rate_floor: float,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> PowerAllocation:
+def emse_rate_constrained(ch: ChannelGains, total: float, rate_floor: float) -> PowerAllocation:
     """Minimize A*sigma^2*sum(1/P_k) subject to the budget and rate floor.
 
     Solved on the KKT system (no general-purpose solver): Newton on the
     per-subcarrier powers inside a damped Newton on the power and rate
     multipliers together, started from the uniform allocation.  The achieved
     rate is at least ``rate_floor - 1e-8 * max(1, rate_floor)``; where the
-    floor binds, it lies within half that tolerance of the floor.  The optimizer is invariant to
-    the values of A and sigma^2; they only scale the objective, so sigma^2 is
-    not an argument.  Endpoints: rate_floor <= uniform rate returns the
-    uniform allocation (lam = 0, slack rate constraint); rate_floor at
-    capacity returns the water-filling closed form, where the feasible set
-    collapses to a single point.  A rate floor that is NaN or -inf raises
-    ValueError; one above capacity raises InfeasibleRateError.
+    floor binds, it lies within half that tolerance of the floor.  A and sigma^2
+    only scale the objective, so neither is an argument: the problem is solved
+    in units of A and of the mean power total / N.  Endpoints: rate_floor <=
+    uniform rate returns the uniform allocation (lam = 0, slack rate
+    constraint); rate_floor at capacity returns the water-filling closed form,
+    where the feasible set collapses to a single point.  A rate floor that is
+    NaN or -inf raises ValueError; one above capacity raises InfeasibleRateError.
     """
     if np.isnan(rate_floor) or rate_floor == -np.inf:
         raise ValueError(f"rate floor must be a number of bits, got {rate_floor!r}")
-    alloc, _ = _rate_constrained(
-        ch, total, rate_floor, policy.A, water_filling(ch, total)
-    )
+    alloc, _ = _rate_constrained(ch, total, rate_floor, water_filling(ch, total))
     return alloc
 
 
@@ -346,10 +341,9 @@ def tradeoff_sweep(
         raise ConfigError(f"tradeoff_points = {n_points} must be at least 2")
     wf = water_filling(ch, total)
     capacity = achievable_rate(wf, ch)
-    a = policy.A
     points = []
     for r0 in np.linspace(0.0, capacity, n_points):
-        alloc, _ = _rate_constrained(ch, total, float(r0), a, wf)
+        alloc, _ = _rate_constrained(ch, total, float(r0), wf)
         emse = emse_of_alloc(alloc, sigma2, policy)
         points.append(
             TradeoffPoint(float(r0), achievable_rate(alloc, ch), emse, alloc)

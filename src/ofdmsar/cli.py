@@ -74,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _echo_config(cfg: Config, seed: int) -> None:
-    for name, value in cfg.items():
-        print(f"{name} = {value}")
+    for f in dataclasses.fields(cfg):
+        print(f"{f.name} = {getattr(cfg, f.name)}")
     print(f"seed = {seed}")
 
 
@@ -107,7 +107,7 @@ def _channel_setup(cfg: Config):
 
 def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     spec, sigma2, ch = _channel_setup(cfg)
-    policy = cfg.truncation_policy()
+    policy = cfg.truncation_policy()  # checked before any solve
     capacity = allocation.achievable_rate(allocation.water_filling(ch, spec.power_budget), ch)
     if args.rate_target is None:
         alloc = allocation.PowerAllocation.uniform(len(ch), spec.power_budget)
@@ -119,7 +119,7 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
         if not r0 > -np.inf:  # not a number, NaN or -inf
             raise ConfigError("--rate-target takes a number of bits or 'capacity', "
                               f"not {args.rate_target!r}")
-        alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0, policy)
+        alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0)
     rate = allocation.achievable_rate(alloc, ch)
     emse = allocation.emse_of_alloc(alloc, sigma2, policy)
     print(f"capacity_bits = {capacity!r}")
@@ -142,7 +142,7 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     image = azimuth.form_image(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_policy())
     row, col = image.peak_cell
     print(f"peak_cell = {row} {col}")
-    if scene.occupied[0].size == 1:  # else the cut crosses other scatterers
+    if np.count_nonzero(scene.rcs) == 1:  # else the cut crosses other scatterers
         try:
             pslr, islr = metrics.sidelobe_stats(np.abs(image.complex_image[:, col]) ** 2)
         except NoPeakError:

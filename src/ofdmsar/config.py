@@ -123,10 +123,6 @@ class Config:
             raise ConfigError(f"snr_grid {self.snr_grid!r} holds no SNR value")
         return grid
 
-    def items(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 

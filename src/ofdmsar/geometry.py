@@ -15,7 +15,7 @@ d at every pulse of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,17 +85,16 @@ class Geometry:
 
 @dataclass(frozen=True)
 class Scene:
-    """Read-only complex RCS grid: rows are range cells, columns azimuth cells."""
+    """Complex RCS grid: rows are range cells, columns azimuth cells.  ``rcs`` is a
+    read-only copy of the array given, so a scene cannot change once made."""
 
     rcs: np.ndarray
     range_cell_size: float
-    occupied: tuple = field(init=False, repr=False, compare=False)  # (rows, cols) by column
 
     def __post_init__(self):
         rcs = np.array(np.atleast_2d(self.rcs), dtype=complex)
         rcs.flags.writeable = False
         object.__setattr__(self, "rcs", rcs)
-        object.__setattr__(self, "occupied", np.nonzero(rcs.T)[::-1])
         if self.range_cell_size <= 0:
             raise ValueError("range_cell_size must be positive")
 
@@ -144,7 +143,7 @@ def scene_coefficients(geom: Geometry, scene: Scene) -> np.ndarray:
     """
     n = geom.n_pulses
     d = np.zeros((scene.n_range_cells, n), dtype=complex)
-    rows, cols = scene.occupied
+    rows, cols = np.nonzero(scene.rcs.T)[::-1]  # by column
     if rows.size == 0:
         return d
     base = n // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1

@@ -39,21 +39,25 @@ def write_db_csv(path, db_image: np.ndarray) -> None:
     row ended in "\\r\\n", as ``csv.writer`` ends it.  The raster must lie on the
     1e-4 dB grid in [DB_FLOOR, 0], as a ``SarImage`` raster does, so every value
     reads back exactly; else ``ValueError`` is raised before the file is opened.
-    It is encoded in blocks of whole rows, ``echo._BLOCK_CELLS`` cells or so each.
+    It is encoded in row-major slices of ``echo._BLOCK_CELLS`` cells, which may cut a row.
     """
     db = np.asarray(db_image, dtype=float)
-    blocks = np.array_split(db, max(1, db.size // echo._BLOCK_CELLS))
-    for block in blocks:
+    flat, cols, size = db.reshape(-1), db.shape[-1], echo._BLOCK_CELLS
+    starts = range(0, flat.size, size)
+    for i in starts:
+        block = flat[i:i + size]
         k = np.rint(block * -1e4)
         if not ((k / -1e4 == block) & (k >= 0) & (k <= -1e4 * DB_FLOOR)).all():
             raise ValueError(f"dB raster holds a value off the 1e-4 dB grid in [{DB_FLOOR}, 0]")
     with open(path, "wb") as fh:
-        for block in blocks:
+        for i in starts:
+            block = flat[i:i + size]
             whole, rest = np.divmod(np.rint(block * -1e4).astype(np.int32), 10**4)
-            cells = np.empty(block.shape, _CELL)
+            cells = np.empty(block.size, _CELL)
             cells["body"] = _HEADS.take(whole + (block < 0)) | _DECIMALS.take(rest)
             cells["end"] = b","
-            cells["end"][:, -1] = b"\r\n"
+            # A row ends at each flat index i + j with (i + j + 1) % cols == 0.
+            cells["end"][(-i - 1) % cols::cols] = b"\r\n"
             fh.write(cells.tobytes().translate(None, b"\0"))
 
 

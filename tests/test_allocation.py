@@ -232,30 +232,28 @@ class TestEmse:
 
 
 class TestRateConstrainedSolver:
-    policy = TruncationPolicy()
-
     def test_equal_gains_uniform(self):
         ch = ChannelGains(np.ones(4))
-        alloc = emse_rate_constrained(ch, 4.0, 2.0, self.policy)
+        alloc = emse_rate_constrained(ch, 4.0, 2.0)
         np.testing.assert_allclose(alloc.powers, 1.0, atol=1e-7)
 
     def test_zero_rate_floor_uniform(self):
         ch = seeded_gains(8, 3)
-        alloc = emse_rate_constrained(ch, 8.0, 0.0, self.policy)
+        alloc = emse_rate_constrained(ch, 8.0, 0.0)
         np.testing.assert_allclose(alloc.powers, 1.0, atol=1e-8)
 
     def test_capacity_floor_matches_water_filling(self):
         ch = seeded_gains(8, 4)
         wf = water_filling(ch, 8.0)
         cap = achievable_rate(wf, ch)
-        alloc = emse_rate_constrained(ch, 8.0, cap, self.policy)
+        alloc = emse_rate_constrained(ch, 8.0, cap)
         np.testing.assert_allclose(alloc.powers, wf.powers, atol=1e-6)
 
     def test_infeasible_rate_carries_capacity(self):
         ch = seeded_gains(8, 5)
         cap = achievable_rate(water_filling(ch, 8.0), ch)
         with pytest.raises(InfeasibleRateError) as err:
-            emse_rate_constrained(ch, 8.0, cap * 1.5, self.policy)
+            emse_rate_constrained(ch, 8.0, cap * 1.5)
         assert err.value.capacity == pytest.approx(cap)
 
     def test_n2_grid_oracle(self):
@@ -263,7 +261,7 @@ class TestRateConstrainedSolver:
         total = 2.0
         cap = achievable_rate(water_filling(ch, total), ch)
         r0 = 0.9 * cap
-        alloc = emse_rate_constrained(ch, total, r0, self.policy)
+        alloc = emse_rate_constrained(ch, total, r0)
         obj = np.sum(1.0 / alloc.powers)
         # Fine grid on P_0; only rate-feasible splits compete.
         p0 = np.arange(1e-4, total, 1e-4)
@@ -274,19 +272,11 @@ class TestRateConstrainedSolver:
         assert obj <= best + 1e-6
         assert achievable_rate(alloc, ch) >= r0 - 1e-7
 
-    def test_argmin_invariant_to_A(self):
-        ch = seeded_gains(8, 6)
-        cap = achievable_rate(water_filling(ch, 8.0), ch)
-        r0 = 0.7 * cap
-        a1 = emse_rate_constrained(ch, 8.0, r0, TruncationPolicy(1.0 - np.exp(-1.0)))
-        a2 = emse_rate_constrained(ch, 8.0, r0, TruncationPolicy(1e-3))
-        np.testing.assert_allclose(a1.powers, a2.powers, atol=1e-6)
-
     def test_zero_gain_subcarriers_keep_power(self):
         gains = np.array([1.0, 2.0, 0.0, 0.5])
         ch = ChannelGains(gains)
         cap = achievable_rate(water_filling(ch, 4.0), ch)
-        alloc = emse_rate_constrained(ch, 4.0, 0.8 * cap, self.policy)
+        alloc = emse_rate_constrained(ch, 4.0, 0.8 * cap)
         assert np.all(alloc.powers > 0.0)
 
     @given(seed=st.integers(0, 10**5))
@@ -294,17 +284,17 @@ class TestRateConstrainedSolver:
     def test_solution_feasibility_and_kkt(self, seed):
         ch = seeded_gains(6, seed)
         total = 6.0
-        a = self.policy.A
         wf = water_filling(ch, total)
         cap = achievable_rate(wf, ch)
         r0 = 0.8 * cap
-        alloc = emse_rate_constrained(ch, total, r0, self.policy)
+        alloc = emse_rate_constrained(ch, total, r0)
         assert abs(alloc.powers.sum() - total) < 1e-8 * total
         assert np.all(alloc.powers >= 0.0)
         assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
-        core, lam = _rate_constrained(ch, total, r0, a, wf)
+        core, lam = _rate_constrained(ch, total, r0, wf)
         np.testing.assert_array_equal(core.powers, alloc.powers)
-        levels = a / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
+        # In units of A: lam is the rate multiplier over A.
+        levels = 1.0 / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
         assert np.ptp(levels) <= 1e-9 * levels.mean()
 
     @pytest.mark.parametrize("frac", [0.5, 0.9, 0.999])
@@ -317,21 +307,19 @@ class TestRateConstrainedSolver:
         ch = cfg.channel_gains().rescaled(sigma2)
         cap = achievable_rate(water_filling(ch, cfg.power_budget), ch)
         r0 = frac * cap
-        alloc = emse_rate_constrained(ch, cfg.power_budget, r0, self.policy)
+        alloc = emse_rate_constrained(ch, cfg.power_budget, r0)
         assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_number_rate_floor_rejected(self, bad):
         with pytest.raises(ValueError):
-            emse_rate_constrained(seeded_gains(4, 11), 4.0, bad, self.policy)
+            emse_rate_constrained(seeded_gains(4, 11), 4.0, bad)
 
 
 class TestSolverRobustness:
     """Every floor between the uniform rate and capacity is met on extreme
     channels.  Returning at all means no step cap was reached: the solver
     raises when one is."""
-
-    policy = TruncationPolicy()
 
     def solve_between(self, gains, total, way):
         """Solve at the floor ``way`` of the way from the uniform rate to
@@ -340,7 +328,7 @@ class TestSolverRobustness:
         cap = achievable_rate(water_filling(ch, total), ch)
         r_uniform = achievable_rate(PowerAllocation.uniform(len(ch), total), ch)
         r0 = r_uniform + way * (cap - r_uniform)
-        alloc = emse_rate_constrained(ch, total, r0, self.policy)
+        alloc = emse_rate_constrained(ch, total, r0)
         assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
         assert abs(alloc.powers.sum() - total) <= 1e-9 * total
 
@@ -378,11 +366,10 @@ class TestWarmStartedRoots:
     to a lower bound, so a guess changes the path, not the roots.  Returning
     at all means the step cap was not reached: the solver raises when it is."""
 
-    a = TruncationPolicy().A
-
     def assert_same_roots(self, mu, lam, g, guess_from_roots):
-        cold, _ = _stationarity_roots(mu, lam, g, self.a)
-        warm, _ = _stationarity_roots(mu, lam, g, self.a, guess_from_roots(cold))
+        # A zero guess is clipped to the lower bound: the cold start.
+        cold, _ = _stationarity_roots(mu, lam, g, np.zeros_like(g))
+        warm, _ = _stationarity_roots(mu, lam, g, guess_from_roots(cold))
         np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mu_lam", [(0.5, 0.0), (0.05, 0.1), (2.0, 30.0)])
@@ -475,9 +462,7 @@ class TestTradeoffSweep:
             for pt in self.multipath_sweep(channel_seed, n_points):
                 r0 = pt.rate_floor
                 assert pt.rate_achieved >= r0 - 1e-8 * max(1.0, r0)
-                alone = emse_rate_constrained(
-                    ch, cfg.power_budget, r0, cfg.truncation_policy()
-                )
+                alone = emse_rate_constrained(ch, cfg.power_budget, r0)
                 assert achievable_rate(alone, ch) >= r0 - 1e-8 * max(1.0, r0)
                 np.testing.assert_allclose(
                     pt.allocation.powers, alone.powers, rtol=1e-6, atol=0.0

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ofdmsar import echo
 from ofdmsar.azimuth import DB_FLOOR, SarImage
 from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.output import write_db_csv, write_pgm
@@ -70,16 +72,35 @@ GRID_RASTERS = arrays(
 
 
 @settings(max_examples=100, deadline=None)
-@given(db=GRID_RASTERS)
-@example(db=np.array([[0.0]]))
-@example(db=np.array([[DB_FLOOR], [-9.9999], [-10.0], [0.0]]))
-@example(db=np.array([[0.0, DB_FLOOR, -9.9999, -10.0, -0.0001, -0.9999, -39.9999, -1.0, -12.3456]]))
-def test_db_csv_bytes_equal_the_row_format_oracle(db):
+@given(db=GRID_RASTERS, block=st.integers(1, 64))
+@example(db=np.array([[0.0]]), block=8192)
+@example(db=np.array([[DB_FLOOR], [-9.9999], [-10.0], [0.0]]), block=8192)
+@example(db=np.array([[0.0, DB_FLOOR, -9.9999, -10.0, -0.0001, -0.9999, -39.9999, -1.0, -12.3456]]),
+         block=8192)
+@example(db=np.array([[0.0, -1.0, -2.0], [-3.0, -4.0, -5.0], [-6.0, -7.0, -8.0]]), block=2)
+def test_db_csv_bytes_equal_the_row_format_oracle(db, block):
+    # Blocks of echo._BLOCK_CELLS cells may begin and end inside a row.
     raster = SarImage.from_complex(10.0 ** (db / 20.0)).db_image
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(echo, "_BLOCK_CELLS", block)
         write_db_csv(Path(tmp) / "numpy.csv", raster)
         write_db_csv_rows(Path(tmp) / "oracle.csv", raster)
         assert (Path(tmp) / "numpy.csv").read_bytes() == (Path(tmp) / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2**18), (4, 2**16)])
+def test_db_csv_peak_memory_of_few_long_rows(tmp_path, shape):
+    # Blocks of cells, not of whole rows: a raster of fewer rows than blocks
+    # peaks at about 1.6 bytes a cell, as a 64 x 4096 one does, where blocks
+    # of whole rows took 42 at one row.
+    raster = (np.arange(2**18) % (round(-DB_FLOOR * 1e4) + 1) / -1e4 + 0.0).reshape(shape)
+    tracemalloc.start()
+    try:
+        write_db_csv(tmp_path / "image_db.csv", raster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * raster.size
 
 
 def test_db_csv_bytes_of_every_grid_value(tmp_path):
@@ -93,6 +114,16 @@ def test_db_csv_bytes_of_every_grid_value(tmp_path):
 def test_db_csv_rejects_a_value_off_the_grid(tmp_path, value):
     db = np.full((3, 4), -12.5)
     db[2, 1] = value
+    with pytest.raises(ValueError, match="1e-4 dB grid"):
+        write_db_csv(tmp_path / "image_db.csv", db)
+    assert not (tmp_path / "image_db.csv").exists()
+
+
+def test_db_csv_checks_every_block_before_it_opens_the_file(tmp_path, monkeypatch):
+    # Blocks of 5 cells: the bad value lies in the third, mid-row.
+    monkeypatch.setattr(echo, "_BLOCK_CELLS", 5)
+    db = np.full((3, 4), -12.5)
+    db[2, 1] = np.nan
     with pytest.raises(ValueError, match="1e-4 dB grid"):
         write_db_csv(tmp_path / "image_db.csv", db)
     assert not (tmp_path / "image_db.csv").exists()
