@@ -116,12 +116,13 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
 
 def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAllocation,
                sigma2: float, seed: int, policy: TruncationPolicy | None = None) -> SarImage:
-    """``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))``, formed
-    in the scene-coefficient array.  Synthesis and LS run on the blocks of whole pulses
-    that ``echo.pulse_blocks`` draws from the seed's streams 0 and 1 on its worker, as
-    ``synthesize_raw`` draws them, so no output depends on the worker; each block's
-    profiles overwrite its coefficients.  Each stage is looked up through its module,
-    where a tracer can wrap it."""
+    """The image of ``scene``, formed in its scene-coefficient array: synthesis and LS
+    run on the blocks of whole pulses that ``echo.pulse_blocks`` draws on its worker
+    from the seed's streams 0 and 1, so no output depends on the worker, and each
+    block's profiles overwrite its coefficients; RCMC and focusing then work in place.
+    ``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))`` draws the
+    same streams as one cube: the whole-cube reference the tests and perfbench use.
+    Each stage is looked up through its module, where a tracer can wrap it."""
     with echo.pulse_blocks(seed, (), spec, alloc, policy, sigma2, geom.n_pulses) as blocks:
         cells, p = echo.scene_coefficients(geom, scene), 0
         for symbols, noise in blocks:

@@ -81,9 +81,7 @@ def _echo_config(cfg: Config, seed: int) -> None:
 
 def _resolve_scene(cfg: Config, spec):
     if cfg.scene in ("point", "car"):
-        # The point scatterer's middle column lies at offset 0 at any width, so one
-        # column images the same; a width below 1 is still refused.
-        return scenes.make_scene(cfg.scene, spec, min(cfg.scene_azimuth, 1))
+        return scenes.make_scene(cfg.scene, spec, 1)
     return load_scene(cfg.scene, spec)
 
 
@@ -184,7 +182,10 @@ def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
 
 def _cmd_scene_gen(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    cfg.geometry()  # the scene's range swath must lie in front of the platform
+    n_pulses = cfg.geometry().n_pulses  # the scene's swath must lie in front of the platform
+    if args.kind == "point" and not 1 <= cfg.scene_azimuth <= n_pulses:
+        raise ConfigError(f"scene_azimuth = {cfg.scene_azimuth} must lie between 1 and the "
+                          f"pulse count {n_pulses}, to keep the scene file within the image cap")
     scene = scenes.make_scene(args.kind, spec, cfg.scene_azimuth)
     path = out / f"scene_{args.kind}.txt"
     save_scene(scene, path)

@@ -60,8 +60,7 @@ class Config:
         return WaveformSpec(self.n_subcarriers, spacing, self.power_budget)
 
     def geometry(self) -> Geometry:
-        """Geometry of an image of N x n_pulses <= 2**24 cells, its swath in front of
-        the platform and its ``scene_azimuth`` columns, a pulse apart or more, in it."""
+        """Geometry of an image of N x n_pulses <= 2**24 cells and a positive near-swath range."""
         geom = Geometry(**{f.name: getattr(self, f.name) for f in fields(Geometry)})
         spec = self.waveform_spec()
         if spec.n_subcarriers * geom.n_pulses > _MAX_IMAGE_CELLS:
@@ -75,9 +74,6 @@ class Config:
                 "not positive: slant_range_center must exceed n_subcarriers / 2 cells "
                 "of c / (2 * bandwidth)"
             )
-        if self.scene_azimuth > geom.n_pulses:
-            raise ConfigError(f"scene_azimuth = {self.scene_azimuth} exceeds the pulse count "
-                              f"{geom.n_pulses}, round(prf * aperture_time)")
         return geom
 
     def truncation_policy(self) -> TruncationPolicy:

@@ -106,8 +106,6 @@ def synthesize_raw(
     ``ls_estimate``.  Fresh symbols every pulse from stream 0 (constant modulus for
     ``policy`` None) and noise from stream 1, each one pulse-major block: pulse p
     reads row p.  All pulses are made in one ``synthesize_pulse`` call."""
-    if scene.n_range_cells != spec.n_subcarriers:
-        raise DimensionError("scene range cells must equal N (SWMP)")
     symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), geom.n_pulses, policy)
     noise = draw_noise(spec.n_subcarriers, sigma2, pulse_rng(seed, 1), geom.n_pulses)
     d = scene_coefficients(geom, scene)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import Scene, range_cell_size
 from .waveform import WaveformSpec
 
@@ -43,9 +42,7 @@ def car_scene(spec: WaveformSpec) -> Scene:
 
 
 def make_scene(kind: str, spec: WaveformSpec, n_azimuth: int) -> Scene:
-    """The demo scene ``kind``; ``n_azimuth`` sets the point scene's columns."""
-    if n_azimuth < 1:
-        raise ConfigError(f"scene_azimuth must be >= 1, got {n_azimuth}")
+    """The demo scene ``kind``; ``n_azimuth`` >= 1 sets the point scene's width, not the car's."""
     if kind == "point":
         return point_scene(spec, n_azimuth)
     if kind == "car":

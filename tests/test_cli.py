@@ -315,6 +315,56 @@ class TestConfigErrors:
         assert list(out.iterdir()) == []
 
 
+SPEC_KEYS = {"n_subcarriers", "bandwidth", "power_budget", "signaling"}
+CHANNEL_KEYS = {"channel", "channel_taps", "channel_seed"}
+GEOMETRY_KEYS = {"altitude", "slant_range_center", "velocity", "carrier_freq", "prf",
+                 "aperture_time"}
+#: The config keys each command reads or checks.  Every command checks the
+#: waveform keys, signaling among them, and scene-gen the geometry it writes a
+#: scene for; only the point scene's file has scene_azimuth columns.
+KEYS_READ = {
+    ("allocate",): SPEC_KEYS | CHANNEL_KEYS | {"tail_prob", "snr_db"},
+    ("simulate",): SPEC_KEYS | GEOMETRY_KEYS | {"tail_prob", "snr_db", "scene"},
+    ("mse-sweep",): SPEC_KEYS | CHANNEL_KEYS | {"tail_prob", "trials", "snr_grid"},
+    ("tradeoff",): SPEC_KEYS | CHANNEL_KEYS | {"tail_prob", "snr_db", "tradeoff_points"},
+    ("scene-gen", "--kind", "point"): SPEC_KEYS | GEOMETRY_KEYS | {"scene_azimuth"},
+    ("scene-gen", "--kind", "car"): SPEC_KEYS | GEOMETRY_KEYS,
+}
+#: Values of each key that stop a command that reads it, in some config.
+EDGE_VALUES = {
+    "altitude": ("0", "nan"),
+    "slant_range_center": ("0", "inf"),
+    "velocity": ("0", "nan"),
+    "carrier_freq": ("-1", "inf"),
+    "prf": ("0", "1e308"),
+    "aperture_time": ("0", "nan"),
+    "snr_db": ("nan", "-3000"),
+    "tail_prob": ("0", "1"),
+    "channel": ("rician",),
+    "channel_taps": ("0", "17"),
+    "channel_seed": ("-1",),
+    "scene": ("no-such-dir/scene.txt",),
+    "scene_azimuth": ("0", "-1", "65"),
+    "trials": ("0", "99"),
+    "snr_grid": ("", "abc"),
+    "tradeoff_points": ("1", "-1"),
+}
+
+
+@pytest.mark.parametrize("argv", KEYS_READ, ids=" ".join)
+def test_unread_key_never_changes_the_exit_code(tmp_path, argv):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run"
+
+    def code(line=""):
+        cfg.write_text("n_subcarriers = 8\nprf = 16\ntrials = 100\ntradeoff_points = 4\n" + line)
+        return run(["--config", str(cfg), "--out", str(out), *argv])
+
+    assert code() == EXIT_OK
+    unread = sorted({f.name for f in fields(Config)} - KEYS_READ[argv])
+    assert [(key, value) for key in unread for value in EDGE_VALUES[key]
+            if code(f"{key} = {value}\n") != EXIT_OK] == []
+
+
 # Each flag sets the config key named in the second element.
 OVERRIDES = [
     (["simulate", "--snr-db", "40", "--scene", "car"], {"snr_db": 40.0, "scene": "car"}),
@@ -378,9 +428,9 @@ class TestSimulate:
         assert peak <= 40 * 256 * 2048
 
     def test_point_scene_resolves_to_one_column(self):
-        # scene_azimuth tracks N in a config file, but the lone scatterer's column
-        # lies at offset 0 at any width, so simulate images one column, not an
-        # N x N complex grid (16 MiB at N = 1024).
+        # scene_azimuth tracks N in a config file, but simulate reads none: the lone
+        # scatterer's column lies at offset 0 at any width, so it images one column,
+        # not an N x N complex grid (16 MiB at N = 1024).
         cfg = parse_config("n_subcarriers = 1024\n")
         spec = cfg.waveform_spec()
         tracemalloc.start()
@@ -591,30 +641,14 @@ class TestSimulate:
         cfg.write_text("bandwidth = 1e6\n")
         assert run(["--config", str(cfg), "--out", str(tmp_path / "run"), *cmd]) == EXIT_OK
 
-    @pytest.mark.parametrize("n_azimuth", ["0", "-3"])
-    def test_scene_azimuth_below_one_config_error(self, small_cfg, tmp_path, capsys, n_azimuth):
-        small_cfg.write_text(SMALL_CFG + f"scene_azimuth = {n_azimuth}\n")
-        out = tmp_path / "run"
-        code = run(["--config", str(small_cfg), "--out", str(out), "simulate"])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: config: scene_azimuth") and err.count("\n") == 1
-        assert not (out / "image_db.csv").exists()
-
-    @pytest.mark.parametrize("cmd, written", [("simulate", "image_db.csv"),
-                                              ("scene-gen", "scene_point.txt")])
-    @pytest.mark.parametrize("n_azimuth, code", [(64, EXIT_OK), (65, EXIT_CONFIG)])
-    def test_scene_azimuth_at_most_the_pulse_count(self, tmp_path, capsys, cmd, written,
-                                                   n_azimuth, code):
-        # 64 pulses: a 65th column would lie off the slow-time grid it is imaged on.
+    @pytest.mark.parametrize("scene", ["point", "car"])
+    def test_scene_azimuth_past_the_pulse_count_images(self, tmp_path, scene):
+        # scene_azimuth tracks N = 16 past the 8 pulses, and simulate reads none.
         cfg = tmp_path / "wide.cfg"
-        cfg.write_text(f"n_subcarriers = 16\nprf = 64\nscene_azimuth = {n_azimuth}\n")
+        cfg.write_text(f"n_subcarriers = 16\nprf = 8\nscene = {scene}\n")
         out = tmp_path / "run"
-        assert run(["--config", str(cfg), "--out", str(out), cmd]) == code
-        assert (out / written).exists() == (code == EXIT_OK)
-        if code == EXIT_CONFIG:
-            err = assert_one_line_config_error(capsys)
-            assert "scene_azimuth = 65" in err and "pulse count 64" in err
+        assert run(["--config", str(cfg), "--out", str(out), "simulate"]) == EXIT_OK
+        assert np.array(read_csv(out / "image_db.csv"), dtype=float).shape == (16, 8)
 
     def test_infinite_snr_is_noise_free(self, small_cfg, tmp_path):
         out = tmp_path / "run"
@@ -649,6 +683,31 @@ class TestSimulate:
         )
         assert code == EXIT_IO
         assert "io" in capsys.readouterr().err
+
+
+class TestSceneGen:
+    # Only the point scene reads scene_azimuth, its width: 1 up to the pulse count,
+    # so the file of N x scene_azimuth cells stays within the image cap.
+    @pytest.mark.parametrize("n_azimuth", ["0", "-3"])
+    def test_scene_azimuth_below_one_config_error(self, small_cfg, tmp_path, capsys, n_azimuth):
+        small_cfg.write_text(SMALL_CFG + f"scene_azimuth = {n_azimuth}\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "scene-gen"])
+        assert code == EXIT_CONFIG
+        err = assert_one_line_config_error(capsys)
+        assert err.startswith("error: config: scene_azimuth") and "pulse count 8" in err
+        assert not (out / "scene_point.txt").exists()
+
+    @pytest.mark.parametrize("n_azimuth, code", [(64, EXIT_OK), (65, EXIT_CONFIG)])
+    def test_scene_azimuth_at_most_the_pulse_count(self, tmp_path, capsys, n_azimuth, code):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"n_subcarriers = 16\nprf = 64\nscene_azimuth = {n_azimuth}\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "--out", str(out), "scene-gen"]) == code
+        assert (out / "scene_point.txt").exists() == (code == EXIT_OK)
+        if code == EXIT_CONFIG:
+            err = assert_one_line_config_error(capsys)
+            assert "scene_azimuth = 65" in err and "pulse count 64" in err
 
 
 class TestSceneGenRoundtrip:

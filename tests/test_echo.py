@@ -114,6 +114,15 @@ class TestLinearCpEquivalence:
 
 
 class TestSynthesizeRaw:
+    @pytest.mark.parametrize("synthesize", [synthesize_raw, form_image])
+    def test_scene_rows_other_than_n_dimension_error(self, geom, spec64, synthesize):
+        # A 32-row scene meets synthesize_pulse's shape check against 64 symbols a
+        # pulse, on the whole-cube path and the blocked one alike.
+        scene = Scene(np.ones((32, 1)), range_cell_size(spec64))
+        alloc = PowerAllocation.uniform(64, 64.0)
+        with pytest.raises(DimensionError, match=r"shape \(32, \d+\) != symbols \(64,"):
+            synthesize(spec64, geom, scene, alloc, 0.0, 0)
+
     def test_empty_scene_zero_cube(self, geom, spec64):
         scene = Scene(np.zeros((64, 4)), range_cell_size(spec64))
         alloc = PowerAllocation.uniform(64, 64.0)

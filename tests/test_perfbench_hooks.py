@@ -226,3 +226,36 @@ def test_benchmark_checks_pass_every_tradeoff_sweep(tmp_path, monkeypatch, chann
     for i in range(1, len(rows) - 1):
         if rows[i]["rate_floor"] > rows[0]["rate_achieved"]:  # the floor binds
             checks.check_convex_point(rows, ref, i)
+
+
+def test_benchmark_checks_pass_point_images(tmp_path, monkeypatch):
+    # image-point on the benchmark's own config: each image's checks at two seeds,
+    # then the once-a-run noise-free library pass, which builds the point scene at
+    # scene_azimuth and the geometry through the package's own calls.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports inputs and reference
+    checks, inputs, reference = load("checks"), load("inputs"), load("reference")
+    cfg = tmp_path / "workload.cfg"
+    cfg.write_text(inputs._config_text("image-point"))
+    for seed in (0, 7):
+        out = tmp_path / f"run{seed}"
+        assert run(["--config", str(cfg), "--seed", str(seed), "--out", str(out),
+                    "simulate"]) == EXIT_OK
+        db = checks.read_db_csv(out / "image_db.csv")
+        checks.check_pgm(checks.read_pgm(out / "image.pgm"), db)
+        checks.check_point_image(db, reference.sinc_pslr_db())
+    plan = inputs.Plan("image-point", 3, tmp_path, (), lambda index: ())
+    figures = checks.PointChecks(plan).run_end()
+    assert figures["focusing_efficiency"] == pytest.approx(0.594, abs=5e-4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_benchmark_checks_pass_mse_sweeps(tmp_path, monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports inputs and reference
+    checks, inputs = load("checks"), load("inputs")
+    cfg = tmp_path / "workload.cfg"
+    cfg.write_text(inputs._config_text("mse-sweep"))
+    out = tmp_path / "run"
+    assert run(["--config", str(cfg), "--seed", str(seed), "--out", str(out),
+                "mse-sweep"]) == EXIT_OK
+    expect = checks.mse_expectations(inputs.MSE_SNR_DB, inputs.MSE_TRIALS)
+    checks.check_mse_rows(checks.read_table(out / "mse_sweep.csv"), expect, inputs.MSE_SNR_DB)
