@@ -25,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import allocation, azimuth, metrics, scenes
+from .allocation import TruncationPolicy
 from .config import Config, load_config
 from .errors import EXIT_IO, EXIT_OK, ConfigError, NoPeakError, OfdmSarError
-from .geometry import load_scene, save_scene
+from .geometry import _MAX_CELLS, load_scene, save_scene
 from .output import write_db_csv, write_pgm, write_table_csv
 
 _KEYS = {f.name for f in dataclasses.fields(Config)}
@@ -105,7 +106,7 @@ def _channel_setup(cfg: Config):
 
 def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     spec, sigma2, ch = _channel_setup(cfg)
-    policy = cfg.truncation_policy()  # checked before any solve
+    policy = TruncationPolicy(cfg.tail_prob)  # checked before any solve
     capacity = allocation.achievable_rate(allocation.water_filling(ch, spec.power_budget), ch)
     if args.rate_target is None:
         alloc = allocation.PowerAllocation.uniform(len(ch), spec.power_budget)
@@ -161,17 +162,20 @@ def _cmd_mse_sweep(cfg: Config, args, out: Path) -> int:
     spec, grid = cfg.waveform_spec(), cfg.snr_grid_values()
     for snr_db in grid:
         _noise_power(spec, snr_db, "snr_grid")
-    rows = metrics.mse_vs_snr(
-        spec, cfg.channel_gains(), grid, cfg.trials, args.seed, cfg.truncation_policy())
+    rows = metrics.mse_vs_snr(spec, cfg.channel_gains(), grid, cfg.trials, args.seed,
+                              TruncationPolicy(cfg.tail_prob))
     write_table_csv(out / "mse_sweep.csv", rows)
     print(f"wrote {out / 'mse_sweep.csv'}")
     return EXIT_OK
 
 
 def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
+    if cfg.n_subcarriers * cfg.tradeoff_points > _MAX_CELLS:  # the sweep keeps N powers a point
+        raise ConfigError(f"tradeoff_points = {cfg.tradeoff_points} times N = "
+                          f"{cfg.n_subcarriers} exceeds {_MAX_CELLS} allocated powers")
     spec, sigma2, ch = _channel_setup(cfg)
     points = allocation.tradeoff_sweep(
-        ch, spec.power_budget, sigma2, cfg.truncation_policy(), cfg.tradeoff_points
+        ch, spec.power_budget, sigma2, TruncationPolicy(cfg.tail_prob), cfg.tradeoff_points
     )
     rows = [{"rate_floor": pt.rate_floor, "rate_achieved": pt.rate_achieved, "emse": pt.emse}
             for pt in points]

@@ -1,6 +1,6 @@
 """Flat key=value experiment configuration with strict key checking.
 
-Defaults reproduce the reference airborne scenario: 1 km altitude, sqrt(2) km
+Defaults reproduce the reference airborne scenario: sqrt(2) km closest-approach
 slant range, 40 m/s platform, 1 s aperture, 1.5 GHz bandwidth over 64
 subcarriers at 9 GHz carrier, 800 Hz PRF.  Unknown keys are errors so typos
 cannot silently fall back to defaults.
@@ -16,12 +16,15 @@ import numpy as np
 
 from .allocation import ChannelGains, TruncationPolicy
 from .errors import ConfigError
-from .geometry import Geometry, range_cell_size
+from .geometry import _MAX_CELLS, Geometry, range_cell_size
 from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
 
-_MAX_IMAGE_CELLS = 2**24  # N x n_pulses; simulate peaks near 38 B a cell, 567 MiB at the cap
+# N of the channel commands.  At 2**20 allocate took 4.4 s and 358 MiB peak RSS (391 MiB
+# to capacity), tradeoff --points 8 0.5 s and 125 MiB, and a one-point mse-sweep of 100
+# trials 27 s and 385 MiB; allocate at 2**22 took 20 s and 1294 MiB.
+_MAX_CHANNEL_SUBCARRIERS = 2**20
 
 
 @dataclass
@@ -30,7 +33,6 @@ class Config:
     bandwidth: float = 1.5e9
     power_budget: float = 64.0
     signaling: str = "constant-modulus"
-    altitude: float = 1000.0
     slant_range_center: float = math.sqrt(2.0) * 1000.0
     velocity: float = 40.0
     carrier_freq: float = 9.0e9
@@ -49,23 +51,18 @@ class Config:
 
     def waveform_spec(self) -> WaveformSpec:
         self._gaussian()  # every subcommand rejects an unknown signaling
-        # The spec sees only bandwidth / N, so the two keys are checked here, and
-        # neither bandwidth / N nor the range cell c / (2 N (bandwidth / N)) may be 0.
         if self.n_subcarriers < 1:
             raise ConfigError(f"n_subcarriers = {self.n_subcarriers} must be >= 1")
-        spacing = self.bandwidth / self.n_subcarriers
-        if not (0.0 < spacing and 2.0 * self.n_subcarriers * spacing < np.inf):
-            raise ConfigError(f"bandwidth = {self.bandwidth} must be finite and positive, "
-                              "with bandwidth / n_subcarriers and c / (2 bandwidth) above 0")
-        return WaveformSpec(self.n_subcarriers, spacing, self.power_budget)
+        return WaveformSpec(self.n_subcarriers, self.bandwidth / self.n_subcarriers,
+                            self.power_budget)
 
     def geometry(self) -> Geometry:
         """Geometry of an image of N x n_pulses <= 2**24 cells and a positive near-swath range."""
         geom = Geometry(**{f.name: getattr(self, f.name) for f in fields(Geometry)})
         spec = self.waveform_spec()
-        if spec.n_subcarriers * geom.n_pulses > _MAX_IMAGE_CELLS:
+        if spec.n_subcarriers * geom.n_pulses > _MAX_CELLS:
             raise ConfigError(f"prf * aperture_time = {geom.n_pulses} pulses times N = "
-                              f"{spec.n_subcarriers} exceeds {_MAX_IMAGE_CELLS} image cells")
+                              f"{spec.n_subcarriers} exceeds {_MAX_CELLS} image cells")
         # Row 0 of closest_approach_ranges, alone: the row array can overflow.
         near = geom.slant_range_center - (spec.n_subcarriers / 2) * range_cell_size(spec)
         if not near > 0.0:
@@ -76,12 +73,9 @@ class Config:
             )
         return geom
 
-    def truncation_policy(self) -> TruncationPolicy:
-        return TruncationPolicy(self.tail_prob)
-
     def symbol_policy(self) -> TruncationPolicy | None:
-        """``simulate``'s symbol law: None (constant modulus) or ``truncation_policy()``."""
-        policy = self.truncation_policy()  # tail_prob is checked under either law
+        """``simulate``'s symbol law: None (constant modulus) or the ``tail_prob`` policy."""
+        policy = TruncationPolicy(self.tail_prob)  # tail_prob is checked under either law
         return policy if self._gaussian() else None
 
     def _gaussian(self) -> bool:
@@ -98,12 +92,17 @@ class Config:
         profile.
         """
         n = self.n_subcarriers
+        if n > _MAX_CHANNEL_SUBCARRIERS:
+            raise ConfigError(f"n_subcarriers = {n} exceeds {_MAX_CHANNEL_SUBCARRIERS}, "
+                              "the most a channel command solves for")
         if self.channel == "flat":
             return ChannelGains(np.ones(n))
         if self.channel == "multipath":
             m = self.channel_taps
             if not 1 <= m <= n:
                 raise ConfigError(f"channel_taps = {m} is not in 1..n_subcarriers={n}")
+            if self.channel_seed < 0:
+                raise ConfigError(f"channel_seed = {self.channel_seed} must be >= 0")
             rng = np.random.default_rng(self.channel_seed)
             taps = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             profile = np.abs(np.fft.fft(taps / np.sqrt(2.0 * m), n)) ** 2

@@ -25,6 +25,9 @@ from .waveform import WaveformSpec
 
 SPEED_OF_LIGHT = 299792458.0
 _LOG_PHASE_LIMIT = 32 * np.log(2.0)
+# Cells of one array: the image, N x n_pulses (simulate peaks near 30 B a cell under
+# tracemalloc at 256 x 2048, 425 MiB RSS at the cap), the car N x N, the tradeoff N x points.
+_MAX_CELLS = 2**24
 
 __all__ = ["SPEED_OF_LIGHT", "Geometry", "Scene", "range_cell_size", "slant_range",
            "scene_coefficients", "load_scene", "save_scene"]
@@ -34,7 +37,6 @@ __all__ = ["SPEED_OF_LIGHT", "Geometry", "Scene", "range_cell_size", "slant_rang
 class Geometry:
     """Broadside stripmap geometry of the moving platform."""
 
-    altitude: float
     slant_range_center: float
     velocity: float
     carrier_freq: float
@@ -45,8 +47,6 @@ class Geometry:
         for f in fields(self):
             if not 0.0 < getattr(self, f.name) < np.inf:
                 raise ConfigError(f"{f.name} must be finite and positive")
-        if self.slant_range_center < self.altitude:
-            raise ConfigError("slant_range_center must be >= altitude")
         if not 1.5 <= self.prf * self.aperture_time < np.inf:  # n_pulses rounds it
             raise ConfigError("prf * aperture_time must round to a finite count of >= 2 pulses")
         # Range histories square R_m < 2 R_c, v and v eta with |eta| <= T / 2.
@@ -219,12 +219,12 @@ def load_scene(path, spec: WaveformSpec) -> Scene:
     rows = lines[1:]
     if len(rows) != m:
         raise SceneFormatError(f"expected {m} rows, found {len(rows)}")
+    for i, width in enumerate(row.count(",") + 1 for row in rows):  # before sizing rcs
+        if width != n_az:
+            raise SceneFormatError(f"row {i}: expected {n_az} values, got {width}")
     rcs = np.empty((m, n_az), dtype=complex)
     for i, row in enumerate(rows):
-        toks = row.split(",")
-        if len(toks) != n_az:
-            raise SceneFormatError(f"row {i}: expected {n_az} values, got {len(toks)}")
-        rcs[i] = [_parse_value(t) for t in toks]
+        rcs[i] = [_parse_value(t) for t in row.split(",")]
     if m != spec.n_subcarriers:
         raise SceneFormatError(
             f"scene has {m} range cells but SWMP requires {spec.n_subcarriers}"

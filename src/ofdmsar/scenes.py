@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Scene, range_cell_size
+from .errors import ConfigError
+from .geometry import _MAX_CELLS, Scene, range_cell_size
 from .waveform import WaveformSpec
 
 __all__ = ["point_scene", "car_scene", "make_scene"]
@@ -24,6 +25,8 @@ def car_scene(spec: WaveformSpec) -> Scene:
     unit-RCS point scatterer.
     """
     n = spec.n_subcarriers
+    if n * n > _MAX_CELLS:
+        raise ConfigError(f"n_subcarriers = {n} makes a car scene of N^2 cells past {_MAX_CELLS}")
     grid = np.zeros((n, n))
     # Proportional layout so any N >= 16 yields a recognizable shape.
     r0, r1 = int(0.40 * n), int(0.60 * n)  # body rows

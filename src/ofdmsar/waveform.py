@@ -41,8 +41,10 @@ class WaveformSpec:
             raise ValueError("n_subcarriers must be >= 1")
         if self.power_budget is None:
             object.__setattr__(self, "power_budget", float(self.n_subcarriers))
-        if not 0.0 < self.subcarrier_spacing < np.inf:
-            raise ValueError("subcarrier_spacing must be finite and positive")
+        if not (0.0 < self.subcarrier_spacing and 2.0 * self.bandwidth < np.inf):
+            raise ConfigError(f"bandwidth = {self.bandwidth!r} over n_subcarriers = "
+                              f"{self.n_subcarriers} must be finite and positive, with "
+                              "bandwidth / n_subcarriers and c / (2 bandwidth) above 0")
         # A normal P/N keeps a uniform allocation's sum on the budget; at most 1e100,
         # with noise_power's SNR floor of 1e-100, it keeps sigma^2 <= 1e200.
         if not np.finfo(float).tiny <= self.power_budget / self.n_subcarriers <= 1e100:

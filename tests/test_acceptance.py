@@ -38,7 +38,6 @@ from oracles import (
 )
 
 GEOM = Geometry(
-    altitude=1000.0,
     slant_range_center=np.sqrt(2.0) * 1000.0,
     velocity=40.0,
     carrier_freq=9.0e9,

@@ -419,7 +419,7 @@ class TestTradeoffSweep:
     def multipath_sweep(cls, channel_seed, n_points=8):
         cfg, sigma2, ch = cls.multipath_channel(channel_seed)
         return tradeoff_sweep(
-            ch, cfg.power_budget, sigma2, cfg.truncation_policy(), n_points
+            ch, cfg.power_budget, sigma2, TruncationPolicy(cfg.tail_prob), n_points
         )
 
     @pytest.mark.parametrize("channel_seed", range(8))

@@ -54,7 +54,7 @@ class TestRcmc:
         assert shifts[idx] == 1
 
     def test_quasi_static_identity(self):
-        geom = Geometry(1000.0, 1414.0, 1e-9, 9e9, 4.0, 1.0)
+        geom = Geometry(1414.0, 1e-9, 9e9, 4.0, 1.0)
         profiles = np.arange(16.0).reshape(4, 4) + 0j
         expected = profiles.copy()  # rcmc_bulk overwrites its input
         np.testing.assert_array_equal(rcmc_bulk(profiles, geom, 0.1), expected)
@@ -81,7 +81,7 @@ class TestRcmc:
     def test_migration_past_the_swath_is_held(self, tmp_path):
         # Both 2**32 rad phase checks pass, and dR / cell reaches about 1e101:
         # its cast to int raised "invalid value encountered in cast".
-        geom = Geometry(1000.0, 1414.0, 1e100, 1e-290, 800.0, 1.0)
+        geom = Geometry(1414.0, 1e100, 1e-290, 800.0, 1.0)
         shifts = rcmc_shifts(geom, 0.1, 64)
         assert shifts[geom.n_pulses // 2] == 0
         assert np.abs(shifts).max() == 64
@@ -195,7 +195,7 @@ class TestFormImage:
     ])
     def test_matches_the_stage_chain(self, spec64, kind, prf, policy):
         spec = WaveformSpec(48, 1.5e9 / 48) if kind == "point48" else spec64
-        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
+        geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = car_scene(spec) if kind == "car" else point_scene(spec, 1)
         alloc = PowerAllocation.uniform(spec.n_subcarriers, 64.0)
         args = (spec, geom, scene, alloc, 0.03, 7, policy)
@@ -208,7 +208,7 @@ class TestFormImage:
     ):
         # 255 pulses: one block of 128, then the last of 127.  The last pulse's
         # subcarrier 17 is set below the 1e-6 * P/N floor as it is drawn.
-        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 255.0, 1.0)
+        geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, 255.0, 1.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         draw, drawn = echo.draw_symbols, []
 
@@ -235,7 +235,7 @@ class TestFormImage:
 
     def test_a_failed_draw_surfaces_and_its_worker_ends(self, spec64, monkeypatch):
         # 800 pulses: 7 blocks, drawn on a worker thread two ahead of the one formed.
-        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 800.0, 1.0)
+        geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, 800.0, 1.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         draw, drawn = echo.draw_symbols, []
 

@@ -59,6 +59,15 @@ def assert_one_line_config_error(capsys):
     return err
 
 
+def run_traced(argv):
+    """Exit code of ``run(argv)`` and the peak bytes ``tracemalloc`` saw it hold."""
+    tracemalloc.start()
+    try:
+        return run(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 #: SNRs in dB whose noise power is 0: infinity, and one beyond the float range.
 NOISE_FREE_SNRS = ("inf", "1e400")
 
@@ -250,6 +259,15 @@ class TestConfigErrors:
         assert run(["--config", str(cfg), "--out", str(tmp_path), "allocate"]) == EXIT_CONFIG
         assert "unknown key" in capsys.readouterr().err
 
+    def test_altitude_is_an_unknown_key(self, tmp_path, capsys):
+        # The strip-map model reads only the closest-approach range slant_range_center.
+        cfg = tmp_path / "alt.cfg"
+        cfg.write_text("altitude = 1000\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "--out", str(out), "simulate"]) == EXIT_CONFIG
+        assert "unknown key 'altitude'" in assert_one_line_config_error(capsys)
+        assert not out.exists()
+
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("prf = eight hundred\n")
@@ -288,6 +306,45 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd", ["allocate", "tradeoff", "mse-sweep"])
+    def test_negative_channel_seed_config_error(self, small_cfg, tmp_path, capsys, cmd):
+        # numpy's default_rng refused it: a ValueError traceback and exit 1.
+        small_cfg.write_text(SMALL_CFG + "channel = multipath\nchannel_seed = -1\n")
+        out = tmp_path / "run"
+        code, peak = run_traced(["--config", str(small_cfg), "--out", str(out), cmd])
+        assert code == EXIT_CONFIG
+        assert "channel_seed = -1" in assert_one_line_config_error(capsys)
+        assert peak < 2**20
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "lines, argv, key",
+        [
+            # The car is N x N cells; at N = 2**22 both commands died allocating 128 TiB.
+            ("n_subcarriers = 4097\nbandwidth = 1e12\nprf = 16\nscene = car", ["simulate"],
+             "n_subcarriers = 4097"),
+            ("n_subcarriers = 4097\nbandwidth = 1e12\nprf = 16", ["scene-gen", "--kind", "car"],
+             "n_subcarriers = 4097"),
+            # The channel commands take seconds and hundreds of MiB at N = 2**20.
+            ("n_subcarriers = 1048577", ["allocate"], "n_subcarriers = 1048577"),
+            ("n_subcarriers = 1048577", ["mse-sweep"], "n_subcarriers = 1048577"),
+            ("n_subcarriers = 1048577", ["tradeoff", "--points", "2"], "n_subcarriers = 1048577"),
+            # The sweep keeps N powers a point; 10**12 points died in np.linspace.
+            ("n_subcarriers = 1048576\ntradeoff_points = 17", ["tradeoff"],
+             "tradeoff_points = 17"),
+            ("tradeoff_points = 1000000000000", ["tradeoff"], "tradeoff_points"),
+        ],
+    )
+    def test_array_past_its_bound_config_error(self, tmp_path, capsys, lines, argv, key):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(lines + "\n")
+        out = tmp_path / "run"
+        code, peak = run_traced(["--config", str(cfg), "--out", str(out), *argv])
+        assert code == EXIT_CONFIG
+        assert key in assert_one_line_config_error(capsys)
+        assert peak < 2**20
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", ["allocate", "tradeoff", "mse-sweep"])
     @pytest.mark.parametrize(
         "lines, key",
         [
@@ -317,8 +374,7 @@ class TestConfigErrors:
 
 SPEC_KEYS = {"n_subcarriers", "bandwidth", "power_budget", "signaling"}
 CHANNEL_KEYS = {"channel", "channel_taps", "channel_seed"}
-GEOMETRY_KEYS = {"altitude", "slant_range_center", "velocity", "carrier_freq", "prf",
-                 "aperture_time"}
+GEOMETRY_KEYS = {"slant_range_center", "velocity", "carrier_freq", "prf", "aperture_time"}
 #: The config keys each command reads or checks.  Every command checks the
 #: waveform keys, signaling among them, and scene-gen the geometry it writes a
 #: scene for; only the point scene's file has scene_azimuth columns.
@@ -332,7 +388,6 @@ KEYS_READ = {
 }
 #: Values of each key that stop a command that reads it, in some config.
 EDGE_VALUES = {
-    "altitude": ("0", "nan"),
     "slant_range_center": ("0", "inf"),
     "velocity": ("0", "nan"),
     "carrier_freq": ("-1", "inf"),
@@ -347,7 +402,7 @@ EDGE_VALUES = {
     "scene_azimuth": ("0", "-1", "65"),
     "trials": ("0", "99"),
     "snr_grid": ("", "abc"),
-    "tradeoff_points": ("1", "-1"),
+    "tradeoff_points": ("1", "-1", "2097153"),  # 8 x 2097153 powers pass 2**24
 }
 
 
@@ -414,16 +469,11 @@ class TestSimulate:
 
     def test_peak_memory_per_image_cell(self, tmp_path):
         # The image is formed in its scene-coefficient array: synthesis and LS in
-        # pulse blocks, RCMC and focusing in place.  About 38 bytes a cell at the
+        # pulse blocks, RCMC and focusing in place.  About 30 bytes a cell at the
         # peak here, where whole-image stages took 94.
         cfg = tmp_path / "big.cfg"
         cfg.write_text("n_subcarriers = 256\nprf = 2048\nsignaling = gaussian\n")
-        tracemalloc.start()
-        try:
-            code = run(["--config", str(cfg), "--out", str(tmp_path), "simulate"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = run_traced(["--config", str(cfg), "--out", str(tmp_path), "simulate"])
         assert code == EXIT_OK
         assert peak <= 40 * 256 * 2048
 
@@ -557,8 +607,8 @@ class TestSimulate:
         "lines, key",
         [
             ("velocity = 1e300", "velocity"),
-            ("slant_range_center = 1e160\naltitude = 1e160", "slant_range_center"),
-            ("slant_range_center = 1e300\naltitude = 1e300", "slant_range_center"),
+            ("slant_range_center = 1e160", "slant_range_center"),
+            ("slant_range_center = 1e300", "slant_range_center"),
             ("carrier_freq = 1e300", "carrier_freq"),
         ],
     )
@@ -593,12 +643,7 @@ class TestSimulate:
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("prf = 1e12\n")
         out = tmp_path / "run"
-        tracemalloc.start()
-        try:
-            code = run(["--config", str(cfg), "--out", str(out), cmd])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = run_traced(["--config", str(cfg), "--out", str(out), cmd])
         assert code == EXIT_CONFIG
         err = assert_one_line_config_error(capsys)
         assert "prf" in err and "aperture_time" in err
@@ -634,6 +679,14 @@ class TestSimulate:
                     "slant_range_center"):
             assert key in err
         assert not (out / "scene_point.txt").exists()
+
+    def test_swath_nearer_than_1_km_images(self, tmp_path):
+        # Exit 2 once, below a 1 km altitude that no computed value read.
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("slant_range_center = 900\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "--out", str(out), "simulate"]) == EXIT_OK
+        assert np.array(read_csv(out / "image_db.csv"), dtype=float).shape == (64, 800)
 
     @pytest.mark.parametrize("cmd", [["allocate"], ["tradeoff", "--points", "3"]])
     def test_swath_check_leaves_non_imaging_commands_alone(self, tmp_path, cmd):
@@ -757,6 +810,19 @@ class TestSceneGenRoundtrip:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: io:") and "'1e308'" in err and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_header_overstating_the_width_io_exit(self, tmp_path, capsys):
+        # The image was sized from the header before any row was read: numpy's
+        # _ArrayMemoryError for 931 TiB, and exit 1.
+        bad = tmp_path / "wide.txt"
+        bad.write_text("# 64 1000000000000\n" + "0\n" * 64)
+        out = tmp_path / "run"
+        code, peak = run_traced(["--out", str(out), "simulate", "--scene", str(bad)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == "error: io: row 0: expected 1000000000000 values, got 1\n"
+        assert peak < 2**20
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("header", ["# 8 -1", "# 8 0", "# -1 8"])

@@ -208,7 +208,7 @@ class TestBatchedSynthesis:
     @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
     def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, policy):
         spec = WaveformSpec(64, 1.5e9 / 64)
-        geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
+        geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)
         _, symbols, _ = cube = synthesize_raw(spec, geom, scene, alloc, sigma2, 11, policy)
@@ -319,7 +319,7 @@ class TestPulseBlocks:
         error = RuntimeError if fault == "failed draw" else IllConditionedWaveformError
         with pytest.raises(error):
             if caller == "form_image":
-                geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, 255.0, 1.0)
+                geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, 255.0, 1.0)
                 form_image(spec64, geom, point_scene(spec64, 1), self.ALLOC, 0.03, 2, GAUSSIAN)
             else:
                 mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 255, seed=2)

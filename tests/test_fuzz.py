@@ -25,7 +25,7 @@ from ofdmsar.config import Config
 
 EDGES = (0, -1, "nan", "inf", "-inf", 1e-320, 1e-310, 1e308, 5e-324)
 SNRS = ((15, 0, -10), (3000, -3000, "nan", "inf", "-inf", 1e308, 1e-320))
-SCENE_FILES = ("valid.txt", "nan.txt", "huge.txt", "wrong-m.txt", "missing.txt")
+SCENE_FILES = ("valid.txt", "nan.txt", "huge.txt", "wrong-m.txt", "wide.txt", "missing.txt")
 SCENES = (("point", "car", "valid.txt"), SCENE_FILES[1:])
 
 #: key: (ordinary values, edge values).  A run sets its first three keys, so that
@@ -39,7 +39,6 @@ KEYS = {
     "bandwidth": ((1.5e9, 1e6), (*EDGES, 1e-300)),
     "power_budget": ((1.0, 16.0), EDGES),
     "signaling": (("constant-modulus", "gaussian"), ("bogus",)),
-    "altitude": ((1000.0,), EDGES),
     "slant_range_center": ((1414.2, 3000.0), EDGES),
     "velocity": ((40.0,), EDGES),
     "carrier_freq": ((9e9,), EDGES),
@@ -48,7 +47,7 @@ KEYS = {
     "tail_prob": ((1e-3, 0.5), (0, 1, -1, "nan", "inf", 1e-320)),
     "channel": (("flat", "multipath"), ("rician",)),
     "channel_taps": ((1, 4), (17, 0, -1)),
-    "channel_seed": ((0, 41), ()),
+    "channel_seed": ((0, 41), (-1,)),
     "scene": SCENES,
     "scene_azimuth": ((1, 4), (65, 0, -1)),
     "snr_grid": (("0,10", "-10"), ("", ",", "nan", "inf", "-3000,3000", "0,inf", "abc")),
@@ -92,8 +91,9 @@ def write_scene(path: Path, kind: str, n: int) -> None:
         rows[0][0] = "nan" if kind == "nan.txt" else "1e308"
     if kind == "wrong-m.txt":
         rows.append(rows[0])
+    width = 10**12 if kind == "wide.txt" else 3  # a header claiming columns no row holds
     if kind != "missing.txt":
-        path.write_text(f"# {len(rows)} 3\n" + "".join(",".join(r) + "\n" for r in rows))
+        path.write_text(f"# {len(rows)} {width}\n" + "".join(",".join(r) + "\n" for r in rows))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

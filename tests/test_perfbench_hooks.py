@@ -80,7 +80,7 @@ def test_form_image_calls_each_stage_where_the_tracer_wraps_it(monkeypatch, spec
     # Each synthesis and LS stage once a pulse block, the whole-image stages
     # once, the one-block forms never.
     counts = count_tracer_targets(monkeypatch)
-    geom = Geometry(1000.0, np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
+    geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
     alloc = PowerAllocation.uniform(64, 64.0)
     form_image(spec64, geom, scenes.point_scene(spec64), alloc, 0.03, 1, TruncationPolicy())
     blocks = math.ceil(geom.n_pulses / (echo._BLOCK_CELLS // 64))

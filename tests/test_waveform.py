@@ -32,6 +32,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             WaveformSpec(4, 1.0, power_budget=0.0)
 
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf, 2.5e307])
+    def test_bandwidth_rule_names_the_config_keys(self, spacing):
+        # 4 x 2.5e307 is finite, but c / (2 bandwidth) would round to 0.
+        with pytest.raises(ConfigError, match=r"^bandwidth = .* over n_subcarriers = 4 "):
+            WaveformSpec(4, spacing)
+
     @pytest.mark.parametrize("snr_db", [np.inf, 4000.0])
     def test_infinite_snr_is_noise_free(self, snr_db):
         # 10^(4000/10) overflows a float: as noise-free as inf.
