@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .allocation import ChannelGains, TruncationPolicy
 from .errors import ConfigError
-from .geometry import _MAX_CELLS, Geometry, range_cell_size
+from .geometry import _MAX_CELLS, Geometry, range_cell_size, read_text
 from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
@@ -51,10 +50,7 @@ class Config:
 
     def waveform_spec(self) -> WaveformSpec:
         self._gaussian()  # every subcommand rejects an unknown signaling
-        if self.n_subcarriers < 1:
-            raise ConfigError(f"n_subcarriers = {self.n_subcarriers} must be >= 1")
-        return WaveformSpec(self.n_subcarriers, self.bandwidth / self.n_subcarriers,
-                            self.power_budget)
+        return WaveformSpec(**{f.name: getattr(self, f.name) for f in fields(WaveformSpec)})
 
     def geometry(self) -> Geometry:
         """Geometry of an image of N x n_pulses <= 2**24 cells and a positive near-swath range."""
@@ -149,9 +145,11 @@ def parse_config(text: str) -> Config:
     cfg = Config()
     if "n_subcarriers" in values:
         # power_budget and scene_azimuth track N unless set explicitly.
-        cfg.n_subcarriers = values["n_subcarriers"]
-        cfg.power_budget = float(cfg.n_subcarriers)
-        cfg.scene_azimuth = cfg.n_subcarriers
+        cfg.n_subcarriers = cfg.scene_azimuth = n = values["n_subcarriers"]
+        try:
+            cfg.power_budget = float(n)
+        except OverflowError:  # any N that fits a float meets a cap of 2**20 or 2**24 later
+            raise ConfigError(f"n_subcarriers = {n} is past the float range") from None
     for key, value in values.items():
         setattr(cfg, key, value)
     return cfg
@@ -160,4 +158,4 @@ def parse_config(text: str) -> Config:
 def load_config(path=None) -> Config:
     if path is None:
         return Config()
-    return parse_config(Path(path).read_text())
+    return parse_config(read_text(path))

@@ -204,9 +204,16 @@ def save_scene(scene: Scene, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path) -> str:
+    try:  # a decode error is a ValueError: raise the OSError that exits 4, naming the file
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_scene(path, spec: WaveformSpec) -> Scene:
     """Parse a scene file and validate it against the waveform numerology."""
-    text = Path(path).read_text()
+    text = read_text(path)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise SceneFormatError("missing '# M n_az' header line")

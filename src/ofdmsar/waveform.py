@@ -1,5 +1,6 @@
 """OFDM symbols and pulses as plain complex arrays, one unitary FFT convention.
 
+``WaveformSpec(n_subcarriers, bandwidth, power_budget)`` is the numerology.
 Symbols are the (N,) complex array of subcarrier values.  The body of a pulse
 is their unitary inverse DFT (``norm="ortho"``, 1/sqrt(N) both ways), so
 Parseval holds exactly; the pulse puts an N-1 sample cyclic prefix before it.
@@ -25,35 +26,28 @@ __all__ = ["WaveformSpec", "draw_symbols", "symbol_magnitudes"]
 
 @dataclass(frozen=True)
 class WaveformSpec:
-    """OFDM numerology in swath-width-matched-pulse (SWMP) mode.
+    """OFDM numerology ``WaveformSpec(n_subcarriers, bandwidth, power_budget)``, the
+    config keys of those names, in swath-width-matched-pulse (SWMP) mode.
 
     SWMP ties the number of range cells to the subcarrier count, so the
-    cyclic prefix is N-1 samples.  ``power_budget`` defaults to N
-    (unit average power per subcarrier).
+    cyclic prefix is N-1 samples and the range cell is c / (2 bandwidth).
     """
 
     n_subcarriers: int
-    subcarrier_spacing: float
-    power_budget: float | None = None
+    bandwidth: float
+    power_budget: float
 
     def __post_init__(self):
         if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
-        if self.power_budget is None:
-            object.__setattr__(self, "power_budget", float(self.n_subcarriers))
-        if not (0.0 < self.subcarrier_spacing and 2.0 * self.bandwidth < np.inf):
-            raise ConfigError(f"bandwidth = {self.bandwidth!r} over n_subcarriers = "
-                              f"{self.n_subcarriers} must be finite and positive, with "
-                              "bandwidth / n_subcarriers and c / (2 bandwidth) above 0")
+            raise ConfigError(f"n_subcarriers = {self.n_subcarriers} must be >= 1")
+        if not 0.0 < 2.0 * self.bandwidth < np.inf:
+            raise ConfigError(f"bandwidth = {self.bandwidth!r} must be positive, "
+                              "with c / (2 bandwidth) above 0")
         # A normal P/N keeps a uniform allocation's sum on the budget; at most 1e100,
         # with noise_power's SNR floor of 1e-100, it keeps sigma^2 <= 1e200.
         if not np.finfo(float).tiny <= self.power_budget / self.n_subcarriers <= 1e100:
             raise ConfigError(f"power_budget / n_subcarriers = {self.power_budget} / "
                               f"{self.n_subcarriers} must be a normal float of at most 1e100")
-
-    @property
-    def bandwidth(self) -> float:
-        return self.n_subcarriers * self.subcarrier_spacing
 
     @property
     def cp_len(self) -> int:

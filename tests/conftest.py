@@ -7,12 +7,12 @@ from ofdmsar import Geometry, PowerAllocation, WaveformSpec
 @pytest.fixture
 def spec64():
     # Default airborne scenario numerology: 1.5 GHz over 64 subcarriers.
-    return WaveformSpec(n_subcarriers=64, subcarrier_spacing=1.5e9 / 64)
+    return WaveformSpec(n_subcarriers=64, bandwidth=1.5e9, power_budget=64.0)
 
 
 @pytest.fixture
 def spec8():
-    return WaveformSpec(n_subcarriers=8, subcarrier_spacing=1.0)
+    return WaveformSpec(n_subcarriers=8, bandwidth=8.0, power_budget=8.0)
 
 
 @pytest.fixture

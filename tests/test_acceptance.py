@@ -44,7 +44,7 @@ GEOM = Geometry(
     prf=800.0,
     aperture_time=1.0,
 )
-SPEC = WaveformSpec(64, 1.5e9 / 64)
+SPEC = WaveformSpec(64, 1.5e9, 64.0)
 GAUSSIAN = TruncationPolicy()  # the Gaussian symbol law; None is constant modulus
 SNR15_SIGMA2 = 10.0 ** (-1.5)  # power budget N, per-sample SNR convention
 
@@ -86,7 +86,7 @@ def test_criterion_01_noise_free_ls_exact():
 def test_criterion_02_constant_modulus_mse_closed_form():
     name = "constant-modulus MSE matches sigma^2 * sum 1/|S_k|^2 (5% at 1e4 draws; trace identity 1e-10)"
     n, draws, sigma2 = 16, 10**4, 0.25
-    spec = WaveformSpec(n, 1.0)
+    spec = WaveformSpec(n, float(n), float(n))
     alloc = PowerAllocation.uniform(n, float(n))
     sym = draw_symbols(spec, alloc, seed=2)
     d = np.zeros(n, dtype=complex)
@@ -100,7 +100,7 @@ def test_criterion_02_constant_modulus_mse_closed_form():
     mc_ok = abs(total / draws - expected) / expected < 0.05
     trace_ok = True
     for m in (2, 4, 8, 16):
-        sp = WaveformSpec(m, 1.0)
+        sp = WaveformSpec(m, float(m), float(m))
         al = PowerAllocation.uniform(m, float(m))
         sy = draw_symbols(sp, al, seed=m, policy=GAUSSIAN)
         s_mat = circulant_from_pulse(modulate(sy, sp), sp) / np.sqrt(m)
@@ -112,7 +112,7 @@ def test_criterion_02_constant_modulus_mse_closed_form():
 def test_criterion_03_truncated_gaussian_emse_factor():
     name = "truncated-Gaussian expected MSE = A * sigma^2 * sum 1/P_k (5% empirical; ratio = A to 1e-9)"
     n, draws, sigma2 = 16, 10**4, 0.25
-    spec = WaveformSpec(n, 1.0)
+    spec = WaveformSpec(n, float(n), float(n))
     alloc = PowerAllocation.uniform(n, float(n))
     policy = TruncationPolicy()
     d = np.zeros(n, dtype=complex)
@@ -278,7 +278,7 @@ def test_criterion_08_high_snr_gap_convergence():
 def test_criterion_09_linear_cp_equals_circular_model():
     name = "cyclic-prefix linear convolution, trimmed, equals the circular echo model (N=8, 1e-12)"
     n = 8
-    spec = WaveformSpec(n, 1.0)
+    spec = WaveformSpec(n, float(n), float(n))
     alloc = PowerAllocation.uniform(n, float(n))
     worst = 0.0
     for seed in range(20):

@@ -194,7 +194,7 @@ class TestFormImage:
         ("point48", 333.0, TruncationPolicy()),  # N = 48, not a divisor: 170 pulses, then 163
     ])
     def test_matches_the_stage_chain(self, spec64, kind, prf, policy):
-        spec = WaveformSpec(48, 1.5e9 / 48) if kind == "point48" else spec64
+        spec = WaveformSpec(48, 1.5e9, 48.0) if kind == "point48" else spec64
         geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = car_scene(spec) if kind == "car" else point_scene(spec, 1)
         alloc = PowerAllocation.uniform(spec.n_subcarriers, 64.0)

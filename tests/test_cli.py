@@ -24,6 +24,8 @@ from ofdmsar.errors import (
     NoPeakError,
     SceneFormatError,
 )
+from ofdmsar.geometry import Geometry
+from ofdmsar.waveform import WaveformSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -287,6 +289,52 @@ class TestConfigErrors:
         assert str(missing) in err
         assert not out.exists()
 
+    def test_non_utf8_config_file_io_exit(self, tmp_path, capsys):
+        # The decode error is a ValueError, which once ended in a traceback.
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "--out", str(out), "allocate"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: {cfg}: not UTF-8 text") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    @pytest.mark.parametrize("budget", ["", "power_budget = 8\n"])
+    def test_n_subcarriers_past_the_float_range_config_error(self, tmp_path, capsys, cmd,
+                                                             budget):
+        # float(N), the budget that tracks N, once overflowed into a traceback.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n_subcarriers = 1" + "0" * 400 + "\n" + budget)
+        out = tmp_path / "run"
+        assert run(["--config", str(cfg), "--out", str(out), cmd]) == EXIT_CONFIG
+        assert "n_subcarriers" in assert_one_line_config_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_smallest_positive_bandwidth(self, tmp_path, capsys, cmd):
+        # WaveformSpec holds the bandwidth as set, with no spacing bandwidth / N
+        # to round to 0.  Only the imaging commands need a range cell c / (2 B),
+        # which is inf here, and the near-edge rule refuses it; the others write
+        # what they write at the default bandwidth.
+        def outputs(bandwidth):
+            cfg, out = tmp_path / f"{bandwidth}.cfg", tmp_path / bandwidth
+            cfg.write_text(f"n_subcarriers = 64\nbandwidth = {bandwidth}\ntrials = 100\n")
+            code = run(["--config", str(cfg), "--out", str(out), cmd])
+            return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        code, files = outputs("5e-324")
+        if cmd in ("simulate", "scene-gen"):
+            assert code == EXIT_CONFIG
+            assert "bandwidth" in assert_one_line_config_error(capsys)
+            assert files == {}
+            return
+        stdout = capsys.readouterr().out
+        assert code == EXIT_OK and files and outputs("1.5e9") == (EXIT_OK, files)
+        if cmd == "allocate":  # the one command that reads the bandwidth
+            line = stdout.split("rate_bits_scaled_by_bandwidth = ")[1]
+            assert 0.0 < float(line.split("\n")[0]) < 1e-300
+
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_unknown_signaling_config_error(self, small_cfg, tmp_path, capsys, cmd):
         small_cfg.write_text(SMALL_CFG + "signaling = bogus\n")
@@ -372,9 +420,9 @@ class TestConfigErrors:
         assert list(out.iterdir()) == []
 
 
-SPEC_KEYS = {"n_subcarriers", "bandwidth", "power_budget", "signaling"}
+SPEC_KEYS = {f.name for f in fields(WaveformSpec)} | {"signaling"}
 CHANNEL_KEYS = {"channel", "channel_taps", "channel_seed"}
-GEOMETRY_KEYS = {"slant_range_center", "velocity", "carrier_freq", "prf", "aperture_time"}
+GEOMETRY_KEYS = {f.name for f in fields(Geometry)}
 #: The config keys each command reads or checks.  Every command checks the
 #: waveform keys, signaling among them, and scene-gen the geometry it writes a
 #: scene for; only the point scene's file has scene_azimuth columns.
@@ -404,6 +452,12 @@ EDGE_VALUES = {
     "snr_grid": ("", "abc"),
     "tradeoff_points": ("1", "-1", "2097153"),  # 8 x 2097153 powers pass 2**24
 }
+
+
+def test_spec_and_geometry_hold_config_keys():
+    # WaveformSpec and Geometry are built field by field from the config keys of
+    # the same names, so neither holds a value derived from them.
+    assert SPEC_KEYS | GEOMETRY_KEYS <= {f.name for f in fields(Config)}
 
 
 @pytest.mark.parametrize("argv", KEYS_READ, ids=" ".join)
@@ -590,12 +644,12 @@ class TestSimulate:
         # NaN and inf pass a "<= 0" test: the first seven used to write a NaN
         # or meaningless image with exit 0, the next two to end in a traceback.
         # The key the user set is named, not a value derived from it such as
-        # the subcarrier spacing bandwidth / n_subcarriers.  Most of the rest
-        # reached an internal check (c / (2 bandwidth) = 0, a zero spacing, a
-        # power sum off its budget, a raster off its dB grid after NaN ratios
-        # and a written image.pgm) or a numpy warning (an overflowing swath row
-        # array, |S_k|^2, log(0) or a squared range); snr_db = -3000 pins the
-        # SNR floor of -1000 dB, which keeps sigma^2 <= 1e100 P/N.
+        # the range cell c / (2 bandwidth).  Most of the rest reached an
+        # internal check (c / (2 bandwidth) = 0, a power sum off its budget, a
+        # raster off its dB grid after NaN ratios and a written image.pgm) or a
+        # numpy warning (an overflowing swath row array, |S_k|^2, log(0) or a
+        # squared range); snr_db = -3000 pins the SNR floor of -1000 dB, which
+        # keeps sigma^2 <= 1e100 P/N.
         small_cfg.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "run"
         code = run(["--config", str(small_cfg), "--out", str(out), "simulate"])
@@ -785,6 +839,17 @@ class TestSceneGenRoundtrip:
              "--scene", str(bad)]
         )
         assert code == EXIT_IO
+
+    def test_non_utf8_scene_file_io_exit(self, small_cfg, tmp_path, capsys):
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"# 8 1\n\xff\n")
+        out = tmp_path / "run"
+        code = run(["--config", str(small_cfg), "--out", str(out), "simulate",
+                    "--scene", str(bad)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: io: {bad}: not UTF-8 text") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_non_finite_scene_value_io_exit(self, small_cfg, tmp_path, capsys):
         # A nan once gave exit 0, peak_cell = 0 0 and an image of nan.

@@ -38,7 +38,7 @@ LAWS, LAW_IDS = (None, GAUSSIAN), ("constant-modulus", "gaussian")
 
 def seeded_symbols(n, seed):
     """Gaussian symbols of one pulse at unit power per subcarrier."""
-    spec = WaveformSpec(n, 1.0)
+    spec = WaveformSpec(n, float(n), float(n))
     return spec, draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed, policy=GAUSSIAN)
 
 
@@ -207,7 +207,7 @@ class TestBatchedSynthesis:
     @pytest.mark.parametrize("sigma2", [0.3, 0.0])
     @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
     def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, policy):
-        spec = WaveformSpec(64, 1.5e9 / 64)
+        spec = WaveformSpec(64, 1.5e9, 64.0)
         geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmsar.cli import run
@@ -25,7 +25,8 @@ from ofdmsar.config import Config
 
 EDGES = (0, -1, "nan", "inf", "-inf", 1e-320, 1e-310, 1e308, 5e-324)
 SNRS = ((15, 0, -10), (3000, -3000, "nan", "inf", "-inf", 1e308, 1e-320))
-SCENE_FILES = ("valid.txt", "nan.txt", "huge.txt", "wrong-m.txt", "wide.txt", "missing.txt")
+SCENE_FILES = ("valid.txt", "nan.txt", "huge.txt", "wrong-m.txt", "wide.txt", "latin.txt",
+               "missing.txt")
 SCENES = (("point", "car", "valid.txt"), SCENE_FILES[1:])
 
 #: key: (ordinary values, edge values).  A run sets its first three keys, so that
@@ -33,7 +34,7 @@ SCENES = (("point", "car", "valid.txt"), SCENE_FILES[1:])
 #: past the image cap, and any others to ordinary values; up to three keys of
 #: the run then take an edge value.
 KEYS = {
-    "n_subcarriers": ((8, 16), (1, 2, 3, 0, -1)),
+    "n_subcarriers": ((8, 16), (1, 2, 3, 0, -1, 10**400)),  # the last is past the float range
     "prf": ((16, 64), (0, -1, "nan", "inf", 1e308, 5e-324)),
     "trials": ((100,), (99, 0, -1)),
     "bandwidth": ((1.5e9, 1e6), (*EDGES, 1e-300)),
@@ -91,19 +92,27 @@ def write_scene(path: Path, kind: str, n: int) -> None:
         rows[0][0] = "nan" if kind == "nan.txt" else "1e308"
     if kind == "wrong-m.txt":
         rows.append(rows[0])
+    if kind == "latin.txt":
+        rows[0][0] = "\xff"  # written as one byte that is not UTF-8
     width = 10**12 if kind == "wide.txt" else 3  # a header claiming columns no row holds
     if kind != "missing.txt":
-        path.write_text(f"# {len(rows)} {width}\n" + "".join(",".join(r) + "\n" for r in rows))
+        text = f"# {len(rows)} {width}\n" + "".join(",".join(r) + "\n" for r in rows)
+        path.write_bytes(text.encode("latin-1"))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(invocation=invocations())
+# Two edge values the derandomized draws miss, each once a traceback: an N whose
+# float() overflows, and a scene file that is not UTF-8.
+@example(invocation=({"n_subcarriers": 10**400, "prf": 16, "trials": 100}, 0, "allocate", {}))
+@example(invocation=({"n_subcarriers": 8, "prf": 16, "trials": 100}, 0, "simulate",
+                     {"--scene": "latin.txt"}))
 def test_every_run_ends_in_finite_outputs_or_one_error_line(invocation):
     keys, seed, command, flags = invocation
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for kind in SCENE_FILES:
-            write_scene(tmp / kind, kind, max(keys["n_subcarriers"], 1))
+            write_scene(tmp / kind, kind, min(max(keys["n_subcarriers"], 1), 16))
 
         def value(v):
             return tmp / v if v in SCENE_FILES else v

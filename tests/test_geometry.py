@@ -193,7 +193,7 @@ class TestOccupiedCellEvaluation:
     )
     @settings(max_examples=30, deadline=None)
     def test_random_sparse_occupancy_bit_equal_to_dense(self, n_azimuth, density, seed):
-        spec = WaveformSpec(16, 1.5e9 / 16)
+        spec = WaveformSpec(16, 1.5e9, 16.0)
         rng = np.random.default_rng(seed)
         shape = (16, n_azimuth)
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -246,7 +246,7 @@ class TestInBeamPulses:
     def test_point_scene_peak_memory_per_cell(self):
         # The kernel spans the occupied rows only, not every range row by every
         # in-beam offset: the (N, P) output's 16 B a cell and little more.
-        spec = WaveformSpec(256, 1.0e6)
+        spec = WaveformSpec(256, 2.56e8, 256.0)
         geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, 2048.0, 1.0)
         scene = point_scene(spec, 1)
         tracemalloc.start()
@@ -304,7 +304,7 @@ class TestSceneIO:
 
     def test_dimension_mismatch(self, tmp_path, spec64):
         path = tmp_path / "small.txt"
-        save_scene(Scene(np.zeros((8, 2)), range_cell_size(WaveformSpec(8, 1.0))), path)
+        save_scene(Scene(np.zeros((8, 2)), range_cell_size(WaveformSpec(8, 8.0, 8.0))), path)
         with pytest.raises(SceneFormatError):
             load_scene(path, spec64)
 

@@ -24,7 +24,7 @@ def random_d(n, rng):
 class TestLsEstimate:
     def test_noise_free_exact(self):
         rng = np.random.default_rng(0)
-        spec = WaveformSpec(16, 1.0)
+        spec = WaveformSpec(16, 16.0, 16.0)
         alloc = PowerAllocation.uniform(16, 16.0)
         for seed in range(20):
             sym = draw_symbols(spec, alloc, seed=seed, policy=TruncationPolicy())
@@ -35,7 +35,7 @@ class TestLsEstimate:
     def test_flat_spectrum_is_scaled_correlation(self):
         # Impulse body <-> all-equal symbols: LS reduces to cyclic correlation.
         n = 8
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         sym = np.full(n, 1.0 + 0j)
         rng = np.random.default_rng(1)
@@ -48,7 +48,7 @@ class TestLsEstimate:
 
     def test_dense_pseudo_inverse_oracle(self):
         n = 8
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         rng = np.random.default_rng(2)
         sym = draw_symbols(spec, alloc, seed=3, policy=TruncationPolicy())
@@ -61,7 +61,7 @@ class TestLsEstimate:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_mse_trace_identity(self, n):
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         sym = draw_symbols(spec, alloc, seed=n, policy=TruncationPolicy())
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(n)
@@ -84,7 +84,7 @@ class TestLsEstimate:
 
     def test_unbiased(self):
         n = 16
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         sym = draw_symbols(spec, alloc, seed=5)
         rng = np.random.default_rng(6)
@@ -102,7 +102,7 @@ class TestLsEstimate:
 
     def test_error_stats_independent_of_d(self):
         n = 16
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         sym = draw_symbols(spec, alloc, seed=7)
         sigma2 = 0.3
@@ -135,7 +135,7 @@ class TestRangeProfileCube:
         # Fixed constant-modulus symbols across pulses: empirical MSE matches
         # sigma^2 * sum 1/|S_k|^2 within 5% at 1e4 pulses.
         n, pulses = 16, 10**4
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         sym = draw_symbols(spec, alloc, seed=21)
         sigma2 = 0.25
@@ -154,7 +154,7 @@ class TestRangeProfileCube:
         # Fresh truncated-Gaussian symbols per pulse: empirical MSE matches
         # A * sigma^2 * sum 1/P_k within 5%.
         n, pulses = 16, 10**4
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         policy = TruncationPolicy()
         sigma2 = 0.25

@@ -18,54 +18,63 @@ GAUSSIAN = TruncationPolicy()
 
 
 class TestSpec:
-    def test_derived_quantities(self):
-        spec = WaveformSpec(64, 1.5e9 / 64)
-        assert spec.bandwidth == 64 * spec.subcarrier_spacing
+    def test_holds_the_config_values(self):
+        spec = WaveformSpec(64, 1.5e9, 64.0)
+        assert (spec.n_subcarriers, spec.bandwidth, spec.power_budget) == (64, 1.5e9, 64.0)
         assert spec.cp_len == 63
-        assert spec.power_budget == 64.0
+
+    def test_every_field_is_required(self):
+        # A two-argument call cannot be read as (n, bandwidth) with a default budget.
+        with pytest.raises(TypeError):
+            WaveformSpec(4, 4.0)
 
     def test_rejects_bad_numerology(self):
-        with pytest.raises(ValueError):
-            WaveformSpec(0, 1.0)
-        with pytest.raises(ValueError):
-            WaveformSpec(4, -1.0)
-        with pytest.raises(ValueError):
-            WaveformSpec(4, 1.0, power_budget=0.0)
+        with pytest.raises(ConfigError, match=r"^n_subcarriers = 0 must be >= 1$"):
+            WaveformSpec(0, 1.0, 1.0)
+        with pytest.raises(ConfigError, match=r"^power_budget / n_subcarriers = "):
+            WaveformSpec(4, 4.0, 0.0)
 
-    @pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf, 2.5e307])
-    def test_bandwidth_rule_names_the_config_keys(self, spacing):
-        # 4 x 2.5e307 is finite, but c / (2 bandwidth) would round to 0.
-        with pytest.raises(ConfigError, match=r"^bandwidth = .* over n_subcarriers = 4 "):
-            WaveformSpec(4, spacing)
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, 1e308])
+    def test_bandwidth_rule_names_the_config_key(self, bandwidth):
+        # 1e308 is finite, but c / (2 bandwidth) would round to 0.
+        with pytest.raises(ConfigError, match=r"^bandwidth = ") as info:
+            WaveformSpec(4, bandwidth, 4.0)
+        assert isinstance(info.value, ValueError)  # what a library caller may catch
+
+    def test_smallest_bandwidths_are_held_and_named_as_set(self):
+        # No spacing bandwidth / N is formed to round to 0 or to be reported.
+        assert WaveformSpec(64, 5e-324, 64.0).bandwidth == 5e-324
+        with pytest.raises(ConfigError, match=r"^bandwidth = -5e-324 "):
+            WaveformSpec(64, -5e-324, 64.0)
 
     @pytest.mark.parametrize("snr_db", [np.inf, 4000.0])
     def test_infinite_snr_is_noise_free(self, snr_db):
         # 10^(4000/10) overflows a float: as noise-free as inf.
-        assert WaveformSpec(4, 1.0).noise_power(snr_db) == 0.0
+        assert WaveformSpec(4, 4.0, 4.0).noise_power(snr_db) == 0.0
 
     @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -4000.0])
     def test_snr_without_finite_noise_power_rejected(self, snr_db):
         # 10^(-4000/10) underflows to zero, which would divide by zero.
         with pytest.raises(ConfigError):
-            WaveformSpec(4, 1.0).noise_power(snr_db)
+            WaveformSpec(4, 4.0, 4.0).noise_power(snr_db)
 
 
 class TestDrawSymbols:
     def test_constant_modulus_exact_powers(self):
-        spec = WaveformSpec(4, 1.0)
+        spec = WaveformSpec(4, 4.0, 4.0)
         alloc = PowerAllocation.uniform(4, 4.0)
         sym = draw_symbols(spec, alloc, seed=1)
         np.testing.assert_allclose(np.abs(sym) ** 2, [1, 1, 1, 1], atol=1e-14)
 
     def test_zero_power_subcarrier(self):
-        spec = WaveformSpec(4, 1.0)
+        spec = WaveformSpec(4, 4.0, 4.0)
         alloc = PowerAllocation(np.array([2.0, 0.0, 1.0, 1.0]), 4.0)
         sym = draw_symbols(spec, alloc, seed=3)
         assert sym[1] == 0.0
         assert abs(np.abs(sym[0]) ** 2 - 2.0) < 1e-14
 
     def test_deterministic_given_seed(self):
-        spec = WaveformSpec(16, 1.0)
+        spec = WaveformSpec(16, 16.0, 16.0)
         alloc = PowerAllocation.uniform(16, 16.0)
         a = draw_symbols(spec, alloc, seed=7)
         b = draw_symbols(spec, alloc, seed=7)
@@ -81,13 +90,13 @@ class TestDrawSymbols:
         rng = np.random.default_rng(0)
         acc = np.zeros(n)
         for _ in range(blocks):
-            sym = draw_symbols(WaveformSpec(n, 1.0), alloc, rng, pulses, policy)
+            sym = draw_symbols(WaveformSpec(n, float(n), float(n)), alloc, rng, pulses, policy)
             acc += np.sum(np.abs(sym) ** 2, axis=1)
         expected = 2.0 * powers * (1.0 - np.log1p(-policy.tail_prob))
         assert np.all(np.abs(acc / (blocks * pulses) / expected - 1.0) < 0.02)
 
     def test_gaussian_mode_single_draw_variance(self):
-        spec = WaveformSpec(64, 1.0)
+        spec = WaveformSpec(64, 64.0, 64.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         draws = np.array(
             [draw_symbols(spec, alloc, seed=s, policy=GAUSSIAN) for s in range(2000)]
@@ -101,7 +110,7 @@ class TestDrawSymbols:
         n, pulses = 64, 4000
         policy = TruncationPolicy()
         alloc = PowerAllocation.uniform(n, float(n))
-        sym = draw_symbols(WaveformSpec(n, 1.0), alloc, 17, pulses, policy)
+        sym = draw_symbols(WaveformSpec(n, float(n), float(n)), alloc, 17, pulses, policy)
         ratio = np.abs(sym) ** 2 / alloc.powers[:, None]
         floor = -2.0 * np.log1p(-policy.tail_prob)
         assert ratio.min() >= floor * (1.0 - 1e-12)
@@ -110,7 +119,7 @@ class TestDrawSymbols:
 
     @pytest.mark.parametrize("policy", [None, GAUSSIAN], ids=["constant-modulus", "gaussian"])
     def test_pulse_columns_independent_of_block(self, policy):
-        spec = WaveformSpec(16, 1.0)
+        spec = WaveformSpec(16, 16.0, 16.0)
         alloc = PowerAllocation.uniform(16, 16.0)
         block = draw_symbols(spec, alloc, 5, 7, policy)
         assert block.shape == (16, 7)
@@ -118,19 +127,19 @@ class TestDrawSymbols:
         np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, policy=policy), block[:, 0])
 
     def test_length_mismatch(self):
-        spec = WaveformSpec(4, 1.0)
+        spec = WaveformSpec(4, 4.0, 4.0)
         with pytest.raises(DimensionError):
             draw_symbols(spec, PowerAllocation.uniform(5, 5.0), seed=0)
 
 
 class TestModulate:
     def test_single_tone(self):
-        spec = WaveformSpec(4, 1.0)
+        spec = WaveformSpec(4, 4.0, 4.0)
         pulse = modulate(np.array([1, 0, 0, 0], dtype=complex), spec)
         np.testing.assert_allclose(pulse[3:], [0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
     def test_impulse_duality_and_cp(self):
-        spec = WaveformSpec(4, 1.0)
+        spec = WaveformSpec(4, 4.0, 4.0)
         pulse = modulate(np.ones(4, dtype=complex), spec)
         np.testing.assert_allclose(pulse[3:], [2, 0, 0, 0], atol=1e-14)
         np.testing.assert_allclose(pulse[:3], [0, 0, 0], atol=1e-14)
@@ -138,7 +147,7 @@ class TestModulate:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed):
-        spec = WaveformSpec(8, 1.0)
+        spec = WaveformSpec(8, 8.0, 8.0)
         alloc = PowerAllocation.uniform(8, 8.0)
         sym = draw_symbols(spec, alloc, seed=seed, policy=GAUSSIAN)
         body = modulate(sym, spec)[spec.cp_len :]
@@ -149,7 +158,7 @@ class TestModulate:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_cp_replicates_tail(self, seed):
-        spec = WaveformSpec(8, 1.0)
+        spec = WaveformSpec(8, 8.0, 8.0)
         sym = draw_symbols(spec, PowerAllocation.uniform(8, 8.0), seed=seed, policy=GAUSSIAN)
         pulse = modulate(sym, spec)
         cp = pulse[: spec.cp_len]
@@ -159,13 +168,13 @@ class TestModulate:
 
 class TestCirculant:
     def test_delta_body_gives_identity(self):
-        spec = WaveformSpec(4, 1.0)
+        spec = WaveformSpec(4, 4.0, 4.0)
         pulse = modulate(np.ones(4, dtype=complex), spec)  # body = [2, 0, 0, 0]
         mat = circulant_from_pulse(pulse, spec)
         np.testing.assert_allclose(mat, 2.0 * np.eye(4), atol=1e-14)
 
     def test_2x2_structure(self):
-        spec = WaveformSpec(2, 1.0)
+        spec = WaveformSpec(2, 2.0, 2.0)
         a, b = 1.5 + 0.5j, -0.25j
         pulse = modulate(np.fft.fft(np.array([a, b]), norm="ortho"), spec)
         np.testing.assert_allclose(pulse[1:], [a, b], atol=1e-12)
@@ -174,7 +183,7 @@ class TestCirculant:
 
     def test_fft_diagonalization(self):
         n = 8
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=11, policy=GAUSSIAN)
         pulse = modulate(sym, spec)
         mat = circulant_from_pulse(pulse, spec)
@@ -185,7 +194,7 @@ class TestCirculant:
 
     def test_eigenvalues_match_symbols(self):
         n = 8
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=5, policy=GAUSSIAN)
         mat = circulant_from_pulse(modulate(sym, spec), spec)
         # Eigenvalues are the unnormalized DFT of the body: sqrt(N) * S_k.
@@ -196,12 +205,12 @@ class TestCirculant:
         sym = draw_symbols(spec8, PowerAllocation.uniform(8, 8.0), seed=0)
         pulse = modulate(sym, spec8)
         with pytest.raises(DimensionError):
-            circulant_from_pulse(pulse, WaveformSpec(4, 1.0))
+            circulant_from_pulse(pulse, WaveformSpec(4, 4.0, 4.0))
 
 
 class TestTruncatedSampler:
     def test_magnitudes_above_quantile(self):
-        spec = WaveformSpec(64, 1.0)
+        spec = WaveformSpec(64, 64.0, 64.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         policy = TruncationPolicy(0.05)
         floor = np.sqrt(-2.0 * np.log1p(-0.05))  # per-subcarrier quantile, P_k = 1
@@ -212,7 +221,7 @@ class TestTruncatedSampler:
     def test_inverse_moment_matches_A(self):
         # E[1/|S|^2] = A / ((1 - q) P_k) under the truncated magnitude law.
         n = 16
-        spec = WaveformSpec(n, 1.0)
+        spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         policy = TruncationPolicy()
         total = 0.0
