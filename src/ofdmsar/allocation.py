@@ -22,6 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ class PowerAllocation:
         object.__setattr__(self, "powers", powers)
         if powers.ndim != 1:
             raise DimensionError("powers must be a 1-D vector")
-        if np.any(powers < 0) or not np.all(np.isfinite(powers)):
+        if (powers < 0).any() or not np.isfinite(powers).all():
             raise ValueError("powers must be finite and nonnegative")
         if self.total <= 0:
             raise ValueError("total power budget must be positive")
@@ -74,7 +75,7 @@ class ChannelGains:
         object.__setattr__(self, "gains", gains)
         if gains.ndim != 1:
             raise DimensionError("gains must be a 1-D vector")
-        if np.any(gains < 0) or not np.all(np.isfinite(gains)):
+        if (gains < 0).any() or not np.isfinite(gains).all():
             raise ValueError("gains must be finite and nonnegative")
 
     def __len__(self) -> int:
@@ -92,7 +93,7 @@ class TruncationPolicy:
     """Lower-tail truncation for the diverging 1/|S|^2 expectation.
 
     ``tail_prob`` is the probability mass removed at the low-magnitude end;
-    ``A`` is the resulting truncated integral constant, computed on demand.
+    ``A`` is the resulting truncated integral constant, computed on first use.
     """
 
     tail_prob: float = 1e-3
@@ -101,7 +102,7 @@ class TruncationPolicy:
         if not 0.0 < self.tail_prob < 1.0:
             raise ConfigError(f"tail_prob = {self.tail_prob} must lie in (0, 1)")
 
-    @property
+    @functools.cached_property
     def A(self) -> float:
         """Truncated integral of exp(-t^2)/t above the Rayleigh q-quantile.
 
@@ -141,7 +142,7 @@ def water_filling(ch: ChannelGains, total: float) -> PowerAllocation:
     """
     g = ch.gains
     live = g > 0
-    if not np.any(live):
+    if not live.any():
         raise InfeasibleChannelError("all channel gains are zero")
     if not total > 0:
         raise ValueError("total power budget must be positive")
@@ -164,7 +165,7 @@ def achievable_rate(alloc: PowerAllocation, ch: ChannelGains) -> float:
         raise DimensionError(
             f"allocation length {len(alloc)} != channel length {len(ch)}"
         )
-    return float(np.sum(np.log2(1.0 + alloc.powers * ch.gains)))
+    return float(np.log2(1.0 + alloc.powers * ch.gains).sum())
 
 
 def emse_of_alloc(
@@ -176,7 +177,7 @@ def emse_of_alloc(
     """
     a = 1.0 if policy is None else policy.A
     with np.errstate(divide="ignore"):
-        return float(a * sigma2 * np.sum(1.0 / alloc.powers))
+        return float(a * sigma2 * (1.0 / alloc.powers).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +222,46 @@ def _stationarity_roots(
         p = np.maximum(p - resid / slope, low)
         # Newton converges quadratically, so one step past a residual of
         # 1e-12 of the level leaves only rounding error.
-        if np.max(np.abs(resid)) <= 1e-12 * mu:
+        if np.abs(resid).max() <= 1e-12 * mu:
             return p, slope
     raise RuntimeError("per-subcarrier Newton did not converge")
 
 
+def _endpoints(ch: ChannelGains, total: float) -> tuple:
+    """Uniform, its rate, water-filling and capacity: shared by every floor."""
+    wf, uniform = water_filling(ch, total), PowerAllocation.uniform(len(ch), total)
+    return uniform, achievable_rate(uniform, ch), wf, achievable_rate(wf, ch)
+
+
 def _rate_constrained(
-    ch: ChannelGains, total: float, rate_floor: float, wf: PowerAllocation
+    ch: ChannelGains, total: float, rate_floor: float, ends: tuple
 ) -> tuple[PowerAllocation, float]:
     """The minimizer and its rate multiplier lam / A (inf at capacity), given
-    the channel's water-filling allocation ``wf``."""
-    g = ch.gains
-    capacity = achievable_rate(wf, ch)
+    the channel's ``_endpoints``."""
+    uniform, uniform_rate, wf, capacity = ends
     cap_tol = _RATE_TOL * max(1.0, capacity)
     if rate_floor > capacity + cap_tol:
         raise InfeasibleRateError(rate_floor, capacity)
+    # Uniform first: at a capacity below cap_tol, it meets every floor with none dry.
+    floor_tol = _RATE_TOL * max(1.0, rate_floor)
+    if uniform_rate >= rate_floor - floor_tol:
+        return uniform, 0.0
     if rate_floor >= capacity - cap_tol:
         return wf, np.inf
-    floor_tol = _RATE_TOL * max(1.0, rate_floor)
-    uniform = PowerAllocation.uniform(g.size, total)
-    if achievable_rate(uniform, ch) >= rate_floor - floor_tol:
-        return uniform, 0.0
 
     # In units of the mean power, the powers start at 1 whatever the budget.
-    unit = total / g.size
-    g, budget = g * unit, float(g.size)
+    unit = total / len(ch)
+    g, budget = ch.gains * unit, float(len(ch))
 
     def residuals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g_k / (1 + g_k P_k), and the budget and rate residuals."""
-        r = np.array([p.sum() - budget, np.sum(np.log2(1.0 + g * p)) - rate_floor])
+        r = np.array([p.sum() - budget, np.log2(1.0 + g * p).sum() - rate_floor])
         return g / (1.0 + g * p), r
 
     def budget_step(mu: float, slope: np.ndarray, r: np.ndarray) -> float | None:
         """The last step on mu, taken on the powers alone to first order, once
         it is below 1e-13 of mu and the rate is within half the tolerance."""
-        step = -r[0] / np.sum(1.0 / slope)
+        step = -r[0] / (1.0 / slope).sum()
         done = abs(step) <= 1e-13 * mu and abs(r[1]) <= 0.5 * floor_tol
         return step if done else None
 
@@ -271,12 +277,13 @@ def _rate_constrained(
         # times ln 2 is -sw * sum(w (gd - sgw/sw)^2), free of cancellation.
         w, ln2 = 1.0 / slope, math.log(2.0)
         sw, sgw, sggw = w.sum(), (gd * w).sum(), (gd * gd * w).sum()
-        spread = sw * np.sum(w * (gd - sgw / sw) ** 2)
+        spread = sw * (w * (gd - sgw / sw) ** 2).sum()
         inv = np.array([[sggw, -sgw * ln2], [sgw, -sw * ln2]]) / spread
         step = -inv @ r
         # Sizes are relative to (mu, lam), with lam at least its step: lam starts at 0.
         scale = np.array([mu, max(lam, abs(step[1]))])
-        size = np.linalg.norm(step / scale)
+        err = step / scale
+        size = math.sqrt(err.dot(err))  # what np.linalg.norm computes, bit for bit
         t = 1.0
         for _ in range(_MAX_STEPS):
             mu_t, lam_t = mu + t * step[0], max(lam + t * step[1], 0.0)
@@ -286,7 +293,7 @@ def _rate_constrained(
                 gd_t, r_t = residuals(p_t)
                 # A converged trial is taken as it is: rounding stalls the test there.
                 if (budget_step(mu_t, slope_t, r_t) is not None
-                        or np.linalg.norm(inv @ r_t / scale) <= (1.0 - t / 4.0) * size):
+                        or math.sqrt((e := inv @ r_t / scale).dot(e)) <= (1.0 - t / 4.0) * size):
                     break
             t *= 0.5
         else:
@@ -304,15 +311,16 @@ def emse_rate_constrained(ch: ChannelGains, total: float, rate_floor: float) -> 
     rate is at least ``rate_floor - 1e-8 * max(1, rate_floor)``; where the
     floor binds, it lies within half that tolerance of the floor.  A and sigma^2
     only scale the objective, so neither is an argument: the problem is solved
-    in units of A and of the mean power total / N.  Endpoints: rate_floor <=
-    uniform rate returns the uniform allocation (lam = 0, slack rate
-    constraint); rate_floor at capacity returns the water-filling closed form,
-    where the feasible set collapses to a single point.  A rate floor that is
-    NaN or -inf raises ValueError; one above capacity raises InfeasibleRateError.
+    in units of A and of the mean power total / N.  Endpoints, tested in this
+    order: rate_floor <= uniform rate returns the uniform allocation (lam = 0,
+    slack rate constraint); rate_floor at capacity returns the water-filling
+    closed form, where the feasible set collapses to a single point.  A rate
+    floor that is NaN or -inf raises ValueError; one above capacity raises
+    InfeasibleRateError.
     """
     if np.isnan(rate_floor) or rate_floor == -np.inf:
         raise ValueError(f"rate floor must be a number of bits, got {rate_floor!r}")
-    alloc, _ = _rate_constrained(ch, total, rate_floor, water_filling(ch, total))
+    alloc, _ = _rate_constrained(ch, total, rate_floor, _endpoints(ch, total))
     return alloc
 
 
@@ -339,13 +347,11 @@ def tradeoff_sweep(
     """
     if n_points < 2:
         raise ConfigError(f"tradeoff_points = {n_points} must be at least 2")
-    wf = water_filling(ch, total)
-    capacity = achievable_rate(wf, ch)
+    ends = _endpoints(ch, total)  # (uniform, its rate, water-filling, capacity)
     points = []
-    for r0 in np.linspace(0.0, capacity, n_points):
-        alloc, _ = _rate_constrained(ch, total, float(r0), wf)
-        emse = emse_of_alloc(alloc, sigma2, policy)
-        points.append(
-            TradeoffPoint(float(r0), achievable_rate(alloc, ch), emse, alloc)
-        )
+    for r0 in np.linspace(0.0, ends[3], n_points).tolist():
+        alloc, _ = _rate_constrained(ch, total, r0, ends)
+        if not points or alloc is not points[-1].allocation:  # else a repeated endpoint
+            rate, emse = achievable_rate(alloc, ch), emse_of_alloc(alloc, sigma2, policy)
+        points.append(TradeoffPoint(r0, rate, emse, alloc))
     return points

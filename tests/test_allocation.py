@@ -19,7 +19,7 @@ from ofdmsar import (
     water_filling,
 )
 from ofdmsar import allocation
-from ofdmsar.allocation import _exp1, _rate_constrained, _stationarity_roots
+from ofdmsar.allocation import _endpoints, _exp1, _rate_constrained, _stationarity_roots
 from ofdmsar.config import parse_config
 from ofdmsar.errors import InfeasibleChannelError, InfeasibleRateError
 
@@ -173,6 +173,15 @@ class TestComputeA:
             x = float(-np.log1p(-q))
             assert math.isclose(_exp1(x), float(exp1(x)), rel_tol=1e-15, abs_tol=0.0), q
 
+    @pytest.mark.parametrize("q", [1e-12, 1e-3, 0.1, 1.0 - np.exp(-1.0), 0.99])
+    def test_A_is_computed_once_and_exactly(self, q):
+        # A is cached on the policy: the first read and every later one are the
+        # closed form bit for bit, and the cache leaves equality and hash alone.
+        policy, expected = TruncationPolicy(q), 0.5 * _exp1(float(-np.log1p(-q)))
+        assert policy.A == expected
+        assert policy.A == expected
+        assert policy == TruncationPolicy(q) and hash(policy) == hash(TruncationPolicy(q))
+
     def test_rejects_bad_tail_prob(self):
         with pytest.raises(ValueError):
             TruncationPolicy(0.0)
@@ -291,7 +300,7 @@ class TestRateConstrainedSolver:
         assert abs(alloc.powers.sum() - total) < 1e-8 * total
         assert np.all(alloc.powers >= 0.0)
         assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
-        core, lam = _rate_constrained(ch, total, r0, wf)
+        core, lam = _rate_constrained(ch, total, r0, _endpoints(ch, total))
         np.testing.assert_array_equal(core.powers, alloc.powers)
         # In units of A: lam is the rate multiplier over A.
         levels = 1.0 / alloc.powers**2 + lam * ch.gains / (1.0 + ch.gains * alloc.powers)
@@ -454,9 +463,9 @@ class TestTradeoffSweep:
 
     @pytest.mark.parametrize("n_points", [8, 32])
     def test_carried_state_matches_standalone_solves(self, n_points):
-        # The sweep computes water-filling and capacity once per channel and
-        # solves each point from the uniform allocation; none of it may move
-        # an answer beyond the solver's tolerance.
+        # The sweep computes the uniform and water-filling allocations and
+        # their rates once per channel and solves each point from the uniform
+        # allocation; none of it may move a bit of an answer.
         for channel_seed in range(8):
             cfg, _, ch = self.multipath_channel(channel_seed)
             for pt in self.multipath_sweep(channel_seed, n_points):
@@ -464,23 +473,39 @@ class TestTradeoffSweep:
                 assert pt.rate_achieved >= r0 - 1e-8 * max(1.0, r0)
                 alone = emse_rate_constrained(ch, cfg.power_budget, r0)
                 assert achievable_rate(alone, ch) >= r0 - 1e-8 * max(1.0, r0)
-                np.testing.assert_allclose(
-                    pt.allocation.powers, alone.powers, rtol=1e-6, atol=0.0
-                )
+                np.testing.assert_array_equal(pt.allocation.powers, alone.powers)
+
+    @staticmethod
+    def count_root_solves(monkeypatch):
+        """A list that grows by one at each call of ``_stationarity_roots``."""
+        calls = []
+        roots = allocation._stationarity_roots
+
+        def counted(*args):
+            calls.append(None)
+            return roots(*args)
+
+        monkeypatch.setattr(allocation, "_stationarity_roots", counted)
+        return calls
 
     def test_warm_started_work_count(self, monkeypatch):
         # A deterministic work count, not a wall-clock bound: the 8-seed,
         # 8-point sweep has 18 binding points and makes 107 root solves, one
         # per trial step of the multiplier Newton.
-        calls = 0
-        roots = allocation._stationarity_roots
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return roots(*args)
-
-        monkeypatch.setattr(allocation, "_stationarity_roots", counted)
+        calls = self.count_root_solves(monkeypatch)
         for channel_seed in range(8):
             self.multipath_sweep(channel_seed)
-        assert calls <= 200
+        assert len(calls) == 107
+
+    def test_flat_channel_sweep_is_its_endpoints(self, monkeypatch):
+        # On a flat channel uniform is water-filling: no floor binds, so no
+        # root is solved, and the rows hold the closed forms bit for bit.
+        calls = self.count_root_solves(monkeypatch)
+        ch = ChannelGains(np.ones(64))
+        points = tradeoff_sweep(ch, 64.0, 0.1, self.policy, 8)
+        assert calls == []
+        uniform = PowerAllocation.uniform(64, 64.0)
+        np.testing.assert_array_equal(points[0].allocation.powers, uniform.powers)
+        np.testing.assert_array_equal(points[-1].allocation.powers,
+                                      water_filling(ch, 64.0).powers)
+        assert {pt.emse for pt in points} == {emse_of_alloc(uniform, 0.1, self.policy)}

@@ -1031,6 +1031,27 @@ class TestTradeoff:
         powers = [float(r[1]) for r in read_csv(out / "allocation.csv")[1:]]
         assert min(powers) == 0.0 and not any(np.isnan(powers))
 
+    def test_zero_floor_is_uniform_at_very_low_snr(self, tmp_path, capsys):
+        # At -150 dB capacity lies below the solver's rate tolerance.  Tested
+        # before the uniform endpoint, it returned water-filling for every
+        # floor, dry subcarriers and all, and the rate-0 EMSE read inf.
+        cfg = tmp_path / "mp.cfg"
+        cfg.write_text("channel = multipath\nsnr_db = -150\n")
+        out = tmp_path / "t"
+
+        def emse(*argv):
+            assert run(["--config", str(cfg), "--out", str(out), "allocate", *argv]) == EXIT_OK
+            line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("emse"))
+            return float(line.split("=")[1])
+
+        uniform = emse()
+        assert np.isfinite(uniform)
+        assert emse("--rate-target", "0") == uniform
+        assert run(["--config", str(cfg), "--out", str(out), "tradeoff", "--points", "8"]) \
+            == EXIT_OK
+        rate_floor, _, row_emse = read_csv(out / "tradeoff.csv")[1]
+        assert float(rate_floor) == 0.0 and float(row_emse) == uniform
+
     @pytest.mark.parametrize(
         "taps, code",
         [("0", EXIT_CONFIG), ("-1", EXIT_CONFIG), ("17", EXIT_CONFIG), ("16", EXIT_OK)],

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,32 @@ def write_scene(path: Path, kind: str, n: int) -> None:
 @example(invocation=({"n_subcarriers": 8, "prf": 16, "trials": 100}, 0, "simulate",
                      {"--scene": "latin.txt"}))
 def test_every_run_ends_in_finite_outputs_or_one_error_line(invocation):
+    assert_ends_legally(invocation)
+
+
+#: A subcommand that reads each key.  The derandomized draws above reach few of
+#: the edge values, so each one also runs alone under its key's reader.
+READERS = {
+    "n_subcarriers": "allocate", "prf": "simulate", "trials": "mse-sweep",
+    "bandwidth": "simulate", "power_budget": "allocate", "signaling": "simulate",
+    "slant_range_center": "simulate", "velocity": "simulate", "carrier_freq": "simulate",
+    "aperture_time": "simulate", "snr_db": "tradeoff", "tail_prob": "allocate",
+    "channel": "allocate", "channel_taps": "allocate", "channel_seed": "allocate",
+    "scene": "simulate", "scene_azimuth": "scene-gen", "snr_grid": "mse-sweep",
+    "tradeoff_points": "tradeoff",
+}
+#: An ordinary value for every key: multipath, so that the channel keys are read.
+ORDINARY = {key: pools[0][0] for key, pools in KEYS.items()} | {"channel": "multipath"}
+
+
+@pytest.mark.parametrize("key, edge", [(key, edge) for key, pools in KEYS.items()
+                                       for edge in pools[1]])
+def test_every_edge_value_ends_in_finite_outputs_or_one_error_line(key, edge):
+    assert_ends_legally(({**ORDINARY, key: edge}, 0, READERS[key], {}))
+
+
+def assert_ends_legally(invocation):
+    """Run ``invocation`` and check it ends as the module docstring requires."""
     keys, seed, command, flags = invocation
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

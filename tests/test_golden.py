@@ -36,6 +36,9 @@ RUNS = {
        for s in (0, 1)},
     "mse-sweep/multipath": (MULTIPATH + "trials = 100\n", ["--seed", "3", "mse-sweep"]),
     "tradeoff/multipath/8": (MULTIPATH, ["tradeoff", *LOW_SNR, "--points", "8"]),
+    # Capacity below the solver's rate tolerance: every row is the uniform allocation.
+    "tradeoff/multipath/8/-150dB": (MULTIPATH, ["tradeoff", "--snr-db", "-150.0",
+                                                "--points", "8"]),
     "allocate/multipath/uniform": (MULTIPATH, ["allocate", *LOW_SNR]),
     "allocate/multipath/rate-11": (MULTIPATH, ["allocate", *LOW_SNR, "--rate-target", "11"]),
     "allocate/multipath/capacity": (MULTIPATH,
