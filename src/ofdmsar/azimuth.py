@@ -117,17 +117,16 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
 def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAllocation,
                sigma2: float, seed: int, policy: TruncationPolicy | None = None) -> SarImage:
     """The image of ``scene``, formed in its scene-coefficient array: synthesis and LS
-    run on the blocks of whole pulses that ``echo.pulse_blocks`` draws on its worker
-    from the seed's streams 0 and 1, so no output depends on the worker, and each
-    block's profiles overwrite its coefficients; RCMC and focusing then work in place.
+    run on the blocks of whole pulses that ``echo.pulse_blocks`` draws from the seed's
+    streams 0 and 1, each as it is taken, and each block's profiles overwrite its
+    coefficients; RCMC and focusing then work in place.
     ``azimuth_compress(rcmc_bulk(range_profile_cube(synthesize_raw(...))))`` draws the
     same streams as one cube: the whole-cube reference the tests and perfbench use.
     Each stage is looked up through its module, where a tracer can wrap it."""
-    with echo.pulse_blocks(seed, (), spec, alloc, policy, sigma2, geom.n_pulses) as blocks:
-        cells, p = echo.scene_coefficients(geom, scene), 0
-        for symbols, noise in blocks:
-            block = cells[:, p:p + symbols.shape[1]]
-            block[:] = rangeproc.ls_estimate(echo.synthesize_pulse(symbols, block, noise),
-                                             symbols, alloc)
-            p += symbols.shape[1]
+    cells, p = echo.scene_coefficients(geom, scene), 0
+    for symbols, noise in echo.pulse_blocks(seed, (), spec, alloc, policy, sigma2, geom.n_pulses):
+        block = cells[:, p:p + symbols.shape[1]]
+        block[:] = rangeproc.ls_estimate(echo.synthesize_pulse(symbols, block, noise),
+                                         symbols, alloc)
+        p += symbols.shape[1]
     return azimuth_compress(rcmc_bulk(cells, geom, scene.range_cell_size), geom)

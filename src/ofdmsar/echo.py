@@ -8,13 +8,11 @@ normalization relative to the raw pulse body).  ``W_f``, the DFT of white
 CN(0, sigma^2) fast-time noise, is white CN(0, N sigma^2) and is drawn as such
 by ``draw_noise``.  ``synthesize_raw`` returns ``Y_f``, column p for pulse p, and
 the symbols and allocation.  ``pulse_blocks`` draws a block of whole pulses at a
-time on a worker thread, for an image and for the MSE Monte Carlo alike.
+time, in order on the calling thread as each is taken, for an image and for the
+MSE Monte Carlo alike.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .waveform import WaveformSpec, draw_symbols
 __all__ = ["draw_noise", "pulse_blocks", "synthesize_pulse", "synthesize_raw", "pulse_rng"]
 
 _BLOCK_CELLS = 8192  # cells of whole pulses, or whole range rows, worked on at a time
-_DRAWS_AHEAD = 2  # blocks the worker draws ahead of the block taken
 
 
 def draw_noise(n: int, sigma2: float, seed, pulses: int | None = None) -> np.ndarray | None:
@@ -55,36 +52,18 @@ def synthesize_pulse(symbols: np.ndarray, d: np.ndarray, noise: np.ndarray | Non
     return spectrum
 
 
-@contextmanager
 def pulse_blocks(seed: int, key: tuple[int, ...], spec: WaveformSpec, alloc: PowerAllocation,
                  policy: TruncationPolicy | None, sigma2: float, pulses: int):
-    """Within ``with``, an iterator of the (symbols, noise) of each block of
-    max(1, _BLOCK_CELLS // N) whole pulses, as ``draw_symbols`` and ``draw_noise``
-    draw all ``pulses`` from streams ``(*key, 0)`` and ``(*key, 1)`` of ``seed``.
-    One worker thread draws both, in block order, ``_DRAWS_AHEAD`` blocks ahead of
-    the block taken, so each stream is drawn by one thread and no draw depends on it.
-    The worker starts on entry and is joined on every exit; a failed draw raises
-    where its block is taken."""
-    from concurrent.futures import ThreadPoolExecutor  # only a block source needs the worker
-
+    """The (symbols, noise) of each block of max(1, _BLOCK_CELLS // N) whole pulses,
+    as ``draw_symbols`` and ``draw_noise`` draw all ``pulses`` from streams
+    ``(*key, 0)`` and ``(*key, 1)`` of ``seed``.  Each block is drawn as it is
+    taken, by this module's names, which a tracer wraps."""
     symbol_rng, noise_rng = pulse_rng(seed, *key, 0), pulse_rng(seed, *key, 1)
     step = max(1, _BLOCK_CELLS // spec.n_subcarriers)
-
-    def draw(p):  # the block from pulse p, by this module's names, which a tracer wraps
+    for p in range(0, pulses, step):
         count = min(step, pulses - p)
-        return (draw_symbols(spec, alloc, symbol_rng, count, policy),
-                draw_noise(spec.n_subcarriers, sigma2, noise_rng, count))
-
-    def blocks(ahead):
-        for p in range(_DRAWS_AHEAD * step, pulses + _DRAWS_AHEAD * step, step):
-            block = ahead.popleft().result()
-            if p < pulses:  # the block _DRAWS_AHEAD past the one taken
-                ahead.append(worker.submit(draw, p))
-            yield block
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        yield blocks(deque(worker.submit(draw, p)
-                           for p in range(0, min(pulses, _DRAWS_AHEAD * step), step)))
+        yield (draw_symbols(spec, alloc, symbol_rng, count, policy),
+               draw_noise(spec.n_subcarriers, sigma2, noise_rng, count))
 
 
 def pulse_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -5,8 +5,8 @@ uniform vs communication-optimal allocation) against their closed-form
 predictions, with common random variates across designs within each trial.
 A trial is drawn as an image draws a pulse: SNR point si is the key ``(si,)``
 of ``echo.pulse_blocks``, trial t is pulse t of its two streams, and the
-trials come in the blocks that it draws on its worker thread: unit-power
-symbols and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the
+trials come in the blocks that it draws as each is taken: unit-power symbols
+and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the
 symbols by sqrt(P_k), keeping only their phase for constant modulus, and is
 estimated by one batched LS call per block.  So the draws do not depend on the
 block size; the summed empirical MSE does, by its summation order only.
@@ -78,18 +78,17 @@ def mse_vs_snr(
         for (label, law, alloc), total in zip(designs, sums):
             if total == 0.0:  # magnitudes grow with u, so u = 0 gives the smallest draw
                 check_ls_floor(symbol_magnitudes(alloc.powers, law, 0.0) ** 2, alloc, label)
-        with pulse_blocks(seed, (si,), spec, unit, policy, sigma2, n_trials) as blocks:
-            for z, w_f in blocks:
-                phase = z / np.abs(z)
-                for di, (_, law, alloc) in enumerate(designs):
-                    if sums[di] == np.inf:
-                        continue
-                    # One fft(d) serves all trials, and S * fft(d) is kept: numpy fuses a
-                    # complex product's multiply-add, so synthesize_pulse's fft(d) * S
-                    # rounds apart from it.
-                    syms = np.sqrt(alloc.powers)[:, None] * (phase if law is None else z)
-                    err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
-                    sums[di] += np.sum(np.abs(err) ** 2)
+        for z, w_f in pulse_blocks(seed, (si,), spec, unit, policy, sigma2, n_trials):
+            phase = z / np.abs(z)
+            for di, (_, law, alloc) in enumerate(designs):
+                if sums[di] == np.inf:
+                    continue
+                # One fft(d) serves all trials, and S * fft(d) is kept: numpy fuses a
+                # complex product's multiply-add, so synthesize_pulse's fft(d) * S
+                # rounds apart from it.
+                syms = np.sqrt(alloc.powers)[:, None] * (phase if law is None else z)
+                err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
+                sums[di] += np.sum(np.abs(err) ** 2)
         rows += [
             {
                 "snr_db": float(snr_db),

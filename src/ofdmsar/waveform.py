@@ -110,4 +110,4 @@ def symbol_magnitudes(powers: np.ndarray, policy: TruncationPolicy | None, u) ->
     if policy is None:
         return np.sqrt(powers)
     q = policy.tail_prob
-    return np.sqrt(powers) * np.sqrt(-2.0 * np.log1p(-(q + (1.0 - q) * u)))
+    return np.sqrt(powers) * np.sqrt(-2.0 * (np.log1p(-q) + np.log1p(-u)))

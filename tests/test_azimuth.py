@@ -231,10 +231,10 @@ class TestFormImage:
         assert errors[0] == errors[1]
         assert errors[0][:2] == (17, pytest.approx(9e-8))
         assert draws == [[128, 127], [255]]
-        assert threading.active_count() == threads  # the symbol worker has ended
+        assert threading.active_count() == threads  # no thread was started
 
-    def test_a_failed_draw_surfaces_and_its_worker_ends(self, spec64, monkeypatch):
-        # 800 pulses: 7 blocks, drawn on a worker thread two ahead of the one formed.
+    def test_a_failed_draw_surfaces_at_its_block(self, spec64, monkeypatch):
+        # 800 pulses: 7 blocks, each drawn as the image takes it.
         geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, 800.0, 1.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         draw, drawn = echo.draw_symbols, []
@@ -250,4 +250,4 @@ class TestFormImage:
         with pytest.raises(RuntimeError, match="third block"):
             form_image(spec64, geom, point_scene(spec64, 1), alloc, 0.03, 2, None)
         assert threading.active_count() == threads
-        assert drawn == [128] * 4  # the third block's error is read before a fifth is asked
+        assert drawn == [128] * 3  # no block is drawn past the failed third

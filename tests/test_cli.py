@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -968,6 +969,33 @@ class TestMseSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: config: trials") and err.count("\n") == 1
         assert not (out / "mse_sweep.csv").exists()
+
+
+def test_tail_prob_near_one_ends_in_finite_outputs(tmp_path):
+    # At q = 1 - 1e-11, q + (1 - q) u once rounded to 1 for u within about 1e-5
+    # of 1: an infinite Gaussian magnitude, a simulate traceback and NaN in every
+    # sweep row, the constant-modulus rows included.
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("signaling = gaussian\ntail_prob = 0.99999999999\n")
+    args = ["--config", str(cfg), "--seed", "0", "--out"]
+    assert run([*args, str(tmp_path / "s"), "simulate"]) == EXIT_OK
+    assert np.all(np.isfinite(np.loadtxt(tmp_path / "s" / "image_db.csv", delimiter=",")))
+    assert run([*args, str(tmp_path / "m"), "mse-sweep"]) == EXIT_OK
+    rows = read_csv(tmp_path / "m" / "mse_sweep.csv")[1:]
+    assert len(rows) == 12
+    assert np.all(np.isfinite([[float(row[2]), float(row[3])] for row in rows]))
+
+
+def test_simulate_and_mse_sweep_start_no_thread(tmp_path, monkeypatch):
+    # Pulse blocks are drawn on the calling thread, as each is taken.
+    def refuse(thread):
+        raise RuntimeError(f"started {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = tmp_path / "car.cfg"
+    cfg.write_text("signaling = gaussian\nscene = car\n")
+    assert run(["--config", str(cfg), "--out", str(tmp_path / "car"), "simulate"]) == EXIT_OK
+    assert run(["--out", str(tmp_path / "m"), "mse-sweep"]) == EXIT_OK
 
 
 class TestTradeoff:

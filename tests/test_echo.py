@@ -241,9 +241,9 @@ class TestBatchedSynthesis:
 
 
 class TestPulseBlocks:
-    """``pulse_blocks`` yields the whole-stream draws a block at a time, drawn on one
-    worker that ends on every exit.  The fault tests patch ``echo.draw_symbols``,
-    the name the worker looks up as it draws."""
+    """``pulse_blocks`` yields the whole-stream draws a block at a time, each drawn
+    as it is taken, on the calling thread.  The fault tests patch
+    ``echo.draw_symbols``, the name it looks up as it draws."""
 
     ALLOC = PowerAllocation.uniform(64, 64.0)
 
@@ -266,8 +266,7 @@ class TestPulseBlocks:
 
     @pytest.mark.parametrize("sigma2", [0.3, 0.0])
     def test_blocks_are_the_whole_stream_draws(self, spec64, sigma2):
-        with self.blocks(spec64, 800, sigma2) as blocks:
-            symbols, noise = zip(*blocks)
+        symbols, noise = zip(*self.blocks(spec64, 800, sigma2))
         assert [s.shape for s in symbols] == [(64, 128)] * 6 + [(64, 32)]
         whole = draw_symbols(spec64, self.ALLOC, pulse_rng(3, 0), 800, GAUSSIAN)
         assert np.hstack(symbols).tobytes() == whole.tobytes()
@@ -277,7 +276,7 @@ class TestPulseBlocks:
             whole = draw_noise(64, sigma2, pulse_rng(3, 1), 800)
             assert np.hstack(noise).tobytes() == whole.tobytes()
 
-    def test_a_failed_draw_surfaces_within_the_draws_ahead(self, spec64, monkeypatch):
+    def test_a_failed_draw_surfaces_at_its_block(self, spec64, monkeypatch):
         def fail_third(drawn, symbols):
             if len(drawn) == 3:
                 raise RuntimeError("third block")
@@ -285,26 +284,24 @@ class TestPulseBlocks:
         drawn, taken = self.patch_draws(monkeypatch, fail_third), []
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third block"):
-            with self.blocks(spec64) as blocks:
-                taken.extend(blocks)
+            taken.extend(self.blocks(spec64))
         assert threading.active_count() == threads
         assert len(taken) == 2
-        assert drawn == [128] * (2 + echo._DRAWS_AHEAD)  # none after the error is read
+        assert drawn == [128] * 3  # none after the failed one
 
-    def test_an_error_the_consumer_raises_ends_the_worker(self, spec64, monkeypatch):
+    def test_an_error_the_consumer_raises_stops_the_draws(self, spec64, monkeypatch):
         drawn = self.patch_draws(monkeypatch)
         threads = threading.active_count()
         with pytest.raises(IllConditionedWaveformError):
-            with self.blocks(spec64) as blocks:
-                for taken, _ in enumerate(blocks, 1):
-                    if taken == 3:
-                        raise IllConditionedWaveformError(17, 9e-8, 1e-6)
+            for taken, _ in enumerate(self.blocks(spec64), 1):
+                if taken == 3:
+                    raise IllConditionedWaveformError(17, 9e-8, 1e-6)
         assert threading.active_count() == threads
-        assert drawn == [128] * (3 + echo._DRAWS_AHEAD)
+        assert drawn == [128] * 3  # none past the block taken
 
     @pytest.mark.parametrize("fault", ["failed draw", "dry last symbol"])
     @pytest.mark.parametrize("caller", ["form_image", "mse_vs_snr"])
-    def test_each_caller_ends_the_worker(self, spec64, monkeypatch, caller, fault):
+    def test_each_caller_surfaces_a_fault(self, spec64, monkeypatch, caller, fault):
         # 255 pulses or trials: one block of 128, then the last of 127.  A failed
         # draw raises in the pulse_blocks iterator; a symbol below the LS floor
         # raises in the caller's LS, in its last block.

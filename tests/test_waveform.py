@@ -10,6 +10,7 @@ from ofdmsar import (
     draw_symbols,
 )
 from ofdmsar.errors import ConfigError, DimensionError
+from ofdmsar.waveform import symbol_magnitudes
 from oracles import circulant_from_pulse, modulate
 
 
@@ -217,6 +218,15 @@ class TestTruncatedSampler:
         for s in range(50):
             sym = draw_symbols(spec, alloc, s, policy=policy)
             assert np.all(np.abs(sym) >= floor - 1e-12)
+
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 1.0 - 1e-11, np.nextafter(1.0, 0.0)])
+    def test_magnitudes_finite_as_u_nears_one(self, q):
+        # q + (1 - q) u rounds to 1 once (1 - q)(1 - u) < 2**-53, and its log1p is
+        # -inf; the law's two log1p terms stay finite for every q < 1 and u < 1.
+        u = np.array([0.0, 0.5, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
+        t = symbol_magnitudes(np.ones(u.size), TruncationPolicy(q), u) ** 2 / 2.0
+        assert np.all(np.isfinite(t))
+        np.testing.assert_allclose(t, -np.log1p(-q) - np.log1p(-u), rtol=1e-12)
 
     def test_inverse_moment_matches_A(self):
         # E[1/|S|^2] = A / ((1 - q) P_k) under the truncated magnitude law.
