@@ -134,7 +134,7 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
 
 def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    geom = cfg.geometry()
+    geom = cfg.geometry(spec)
     sigma2 = spec.noise_power(cfg.snr_db)
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
@@ -186,7 +186,7 @@ def _cmd_tradeoff(cfg: Config, args, out: Path) -> int:
 
 def _cmd_scene_gen(cfg: Config, args, out: Path) -> int:
     spec = cfg.waveform_spec()
-    n_pulses = cfg.geometry().n_pulses  # the scene's swath must lie in front of the platform
+    n_pulses = cfg.geometry(spec).n_pulses  # the scene's swath must lie in front of the platform
     if args.kind == "point" and not 1 <= cfg.scene_azimuth <= n_pulses:
         raise ConfigError(f"scene_azimuth = {cfg.scene_azimuth} must lie between 1 and the "
                           f"pulse count {n_pulses}, to keep the scene file within the image cap")

@@ -52,10 +52,11 @@ class Config:
         self._gaussian()  # every subcommand rejects an unknown signaling
         return WaveformSpec(**{f.name: getattr(self, f.name) for f in fields(WaveformSpec)})
 
-    def geometry(self) -> Geometry:
-        """Geometry of an image of N x n_pulses <= 2**24 cells and a positive near-swath range."""
+    def geometry(self, spec: WaveformSpec | None = None) -> Geometry:
+        """Geometry of an image of N x n_pulses <= 2**24 cells and a positive near-swath
+        range, for ``spec``, the command's ``waveform_spec()``; None builds it."""
         geom = Geometry(**{f.name: getattr(self, f.name) for f in fields(Geometry)})
-        spec = self.waveform_spec()
+        spec = self.waveform_spec() if spec is None else spec
         if spec.n_subcarriers * geom.n_pulses > _MAX_CELLS:
             raise ConfigError(f"prf * aperture_time = {geom.n_pulses} pulses times N = "
                               f"{spec.n_subcarriers} exceeds {_MAX_CELLS} image cells")

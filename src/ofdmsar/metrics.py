@@ -83,11 +83,8 @@ def mse_vs_snr(
             for di, (_, law, alloc) in enumerate(designs):
                 if sums[di] == np.inf:
                     continue
-                # One fft(d) serves all trials, and S * fft(d) is kept: numpy fuses a
-                # complex product's multiply-add, so synthesize_pulse's fft(d) * S
-                # rounds apart from it.
                 syms = np.sqrt(alloc.powers)[:, None] * (phase if law is None else z)
-                err = ls_estimate(syms * d_f + w_f, syms, alloc) - d[:, None]
+                err = ls_estimate(d_f * syms + w_f, syms, alloc) - d[:, None]
                 sums[di] += np.sum(np.abs(err) ** 2)
         rows += [
             {

@@ -707,9 +707,18 @@ class TestSimulate:
 
     def test_image_cap_is_n_times_pulses(self):
         # 64 subcarriers x 262144 pulses is 2**24 cells, the most an image holds.
-        assert Config(prf=262144.0).geometry().n_pulses == 262144
+        cfg = Config(prf=262144.0)
+        assert cfg.geometry(cfg.waveform_spec()).n_pulses == 262144
+        cfg = Config(prf=262145.0)
         with pytest.raises(ConfigError, match="262145 pulses times N = 64"):
-            Config(prf=262145.0).geometry()
+            cfg.geometry(cfg.waveform_spec())
+
+    def test_geometry_without_a_spec_builds_the_configs(self):
+        # 64 cells of 0.1 m put the near edge 0.2 m behind the platform; 2 do not.
+        cfg = Config(slant_range_center=3.0)
+        with pytest.raises(ConfigError, match="closest-approach range -0.19"):
+            cfg.geometry()
+        assert cfg.geometry(WaveformSpec(2, 1.5e9, 64.0)).n_pulses == 800
 
     def test_swath_reaching_behind_zero_range_config_error(self, tmp_path, capsys):
         # At 1 MHz the 64 range cells are 150 m each, so the swath would start

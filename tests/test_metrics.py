@@ -11,9 +11,9 @@ from ofdmsar import (
 )
 from ofdmsar import echo, metrics
 from ofdmsar.config import parse_config
-from ofdmsar.echo import draw_noise
+from ofdmsar.echo import draw_noise, synthesize_pulse
 from ofdmsar.errors import ConfigError, IllConditionedWaveformError, NoPeakError
-from ofdmsar.waveform import draw_symbols
+from ofdmsar.waveform import WaveformSpec, draw_symbols
 
 #: (label, Gaussian symbols, water-filling allocation) of each design, in row order.
 DESIGNS = (
@@ -212,6 +212,25 @@ class TestMseVsSnr:
         d_f = np.fft.fft(np.eye(64)[32])[:, None]
         noise = draw_noise(64, spec64.noise_power(10.0), noise_rng, 300)
         np.testing.assert_allclose(spectrum - symbols * d_f, noise, atol=1e-13)
+
+    def test_trial_spectra_are_synthesize_pulse_bit_for_bit(self, monkeypatch):
+        # At odd N, fft of the point scatterer is inexact, so only one operand
+        # order of the symbol product reproduces synthesize_pulse's rounding.
+        spec = WaveformSpec(n_subcarriers=63, bandwidth=1.5e9, power_budget=63.0)
+        calls, ls_estimate = [], metrics.ls_estimate
+
+        def capture(spectrum, symbols, alloc):
+            calls.append((spectrum, symbols))
+            return ls_estimate(spectrum, symbols, alloc)
+
+        monkeypatch.setattr(metrics, "ls_estimate", capture)
+        mse_vs_snr(spec, ChannelGains(np.ones(63)), [10.0], 100, seed=4)
+        assert len(calls) == 3  # one block of 100 trials, three designs
+        noise = draw_noise(63, spec.noise_power(10.0), point_streams(4, 0)[1], 100)
+        d = np.repeat(np.eye(63)[31][:, None], 100, axis=1)
+        for spectrum, symbols in calls:
+            expected = synthesize_pulse(symbols, d, noise)
+            assert spectrum.tobytes() == expected.tobytes()
 
     def test_design_below_ls_floor_rejected_before_drawing(self, monkeypatch):
         # Water-filling leaves subcarrier 12 at 3.1e-4 P/N, and the smallest

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from ofdmsar import (
     draw_symbols,
 )
 from ofdmsar.errors import ConfigError, DimensionError
-from ofdmsar.waveform import symbol_magnitudes
+from ofdmsar.waveform import symbol_magnitudes, unit_phasors
 from oracles import circulant_from_pulse, modulate
 
 
@@ -131,6 +133,57 @@ class TestDrawSymbols:
         spec = WaveformSpec(4, 4.0, 4.0)
         with pytest.raises(DimensionError):
             draw_symbols(spec, PowerAllocation.uniform(5, 5.0), seed=0)
+
+    @pytest.mark.parametrize("policy, mib", [(None, 2.09), (GAUSSIAN, 3.13)],
+                             ids=["constant-modulus", "gaussian"])
+    def test_peak_memory_of_a_whole_image_draw(self, spec64, uniform64, policy, mib):
+        # An 800-pulse draw, as synthesize_raw makes, peaked at 2.08 and 3.13 MiB
+        # through numpy's complex exp; the phasor kernel must hold no more.
+        draw_symbols(spec64, uniform64, 0, 800, policy)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            draw_symbols(spec64, uniform64, rng, 800, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
+
+
+class TestUnitPhasors:
+    @staticmethod
+    def turns():
+        """Table edges k / 1024 and their float neighbours, quarter turns, the
+        largest turn below 1 and 1e5 uniforms."""
+        edges = np.arange(1024) / 1024
+        return np.concatenate([
+            edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+            [0.25, 0.5, 0.75, 1.0 - 2.0**-53],
+            np.random.default_rng(3).uniform(0.0, 1.0, 10**5),
+        ])
+
+    def test_components_match_numpy_exp(self):
+        u = self.turns()
+        z, expected = unit_phasors(u), np.exp(2j * np.pi * u)
+        np.testing.assert_allclose(z.real, expected.real, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(z.imag, expected.imag, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(z), 1.0, rtol=0.0, atol=1e-15)
+        assert unit_phasors(np.zeros(3)).tobytes() == np.ones(3, complex).tobytes()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_components_within_stated_bound(self):
+        u = self.turns()
+        angle = 2 * np.arccos(np.longdouble(-1.0)) * u.astype(np.longdouble)
+        z = unit_phasors(u)
+        assert np.max(np.abs(z.real - np.cos(angle))) <= 1.2e-16
+        assert np.max(np.abs(z.imag - np.sin(angle))) <= 1.2e-16
+
+    @pytest.mark.parametrize("rows", [1, 7, 128, 300])
+    def test_row_blocks_match_whole_array(self, rows):
+        u = np.random.default_rng(4).uniform(0.0, 1.0, (800, 64))
+        blocks = np.vstack([unit_phasors(u[r:r + rows]) for r in range(0, 800, rows)])
+        assert unit_phasors(u).tobytes() == blocks.tobytes()
 
 
 class TestModulate:
