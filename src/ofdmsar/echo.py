@@ -40,12 +40,12 @@ def draw_noise(n: int, sigma2: float, seed, pulses: int | None = None) -> np.nda
 
 
 def synthesize_pulse(symbols: np.ndarray, d: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    """Received spectrum ``S * fft(d) + W_f`` of one pulse (N,) or a block (N, P),
-    with the ``draw_noise`` block ``noise`` as W_f; None adds none."""
+    """Received spectrum ``S * fft(d) + W_f`` of one pulse (N,) or a block (N, P), in the
+    symbols' layout, with the ``draw_noise`` block ``noise`` as W_f; None adds none."""
     d = np.asarray(d, dtype=complex)
     if d.shape != symbols.shape:
         raise DimensionError(f"coefficient shape {d.shape} != symbols {symbols.shape}")
-    spectrum = np.fft.fft(d, axis=0)
+    spectrum = np.fft.fft(d, axis=0, out=np.empty_like(symbols, dtype=complex))
     spectrum *= symbols  # in place, as numpy does for a whole image: blocks round the same
     if noise is not None:
         spectrum += noise

@@ -8,9 +8,9 @@ weighting coefficient
 where o = p - n_pulses // 2 - s_a is the pulse's offset from the column's
 closest approach, R_m is row m's hyperbolic slant-range history and env a
 rectangular aperture window of width T_a.  Columns lie a whole number of
-pulses apart, so the scatterers of row m share one range-history kernel,
-evaluated once on the run of in-beam offsets; ``scene_coefficients`` returns
-d at every pulse of the grid.
+pulses apart, so the scatterers of row m share one range-history kernel on the
+in-beam offsets, summed pulse-major in ascending column order with the dense
+sum's bits; ``scene_coefficients`` returns d at every pulse of the grid.
 """
 
 from __future__ import annotations
@@ -134,41 +134,46 @@ def scene_coefficients(geom: Geometry, scene: Scene) -> np.ndarray:
     """Coefficients d_m summed over the columns, (M, n_pulses): column p is
     pulse p of ``geom.slow_time()``.
 
-    The kernel exp(-j 4 pi f_c R_m(o / prf) / c) is evaluated once per occupied
-    row m on the run of in-beam offsets o; each occupied column adds rcs times
-    the slice of it that falls on the grid, over the rows it spans, in
-    ascending column order.  The run is symmetric, -k..k, and R_m depends on
-    o only through o^2, so the kernel is evaluated on 0..k and mirrored; it
-    spans the rows from the first occupied one to the last.
+    The kernel exp(-j 4 pi f_c R_m(o / prf) / c) is evaluated pulse-major, over
+    the occupied rows m only, on the in-beam offsets o = -k..k (on 0..k and
+    mirrored, as R_m depends on o^2).  In ascending column order, each occupied
+    column adds rcs times the slice of it on the grid to one contiguous block of
+    a pulse-major sum; adjacent columns of equal rcs share one product.  Each
+    term is rounded once, as the dense sum rounds it, and the ±0 terms of empty
+    cells change no bit of a sum that starts at +0.  It is copied once into d.
     """
     n = geom.n_pulses
-    d = np.zeros((scene.n_range_cells, n), dtype=complex)
     rows, cols = np.nonzero(scene.rcs.T)[::-1]  # by column
-    if rows.size == 0:
-        return d
     base = n // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1
     o = np.arange(-base, base + 1)
     o = o[aperture_envelope(geom, o / geom.prf).astype(bool)]
     k = o.size // 2  # o is -k..k
     kernel_rows = np.unique(rows)
-    first = kernel_rows[0]  # kernel row i is range row first + i
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
-    r = slant_range(geom, rbar[kernel_rows, None], o[k:] / geom.prf)
-    kernel = np.zeros((kernel_rows[-1] + 1 - first, o.size), dtype=complex)
-    kernel[kernel_rows - first, k:] = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
-    kernel[:, :k] = kernel[:, :k:-1]
-    # Columns lie max(1, round(prf rho_a / v)) pulses apart, the count nearest
-    # one azimuth cell; a step past n_pulses, where no other column is ever in
-    # the beam, is held.
+    r = slant_range(geom, rbar[kernel_rows], o[k:, None] / geom.prf)
+    kernel = np.empty((o.size, kernel_rows.size), dtype=complex)
+    kernel[k:] = np.exp(-4j * np.pi * geom.carrier_freq * r / SPEED_OF_LIGHT)
+    kernel[:k] = kernel[:k:-1]
+    # Columns lie max(1, round(prf rho_a / v)) pulses apart, the count nearest one azimuth
+    # cell; a step past n_pulses, where no other column is ever in the beam, is held.
     step = max(1, round(min(geom.prf * geom.azimuth_resolution() / geom.velocity, n)))
-    columns, starts, counts = np.unique(cols, return_index=True, return_counts=True)
+    columns = np.unique(cols)
     firsts = n // 2 + (columns - scene.n_azimuth // 2) * step + o[0]  # pulse at o[0]
-    # r0:r1 spans a column's occupied rows; the zeros its empty cells add change no bit.
-    for a, r0, r1, s in zip(columns, rows[starts], rows[starts + counts - 1] + 1, firsts):
-        lo, hi = max(s, 0), min(s + o.size, n)
-        if lo < hi:
-            span = kernel[r0 - first:r1 - first, lo - s:hi - s]
-            d[r0:r1, lo:hi] += scene.rcs[r0:r1, a, None] * span
+    lo, hi = np.maximum(firsts, 0), np.minimum(firsts + o.size, n)
+    columns, firsts, lo, hi = (x[lo < hi] for x in (columns, firsts, lo, hi))
+    rcs = scene.rcs[kernel_rows]
+    new = np.ones(columns.size, dtype=bool)  # a run starts where != finds a difference
+    new[1:] = np.any(rcs[:, columns[1:]] != rcs[:, columns[:-1]], axis=0)
+    acc, prod = np.zeros((n, kernel_rows.size), dtype=complex), np.empty_like(kernel)
+    starts = np.flatnonzero(new)
+    for j0, j1 in zip(starts, [*starts[1:], columns.size]):
+        klo, khi = lo[j1 - 1] - firsts[j1 - 1], hi[j0] - firsts[j0]  # later columns read lower o
+        np.multiply(rcs[:, columns[j0]], kernel[klo:khi], out=prod[klo:khi])
+        for s, a, b in zip(firsts[j0:j1], lo[j0:j1], hi[j0:j1]):
+            acc[a:b] += prod[a - s:b - s]
+    kernel = prod = None  # freed before the result is allocated
+    d = np.zeros((scene.n_range_cells, n), dtype=complex)
+    d[kernel_rows] = acc.T
     return d
 
 

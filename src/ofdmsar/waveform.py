@@ -99,9 +99,9 @@ def draw_symbols(
     lead = () if pulses is None else (pulses,)
     n = spec.n_subcarriers
     if policy is None:
-        u, turns = None, rng.uniform(0.0, 1.0, (*lead, n))
+        u, turns = None, rng.random((*lead, n))
     else:
-        u = rng.uniform(0.0, 1.0, (*lead, 2, n))  # per pulse: magnitude row, phase row
+        u = rng.random((*lead, 2, n))  # per pulse: magnitude row, phase row
         u, turns = u[..., 0, :], u[..., 1, :]
     symbols = unit_phasors(turns)
     symbols *= symbol_magnitudes(alloc.powers, policy, u)

@@ -94,6 +94,21 @@ class TestSynthesizePulse:
         var = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert abs(var - 64 * sigma2) < 0.02 * 64 * sigma2
 
+    @pytest.mark.parametrize("layout", ["real", "c-ordered", "f-ordered"])
+    def test_block_bits_in_any_symbol_layout(self, layout):
+        # The spectrum is made in the symbols' layout and carries the bits of
+        # the expression, for real symbols too; d is a column slice of a
+        # C-ordered array, as form_image passes its cells.
+        rng = np.random.default_rng(12)
+        re, im = rng.standard_normal((2, 64, 40))
+        sym = {"real": re, "c-ordered": re + 1j * im,
+               "f-ordered": np.asfortranarray(re + 1j * im)}[layout]
+        cells = rng.standard_normal((64, 50)) + 1j * rng.standard_normal((64, 50))
+        d, noise = cells[:, 5:45], draw_noise(64, 0.3, 13, 40)
+        y_f = synthesize_pulse(sym, d, noise)
+        assert y_f.tobytes() == (np.fft.fft(d, axis=0) * sym + noise).tobytes()
+        assert y_f.flags.f_contiguous == (layout == "f-ordered")
+
     def test_dimension_mismatch(self):
         spec, sym = seeded_symbols(8, 1)
         with pytest.raises(DimensionError):

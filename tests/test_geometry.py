@@ -200,6 +200,74 @@ class TestOccupiedCellEvaluation:
         scene = Scene(values * (rng.random(shape) < density), range_cell_size(spec))
         assert_equal_to_dense(DEFAULT_GEOM, scene)
 
+    @staticmethod
+    def columns(values, n_azimuth, at):
+        # A 64 x n_azimuth scene whose column at[i] is values[i].
+        rcs = np.zeros((64, n_azimuth), dtype=complex)
+        rcs[:, at] = np.transpose(values)
+        return Scene(rcs, range_cell_size(WaveformSpec(64, 1.5e9, 64.0)))
+
+    def test_clipped_run_of_equal_complex_columns(self, geom):
+        # Columns 2..6 of 9 share one product: column 2 reaches closest approach
+        # 24 pulses before the middle pulse, so the grid's left edge clips its
+        # window; column 6, 24 pulses after it, is clipped by the right edge.
+        rng = np.random.default_rng(21)
+        col = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * (rng.random(64) < 0.5)
+        other = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        assert_equal_to_dense(geom, self.columns([other] + [col] * 5 + [other], 9, range(1, 8)))
+
+    def test_equal_columns_apart_and_one_row_apart(self, geom):
+        # Columns 1 and 3 are equal with column 2 between them; from column 4
+        # on, neighbours differ in the first row or the last alone.
+        rng = np.random.default_rng(22)
+        a, b = (rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64)))
+        first, last = b.copy(), b.copy()
+        first[0] += 1.0
+        last[63] -= 1j
+        values = [a, b, a, b, first, b, last, b]
+        assert_equal_to_dense(geom, self.columns(values, 9, range(1, 9)))
+
+    def test_grid_of_point_targets(self, geom, spec64):
+        rcs = np.zeros((64, 64))
+        rcs[np.ix_([20, 32, 44], [16, 32, 48])] = 1.0
+        assert_equal_to_dense(geom, Scene(rcs, range_cell_size(spec64)))
+
+    def test_runs_outside_and_across_the_aperture(self, geom):
+        # Of 200 columns 12 pulses apart, 0..33 never enter the beam: the run
+        # 0..10 lies wholly outside it and the run 28..40 enters it at column 34.
+        rng = np.random.default_rng(23)
+        cols = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        at = [*range(11), *range(28, 41), 100, 101]
+        values = [cols[0]] * 11 + [cols[1]] * 13 + [cols[2], cols[0]]
+        assert_equal_to_dense(geom, self.columns(values, 200, at))
+
+    def test_columns_differing_by_signed_zeros_share_a_product(self, geom):
+        # 0.0 and -0.0 compare equal, so columns 2 and 3 form one run; row 5
+        # is occupied in column 5, so both add its products to that row.
+        col = np.ones(64, dtype=complex)
+        col[5], signed = 0.0, col.copy()
+        signed[5] = complex(-0.0, -0.0)
+        ones = np.zeros(64, dtype=complex)
+        ones[5] = 1j
+        assert_equal_to_dense(geom, self.columns([col, signed, ones], 9, [2, 3, 5]))
+
+    @given(
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_runs_of_repeated_columns_bit_equal_to_dense(self, picks, seed):
+        # Columns drawn from a palette of three sparse complex columns, one with
+        # signed zeros, and an empty one, so runs of equal columns are common.
+        spec = WaveformSpec(16, 1.5e9, 16.0)
+        rng = np.random.default_rng(seed)
+        palette = (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))) \
+            * (rng.random((4, 16)) < 0.6)
+        palette[2] = np.where(palette[2] == 0, complex(-0.0, 0.0), palette[2])
+        palette[3] = 0.0
+        scene = Scene(palette[picks].T, range_cell_size(spec))
+        assert_equal_to_dense(DEFAULT_GEOM, scene)
+
     def test_occupied_cells(self, spec64):
         assert np.count_nonzero(car_scene(spec64).rcs) == 819
         np.testing.assert_array_equal(np.nonzero(point_scene(spec64, 9).rcs), [[32], [4]])
@@ -212,6 +280,12 @@ class TestSlowTimeArray:
         d = scene_coefficients(geom, scene)
         assert d.shape == (64, geom.n_pulses)
         assert not np.any(d)
+
+
+    def test_result_is_c_ordered(self, geom, spec64):
+        # Range rows contiguous: F-ordered cells made RCMC and focusing slower.
+        d = scene_coefficients(geom, car_scene(spec64))
+        assert d.shape == (64, geom.n_pulses) and d.flags.c_contiguous
 
 
 class TestInBeamPulses:
@@ -242,6 +316,19 @@ class TestInBeamPulses:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_car_scene_peak_memory(self, geom, spec64):
+        # The pulse-major sum frees its kernel before the result is allocated:
+        # no more than the 1.705 MiB the column-by-column sum into the result held.
+        scene = car_scene(spec64)
+        scene_coefficients(geom, scene)
+        tracemalloc.start()
+        try:
+            scene_coefficients(geom, scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.70 * 2**20
 
     def test_point_scene_peak_memory_per_cell(self):
         # The kernel spans the occupied rows only, not every range row by every

@@ -129,6 +129,25 @@ class TestDrawSymbols:
         np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, 3, policy), block[:, :3])
         np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, policy=policy), block[:, 0])
 
+    @pytest.mark.parametrize("pulses", [None, 7], ids=["one-pulse", "7-pulse-block"])
+    @pytest.mark.parametrize("policy", [None, GAUSSIAN], ids=["constant-modulus", "gaussian"])
+    def test_draws_are_the_uniform_draws_on_0_1(self, policy, pulses):
+        # rng.random(shape) reads the doubles uniform(0, 1, shape) reads, 0 + 1 x
+        # = x, and leaves the generator in the same state.
+        spec = WaveformSpec(16, 16.0, 16.0)
+        alloc = PowerAllocation(np.linspace(0.5, 1.5, 16), 16.0)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        drawn = draw_symbols(spec, alloc, rng, pulses, policy)
+        lead = () if pulses is None else (pulses,)
+        if policy is None:
+            u, turns = None, twin.uniform(0.0, 1.0, (*lead, 16))
+        else:
+            u = twin.uniform(0.0, 1.0, (*lead, 2, 16))
+            u, turns = u[..., 0, :], u[..., 1, :]
+        expected = unit_phasors(turns) * symbol_magnitudes(alloc.powers, policy, u)
+        assert drawn.tobytes() == expected.T.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_length_mismatch(self):
         spec = WaveformSpec(4, 4.0, 4.0)
         with pytest.raises(DimensionError):
