@@ -6,10 +6,11 @@ predictions, with common random variates across designs within each trial.
 A trial is drawn as an image draws a pulse: SNR point si is the key ``(si,)``
 of ``echo.pulse_blocks``, trial t is pulse t of its two streams, and the
 trials come in the blocks that it draws as each is taken: unit-power symbols
-and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the
-symbols by sqrt(P_k), keeping only their phase for constant modulus, and is
-estimated by one batched LS call per block.  So the draws do not depend on the
-block size; the summed empirical MSE does, by its summation order only.
+and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the symbols by
+sqrt(P_k), keeping only their phase for constant modulus, and its ``ls_spectrum``
+estimate X of a block is scored in the subcarrier domain by Parseval's theorem,
+sum |ifft(X) - d|^2 = sum |X - fft(d)|^2 / N, so no inverse FFT is made.  The
+draws do not depend on the block size; the summed MSE does, by its order only.
 
 The Gaussian law cuts the tail below its q-quantile, so the empirical
 expectation exists.  It is A / (1 - q): A, the paper's truncated integral,
@@ -29,7 +30,8 @@ from .allocation import (
 )
 from .echo import pulse_blocks
 from .errors import ConfigError, NoPeakError
-from .rangeproc import check_ls_floor, ls_estimate
+from .rangeproc import check_ls_floor, ls_spectrum
+from .rangeproc import ls_estimate  # noqa: F401  unused: a tracer target until ROADMAP 1a
 from .waveform import WaveformSpec, symbol_magnitudes
 
 __all__ = ["mse_vs_snr", "sidelobe_stats"]
@@ -75,6 +77,7 @@ def mse_vs_snr(
         ]
         # A dry subcarrier makes the LS estimator singular: infinite MSE.
         sums = [0.0 if np.all(alloc.powers > 0.0) else np.inf for *_, alloc in designs]
+        roots = [np.sqrt(alloc.powers)[:, None] for *_, alloc in designs]
         for (label, law, alloc), total in zip(designs, sums):
             if total == 0.0:  # magnitudes grow with u, so u = 0 gives the smallest draw
                 check_ls_floor(symbol_magnitudes(alloc.powers, law, 0.0) ** 2, alloc, label)
@@ -83,14 +86,18 @@ def mse_vs_snr(
             for di, (_, law, alloc) in enumerate(designs):
                 if sums[di] == np.inf:
                     continue
-                syms = np.sqrt(alloc.powers)[:, None] * (phase if law is None else z)
-                err = ls_estimate(d_f * syms + w_f, syms, alloc) - d[:, None]
-                sums[di] += np.sum(np.abs(err) ** 2)
+                syms = roots[di] * (phase if law is None else z)
+                y = d_f * syms  # synthesize_pulse's operand order: its spectrum bit for bit
+                y += w_f
+                x = ls_spectrum(y, syms, alloc)
+                x -= d_f  # the error's DFT: Parseval sums it without an inverse FFT
+                x = x.ravel("K")  # a view in any one-segment layout
+                sums[di] += np.vdot(x, x).real
         rows += [
             {
                 "snr_db": float(snr_db),
                 "design": label,
-                "empirical_nmse": float(total / n_trials),
+                "empirical_nmse": float(total / (n * n_trials)),
                 "analytic_nmse": emse_of_alloc(alloc, sigma2, law),
             }
             for (label, law, alloc), total in zip(designs, sums)

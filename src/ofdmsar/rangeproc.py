@@ -1,12 +1,13 @@
 """Least-squares range profiling via per-subcarrier division.
 
 The channel operator is diagonalized by the DFT with the subcarrier symbols
-as eigenvalues, so the LS estimate of received spectrum ``Y_f`` is
-``ifft(Y_f / S_k)``: the dense pseudo-inverse formula exactly, with no
-inter-range-cell interference.  ``ls_estimate`` takes the spectrum of one
-pulse (N,) or of a block (N, P); ``range_profile_cube`` takes ``synthesize_raw``'s.
-There is no regularizer: a symbol below the conditioning floor 1e-6 * P/N of
-its allocation (``check_ls_floor``) rejects the call rather than biasing the MSE.
+as eigenvalues, so the LS estimate of received spectrum ``Y_f`` is ``Y_f / S_k``
+per subcarrier (``ls_spectrum``, the one division) and ``ifft(Y_f / S_k)`` in range
+(``ls_estimate``): the dense pseudo-inverse formula exactly, with no
+inter-range-cell interference.  Both take the spectrum of one pulse (N,) or of
+a block (N, P); ``range_profile_cube`` takes ``synthesize_raw``'s.  There is no
+regularizer: a symbol below the conditioning floor 1e-6 * P/N of its
+allocation (``check_ls_floor``) rejects the call rather than biasing the MSE.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .allocation import PowerAllocation
 from .errors import DimensionError, IllConditionedWaveformError
 
-__all__ = ["check_ls_floor", "ls_estimate", "range_profile_cube"]
+__all__ = ["check_ls_floor", "ls_estimate", "ls_spectrum", "range_profile_cube"]
 
 
 def check_ls_floor(power: np.ndarray, alloc: PowerAllocation, design: str = "") -> None:
@@ -28,16 +29,21 @@ def check_ls_floor(power: np.ndarray, alloc: PowerAllocation, design: str = "") 
         raise IllConditionedWaveformError(int(first[-1]), float(power[first]), floor, design)
 
 
-def ls_estimate(
-    spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation
-) -> np.ndarray:
-    """LS estimate of the weighting RCS vectors, one per column of ``spectrum``."""
+def ls_spectrum(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
+    """LS estimate per subcarrier, a new ``spectrum / symbols``: ``ls_estimate``'s DFT."""
     if np.shape(spectrum) != symbols.shape:
         raise DimensionError(f"received shape {np.shape(spectrum)} != symbols {symbols.shape}")
     if symbols.shape[0] != len(alloc):
         raise DimensionError("symbol vector length must match allocation")
-    check_ls_floor(np.abs(symbols.T) ** 2, alloc)  # pulse-major: the first bad pulse is named
-    return np.fft.ifft(spectrum / symbols, axis=0)
+    power = np.abs(symbols.T)  # pulse-major: the first bad pulse is named
+    check_ls_floor(np.square(power, out=power), alloc)
+    return spectrum / symbols
+
+
+def ls_estimate(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
+    """LS estimate of the weighting RCS vectors, one per column of ``spectrum``."""
+    ratio = ls_spectrum(spectrum, symbols, alloc).astype(complex, copy=False)
+    return np.fft.ifft(ratio, axis=0, out=ratio)  # in place: one array, not two
 
 
 def range_profile_cube(cube: tuple) -> np.ndarray:

@@ -13,6 +13,7 @@ from ofdmsar import echo, metrics
 from ofdmsar.config import parse_config
 from ofdmsar.echo import draw_noise, synthesize_pulse
 from ofdmsar.errors import ConfigError, IllConditionedWaveformError, NoPeakError
+from ofdmsar.rangeproc import ls_estimate
 from ofdmsar.waveform import WaveformSpec, draw_symbols
 
 #: (label, Gaussian symbols, water-filling allocation) of each design, in row order.
@@ -27,6 +28,18 @@ def point_streams(seed, si):
     """The symbol and noise streams of SNR point si."""
     root = np.random.SeedSequence(seed, spawn_key=(si,))
     return [np.random.default_rng(child) for child in root.spawn(2)]
+
+
+def capture_ls_spectrum(monkeypatch) -> list:
+    """The (spectrum, symbols, alloc) of each call the sweep makes to ``ls_spectrum``."""
+    calls, ls_spectrum = [], metrics.ls_spectrum
+
+    def capture(spectrum, symbols, alloc):
+        calls.append((spectrum, symbols, alloc))
+        return ls_spectrum(spectrum, symbols, alloc)
+
+    monkeypatch.setattr(metrics, "ls_spectrum", capture)
+    return calls
 
 
 def per_trial_mse(spec, ch, snr_grid, n_trials, seed, policy):
@@ -192,18 +205,12 @@ class TestMseVsSnr:
     def test_trials_are_draw_symbols_pulses(self, spec64, monkeypatch):
         # Trial t's symbols are pulse t of draw_symbols on the point's symbol
         # stream, and its noise is pulse t of draw_noise on the noise stream.
-        calls, ls_estimate = [], metrics.ls_estimate
-
-        def capture(spectrum, symbols, alloc):
-            calls.append((spectrum, symbols))
-            return ls_estimate(spectrum, symbols, alloc)
-
-        monkeypatch.setattr(metrics, "ls_estimate", capture)
+        calls = capture_ls_spectrum(monkeypatch)
         policy = TruncationPolicy()
         mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 300, seed=8, policy=policy)
         labels = [label for label, *_ in DESIGNS] * 3  # blocks of 128, 128 and 44
         spectrum, symbols = (np.hstack(x) for x in zip(*(
-            call for call, label in zip(calls, labels, strict=True)
+            call[:2] for call, label in zip(calls, labels, strict=True)
             if label == "gaussian uniform")))
         symbol_rng, noise_rng = point_streams(8, 0)
         uniform = PowerAllocation.uniform(64, spec64.power_budget)
@@ -217,20 +224,46 @@ class TestMseVsSnr:
         # At odd N, fft of the point scatterer is inexact, so only one operand
         # order of the symbol product reproduces synthesize_pulse's rounding.
         spec = WaveformSpec(n_subcarriers=63, bandwidth=1.5e9, power_budget=63.0)
-        calls, ls_estimate = [], metrics.ls_estimate
-
-        def capture(spectrum, symbols, alloc):
-            calls.append((spectrum, symbols))
-            return ls_estimate(spectrum, symbols, alloc)
-
-        monkeypatch.setattr(metrics, "ls_estimate", capture)
+        calls = capture_ls_spectrum(monkeypatch)
         mse_vs_snr(spec, ChannelGains(np.ones(63)), [10.0], 100, seed=4)
         assert len(calls) == 3  # one block of 100 trials, three designs
         noise = draw_noise(63, spec.noise_power(10.0), point_streams(4, 0)[1], 100)
         d = np.repeat(np.eye(63)[31][:, None], 100, axis=1)
-        for spectrum, symbols in calls:
+        for spectrum, symbols, _ in calls:
             expected = synthesize_pulse(symbols, d, noise)
             assert spectrum.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_subcarrier_scoring_is_the_time_domain_error(self, monkeypatch, n):
+        # By Parseval, sum |ifft(X) - d|^2 = sum |X - fft(d)|^2 / N.  At odd N
+        # fft(d) is inexact, so the two scorings part by rounding only.
+        spec = WaveformSpec(n_subcarriers=n, bandwidth=1.5e9, power_budget=float(n))
+        profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(n) / n)
+        ch = ChannelGains(profile / profile.mean())
+        calls = capture_ls_spectrum(monkeypatch)
+        rows = mse_vs_snr(spec, ch, [10.0], 300, seed=11)
+        step = echo._BLOCK_CELLS // n
+        assert 300 % step not in (0, step)  # a short last block
+        labels = [label for label, *_ in DESIGNS] * -(-300 // step)
+        d = np.eye(n)[n // 2][:, None]
+        expected = dict.fromkeys(labels, 0.0)
+        for (spectrum, symbols, alloc), label in zip(calls, labels, strict=True):
+            expected[label] += np.sum(np.abs(ls_estimate(spectrum, symbols, alloc) - d) ** 2)
+        assert [r["design"] for r in rows] == [label for label, *_ in DESIGNS]
+        for row in rows:
+            assert np.isfinite(row["empirical_nmse"])
+            assert row["empirical_nmse"] == pytest.approx(expected[row["design"]] / 300, rel=1e-12)
+
+    def test_sweep_makes_no_inverse_fft(self, monkeypatch, spec64):
+        # One ls_spectrum call per design per block of 128, 128 and 44 trials.
+        def no_ifft(*args, **kwargs):
+            raise AssertionError("inverse FFT")
+
+        calls = capture_ls_spectrum(monkeypatch)
+        monkeypatch.setattr(np.fft, "ifft", no_ifft)
+        rows = mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 300, seed=0)
+        assert len(calls) == 9
+        assert all(np.isfinite(r["empirical_nmse"]) for r in rows)
 
     def test_design_below_ls_floor_rejected_before_drawing(self, monkeypatch):
         # Water-filling leaves subcarrier 12 at 3.1e-4 P/N, and the smallest

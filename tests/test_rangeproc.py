@@ -13,6 +13,7 @@ from ofdmsar import (
 from ofdmsar.allocation import TruncationPolicy
 from ofdmsar.echo import draw_noise
 from ofdmsar.errors import DimensionError, IllConditionedWaveformError
+from ofdmsar.rangeproc import ls_spectrum
 from ofdmsar.scenes import point_scene
 from oracles import circulant_from_pulse, modulate
 
@@ -181,6 +182,24 @@ class TestRangeProfileCube:
         for p in (0, 1, 400, 799):
             single = ls_estimate(spectrum[:, p], symbols[:, p], alloc)
             np.testing.assert_array_equal(profiles[:, p], single)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_estimate_is_inverse_fft_of_spectrum_bit_for_bit(self, spec64, order):
+        # The in-place inverse FFT rounds as a fresh one of Y / S does.
+        rng = np.random.default_rng(21)
+        alloc = PowerAllocation.uniform(64, 64.0)
+        symbols = np.asarray(draw_symbols(spec64, alloc, rng, 37, TruncationPolicy()), order=order)
+        spectrum = np.asarray(random_d(64 * 37, rng).reshape(64, 37), order=order)
+        ratio = ls_spectrum(spectrum, symbols, alloc)
+        assert ratio.tobytes() == (spectrum / symbols).tobytes()
+        expected = np.fft.ifft(spectrum / symbols, axis=0)
+        assert ls_estimate(spectrum, symbols, alloc).tobytes() == expected.tobytes()
+
+    def test_real_operands_estimate(self):
+        alloc = PowerAllocation.uniform(4, 4.0)
+        symbols, spectrum = np.full(4, 2.0), np.array([2.0, 0.0, 4.0, 0.0])
+        np.testing.assert_array_equal(ls_estimate(spectrum, symbols, alloc),
+                                      np.fft.ifft(spectrum / symbols))
 
     def test_one_ill_conditioned_pulse_rejects_cube(self, geom, spec64):
         alloc = PowerAllocation.uniform(64, 64.0)
