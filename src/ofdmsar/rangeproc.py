@@ -8,6 +8,7 @@ inter-range-cell interference.  Both take the spectrum of one pulse (N,) or of
 a block (N, P); ``range_profile_cube`` takes ``synthesize_raw``'s.  There is no
 regularizer: a symbol below the conditioning floor 1e-6 * P/N of its
 allocation (``check_ls_floor``) rejects the call rather than biasing the MSE.
+``ls_estimate`` checks every symbol; the MSE Monte Carlo checks per block.
 """
 
 from __future__ import annotations
@@ -29,19 +30,20 @@ def check_ls_floor(power: np.ndarray, alloc: PowerAllocation, design: str = "") 
         raise IllConditionedWaveformError(int(first[-1]), float(power[first]), floor, design)
 
 
-def ls_spectrum(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
-    """LS estimate per subcarrier, a new ``spectrum / symbols``: ``ls_estimate``'s DFT."""
+def ls_spectrum(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``ls_estimate``'s DFT ``spectrum / symbols``, into ``out`` if given; no floor check."""
     if np.shape(spectrum) != symbols.shape:
         raise DimensionError(f"received shape {np.shape(spectrum)} != symbols {symbols.shape}")
     if symbols.shape[0] != len(alloc):
         raise DimensionError("symbol vector length must match allocation")
-    power = np.abs(symbols.T)  # pulse-major: the first bad pulse is named
-    check_ls_floor(np.square(power, out=power), alloc)
-    return spectrum / symbols
+    return np.divide(spectrum, symbols, out=out)
 
 
 def ls_estimate(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
     """LS estimate of the weighting RCS vectors, one per column of ``spectrum``."""
+    power = np.abs(symbols.T)  # pulse-major: the first bad pulse is named
+    check_ls_floor(np.square(power, out=power), alloc)
     ratio = ls_spectrum(spectrum, symbols, alloc).astype(complex, copy=False)
     return np.fft.ifft(ratio, axis=0, out=ratio)  # in place: one array, not two
 

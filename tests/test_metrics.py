@@ -31,12 +31,13 @@ def point_streams(seed, si):
 
 
 def capture_ls_spectrum(monkeypatch) -> list:
-    """The (spectrum, symbols, alloc) of each call the sweep makes to ``ls_spectrum``."""
+    """The (spectrum, symbols, alloc) of each call the sweep makes to ``ls_spectrum``,
+    copied as they are passed: the sweep reuses its buffers for the next design."""
     calls, ls_spectrum = [], metrics.ls_spectrum
 
-    def capture(spectrum, symbols, alloc):
-        calls.append((spectrum, symbols, alloc))
-        return ls_spectrum(spectrum, symbols, alloc)
+    def capture(spectrum, symbols, alloc, out=None):
+        calls.append((spectrum.copy("K"), symbols.copy("K"), alloc))
+        return ls_spectrum(spectrum, symbols, alloc, out=out)
 
     monkeypatch.setattr(metrics, "ls_spectrum", capture)
     return calls
@@ -253,6 +254,55 @@ class TestMseVsSnr:
         for row in rows:
             assert np.isfinite(row["empirical_nmse"])
             assert row["empirical_nmse"] == pytest.approx(expected[row["design"]] / 300, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_reused_buffers_keep_the_bits(self, monkeypatch, n):
+        # Each block's constant-modulus symbols are sqrt(P_k) (z / |z|) of its
+        # draws z, and each estimate a fresh Y / S, bit for bit, although every
+        # block and design writes into the same buffers.
+        spec = WaveformSpec(n_subcarriers=n, bandwidth=1.5e9, power_budget=float(n))
+        draws, draw = [], echo.draw_symbols
+        monkeypatch.setattr(echo, "draw_symbols", lambda *a: draws.append(draw(*a)) or draws[-1])
+        calls, estimates, ls_spectrum = [], [], metrics.ls_spectrum
+
+        def capture(spectrum, symbols, alloc, out=None):
+            calls.append((spectrum.copy("K"), symbols.copy("K")))
+            estimate = ls_spectrum(spectrum, symbols, alloc, out=out)
+            estimates.append(estimate.copy("K"))
+            return estimate
+
+        monkeypatch.setattr(metrics, "ls_spectrum", capture)
+        profile = 1.0 + 0.5 * np.sin(2.0 * np.pi * np.arange(n) / n)
+        mse_vs_snr(spec, ChannelGains(profile / profile.mean()), [10.0], 300, seed=3)
+        step = echo._BLOCK_CELLS // n
+        assert [z.shape[1] for z in draws] == [step, step, 300 - 2 * step]  # a short last block
+        assert len(calls) == 3 * len(draws)
+        roots = np.sqrt(PowerAllocation.uniform(n, float(n)).powers)[:, None]
+        for z, (_, symbols) in zip(draws, calls[::3], strict=True):  # constant modulus
+            assert symbols.tobytes() == (roots * (z / np.abs(z))).tobytes()
+        for (spectrum, symbols), estimate in zip(calls, estimates, strict=True):
+            assert estimate.tobytes() == (spectrum / symbols).tobytes()
+
+    def test_symbol_below_floor_in_a_middle_block_raises_there(self, spec64, monkeypatch):
+        # 300 trials: blocks of 128, 128 and 44.  A Gaussian draw below the
+        # 1e-6 P/N floor in the second block fails that block in the first
+        # Gaussian design, and the third block is never drawn.
+        drawn, draw = [], echo.draw_symbols
+
+        def faulty(*args):
+            symbols = draw(*args)
+            drawn.append(symbols.shape[1])
+            if len(drawn) == 2:
+                symbols[17, 60] = 3e-4  # |S|^2 = 9e-8 P/N
+            return symbols
+
+        monkeypatch.setattr(echo, "draw_symbols", faulty)
+        with pytest.raises(IllConditionedWaveformError,
+                           match=r"^subcarrier 17: .* in design 'gaussian uniform'$") as err:
+            mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 300, seed=2)
+        assert err.value.subcarrier == 17
+        assert err.value.power < err.value.threshold
+        assert drawn == [128, 128]
 
     def test_sweep_makes_no_inverse_fft(self, monkeypatch, spec64):
         # One ls_spectrum call per design per block of 128, 128 and 44 trials.
