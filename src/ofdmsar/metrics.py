@@ -11,8 +11,7 @@ sqrt(P_k), keeping only their phase for constant modulus, and its ``ls_spectrum`
 estimate X of a block is scored in the subcarrier domain by Parseval's theorem,
 sum |ifft(X) - d|^2 = sum |X - fft(d)|^2 / N, so no inverse FFT is made.  The
 draws do not depend on the block size; the summed MSE does, by its order only.
-A block's one |z| gives its phases and each Gaussian design's LS floor check,
-and the blocks work in buffers made once per SNR point.
+A block's one |z| gives its phases and each Gaussian design's LS floor check.
 
 The Gaussian law cuts the tail below its q-quantile, so the empirical
 expectation exists.  It is A / (1 - q): A, the paper's truncated integral,
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import echo
 from .allocation import (
     ChannelGains,
     PowerAllocation,
@@ -31,6 +29,7 @@ from .allocation import (
     emse_of_alloc,
     water_filling,
 )
+from .echo import pulse_blocks
 from .errors import ConfigError, NoPeakError
 from .rangeproc import check_ls_floor, ls_spectrum
 from .rangeproc import ls_estimate  # noqa: F401  unused: a tracer target until ROADMAP 1a
@@ -84,25 +83,21 @@ def mse_vs_snr(
         for (label, law, alloc), total in zip(designs, sums):
             if total == 0.0:  # magnitudes grow with u, so u = 0 gives the smallest draw
                 check_ls_floor(symbol_magnitudes(alloc.powers, law, 0.0) ** 2, alloc, label)
-        # Made before the first draw, pulse-major as the draws (made after it, they fault).
-        shape = (n, min(n_trials, max(1, echo._BLOCK_CELLS // n)))
-        buffers = [np.empty(shape, t, order="F") for t in (float,) + (complex,) * 3]
-        for z, w_f in echo.pulse_blocks(seed, (si,), spec, unit, policy, sigma2, n_trials):
-            r, phase, syms, y = (b[:, : z.shape[1]] for b in buffers)  # short: leading columns
-            low = np.square(np.fmin.reduce(np.abs(z, out=r), axis=1))  # min_p |z_kp|^2
-            # z * (1/|z|) is z / |z| bit for bit: numpy's division by r + 0j scales by 1/r
-            np.multiply(z, np.reciprocal(r, out=r), out=phase)
+        for z, w_f in pulse_blocks(seed, (si,), spec, unit, policy, sigma2, n_trials):
+            r = np.abs(z)
+            low = np.square(np.fmin.reduce(r, axis=1))  # min_p |z_kp|^2
+            phase = z * np.reciprocal(r, out=r)  # = z / |z| bit for bit (numpy scales by 1/r)
             for di, (label, law, alloc) in enumerate(designs):
                 if sums[di] == np.inf:
                     continue
                 if law is not None:  # a drawn symbol below the floor fails in its block
                     check_ls_floor(alloc.powers * low, alloc, label)
-                s = np.multiply(roots[di], phase if law is None else z, out=syms)
-                x = np.multiply(d_f, s, out=y)  # synthesize_pulse's operand order
-                x += w_f
-                x = ls_spectrum(x, s, alloc, out=x)
+                syms = roots[di] * (phase if law is None else z)
+                y = d_f * syms  # synthesize_pulse's operand order: its spectrum bit for bit
+                y += w_f
+                x = ls_spectrum(y, syms, alloc)
                 x -= d_f  # the error's DFT: Parseval sums it without an inverse FFT
-                x = x.ravel("K")  # a view of the leading columns
+                x = x.ravel("K")  # a view in any one-segment layout
                 sums[di] += np.vdot(x, x).real
         rows += [
             {

@@ -30,18 +30,22 @@ def check_ls_floor(power: np.ndarray, alloc: PowerAllocation, design: str = "") 
         raise IllConditionedWaveformError(int(first[-1]), float(power[first]), floor, design)
 
 
-def ls_spectrum(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """``ls_estimate``'s DFT ``spectrum / symbols``, into ``out`` if given; no floor check."""
+def _check_shapes(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> None:
     if np.shape(spectrum) != symbols.shape:
         raise DimensionError(f"received shape {np.shape(spectrum)} != symbols {symbols.shape}")
     if symbols.shape[0] != len(alloc):
         raise DimensionError("symbol vector length must match allocation")
-    return np.divide(spectrum, symbols, out=out)
+
+
+def ls_spectrum(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
+    """``ls_estimate``'s DFT, a new ``spectrum / symbols``; its caller checks the floor."""
+    _check_shapes(spectrum, symbols, alloc)
+    return spectrum / symbols
 
 
 def ls_estimate(spectrum: np.ndarray, symbols: np.ndarray, alloc: PowerAllocation) -> np.ndarray:
     """LS estimate of the weighting RCS vectors, one per column of ``spectrum``."""
+    _check_shapes(spectrum, symbols, alloc)  # a mismatch fails before the floor scan
     power = np.abs(symbols.T)  # pulse-major: the first bad pulse is named
     check_ls_floor(np.square(power, out=power), alloc)
     ratio = ls_spectrum(spectrum, symbols, alloc).astype(complex, copy=False)

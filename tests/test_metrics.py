@@ -31,13 +31,12 @@ def point_streams(seed, si):
 
 
 def capture_ls_spectrum(monkeypatch) -> list:
-    """The (spectrum, symbols, alloc) of each call the sweep makes to ``ls_spectrum``,
-    copied as they are passed: the sweep reuses its buffers for the next design."""
+    """The (spectrum, symbols, alloc) of each call the sweep makes to ``ls_spectrum``."""
     calls, ls_spectrum = [], metrics.ls_spectrum
 
-    def capture(spectrum, symbols, alloc, out=None):
-        calls.append((spectrum.copy("K"), symbols.copy("K"), alloc))
-        return ls_spectrum(spectrum, symbols, alloc, out=out)
+    def capture(spectrum, symbols, alloc):
+        calls.append((spectrum, symbols, alloc))
+        return ls_spectrum(spectrum, symbols, alloc)
 
     monkeypatch.setattr(metrics, "ls_spectrum", capture)
     return calls
@@ -256,19 +255,19 @@ class TestMseVsSnr:
             assert row["empirical_nmse"] == pytest.approx(expected[row["design"]] / 300, rel=1e-12)
 
     @pytest.mark.parametrize("n", [64, 63])
-    def test_reused_buffers_keep_the_bits(self, monkeypatch, n):
-        # Each block's constant-modulus symbols are sqrt(P_k) (z / |z|) of its
-        # draws z, and each estimate a fresh Y / S, bit for bit, although every
-        # block and design writes into the same buffers.
+    def test_phases_and_estimates_keep_the_bits(self, monkeypatch, n):
+        # Each block's constant-modulus symbols, made as z * (1/|z|), are
+        # sqrt(P_k) (z / |z|) of its draws z, and each estimate is Y / S, bit
+        # for bit, in full blocks and in a short last one.
         spec = WaveformSpec(n_subcarriers=n, bandwidth=1.5e9, power_budget=float(n))
         draws, draw = [], echo.draw_symbols
         monkeypatch.setattr(echo, "draw_symbols", lambda *a: draws.append(draw(*a)) or draws[-1])
         calls, estimates, ls_spectrum = [], [], metrics.ls_spectrum
 
-        def capture(spectrum, symbols, alloc, out=None):
-            calls.append((spectrum.copy("K"), symbols.copy("K")))
-            estimate = ls_spectrum(spectrum, symbols, alloc, out=out)
-            estimates.append(estimate.copy("K"))
+        def capture(spectrum, symbols, alloc):
+            calls.append((spectrum, symbols))
+            estimate = ls_spectrum(spectrum, symbols, alloc)
+            estimates.append(estimate.copy("K"))  # the sweep subtracts fft(d) from it
             return estimate
 
         monkeypatch.setattr(metrics, "ls_spectrum", capture)

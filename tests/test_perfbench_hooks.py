@@ -100,8 +100,7 @@ def test_mse_vs_snr_draws_where_the_tracer_wraps_it(monkeypatch, spec64):
     # so a traced mse-sweep reads 0 in the rangeproc.ls_estimate span.
     counts = count_tracer_targets(monkeypatch)
     scored, ls_spectrum = [], metrics.ls_spectrum
-    monkeypatch.setattr(metrics, "ls_spectrum", lambda *a, **k: scored.append(
-        tuple(x.copy("K") for x in a[:2])) or ls_spectrum(*a, **k))  # the buffers are reused
+    monkeypatch.setattr(metrics, "ls_spectrum", lambda *a: scored.append(a) or ls_spectrum(*a))
     metrics.mse_vs_snr(spec64, ChannelGains(np.ones(64)), [10.0], 300, seed=0)  # as cli calls it
     assert counts == {
         "metrics.mse_vs_snr": 1, "allocation.water_filling": 1, "echo.pulse_rng": 2,

@@ -83,6 +83,15 @@ class TestLsEstimate:
         with pytest.raises(DimensionError):
             ls_estimate(np.zeros(4, dtype=complex), sym, PowerAllocation.uniform(8, 8.0))
 
+    @pytest.mark.parametrize("received, n_alloc", [(4, 8), (5, 4)])
+    def test_shape_mismatch_wins_over_a_sub_floor_symbol(self, received, n_alloc):
+        # The shapes are checked before the floor scan: a mismatched call that
+        # also holds a symbol below the floor is a DimensionError.
+        sym = np.array([1.0, 1e-9, 1.0, 1.0], dtype=complex)
+        with pytest.raises(DimensionError):
+            ls_estimate(np.zeros(received, dtype=complex), sym,
+                        PowerAllocation.uniform(n_alloc, float(n_alloc)))
+
     def test_unbiased(self):
         n = 16
         spec = WaveformSpec(n, float(n), float(n))
