@@ -34,7 +34,11 @@ RUNS = {
     **{f"simulate/car/gaussian/seed{s}": ("scene = car\nsignaling = gaussian\n",
                                           ["--seed", str(s), "simulate"])
        for s in (0, 1)},
+    "simulate/car/constant-modulus/seed0": ("scene = car\n", ["--seed", "0", "simulate"]),
     "mse-sweep/multipath": (MULTIPATH + "trials = 100\n", ["--seed", "3", "mse-sweep"]),
+    # The Gaussian law at a second q.
+    "mse-sweep/multipath/tail0.5": (MULTIPATH + "trials = 100\ntail_prob = 0.5\n",
+                                    ["--seed", "3", "mse-sweep"]),
     "tradeoff/multipath/8": (MULTIPATH, ["tradeoff", *LOW_SNR, "--points", "8"]),
     # Capacity below the solver's rate tolerance: every row is the uniform allocation.
     "tradeoff/multipath/8/-150dB": (MULTIPATH, ["tradeoff", "--snr-db", "-150.0",
