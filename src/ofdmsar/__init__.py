@@ -2,6 +2,7 @@
 
 from .allocation import (
     ChannelGains,
+    ConstantModulus,
     PowerAllocation,
     TruncationPolicy,
     achievable_rate,

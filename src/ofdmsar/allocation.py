@@ -3,7 +3,7 @@
 Covers the three allocation regimes (imaging-optimal uniform, rate-maximizing
 water-filling, and the rate-constrained expected-MSE minimizer), plus the
 evaluators they trade against: achievable rate and expected LS-estimator MSE
-(EMSE) under random Gaussian signaling.
+(EMSE) under a symbol law, ``ConstantModulus`` or Gaussian (``TruncationPolicy``).
 
 Conventions used throughout:
 
@@ -11,13 +11,12 @@ Conventions used throughout:
 * Rate is in bits per channel use per OFDM symbol, i.e. ``sum log2(1 + P_k g_k)``
   without any bandwidth prefactor.  The bandwidth scale is a constant and does
   not change any optimizer; callers that want throughput multiply by B.
-* The EMSE constant ``A`` comes from the lower-truncated integral of
-  ``exp(-t^2)/t``; the raw integral diverges at zero, so the lower limit is the
-  q-quantile of the unit Rayleigh magnitude (default q = 1e-3, i.e. keep the
-  top 99.9% of the magnitude distribution).  Gaussian symbols are sqrt(2 P_k)
-  times that magnitude (``waveform.symbol_magnitudes``), so E|S_k|^2 ~ 2 P_k.
-  A enters only the EMSE value (``emse_of_alloc``): it scales the objective of
-  the rate-constrained design, so the optimizer works in units of it.
+* Each symbol law holds its EMSE constant ``A``: 1 for constant modulus; for
+  Gaussian symbols the integral of ``exp(-t^2)/t``, which diverges at zero, so
+  its lower limit is the q-quantile of the unit Rayleigh magnitude (default
+  q = 1e-3, i.e. keep the top 99.9% of the magnitude distribution).  A enters
+  only the EMSE value (``emse_of_alloc``): it scales the objective of the
+  rate-constrained design, so the optimizer works in units of it.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InfeasibleChannelError, InfeasibleRateError
 
-__all__ = ["PowerAllocation", "ChannelGains", "TruncationPolicy", "water_filling",
-           "achievable_rate", "emse_of_alloc", "emse_rate_constrained", "tradeoff_sweep",
-           "TradeoffPoint"]
+__all__ = ["PowerAllocation", "ChannelGains", "ConstantModulus", "TruncationPolicy",
+           "SymbolLaw", "water_filling", "achievable_rate", "emse_of_alloc",
+           "emse_rate_constrained", "tradeoff_sweep", "TradeoffPoint"]
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,30 @@ class ChannelGains:
 
 
 @dataclass(frozen=True)
+class ConstantModulus:
+    """The constant-modulus symbol law: |S_k| = sqrt(P_k), EMSE constant A = 1."""
+
+    A = 1.0
+    uniforms = 1  # read per symbol: its phase
+
+    def magnitudes(self, powers: np.ndarray, u) -> np.ndarray:
+        return np.sqrt(powers)
+
+    def unit_symbols(self, z: np.ndarray, r: np.ndarray) -> tuple:
+        """z / |z| of a unit-power block ``z`` of moduli ``r``, and its least |S_k|^2, 1."""
+        return z * np.reciprocal(r), 1.0  # = z / |z| bit for bit (numpy scales by 1/r)
+
+
+@dataclass(frozen=True)
 class TruncationPolicy:
-    """Lower-tail truncation for the diverging 1/|S|^2 expectation.
+    """The Gaussian symbol law, cut at its lower tail for the diverging 1/|S|^2 expectation.
 
     ``tail_prob`` is the probability mass removed at the low-magnitude end;
     ``A`` is the resulting truncated integral constant, computed on first use.
     """
 
     tail_prob: float = 1e-3
+    uniforms = 2  # read per symbol: its magnitude, then its phase
 
     def __post_init__(self):
         if not 0.0 < self.tail_prob < 1.0:
@@ -108,10 +123,23 @@ class TruncationPolicy:
 
         The lower limit is ``t_low = sqrt(-ln(1 - q))``, the q-quantile of the
         unit Rayleigh magnitude.  Substituting u = t^2 gives the closed form
-        ``A = E1(t_low^2) / 2`` with E1 the exponential integral; the
-        quadrature route is cross-checked against this in the test suite.
+        ``A = E1(t_low^2) / 2`` with E1 the exponential integral.
         """
         return 0.5 * _exp1(float(-np.log1p(-self.tail_prob)))
+
+    def magnitudes(self, powers: np.ndarray, u) -> np.ndarray:
+        """|S_k| from uniforms ``u``: Rayleigh of scale sqrt(P_k) conditioned above the
+        ``tail_prob`` quantile q by inverse-CDF sampling, so that |S_k|^2 / (2 P_k) =
+        -ln(1 - q) - ln(1 - u), of mean 1 - ln(1 - q), the law under which A holds."""
+        q = self.tail_prob
+        return np.sqrt(powers) * np.sqrt(-2.0 * (np.log1p(-q) + np.log1p(-u)))
+
+    def unit_symbols(self, z: np.ndarray, r: np.ndarray) -> tuple:
+        """A unit-power block ``z`` (N, P) of moduli ``r`` as it is, and min_p |z_kp|^2."""
+        return z, np.square(np.fmin.reduce(r, axis=1))
+
+
+SymbolLaw = ConstantModulus | TruncationPolicy
 
 
 def _exp1(x: float) -> float:
@@ -168,16 +196,10 @@ def achievable_rate(alloc: PowerAllocation, ch: ChannelGains) -> float:
     return float(np.log2(1.0 + alloc.powers * ch.gains).sum())
 
 
-def emse_of_alloc(
-    alloc: PowerAllocation, sigma2: float, policy: TruncationPolicy | None
-) -> float:
-    """Expected LS MSE A * sigma^2 * sum 1/P_k, infinite if a subcarrier is dry.
-
-    ``policy`` None means constant-modulus symbols, whose MSE has A = 1.
-    """
-    a = 1.0 if policy is None else policy.A
+def emse_of_alloc(alloc: PowerAllocation, sigma2: float, law: SymbolLaw) -> float:
+    """Expected LS MSE A * sigma^2 * sum 1/P_k under ``law``, infinite if a subcarrier is dry."""
     with np.errstate(divide="ignore"):
-        return float(a * sigma2 * (1.0 / alloc.powers).sum())
+        return float(law.A * sigma2 * (1.0 / alloc.powers).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +358,7 @@ def tradeoff_sweep(
     ch: ChannelGains,
     total: float,
     sigma2: float,
-    policy: TruncationPolicy,
+    law: SymbolLaw,
     n_points: int,
 ) -> list[TradeoffPoint]:
     """EMSE-vs-rate curve on a rate grid from 0 to water-filling capacity.
@@ -352,6 +374,6 @@ def tradeoff_sweep(
     for r0 in np.linspace(0.0, ends[3], n_points).tolist():
         alloc, _ = _rate_constrained(ch, total, r0, ends)
         if not points or alloc is not points[-1].allocation:  # else a repeated endpoint
-            rate, emse = achievable_rate(alloc, ch), emse_of_alloc(alloc, sigma2, policy)
+            rate, emse = achievable_rate(alloc, ch), emse_of_alloc(alloc, sigma2, law)
         points.append(TradeoffPoint(r0, rate, emse, alloc))
     return points

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import echo, rangeproc
-from .allocation import PowerAllocation, TruncationPolicy
+from .allocation import ConstantModulus, PowerAllocation, SymbolLaw
 from .errors import DimensionError
 from .geometry import Geometry, Scene, slant_range
 from .waveform import WaveformSpec
@@ -115,7 +115,7 @@ def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
 
 
 def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAllocation,
-               sigma2: float, seed: int, policy: TruncationPolicy | None = None) -> SarImage:
+               sigma2: float, seed: int, law: SymbolLaw = ConstantModulus()) -> SarImage:
     """The image of ``scene``, formed in its scene-coefficient array: synthesis and LS
     run on the blocks of whole pulses that ``echo.pulse_blocks`` draws from the seed's
     streams 0 and 1, each as it is taken, and each block's profiles overwrite its
@@ -124,7 +124,7 @@ def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAll
     same streams as one cube: the whole-cube reference the tests and perfbench use.
     Each stage is looked up through its module, where a tracer can wrap it."""
     cells, p = echo.scene_coefficients(geom, scene), 0
-    for symbols, noise in echo.pulse_blocks(seed, (), spec, alloc, policy, sigma2, geom.n_pulses):
+    for symbols, noise in echo.pulse_blocks(seed, (), spec, alloc, law, sigma2, geom.n_pulses):
         block = cells[:, p:p + symbols.shape[1]]
         block[:] = rangeproc.ls_estimate(echo.synthesize_pulse(symbols, block, noise),
                                          symbols, alloc)

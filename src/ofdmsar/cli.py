@@ -138,7 +138,7 @@ def _cmd_simulate(cfg: Config, args, out: Path) -> int:
     sigma2 = spec.noise_power(cfg.snr_db)
     scene = _resolve_scene(cfg, spec)
     alloc = allocation.PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
-    image = azimuth.form_image(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_policy())
+    image = azimuth.form_image(spec, geom, scene, alloc, sigma2, args.seed, cfg.symbol_law())
     row, col = image.peak_cell
     print(f"peak_cell = {row} {col}")
     if np.count_nonzero(scene.rcs) == 1:  # else the cut crosses other scatterers

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocation import ChannelGains, TruncationPolicy
+from .allocation import ChannelGains, ConstantModulus, SymbolLaw, TruncationPolicy
 from .errors import ConfigError
 from .geometry import _MAX_CELLS, Geometry, range_cell_size, read_text
 from .waveform import WaveformSpec
@@ -49,7 +49,8 @@ class Config:
     tradeoff_points: int = 16
 
     def waveform_spec(self) -> WaveformSpec:
-        self._gaussian()  # every subcommand rejects an unknown signaling
+        if self.signaling not in ("constant-modulus", "gaussian"):  # checked by every subcommand
+            raise ConfigError(f"unknown signaling mode {self.signaling!r}")
         return WaveformSpec(**{f.name: getattr(self, f.name) for f in fields(WaveformSpec)})
 
     def geometry(self, spec: WaveformSpec | None = None) -> Geometry:
@@ -70,15 +71,10 @@ class Config:
             )
         return geom
 
-    def symbol_policy(self) -> TruncationPolicy | None:
-        """``simulate``'s symbol law: None (constant modulus) or the ``tail_prob`` policy."""
+    def symbol_law(self) -> SymbolLaw:
+        """``simulate``'s symbol law for the ``signaling`` that ``waveform_spec`` checks."""
         policy = TruncationPolicy(self.tail_prob)  # tail_prob is checked under either law
-        return policy if self._gaussian() else None
-
-    def _gaussian(self) -> bool:
-        if self.signaling not in ("constant-modulus", "gaussian"):
-            raise ConfigError(f"unknown signaling mode {self.signaling!r}")
-        return self.signaling == "gaussian"
+        return policy if self.signaling == "gaussian" else ConstantModulus()
 
     def channel_gains(self) -> ChannelGains:
         """Squared channel gains at unit noise power.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allocation import PowerAllocation, TruncationPolicy
+from .allocation import ConstantModulus, PowerAllocation, SymbolLaw
 from .errors import DimensionError
 from .geometry import Geometry, Scene, scene_coefficients
 from .waveform import WaveformSpec, draw_symbols
@@ -53,7 +53,7 @@ def synthesize_pulse(symbols: np.ndarray, d: np.ndarray, noise: np.ndarray | Non
 
 
 def pulse_blocks(seed: int, key: tuple[int, ...], spec: WaveformSpec, alloc: PowerAllocation,
-                 policy: TruncationPolicy | None, sigma2: float, pulses: int):
+                 law: SymbolLaw, sigma2: float, pulses: int):
     """The (symbols, noise) of each block of max(1, _BLOCK_CELLS // N) whole pulses,
     as ``draw_symbols`` and ``draw_noise`` draw all ``pulses`` from streams
     ``(*key, 0)`` and ``(*key, 1)`` of ``seed``.  Each block is drawn as it is
@@ -62,7 +62,7 @@ def pulse_blocks(seed: int, key: tuple[int, ...], spec: WaveformSpec, alloc: Pow
     step = max(1, _BLOCK_CELLS // spec.n_subcarriers)
     for p in range(0, pulses, step):
         count = min(step, pulses - p)
-        yield (draw_symbols(spec, alloc, symbol_rng, count, policy),
+        yield (draw_symbols(spec, alloc, symbol_rng, count, law),
                draw_noise(spec.n_subcarriers, sigma2, noise_rng, count))
 
 
@@ -79,13 +79,13 @@ def synthesize_raw(
     alloc: PowerAllocation,
     sigma2: float,
     seed: int,
-    policy: TruncationPolicy | None = None,
+    law: SymbolLaw = ConstantModulus(),
 ) -> tuple[np.ndarray, np.ndarray, PowerAllocation]:
     """The (N, P) received spectrum, the symbols and ``alloc``: the arguments of
-    ``ls_estimate``.  Fresh symbols every pulse from stream 0 (constant modulus for
-    ``policy`` None) and noise from stream 1, each one pulse-major block: pulse p
-    reads row p.  All pulses are made in one ``synthesize_pulse`` call."""
-    symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), geom.n_pulses, policy)
+    ``ls_estimate``.  Fresh symbols of symbol law ``law`` every pulse from stream 0 and
+    noise from stream 1, each one pulse-major block: pulse p reads row p.  All pulses
+    are made in one ``synthesize_pulse`` call."""
+    symbols = draw_symbols(spec, alloc, pulse_rng(seed, 0), geom.n_pulses, law)
     noise = draw_noise(spec.n_subcarriers, sigma2, pulse_rng(seed, 1), geom.n_pulses)
     d = scene_coefficients(geom, scene)
     return synthesize_pulse(symbols, d, noise), symbols, alloc

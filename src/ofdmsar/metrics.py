@@ -5,13 +5,13 @@ uniform vs communication-optimal allocation) against their closed-form
 predictions, with common random variates across designs within each trial.
 A trial is drawn as an image draws a pulse: SNR point si is the key ``(si,)``
 of ``echo.pulse_blocks``, trial t is pulse t of its two streams, and the
-trials come in the blocks that it draws as each is taken: unit-power symbols
-and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales the symbols by
-sqrt(P_k), keeping only their phase for constant modulus, and its ``ls_spectrum``
-estimate X of a block is scored in the subcarrier domain by Parseval's theorem,
+trials come in the blocks that it draws as each is taken: unit-power Gaussian
+symbols z and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales its
+symbol law's ``unit_symbols`` of z by sqrt(P_k), and its ``ls_spectrum`` estimate
+X of a block is scored in the subcarrier domain by Parseval's theorem,
 sum |ifft(X) - d|^2 = sum |X - fft(d)|^2 / N, so no inverse FFT is made.  The
 draws do not depend on the block size; the summed MSE does, by its order only.
-A block's one |z| gives its phases and each Gaussian design's LS floor check.
+A block's one |z| gives each law its unit symbols and least |S_k|^2 per subcarrier.
 
 The Gaussian law cuts the tail below its q-quantile, so the empirical
 expectation exists.  It is A / (1 - q): A, the paper's truncated integral,
@@ -24,6 +24,7 @@ import numpy as np
 
 from .allocation import (
     ChannelGains,
+    ConstantModulus,
     PowerAllocation,
     TruncationPolicy,
     emse_of_alloc,
@@ -33,7 +34,7 @@ from .echo import pulse_blocks
 from .errors import ConfigError, NoPeakError
 from .rangeproc import check_ls_floor, ls_spectrum
 from .rangeproc import ls_estimate  # noqa: F401  unused: a tracer target until ROADMAP 1a
-from .waveform import WaveformSpec, symbol_magnitudes
+from .waveform import WaveformSpec
 
 __all__ = ["mse_vs_snr", "sidelobe_stats"]
 
@@ -73,7 +74,7 @@ def mse_vs_snr(
         sigma2 = spec.noise_power(snr_db)
         filled = water_filling(ch.rescaled(sigma2), spec.power_budget)
         designs = [
-            ("constant-modulus uniform", None, uniform),
+            ("constant-modulus uniform", ConstantModulus(), uniform),
             ("gaussian uniform", policy, uniform),
             ("gaussian comm-optimal", policy, filled),
         ]
@@ -82,17 +83,16 @@ def mse_vs_snr(
         roots = [np.sqrt(alloc.powers)[:, None] for *_, alloc in designs]
         for (label, law, alloc), total in zip(designs, sums):
             if total == 0.0:  # magnitudes grow with u, so u = 0 gives the smallest draw
-                check_ls_floor(symbol_magnitudes(alloc.powers, law, 0.0) ** 2, alloc, label)
+                check_ls_floor(law.magnitudes(alloc.powers, 0.0) ** 2, alloc, label)
         for z, w_f in pulse_blocks(seed, (si,), spec, unit, policy, sigma2, n_trials):
-            r = np.abs(z)
-            low = np.square(np.fmin.reduce(r, axis=1))  # min_p |z_kp|^2
-            phase = z * np.reciprocal(r, out=r)  # = z / |z| bit for bit (numpy scales by 1/r)
+            r = np.abs(z)  # one |z| a block serves every law
+            drawn = {law: law.unit_symbols(z, r) for law in {law for _, law, _ in designs}}
             for di, (label, law, alloc) in enumerate(designs):
                 if sums[di] == np.inf:
                     continue
-                if law is not None:  # a drawn symbol below the floor fails in its block
-                    check_ls_floor(alloc.powers * low, alloc, label)
-                syms = roots[di] * (phase if law is None else z)
+                symbols, low = drawn[law]  # a drawn symbol below the floor fails in its block
+                check_ls_floor(alloc.powers * low, alloc, label)
+                syms = roots[di] * symbols
                 y = d_f * syms  # synthesize_pulse's operand order: its spectrum bit for bit
                 y += w_f
                 x = ls_spectrum(y, syms, alloc)

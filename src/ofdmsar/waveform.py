@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import PowerAllocation, TruncationPolicy
+from .allocation import ConstantModulus, PowerAllocation, SymbolLaw
 from .errors import ConfigError, DimensionError
 
-__all__ = ["WaveformSpec", "draw_symbols", "symbol_magnitudes", "unit_phasors"]
+__all__ = ["WaveformSpec", "draw_symbols", "unit_phasors"]
 
 _PHASOR_CHUNK = 2048  # 96 KiB of temporaries; at 8192 each block refaulted freed pages
 
@@ -80,16 +80,14 @@ def draw_symbols(
     alloc: PowerAllocation,
     seed,
     pulses: int | None = None,
-    policy: TruncationPolicy | None = None,
+    law: SymbolLaw = ConstantModulus(),
 ) -> np.ndarray:
     """The (N,) symbols of one OFDM pulse, or the (N, P) block of ``pulses``.
 
     Row p of one pulse-major block of variates serves pulse p, so column p
-    does not depend on the pulse count.  Phases are ``unit_phasors`` of uniform turns,
-    within 1.2e-16; magnitudes come from ``symbol_magnitudes``: |S_k|^2 = P_k for
-    constant modulus (``policy`` None), else Gaussian with E|S_k|^2 = 2 P_k (1 -
-    ln(1 - q)) and |S_k|^2 >= -2 ln(1 - q) P_k at the policy's q, the law of the
-    EMSE constant A.  P_k = 0 gives S_k = 0.
+    does not depend on the pulse count; it holds ``law.uniforms`` rows of N, the
+    first for ``law.magnitudes`` and the last for the phases, ``unit_phasors`` of
+    uniform turns within 1.2e-16.  P_k = 0 gives S_k = 0.
     """
     if len(alloc) != spec.n_subcarriers:
         raise DimensionError(
@@ -97,14 +95,9 @@ def draw_symbols(
         )
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     lead = () if pulses is None else (pulses,)
-    n = spec.n_subcarriers
-    if policy is None:
-        u, turns = None, rng.random((*lead, n))
-    else:
-        u = rng.random((*lead, 2, n))  # per pulse: magnitude row, phase row
-        u, turns = u[..., 0, :], u[..., 1, :]
-    symbols = unit_phasors(turns)
-    symbols *= symbol_magnitudes(alloc.powers, policy, u)
+    u = rng.random((*lead, law.uniforms, spec.n_subcarriers))
+    symbols = unit_phasors(u[..., -1, :])
+    symbols *= law.magnitudes(alloc.powers, u[..., 0, :])
     return symbols.T
 
 
@@ -132,15 +125,3 @@ def unit_phasors(turns) -> np.ndarray:
         z *= table
         z += table
     return out
-
-
-def symbol_magnitudes(powers: np.ndarray, policy: TruncationPolicy | None, u) -> np.ndarray:
-    """|S_k| from uniforms ``u``: sqrt(P_k) for constant modulus (policy None),
-    else Rayleigh of scale sqrt(P_k) conditioned above the policy's
-    ``tail_prob`` quantile q by inverse-CDF sampling, so that
-    |S_k|^2 / (2 P_k) = -ln(1 - q) - ln(1 - u), the law under which the EMSE
-    constant A holds."""
-    if policy is None:
-        return np.sqrt(powers)
-    q = policy.tail_prob
-    return np.sqrt(powers) * np.sqrt(-2.0 * (np.log1p(-q) + np.log1p(-u)))

@@ -9,6 +9,7 @@ import pytest
 
 from ofdmsar import (
     ChannelGains,
+    ConstantModulus,
     PowerAllocation,
     TruncationPolicy,
     WaveformSpec,
@@ -45,7 +46,7 @@ GEOM = Geometry(
     aperture_time=1.0,
 )
 SPEC = WaveformSpec(64, 1.5e9, 64.0)
-GAUSSIAN = TruncationPolicy()  # the Gaussian symbol law; None is constant modulus
+GAUSSIAN = TruncationPolicy()  # the Gaussian symbol law
 SNR15_SIGMA2 = 10.0 ** (-1.5)  # power budget N, per-sample SNR convention
 
 
@@ -76,7 +77,7 @@ def test_criterion_01_noise_free_ls_exact():
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
-        sym = draw_symbols(SPEC, alloc, rng, policy=GAUSSIAN)
+        sym = draw_symbols(SPEC, alloc, rng, law=GAUSSIAN)
         d = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         y_f = synthesize_pulse(sym, d, None)
         worst = max(worst, float(np.max(np.abs(ls_estimate(y_f, sym, alloc) - d))))
@@ -102,7 +103,7 @@ def test_criterion_02_constant_modulus_mse_closed_form():
     for m in (2, 4, 8, 16):
         sp = WaveformSpec(m, float(m), float(m))
         al = PowerAllocation.uniform(m, float(m))
-        sy = draw_symbols(sp, al, seed=m, policy=GAUSSIAN)
+        sy = draw_symbols(sp, al, seed=m, law=GAUSSIAN)
         s_mat = circulant_from_pulse(modulate(sy, sp), sp) / np.sqrt(m)
         trace = float(np.trace(np.linalg.inv(s_mat.conj().T @ s_mat)).real)
         trace_ok &= abs(trace - float(np.sum(1.0 / np.abs(sy) ** 2))) < 1e-10
@@ -120,7 +121,7 @@ def test_criterion_03_truncated_gaussian_emse_factor():
     rng = np.random.default_rng(5)
     total = 0.0
     for _ in range(draws):
-        sym = draw_symbols(spec, alloc, rng, policy=policy)
+        sym = draw_symbols(spec, alloc, rng, law=policy)
         y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
         total += float(np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2))
     expected = policy.A * sigma2 * float(np.sum(1.0 / alloc.powers))
@@ -184,10 +185,10 @@ def test_criterion_05_tradeoff_monotone_and_A_invariant():
     report(name, mono_ok and inv_ok)
 
 
-def _focused_point(policy, sigma2, seed):
+def _focused_point(law, sigma2, seed):
     scene = point_scene(SPEC, 1)
     alloc = PowerAllocation.uniform(64, 64.0)
-    return form_image(SPEC, GEOM, scene, alloc, sigma2, seed, policy)
+    return form_image(SPEC, GEOM, scene, alloc, sigma2, seed, law)
 
 
 def _aligned_db_profile(row: np.ndarray, upsample: int = 16) -> np.ndarray:
@@ -211,8 +212,8 @@ def test_criterion_06_point_target_focusing():
     name = "point target at 15 dB focuses within one cell for both signal types; azimuth mainlobes agree within 1 dB RMS"
     profiles = {}
     peak_ok = True
-    for label, policy in (("cm", None), ("gauss", GAUSSIAN)):
-        img = _focused_point(policy, SNR15_SIGMA2, seed=11)
+    for label, law in (("cm", ConstantModulus()), ("gauss", GAUSSIAN)):
+        img = _focused_point(law, SNR15_SIGMA2, seed=11)
         peak = np.unravel_index(
             np.argmax(np.abs(img.complex_image)), img.db_image.shape
         )
@@ -242,9 +243,9 @@ def test_criterion_07_sidelobe_ordering():
     d[32] = 1.0
     pslrs = {"cm": [], "gauss": []}
     for seed in range(100):
-        for label, policy in (("cm", None), ("gauss", GAUSSIAN)):
+        for label, law in (("cm", ConstantModulus()), ("gauss", GAUSSIAN)):
             rng = np.random.default_rng(3000 + seed)
-            sym = draw_symbols(SPEC, alloc, rng, policy=policy)
+            sym = draw_symbols(SPEC, alloc, rng, law=law)
             y = synthesize_pulse(sym, d, draw_noise(sym.size, SNR15_SIGMA2, rng))
             profile = np.abs(ls_estimate(y, sym, alloc)) ** 2
             pslr, _ = sidelobe_stats(profile)
@@ -283,7 +284,7 @@ def test_criterion_09_linear_cp_equals_circular_model():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
-        sym = draw_symbols(spec, alloc, rng, policy=GAUSSIAN)
+        sym = draw_symbols(spec, alloc, rng, law=GAUSSIAN)
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         circ = apply_waveform(sym, d)
         lin = synthesize_pulse_linear_cp(modulate(sym, spec), d)
@@ -321,7 +322,7 @@ def test_criterion_11_image_error_equals_emse():
     ok = True
     # Per-pulse expectation: A = 1 exactly for constant modulus; Gaussian
     # E[1/|S_k|^2] = A / ((1 - q) P_k), where A omits the 1 / (1 - q).
-    for pol, exact in ((None, 1.0), (policy, 1.0 / (1.0 - policy.tail_prob))):
+    for pol, exact in ((ConstantModulus(), 1.0), (policy, 1.0 / (1.0 - policy.tail_prob))):
         emse = emse_of_alloc(alloc, SNR15_SIGMA2, pol)
         profile_ratios, image_ratios = [], []
         for seed in seeds:

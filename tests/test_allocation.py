@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from scipy.special import exp1
 
 from ofdmsar import (
     ChannelGains,
+    ConstantModulus,
     PowerAllocation,
     TruncationPolicy,
     achievable_rate,
@@ -187,6 +189,31 @@ class TestComputeA:
             TruncationPolicy(0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(1.0)
+
+    def test_tail_prob_is_the_one_field(self):
+        # The law's uniform count is a class constant, not a field: equality, hash
+        # and repr stay those of tail_prob alone.
+        assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["tail_prob"]
+        assert repr(TruncationPolicy(0.5)) == "TruncationPolicy(tail_prob=0.5)"
+        assert TruncationPolicy(0.5) != TruncationPolicy()
+
+
+class TestConstantModulus:
+    def test_is_a_value_with_A_one(self):
+        law = ConstantModulus()
+        assert law == ConstantModulus() and hash(law) == hash(ConstantModulus())
+        assert law != TruncationPolicy() and law.A == 1.0
+        assert dataclasses.fields(law) == ()
+
+    def test_magnitudes_are_root_powers_whatever_the_uniforms(self):
+        powers = np.array([0.0, 0.5, 2.0])
+        for u in (0.0, np.array([0.1, 0.9, 0.5])):
+            np.testing.assert_array_equal(ConstantModulus().magnitudes(powers, u),
+                                          np.sqrt(powers))
+
+    def test_emse_is_sigma2_times_the_inverse_power_sum(self):
+        alloc = PowerAllocation(np.array([1.0, 2.0, 4.0]), 7.0)
+        assert emse_of_alloc(alloc, 0.3, ConstantModulus()) == 0.3 * 1.75
 
 
 class TestMseOfSymbols:

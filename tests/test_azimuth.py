@@ -15,7 +15,7 @@ from ofdmsar import (
     rcmc_bulk,
     synthesize_raw,
 )
-from ofdmsar.allocation import TruncationPolicy
+from ofdmsar.allocation import ConstantModulus, TruncationPolicy
 from ofdmsar.azimuth import SarImage, rcmc_shifts
 from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.errors import IllConditionedWaveformError
@@ -182,23 +182,23 @@ class TestFormImage:
     """``form_image`` is the stage chain, formed in pulse blocks in one array."""
 
     @staticmethod
-    def chain(spec, geom, scene, alloc, sigma2, seed, policy):
-        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, seed, policy)
+    def chain(spec, geom, scene, alloc, sigma2, seed, law):
+        cube = synthesize_raw(spec, geom, scene, alloc, sigma2, seed, law)
         profiles = rcmc_bulk(range_profile_cube(cube), geom, scene.range_cell_size)
         return azimuth_compress(profiles, geom)
 
-    @pytest.mark.parametrize("kind, prf, policy", [
+    @pytest.mark.parametrize("kind, prf, law", [
         ("point", 800.0, TruncationPolicy()),  # 6 blocks of 128 pulses, then 32
-        ("car", 800.0, None),
+        ("car", 800.0, ConstantModulus()),
         ("point", 100.0, TruncationPolicy()),  # less than one block
         ("point48", 333.0, TruncationPolicy()),  # N = 48, not a divisor: 170 pulses, then 163
     ])
-    def test_matches_the_stage_chain(self, spec64, kind, prf, policy):
+    def test_matches_the_stage_chain(self, spec64, kind, prf, law):
         spec = WaveformSpec(48, 1.5e9, 48.0) if kind == "point48" else spec64
         geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = car_scene(spec) if kind == "car" else point_scene(spec, 1)
         alloc = PowerAllocation.uniform(spec.n_subcarriers, 64.0)
-        args = (spec, geom, scene, alloc, 0.03, 7, policy)
+        args = (spec, geom, scene, alloc, 0.03, 7, law)
         image, expected = form_image(*args), self.chain(*args)
         assert image.complex_image.tobytes() == expected.complex_image.tobytes()
         assert image.db_image.tobytes() == expected.db_image.tobytes()
@@ -212,8 +212,8 @@ class TestFormImage:
         alloc = PowerAllocation.uniform(64, 64.0)
         draw, drawn = echo.draw_symbols, []
 
-        def draw_with_a_dry_last_pulse(spec, alloc, seed, pulses, policy):
-            symbols = draw(spec, alloc, seed, pulses, policy)
+        def draw_with_a_dry_last_pulse(spec, alloc, seed, pulses, law):
+            symbols = draw(spec, alloc, seed, pulses, law)
             drawn.append(pulses)
             if sum(drawn) == geom.n_pulses:
                 symbols[17, -1] = 3e-4
@@ -239,15 +239,15 @@ class TestFormImage:
         alloc = PowerAllocation.uniform(64, 64.0)
         draw, drawn = echo.draw_symbols, []
 
-        def draw_failing_on_the_third_block(spec, alloc, seed, pulses, policy):
+        def draw_failing_on_the_third_block(spec, alloc, seed, pulses, law):
             drawn.append(pulses)
             if len(drawn) == 3:
                 raise RuntimeError("third block")
-            return draw(spec, alloc, seed, pulses, policy)
+            return draw(spec, alloc, seed, pulses, law)
 
         monkeypatch.setattr(echo, "draw_symbols", draw_failing_on_the_third_block)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third block"):
-            form_image(spec64, geom, point_scene(spec64, 1), alloc, 0.03, 2, None)
+            form_image(spec64, geom, point_scene(spec64, 1), alloc, 0.03, 2, ConstantModulus())
         assert threading.active_count() == threads
         assert drawn == [128] * 3  # no block is drawn past the failed third

@@ -12,6 +12,7 @@ import pytest
 
 import ofdmsar
 from ofdmsar import cli
+from ofdmsar.allocation import ConstantModulus, TruncationPolicy
 from ofdmsar.cli import EXIT_IO, EXIT_OK, run
 from ofdmsar.config import Config, load_config, parse_config
 from ofdmsar.errors import (
@@ -343,6 +344,20 @@ class TestConfigErrors:
         assert run(["--config", str(small_cfg), "--out", str(out), cmd]) == EXIT_CONFIG
         assert "signaling" in assert_one_line_config_error(capsys)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("signaling", ["constant-modulus", "gaussian"])
+    def test_simulate_checks_tail_prob_under_either_law(self, small_cfg, tmp_path, capsys,
+                                                         signaling):
+        small_cfg.write_text(SMALL_CFG + f"signaling = {signaling}\ntail_prob = 0\n")
+        out = tmp_path / "run"
+        assert run(["--config", str(small_cfg), "--out", str(out), "simulate"]) == EXIT_CONFIG
+        assert "tail_prob" in assert_one_line_config_error(capsys)
+        assert list(out.iterdir()) == []
+
+    def test_signaling_maps_to_one_symbol_law(self):
+        assert Config().symbol_law() == ConstantModulus()
+        law = replace(Config(), signaling="gaussian", tail_prob=0.25).symbol_law()
+        assert law == TruncationPolicy(0.25)
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_negative_seed_config_error(self, small_cfg, tmp_path, capsys, cmd):

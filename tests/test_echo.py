@@ -5,6 +5,7 @@ import pytest
 
 from ofdmsar import (
     ChannelGains,
+    ConstantModulus,
     Geometry,
     PowerAllocation,
     Scene,
@@ -33,13 +34,13 @@ from oracles import (
 
 #: The Gaussian symbol law at the default tail probability, and both laws.
 GAUSSIAN = TruncationPolicy()
-LAWS, LAW_IDS = (None, GAUSSIAN), ("constant-modulus", "gaussian")
+LAWS, LAW_IDS = (ConstantModulus(), GAUSSIAN), ("constant-modulus", "gaussian")
 
 
 def seeded_symbols(n, seed):
     """Gaussian symbols of one pulse at unit power per subcarrier."""
     spec = WaveformSpec(n, float(n), float(n))
-    return spec, draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed, policy=GAUSSIAN)
+    return spec, draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed, law=GAUSSIAN)
 
 
 class TestSynthesizePulse:
@@ -187,13 +188,13 @@ class TestSynthesizeRaw:
         s1 = symbols[:, 1]
         assert not np.array_equal(s0, s1)
 
-    @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
-    def test_same_symbols_at_any_snr(self, geom, spec64, policy):
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_same_symbols_at_any_snr(self, geom, spec64, law):
         # Symbols and noise come from separate streams: the noise power does
         # not move the symbols.
         scene = point_scene(spec64, 1)
         alloc = PowerAllocation.uniform(64, 64.0)
-        cubes = [synthesize_raw(spec64, geom, scene, alloc, s2, 9, policy)
+        cubes = [synthesize_raw(spec64, geom, scene, alloc, s2, 9, law)
                  for s2 in (0.0, 0.3, 5.0)]
         for cube in cubes[1:]:
             np.testing.assert_array_equal(cube[1], cubes[0][1])
@@ -220,13 +221,13 @@ class TestBatchedSynthesis:
     @pytest.mark.parametrize("prf", [800.0, 810.0])  # 810 pulses: a partial block
     @pytest.mark.parametrize("kind", ["point", "car"])
     @pytest.mark.parametrize("sigma2", [0.3, 0.0])
-    @pytest.mark.parametrize("policy", LAWS, ids=LAW_IDS)
-    def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, policy):
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_profiles_match_per_pulse_oracle(self, prf, kind, sigma2, law):
         spec = WaveformSpec(64, 1.5e9, 64.0)
         geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, prf, 1.0)
         scene = point_scene(spec, 64) if kind == "point" else car_scene(spec)
         alloc = PowerAllocation.uniform(64, 64.0)
-        _, symbols, _ = cube = synthesize_raw(spec, geom, scene, alloc, sigma2, 11, policy)
+        _, symbols, _ = cube = synthesize_raw(spec, geom, scene, alloc, sigma2, 11, law)
         profiles = range_profile_cube(cube)
         y = synthesize_raw_per_pulse(geom, scene, symbols)
         if sigma2 != 0.0:
@@ -270,9 +271,9 @@ class TestPulseBlocks:
         """Record each draw's pulse count and let ``fault`` act on its symbols."""
         draw, drawn = echo.draw_symbols, []
 
-        def faulty(spec, alloc, seed, pulses, policy):
+        def faulty(spec, alloc, seed, pulses, law):
             drawn.append(pulses)
-            symbols = draw(spec, alloc, seed, pulses, policy)
+            symbols = draw(spec, alloc, seed, pulses, law)
             fault(drawn, symbols)
             return symbols
 

@@ -40,7 +40,6 @@ from ofdmsar import (
 )
 from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.config import parse_config
-from ofdmsar.waveform import symbol_magnitudes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -167,7 +166,7 @@ def test_point_checks_pass_draws_the_simulate_law():
     scene = scenes.make_scene(cfg.scene, spec, cfg.scene_azimuth)
     alloc = PowerAllocation.uniform(spec.n_subcarriers, spec.power_budget)
     args = (spec, geom, scene, alloc, 0.0, 7)
-    bench, simulate = synthesize_raw(*args), synthesize_raw(*args, cfg.symbol_policy())
+    bench, simulate = synthesize_raw(*args), synthesize_raw(*args, cfg.symbol_law())
     np.testing.assert_array_equal(bench[1], simulate[1])  # the symbols
     np.testing.assert_array_equal(bench[0], simulate[0])  # the spectrum
     np.testing.assert_allclose(np.abs(bench[1]), 1.0, rtol=1e-12)
@@ -182,7 +181,7 @@ def test_gaussian_law_is_the_reference_law(q):
     assert policy.A == pytest.approx(reference.emse_constant(q), rel=1e-9)
     u = np.linspace(0.0, 0.999, 1000)
     powers = np.linspace(0.1, 10.0, u.size)
-    t = symbol_magnitudes(powers, policy, u) ** 2 / (2.0 * powers)
+    t = policy.magnitudes(powers, u) ** 2 / (2.0 * powers)
     np.testing.assert_allclose(t, reference.truncation_point(q) - np.log1p(-u), rtol=1e-12)
 
 

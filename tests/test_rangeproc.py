@@ -28,7 +28,7 @@ class TestLsEstimate:
         spec = WaveformSpec(16, 16.0, 16.0)
         alloc = PowerAllocation.uniform(16, 16.0)
         for seed in range(20):
-            sym = draw_symbols(spec, alloc, seed=seed, policy=TruncationPolicy())
+            sym = draw_symbols(spec, alloc, seed=seed, law=TruncationPolicy())
             d = random_d(16, rng)
             y_f = synthesize_pulse(sym, d, None)
             np.testing.assert_allclose(ls_estimate(y_f, sym, alloc), d, atol=1e-12)
@@ -52,7 +52,7 @@ class TestLsEstimate:
         spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
         rng = np.random.default_rng(2)
-        sym = draw_symbols(spec, alloc, seed=3, policy=TruncationPolicy())
+        sym = draw_symbols(spec, alloc, seed=3, law=TruncationPolicy())
         d = random_d(n, rng)
         y_f = synthesize_pulse(sym, d, draw_noise(n, 0.05, 4))
         y = np.fft.ifft(y_f)  # the fast-time echo the dense formula takes
@@ -64,7 +64,7 @@ class TestLsEstimate:
     def test_mse_trace_identity(self, n):
         spec = WaveformSpec(n, float(n), float(n))
         alloc = PowerAllocation.uniform(n, float(n))
-        sym = draw_symbols(spec, alloc, seed=n, policy=TruncationPolicy())
+        sym = draw_symbols(spec, alloc, seed=n, law=TruncationPolicy())
         s_mat = circulant_from_pulse(modulate(sym, spec), spec) / np.sqrt(n)
         trace = np.trace(np.linalg.inv(s_mat.conj().T @ s_mat)).real
         assert abs(trace - np.sum(1.0 / np.abs(sym) ** 2)) < 1e-10
@@ -173,7 +173,7 @@ class TestRangeProfileCube:
         rng = np.random.default_rng(23)
         total = 0.0
         for _ in range(pulses):
-            sym = draw_symbols(spec, alloc, rng, policy=policy)
+            sym = draw_symbols(spec, alloc, rng, law=policy)
             y = synthesize_pulse(sym, d, draw_noise(sym.size, sigma2, rng))
             total += np.sum(np.abs(ls_estimate(y, sym, alloc) - d) ** 2)
         empirical = total / pulses

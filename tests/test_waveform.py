@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmsar import (
+    ConstantModulus,
     PowerAllocation,
     TruncationPolicy,
     WaveformSpec,
     draw_symbols,
 )
 from ofdmsar.errors import ConfigError, DimensionError
-from ofdmsar.waveform import symbol_magnitudes, unit_phasors
+from ofdmsar.waveform import unit_phasors
 from oracles import circulant_from_pulse, modulate
 
 
 #: The Gaussian symbol law at the default tail probability.
 GAUSSIAN = TruncationPolicy()
+LAWS, LAW_IDS = (ConstantModulus(), GAUSSIAN), ("constant-modulus", "gaussian")
 
 
 class TestSpec:
@@ -102,7 +104,7 @@ class TestDrawSymbols:
         spec = WaveformSpec(64, 64.0, 64.0)
         alloc = PowerAllocation.uniform(64, 64.0)
         draws = np.array(
-            [draw_symbols(spec, alloc, seed=s, policy=GAUSSIAN) for s in range(2000)]
+            [draw_symbols(spec, alloc, seed=s, law=GAUSSIAN) for s in range(2000)]
         )
         expected = 2.0 * (1.0 - np.log1p(-TruncationPolicy().tail_prob))
         assert abs(np.mean(np.abs(draws) ** 2) / expected - 1.0) < 0.02
@@ -120,31 +122,30 @@ class TestDrawSymbols:
         # |S|^2 / P_k is 2 Exp(1) shifted by the floor: standard deviation 2.
         assert abs(ratio.mean() - (2.0 + floor)) < 10.0 / np.sqrt(ratio.size)
 
-    @pytest.mark.parametrize("policy", [None, GAUSSIAN], ids=["constant-modulus", "gaussian"])
-    def test_pulse_columns_independent_of_block(self, policy):
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_pulse_columns_independent_of_block(self, law):
         spec = WaveformSpec(16, 16.0, 16.0)
         alloc = PowerAllocation.uniform(16, 16.0)
-        block = draw_symbols(spec, alloc, 5, 7, policy)
+        block = draw_symbols(spec, alloc, 5, 7, law)
         assert block.shape == (16, 7)
-        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, 3, policy), block[:, :3])
-        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, policy=policy), block[:, 0])
+        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, 3, law), block[:, :3])
+        np.testing.assert_array_equal(draw_symbols(spec, alloc, 5, law=law), block[:, 0])
 
     @pytest.mark.parametrize("pulses", [None, 7], ids=["one-pulse", "7-pulse-block"])
-    @pytest.mark.parametrize("policy", [None, GAUSSIAN], ids=["constant-modulus", "gaussian"])
-    def test_draws_are_the_uniform_draws_on_0_1(self, policy, pulses):
+    @pytest.mark.parametrize("law, rows", zip(LAWS, (1, 2)), ids=LAW_IDS)
+    def test_draws_are_the_uniform_draws_on_0_1(self, law, rows, pulses):
         # rng.random(shape) reads the doubles uniform(0, 1, shape) reads, 0 + 1 x
-        # = x, and leaves the generator in the same state.
+        # = x, and leaves the generator in the same state.  Per pulse the law reads
+        # ``rows`` rows of N, magnitudes from the first and phases from the last:
+        # constant modulus one row, the (P, N) block of phases alone.
         spec = WaveformSpec(16, 16.0, 16.0)
         alloc = PowerAllocation(np.linspace(0.5, 1.5, 16), 16.0)
         rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        drawn = draw_symbols(spec, alloc, rng, pulses, policy)
+        drawn = draw_symbols(spec, alloc, rng, pulses, law)
         lead = () if pulses is None else (pulses,)
-        if policy is None:
-            u, turns = None, twin.uniform(0.0, 1.0, (*lead, 16))
-        else:
-            u = twin.uniform(0.0, 1.0, (*lead, 2, 16))
-            u, turns = u[..., 0, :], u[..., 1, :]
-        expected = unit_phasors(turns) * symbol_magnitudes(alloc.powers, policy, u)
+        assert law.uniforms == rows
+        u = twin.uniform(0.0, 1.0, (*lead, rows, 16))
+        expected = unit_phasors(u[..., -1, :]) * law.magnitudes(alloc.powers, u[..., 0, :])
         assert drawn.tobytes() == expected.T.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -153,16 +154,15 @@ class TestDrawSymbols:
         with pytest.raises(DimensionError):
             draw_symbols(spec, PowerAllocation.uniform(5, 5.0), seed=0)
 
-    @pytest.mark.parametrize("policy, mib", [(None, 2.09), (GAUSSIAN, 3.13)],
-                             ids=["constant-modulus", "gaussian"])
-    def test_peak_memory_of_a_whole_image_draw(self, spec64, uniform64, policy, mib):
+    @pytest.mark.parametrize("law, mib", zip(LAWS, (2.09, 3.13)), ids=LAW_IDS)
+    def test_peak_memory_of_a_whole_image_draw(self, spec64, uniform64, law, mib):
         # An 800-pulse draw, as synthesize_raw makes, peaked at 2.08 and 3.13 MiB
         # through numpy's complex exp; the phasor kernel must hold no more.
-        draw_symbols(spec64, uniform64, 0, 800, policy)
+        draw_symbols(spec64, uniform64, 0, 800, law)
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            draw_symbols(spec64, uniform64, rng, 800, policy)
+            draw_symbols(spec64, uniform64, rng, 800, law)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,7 +222,7 @@ class TestModulate:
     def test_parseval(self, seed):
         spec = WaveformSpec(8, 8.0, 8.0)
         alloc = PowerAllocation.uniform(8, 8.0)
-        sym = draw_symbols(spec, alloc, seed=seed, policy=GAUSSIAN)
+        sym = draw_symbols(spec, alloc, seed=seed, law=GAUSSIAN)
         body = modulate(sym, spec)[spec.cp_len :]
         body_energy = np.sum(np.abs(body) ** 2)
         sym_energy = np.sum(np.abs(sym) ** 2)
@@ -232,7 +232,7 @@ class TestModulate:
     @settings(max_examples=25, deadline=None)
     def test_cp_replicates_tail(self, seed):
         spec = WaveformSpec(8, 8.0, 8.0)
-        sym = draw_symbols(spec, PowerAllocation.uniform(8, 8.0), seed=seed, policy=GAUSSIAN)
+        sym = draw_symbols(spec, PowerAllocation.uniform(8, 8.0), seed=seed, law=GAUSSIAN)
         pulse = modulate(sym, spec)
         cp = pulse[: spec.cp_len]
         tail = pulse[pulse.size - spec.cp_len :]
@@ -257,7 +257,7 @@ class TestCirculant:
     def test_fft_diagonalization(self):
         n = 8
         spec = WaveformSpec(n, float(n), float(n))
-        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=11, policy=GAUSSIAN)
+        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=11, law=GAUSSIAN)
         pulse = modulate(sym, spec)
         mat = circulant_from_pulse(pulse, spec)
         f = np.fft.fft(np.eye(n)) / np.sqrt(n)  # unitary DFT matrix
@@ -268,7 +268,7 @@ class TestCirculant:
     def test_eigenvalues_match_symbols(self):
         n = 8
         spec = WaveformSpec(n, float(n), float(n))
-        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=5, policy=GAUSSIAN)
+        sym = draw_symbols(spec, PowerAllocation.uniform(n, float(n)), seed=5, law=GAUSSIAN)
         mat = circulant_from_pulse(modulate(sym, spec), spec)
         # Eigenvalues are the unnormalized DFT of the body: sqrt(N) * S_k.
         eigs = np.fft.fft(mat[:, 0])
@@ -288,7 +288,7 @@ class TestTruncatedSampler:
         policy = TruncationPolicy(0.05)
         floor = np.sqrt(-2.0 * np.log1p(-0.05))  # per-subcarrier quantile, P_k = 1
         for s in range(50):
-            sym = draw_symbols(spec, alloc, s, policy=policy)
+            sym = draw_symbols(spec, alloc, s, law=policy)
             assert np.all(np.abs(sym) >= floor - 1e-12)
 
     @pytest.mark.parametrize("q", [1e-3, 0.5, 1.0 - 1e-11, np.nextafter(1.0, 0.0)])
@@ -296,7 +296,7 @@ class TestTruncatedSampler:
         # q + (1 - q) u rounds to 1 once (1 - q)(1 - u) < 2**-53, and its log1p is
         # -inf; the law's two log1p terms stay finite for every q < 1 and u < 1.
         u = np.array([0.0, 0.5, 1.0 - 1e-6, np.nextafter(1.0, 0.0)])
-        t = symbol_magnitudes(np.ones(u.size), TruncationPolicy(q), u) ** 2 / 2.0
+        t = TruncationPolicy(q).magnitudes(np.ones(u.size), u) ** 2 / 2.0
         assert np.all(np.isfinite(t))
         np.testing.assert_allclose(t, -np.log1p(-q) - np.log1p(-u), rtol=1e-12)
 
@@ -309,7 +309,7 @@ class TestTruncatedSampler:
         total = 0.0
         draws = 4000
         for s in range(draws):
-            sym = draw_symbols(spec, alloc, s, policy=policy)
+            sym = draw_symbols(spec, alloc, s, law=policy)
             total += np.sum(1.0 / np.abs(sym) ** 2)
         empirical = total / (draws * n)
         expected = policy.A / (1.0 - policy.tail_prob)
