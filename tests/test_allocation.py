@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -395,6 +396,29 @@ class TestSolverRobustness:
         assume(np.any(gains > 0.0))
         way = 1.0 - 10.0**log_way if near_capacity else 10.0**log_way
         self.solve_between(gains, 10.0**log_total, way)
+
+    def test_extreme_channel_answers_are_pinned(self):
+        # 40 fixed channels drawn like those above, each solved at a floor just
+        # above the uniform rate, midway and just below capacity (112 of the
+        # 120 bind).  The digest of every power and lam / A pins the answers
+        # bit for bit: a change to the solver's arithmetic that moves one fails.
+        rng, digest = np.random.default_rng(2024), hashlib.sha256()
+        for _ in range(40):
+            n = int(rng.integers(1, 65))
+            gains = 10.0 ** rng.uniform(-10.0, 10.0, n)
+            dry = rng.random(n) < 0.25
+            dry[rng.integers(n)] = False
+            gains[dry] = 0.0
+            ch, total = ChannelGains(gains), 10.0 ** rng.uniform(-4.0, 4.0)
+            ends = _endpoints(ch, total)
+            for way in (1e-6, 0.5, 1.0 - 1e-6):
+                r0 = ends[1] + way * (ends[3] - ends[1])
+                alloc, lam = _rate_constrained(ch, total, r0, ends)
+                assert achievable_rate(alloc, ch) >= r0 - 1e-8 * max(1.0, r0)
+                digest.update(alloc.powers.tobytes())
+                digest.update(np.float64(lam).tobytes())
+        assert digest.hexdigest() == (
+            "a2060c7b13325d406f405b141f052c9192da957847cb9eb766d48006375f4538")
 
 
 class TestWarmStartedRoots:

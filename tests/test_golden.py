@@ -43,10 +43,15 @@ RUNS = {
     # Capacity below the solver's rate tolerance: every row is the uniform allocation.
     "tradeoff/multipath/8/-150dB": (MULTIPATH, ["tradeoff", "--snr-db", "-150.0",
                                                 "--points", "8"]),
+    # At 0 dB: 6 binding floors and 36 root solves.
+    "tradeoff/multipath/32/0dB": (MULTIPATH, ["tradeoff", "--snr-db", "0.0", "--points", "32"]),
     "allocate/multipath/uniform": (MULTIPATH, ["allocate", *LOW_SNR]),
     "allocate/multipath/rate-11": (MULTIPATH, ["allocate", *LOW_SNR, "--rate-target", "11"]),
     "allocate/multipath/capacity": (MULTIPATH,
                                     ["allocate", *LOW_SNR, "--rate-target", "capacity"]),
+    # An interior floor between the uniform rate 51.70 and the capacity 64.83.
+    "allocate/multipath/rate-58/0dB": (MULTIPATH, ["allocate", "--snr-db", "0.0",
+                                                   "--rate-target", "58"]),
 }
 
 
