@@ -229,18 +229,19 @@ _MAX_STEPS = 100  # per loop
 
 
 def _stationarity_roots(
-    mu: float, lam: float, g: np.ndarray, guess: np.ndarray
+    mu: float, lam: float, g: np.ndarray, inv_g: np.ndarray, guess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots P_k of f_k, and the slopes f_k'(P_k) there, from any ``guess``."""
+    """Roots P_k of f_k, and the slopes f_k'(P_k) there, from any ``guess``;
+    ``inv_g`` is 1 / g, infinite where g_k is 0."""
     # At sqrt(1/mu) the first term alone equals mu, and at lam/mu - 1/g_k the
     # second does, so both points lie left of the root.
-    with np.errstate(divide="ignore"):
-        low = np.maximum(np.sqrt(1.0 / mu), lam / mu - 1.0 / g)
+    low = np.maximum(np.sqrt(1.0 / mu), lam / mu - inv_g)
     p = np.maximum(guess, low)
     for _ in range(_MAX_STEPS):
         gd = g / (1.0 + g * p)
-        slope = -2.0 / p**3 - lam * gd * gd
-        resid = 1.0 / p**2 + lam * gd - mu
+        lam_gd = lam * gd
+        slope = -2.0 / p**3 - lam_gd * gd
+        resid = 1.0 / p**2 + lam_gd - mu
         p = np.maximum(p - resid / slope, low)
         # Newton converges quadratically, so one step past a residual of
         # 1e-12 of the level leaves only rounding error.
@@ -274,53 +275,58 @@ def _rate_constrained(
     # In units of the mean power, the powers start at 1 whatever the budget.
     unit = total / len(ch)
     g, budget = ch.gains * unit, float(len(ch))
+    with np.errstate(divide="ignore"):
+        inv_g = 1.0 / g
 
-    def residuals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g_k / (1 + g_k P_k), and the budget and rate residuals."""
-        r = np.array([p.sum() - budget, np.log2(1.0 + g * p).sum() - rate_floor])
-        return g / (1.0 + g * p), r
+    def residuals(p: np.ndarray, slope: np.ndarray) -> tuple:
+        """g_k / (1 + g_k P_k), w = 1 / f_k', its sum, and the budget and rate residuals."""
+        gp = 1.0 + g * p
+        w = 1.0 / slope
+        r = np.array([p.sum() - budget, np.log2(gp).sum() - rate_floor])
+        return g / gp, w, w.sum(), r
 
-    def budget_step(mu: float, slope: np.ndarray, r: np.ndarray) -> float | None:
+    def budget_step(mu: float, sw: float, r: np.ndarray) -> float | None:
         """The last step on mu, taken on the powers alone to first order, once
         it is below 1e-13 of mu and the rate is within half the tolerance."""
-        step = -r[0] / (1.0 / slope).sum()
+        step = -r[0] / sw
         done = abs(step) <= 1e-13 * mu and abs(r[1]) <= 0.5 * floor_tol
         return step if done else None
 
     # The uniform allocation's multipliers, where the budget residual is 0.
     mu, lam, p, slope = 1.0, 0.0, np.ones(g.size), np.full(g.size, -2.0)
-    gd, r = residuals(p)
+    gd, w, sw, r = residuals(p, slope)
+    last, ln2 = budget_step(mu, sw, r), math.log(2.0)
     for _ in range(_MAX_STEPS):
-        last = budget_step(mu, slope, r)
         if last is not None:
             return PowerAllocation((p + last / slope) * unit, total), lam / unit
         # dP_k = (dmu - gd_k dlam) / f_k' keeps f_k at zero, so with w = 1/f'
         # the Jacobian is [[sw, -sgw], [sgw, -sggw] / ln 2].  Its determinant
         # times ln 2 is -sw * sum(w (gd - sgw/sw)^2), free of cancellation.
-        w, ln2 = 1.0 / slope, math.log(2.0)
-        sw, sgw, sggw = w.sum(), (gd * w).sum(), (gd * gd * w).sum()
+        sgw, sggw = (gd * w).sum(), (gd * gd * w).sum()
         spread = sw * (w * (gd - sgw / sw) ** 2).sum()
         inv = np.array([[sggw, -sgw * ln2], [sgw, -sw * ln2]]) / spread
         step = -inv @ r
+        d_mu, d_lam = step.tolist()
         # Sizes are relative to (mu, lam), with lam at least its step: lam starts at 0.
-        scale = np.array([mu, max(lam, abs(step[1]))])
+        scale = np.array([mu, max(lam, abs(d_lam))])
         err = step / scale
         size = math.sqrt(err.dot(err))  # what np.linalg.norm computes, bit for bit
         t = 1.0
         for _ in range(_MAX_STEPS):
-            mu_t, lam_t = mu + t * step[0], max(lam + t * step[1], 0.0)
+            mu_t, lam_t = mu + t * d_mu, max(lam + t * d_lam, 0.0)
             if mu_t > 0.0:
                 guess = p + (mu_t - mu - gd * (lam_t - lam)) / slope
-                p_t, slope_t = _stationarity_roots(mu_t, lam_t, g, guess)
-                gd_t, r_t = residuals(p_t)
-                # A converged trial is taken as it is: rounding stalls the test there.
-                if (budget_step(mu_t, slope_t, r_t) is not None
+                p_t, slope_t = _stationarity_roots(mu_t, lam_t, g, inv_g, guess)
+                gd_t, w_t, sw_t, r_t = residuals(p_t, slope_t)
+                # A converged trial is taken and returned: rounding stalls the test there.
+                last = budget_step(mu_t, sw_t, r_t)
+                if (last is not None
                         or math.sqrt((e := inv @ r_t / scale).dot(e)) <= (1.0 - t / 4.0) * size):
                     break
             t *= 0.5
         else:
             raise RuntimeError("multiplier Newton found no descending step")
-        mu, lam, p, slope, gd, r = mu_t, lam_t, p_t, slope_t, gd_t, r_t
+        mu, lam, p, slope, gd, w, sw, r = mu_t, lam_t, p_t, slope_t, gd_t, w_t, sw_t, r_t
     raise RuntimeError("multiplier Newton did not converge")
 
 

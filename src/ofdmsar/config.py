@@ -20,9 +20,11 @@ from .waveform import WaveformSpec
 
 __all__ = ["Config", "parse_config", "load_config"]
 
-# N of the channel commands.  At 2**20 allocate took 4.4 s and 358 MiB peak RSS (391 MiB
-# to capacity), tradeoff --points 8 0.5 s and 125 MiB, and a one-point mse-sweep of 100
-# trials 27 s and 385 MiB; allocate at 2**22 took 20 s and 1294 MiB.
+# N of the channel commands.  At 2**20 on 2 CPUs, on multipath channel 5 at -10 dB,
+# allocate took 5.6-7.8 s and 391-415 MiB peak RSS at a rate floor of 2.5e5 bits, between
+# the uniform rate and capacity, and tradeoff --points 8 2.9-3.2 s and 182-198 MiB.  At
+# the default config a one-point mse-sweep of 100 trials took 27 s and 385 MiB, and
+# allocate at 2**22 20 s and 1294 MiB.
 _MAX_CHANNEL_SUBCARRIERS = 2**20
 
 

@@ -428,8 +428,8 @@ class TestWarmStartedRoots:
 
     def assert_same_roots(self, mu, lam, g, guess_from_roots):
         # A zero guess is clipped to the lower bound: the cold start.
-        cold, _ = _stationarity_roots(mu, lam, g, np.zeros_like(g))
-        warm, _ = _stationarity_roots(mu, lam, g, guess_from_roots(cold))
+        cold, _ = _stationarity_roots(mu, lam, g, 1.0 / g, np.zeros_like(g))
+        warm, _ = _stationarity_roots(mu, lam, g, 1.0 / g, guess_from_roots(cold))
         np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mu_lam", [(0.5, 0.0), (0.05, 0.1), (2.0, 30.0)])
