@@ -295,7 +295,8 @@ def _rate_constrained(
     # The uniform allocation's multipliers, where the budget residual is 0.
     mu, lam, p, slope = 1.0, 0.0, np.ones(g.size), np.full(g.size, -2.0)
     gd, w, sw, r = residuals(p, slope)
-    last, ln2 = budget_step(mu, sw, r), math.log(2.0)
+    # Its rate residual uniform_rate - rate_floor is below -floor_tol: no last step.
+    last, ln2 = None, math.log(2.0)
     for _ in range(_MAX_STEPS):
         if last is not None:
             return PowerAllocation((p + last / slope) * unit, total), lam / unit

@@ -98,20 +98,17 @@ def azimuth_reference(geom: Geometry) -> np.ndarray:
 def azimuth_compress(profiles: np.ndarray, geom: Geometry) -> SarImage:
     """Correlate every range row with the conjugate azimuth reference.
 
-    Circular correlation via FFT; the output is rolled so a scatterer whose
-    closest approach falls at pulse index p peaks at azimuth index p.  A
-    complex ``profiles`` is overwritten, a block of whole rows at a time, and
-    becomes the image's ``complex_image``.
+    Circular correlation via FFT against the reference with its time origin
+    moved to sample 0, so a scatterer whose closest approach falls at pulse
+    index p peaks at azimuth index p.  A complex128 ``profiles`` is overwritten
+    in place and becomes the image's ``complex_image``.
     """
     _check_pulses(profiles, geom)
     profiles = np.asarray(profiles, dtype=complex)
-    ref_f = np.conj(np.fft.fft(azimuth_reference(geom)))
-    rows = max(1, echo._BLOCK_CELLS // geom.n_pulses)
-    for r in range(0, profiles.shape[0], rows):
-        corr = np.fft.fft(profiles[r:r + rows], axis=1)
-        corr *= ref_f
-        profiles[r:r + rows] = np.roll(np.fft.ifft(corr, axis=1), geom.n_pulses // 2, axis=1)
-    return SarImage.from_complex(profiles)
+    ref_f = np.conj(np.fft.fft(np.fft.ifftshift(azimuth_reference(geom))))
+    np.fft.fft(profiles, axis=1, out=profiles)
+    profiles *= ref_f
+    return SarImage.from_complex(np.fft.ifft(profiles, axis=1, out=profiles))
 
 
 def form_image(spec: WaveformSpec, geom: Geometry, scene: Scene, alloc: PowerAllocation,

@@ -23,7 +23,7 @@ from .waveform import WaveformSpec, draw_symbols
 
 __all__ = ["draw_noise", "pulse_blocks", "synthesize_pulse", "synthesize_raw", "pulse_rng"]
 
-_BLOCK_CELLS = 8192  # cells of whole pulses, or whole range rows, worked on at a time
+_BLOCK_CELLS = 8192  # cells of whole pulses, or of the dB raster's text, worked on at a time
 
 
 def draw_noise(n: int, sigma2: float, seed, pulses: int | None = None) -> np.ndarray | None:

@@ -26,7 +26,7 @@ from .waveform import WaveformSpec
 SPEED_OF_LIGHT = 299792458.0
 _LOG_PHASE_LIMIT = 32 * np.log(2.0)
 # Cells of one array: the image, N x n_pulses (simulate peaks near 30 B a cell under
-# tracemalloc at 256 x 2048, 425 MiB RSS at the cap), the car N x N, the tradeoff N x points.
+# tracemalloc at 256 x 2048, 423 MiB RSS at the cap), the car N x N, the tradeoff N x points.
 _MAX_CELLS = 2**24
 
 __all__ = ["SPEED_OF_LIGHT", "Geometry", "Scene", "range_cell_size", "slant_range",

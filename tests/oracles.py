@@ -14,12 +14,15 @@ The tests draw symbols through the package's ``draw_symbols``, whose one
 Gaussian magnitude law is the law under which the EMSE constant A holds.
 ``write_db_csv_rows`` formats the dB raster one Python call per row, where the
 package builds the same bytes from integer counts in numpy.
+``azimuth_compress_rolled`` correlates against the azimuth reference with its
+time origin at the middle pulse and rolls every output row by P // 2, where
+the package moves the reference's origin to sample 0 and focuses in place.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
-from ofdmsar import Geometry, Scene, WaveformSpec
+from ofdmsar import Geometry, Scene, WaveformSpec, azimuth_reference
 from ofdmsar.errors import DimensionError
 from ofdmsar.geometry import (
     SPEED_OF_LIGHT,
@@ -113,3 +116,12 @@ def write_db_csv_rows(path, db_image: np.ndarray) -> None:
     row_fmt = ",".join(["%.4f"] * db.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.writelines(row_fmt % tuple(row.tolist()) for row in db)
+
+
+def azimuth_compress_rolled(profiles: np.ndarray, geom: Geometry) -> np.ndarray:
+    """The complex image of (N, P) profiles: FFT each row, multiply by
+    conj(fft(ref)) of the reference centred on pulse P // 2, inverse FFT, then
+    roll by P // 2 so a scatterer at pulse p peaks at azimuth index p."""
+    ref_f = np.conj(np.fft.fft(azimuth_reference(geom)))
+    corr = np.fft.ifft(np.fft.fft(profiles, axis=1) * ref_f, axis=1)
+    return np.roll(corr, geom.n_pulses // 2, axis=1)

@@ -21,6 +21,7 @@ from ofdmsar.cli import EXIT_OK, run
 from ofdmsar.errors import IllConditionedWaveformError
 from ofdmsar.geometry import Scene, range_cell_size
 from ofdmsar.scenes import car_scene, point_scene
+from oracles import azimuth_compress_rolled
 
 
 def focused_point_image(spec, geom, sigma2, seed, n_azimuth=1):
@@ -176,6 +177,25 @@ class TestAzimuthCompress:
     def test_zero_profiles_all_floor(self, geom):
         img = azimuth_compress(np.zeros((4, geom.n_pulses), dtype=complex), geom)
         np.testing.assert_array_equal(img.db_image, -40.0)
+
+    @pytest.mark.parametrize("pulses", [2, 3, 99, 800, 801])
+    def test_matches_the_rolled_correlation(self, spec64, pulses):
+        # At even P, ifftshift equals fftshift; an odd P tells a shift of the
+        # reference's origin in the wrong direction from the right one.
+        geom = Geometry(np.sqrt(2.0) * 1000.0, 40.0, 9e9, float(pulses), 1.0)
+        assert geom.n_pulses == pulses
+        scene = point_scene(spec64, 1)
+        alloc = PowerAllocation.uniform(64, 64.0)
+        cube = synthesize_raw(spec64, geom, scene, alloc, 0.03, 11, TruncationPolicy())
+        profiles = rcmc_bulk(range_profile_cube(cube), geom, scene.range_cell_size)
+        expected = SarImage.from_complex(azimuth_compress_rolled(profiles, geom))
+        img = azimuth_compress(profiles, geom)
+        assert np.shares_memory(img.complex_image, profiles)  # focused in place
+        peak = np.abs(expected.complex_image).max()
+        np.testing.assert_allclose(img.complex_image, expected.complex_image,
+                                   rtol=0, atol=1e-14 * peak)
+        assert img.peak_cell == expected.peak_cell
+        assert np.abs(img.db_image - expected.db_image).max() <= 1e-4 + 1e-12
 
 
 class TestFormImage:

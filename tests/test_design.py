@@ -1,8 +1,11 @@
-"""Design guards over the package source: one encoding of the symbol law.
+"""Design guards over the package source: one encoding of the symbol law, and
+no module reading another's private names outside a short allowlist.
 
 A symbol law is a value of its own type, ``ConstantModulus`` or the Gaussian
-``TruncationPolicy``, never ``None`` standing for constant modulus.  The guard
-reads the source, so it also catches a branch that no test reaches.
+``TruncationPolicy``, never ``None`` standing for constant modulus.  A
+``_``-prefixed name is its module's own decision; another module that reads it
+shares that decision, so each such read is listed in ``PRIVATE_READS``.  The
+guards read the source, so they also catch a branch that no test reaches.
 """
 
 import ast
@@ -16,6 +19,13 @@ from ofdmsar import ConstantModulus, draw_symbols, form_image, synthesize_raw
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ofdmsar").glob("*.py"))
 LAW_NAMES = {"law", "policy"}
 LAW_TYPES = {"ConstantModulus", "TruncationPolicy", "SymbolLaw"}
+#: (reading module, owning module, name): the private names one module may read of another.
+PRIVATE_READS = {
+    ("output", "echo", "_BLOCK_CELLS"),  # the dB raster's text is encoded in blocks of it
+    ("cli", "geometry", "_MAX_CELLS"),
+    ("config", "geometry", "_MAX_CELLS"),
+    ("scenes", "geometry", "_MAX_CELLS"),
+}
 
 
 def _is_none(node) -> bool:
@@ -90,3 +100,60 @@ def test_the_default_law_is_constant_modulus(func):
     # A caller that names no law, as the benchmark's noise-free pass calls
     # synthesize_raw, draws constant-modulus symbols.
     assert inspect.signature(func).parameters["law"].default == ConstantModulus()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module an import reads from: "" for the package itself."""
+    if node.level:
+        return node.module or ""
+    if node.module == "ofdmsar" or (node.module or "").startswith("ofdmsar."):
+        return node.module.removeprefix("ofdmsar").removeprefix(".")
+    return None
+
+
+def _private_reads(tree) -> set:
+    """(module, name) of every private name the source imports from, or reads
+    as an attribute of, another module of the package."""
+    reads, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (owner := _package_module(node)) is not None:
+            for alias in node.names:
+                if owner == "":  # from . import echo: echo names a module
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    reads.add((owner, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_private_names_are_read_across_modules_only_as_listed():
+    # Equality, not a subset: an allowance whose read is gone is dropped with it.
+    made = {(path.stem, *read) for path in SOURCES
+            for read in _private_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert made == PRIVATE_READS
+
+
+@pytest.mark.parametrize("source", [
+    "from . import echo\nrows = echo._BLOCK_CELLS // 4\n",
+    "from . import echo as e\ne._BLOCK_CELLS\n",
+    "from .geometry import _MAX_CELLS\n",
+    "from .echo import _BLOCK_CELLS as cells\n",
+    "from ofdmsar import echo\necho._BLOCK_CELLS\n",
+    "from ofdmsar.geometry import _MAX_CELLS\n",
+    "def f():\n    from . import echo\n    return echo._pulse_step(3)\n",
+])
+def test_the_guard_catches_each_private_read(source):
+    assert _private_reads(ast.parse(source)) != set()
+
+
+def test_the_guard_passes_public_and_foreign_names():
+    source = ("import numpy as np\nfrom . import echo\nfrom .geometry import Scene\n"
+              "x = echo.pulse_blocks, echo.__name__, np._NoValue, self._cache\n")
+    assert _private_reads(ast.parse(source)) == set()
