@@ -98,7 +98,8 @@ class ConstantModulus:
         return np.sqrt(powers)
 
     def unit_symbols(self, z: np.ndarray, r: np.ndarray) -> tuple:
-        """z / |z| of a unit-power block ``z`` of moduli ``r``, and its least |S_k|^2, 1."""
+        """z / |z| of a block ``z`` drawn at unit allocation, of moduli ``r``, and its
+        least |S_k|^2, 1."""
         return z * np.reciprocal(r), 1.0  # = z / |z| bit for bit (numpy scales by 1/r)
 
 
@@ -135,7 +136,8 @@ class TruncationPolicy:
         return np.sqrt(powers) * np.sqrt(-2.0 * (np.log1p(-q) + np.log1p(-u)))
 
     def unit_symbols(self, z: np.ndarray, r: np.ndarray) -> tuple:
-        """A unit-power block ``z`` (N, P) of moduli ``r`` as it is, and min_p |z_kp|^2."""
+        """A block ``z`` (N, P) drawn at unit allocation, of moduli ``r``, as it is, and
+        min_p |z_kp|^2.  Its mean power is 2(1 - ln(1 - q)), not 1 (ROADMAP item 5)."""
         return z, np.square(np.fmin.reduce(r, axis=1))
 
 
@@ -285,21 +287,11 @@ def _rate_constrained(
         r = np.array([p.sum() - budget, np.log2(gp).sum() - rate_floor])
         return g / gp, w, w.sum(), r
 
-    def budget_step(mu: float, sw: float, r: np.ndarray) -> float | None:
-        """The last step on mu, taken on the powers alone to first order, once
-        it is below 1e-13 of mu and the rate is within half the tolerance."""
-        step = -r[0] / sw
-        done = abs(step) <= 1e-13 * mu and abs(r[1]) <= 0.5 * floor_tol
-        return step if done else None
-
     # The uniform allocation's multipliers, where the budget residual is 0.
     mu, lam, p, slope = 1.0, 0.0, np.ones(g.size), np.full(g.size, -2.0)
     gd, w, sw, r = residuals(p, slope)
-    # Its rate residual uniform_rate - rate_floor is below -floor_tol: no last step.
-    last, ln2 = None, math.log(2.0)
+    ln2 = math.log(2.0)
     for _ in range(_MAX_STEPS):
-        if last is not None:
-            return PowerAllocation((p + last / slope) * unit, total), lam / unit
         # dP_k = (dmu - gd_k dlam) / f_k' keeps f_k at zero, so with w = 1/f'
         # the Jacobian is [[sw, -sgw], [sgw, -sggw] / ln 2].  Its determinant
         # times ln 2 is -sw * sum(w (gd - sgw/sw)^2), free of cancellation.
@@ -319,10 +311,13 @@ def _rate_constrained(
                 guess = p + (mu_t - mu - gd * (lam_t - lam)) / slope
                 p_t, slope_t = _stationarity_roots(mu_t, lam_t, g, inv_g, guess)
                 gd_t, w_t, sw_t, r_t = residuals(p_t, slope_t)
-                # A converged trial is taken and returned: rounding stalls the test there.
-                last = budget_step(mu_t, sw_t, r_t)
-                if (last is not None
-                        or math.sqrt((e := inv @ r_t / scale).dot(e)) <= (1.0 - t / 4.0) * size):
+                # A converged trial is returned, as rounding stalls the test there: once
+                # the last step on mu is below 1e-13 of mu and the rate within half the
+                # tolerance, that step is taken on the powers alone, to first order.
+                last = -r_t[0] / sw_t
+                if abs(last) <= 1e-13 * mu_t and abs(r_t[1]) <= 0.5 * floor_tol:
+                    return PowerAllocation((p_t + last / slope_t) * unit, total), lam_t / unit
+                if math.sqrt((e := inv @ r_t / scale).dot(e)) <= (1.0 - t / 4.0) * size:
                     break
             t *= 0.5
         else:

@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # An override flag's dest is the config key it sets; `command` is the handler.
     p = sub.add_parser("allocate", help="compute a power allocation")
     p.set_defaults(command=_cmd_allocate)
-    p.add_argument("--rate-target", type=str, default=None,
-                   help="rate floor in bits per channel use, or 'capacity'")
+    p.add_argument("--rate-target", type=str, default="0",
+                   help="rate floor in bits per channel use, or 'capacity' (default 0: uniform)")
     p.add_argument("--snr-db", type=float, default=None)
 
     p = sub.add_parser("simulate", help="synthesize echoes and form a SAR image")
@@ -108,17 +108,14 @@ def _cmd_allocate(cfg: Config, args, out: Path) -> int:
     spec, sigma2, ch = _channel_setup(cfg)
     policy = TruncationPolicy(cfg.tail_prob)  # checked before any solve
     capacity = allocation.achievable_rate(allocation.water_filling(ch, spec.power_budget), ch)
-    if args.rate_target is None:
-        alloc = allocation.PowerAllocation.uniform(len(ch), spec.power_budget)
-    else:
-        try:
-            r0 = capacity if args.rate_target == "capacity" else float(args.rate_target)
-        except ValueError:
-            r0 = np.nan
-        if not r0 > -np.inf:  # not a number, NaN or -inf
-            raise ConfigError("--rate-target takes a number of bits or 'capacity', "
-                              f"not {args.rate_target!r}")
-        alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0)
+    try:
+        r0 = capacity if args.rate_target == "capacity" else float(args.rate_target)
+    except ValueError:
+        r0 = np.nan
+    if not r0 > -np.inf:  # not a number, NaN or -inf
+        raise ConfigError("--rate-target takes a number of bits or 'capacity', "
+                          f"not {args.rate_target!r}")
+    alloc = allocation.emse_rate_constrained(ch, spec.power_budget, r0)
     rate = allocation.achievable_rate(alloc, ch)
     emse = allocation.emse_of_alloc(alloc, sigma2, policy)
     print(f"capacity_bits = {capacity!r}")

@@ -143,12 +143,11 @@ def scene_coefficients(geom: Geometry, scene: Scene) -> np.ndarray:
     cells change no bit of a sum that starts at +0.  It is copied once into d.
     """
     n = geom.n_pulses
-    rows, cols = np.nonzero(scene.rcs.T)[::-1]  # by column
     base = n // 2 + 1  # above every in-beam |o|, as prf T < n_pulses + 1
     o = np.arange(-base, base + 1)
     o = o[aperture_envelope(geom, o / geom.prf).astype(bool)]
     k = o.size // 2  # o is -k..k
-    kernel_rows = np.unique(rows)
+    kernel_rows = np.flatnonzero(scene.rcs.any(axis=1))
     rbar = closest_approach_ranges(geom, scene.n_range_cells, scene.range_cell_size)
     r = slant_range(geom, rbar[kernel_rows], o[k:, None] / geom.prf)
     kernel = np.empty((o.size, kernel_rows.size), dtype=complex)
@@ -157,7 +156,7 @@ def scene_coefficients(geom: Geometry, scene: Scene) -> np.ndarray:
     # Columns lie max(1, round(prf rho_a / v)) pulses apart, the count nearest one azimuth
     # cell; a step past n_pulses, where no other column is ever in the beam, is held.
     step = max(1, round(min(geom.prf * geom.azimuth_resolution() / geom.velocity, n)))
-    columns = np.unique(cols)
+    columns = np.flatnonzero(scene.rcs.any(axis=0))
     firsts = n // 2 + (columns - scene.n_azimuth // 2) * step + o[0]  # pulse at o[0]
     lo, hi = np.maximum(firsts, 0), np.minimum(firsts + o.size, n)
     columns, firsts, lo, hi = (x[lo < hi] for x in (columns, firsts, lo, hi))

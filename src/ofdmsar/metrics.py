@@ -5,10 +5,11 @@ uniform vs communication-optimal allocation) against their closed-form
 predictions, with common random variates across designs within each trial.
 A trial is drawn as an image draws a pulse: SNR point si is the key ``(si,)``
 of ``echo.pulse_blocks``, trial t is pulse t of its two streams, and the
-trials come in the blocks that it draws as each is taken: unit-power Gaussian
-symbols z and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales its
-symbol law's ``unit_symbols`` of z by sqrt(P_k), and its ``ls_spectrum`` estimate
-X of a block is scored in the subcarrier domain by Parseval's theorem,
+trials come in the blocks that it draws as each is taken: Gaussian symbols z
+drawn at unit allocation (P_k = 1; of mean power 2(1 - ln(1 - q)), the 2P law of
+ROADMAP item 5) and ``draw_noise``'s CN(0, N sigma^2) rows.  Each design scales
+its symbol law's ``unit_symbols`` of z by sqrt(P_k), and its ``ls_spectrum``
+estimate X of a block is scored in the subcarrier domain by Parseval's theorem,
 sum |ifft(X) - d|^2 = sum |X - fft(d)|^2 / N, so no inverse FFT is made.  The
 draws do not depend on the block size; the summed MSE does, by its order only.
 A block's one |z| gives each law its unit symbols and least |S_k|^2 per subcarrier.

@@ -526,6 +526,20 @@ class TestTradeoffSweep:
                 assert achievable_rate(alone, ch) >= r0 - 1e-8 * max(1.0, r0)
                 np.testing.assert_array_equal(pt.allocation.powers, alone.powers)
 
+    def test_a_solve_converging_on_its_last_allowed_step_returns(self, monkeypatch):
+        # Channel 5's sixth floor (12.553 bits) converges on the sixth multiplier
+        # step, and the converged trial is returned on that step, so a cap of 6
+        # suffices.  A solver that carried it to the next loop top to return it
+        # needed a seventh step, and at a cap of 6 raised "did not converge".
+        cfg, _, ch = self.multipath_channel(5)
+        ends = _endpoints(ch, cfg.power_budget)
+        r0 = np.linspace(0.0, ends[3], 8).tolist()[5]
+        free, free_lam = _rate_constrained(ch, cfg.power_budget, r0, ends)
+        monkeypatch.setattr(allocation, "_MAX_STEPS", 6)
+        capped, capped_lam = _rate_constrained(ch, cfg.power_budget, r0, ends)
+        np.testing.assert_array_equal(capped.powers, free.powers)
+        assert capped_lam == free_lam
+
     @staticmethod
     def count_root_solves(monkeypatch):
         """A list that grows by one at each call of ``_stationarity_roots``."""

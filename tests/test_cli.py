@@ -185,6 +185,24 @@ class TestAllocate:
         assert "emse = " in out
         assert "rate_bits_scaled_by_bandwidth = " in out
 
+    @pytest.mark.parametrize("config, argv", [
+        ((ROOT / "configs" / "default.cfg").read_text(), []),
+        ("channel = multipath\nchannel_seed = 5\n", ["--snr-db", "-10"]),
+    ], ids=["default", "multipath-5-at--10dB"])
+    def test_no_rate_target_is_the_zero_floor(self, tmp_path, capsys, config, argv):
+        # With no flag the floor is 0, which the uniform allocation meets first.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+
+        def outputs(*flag):
+            assert run(["--config", str(cfg), "--out", str(tmp_path), "allocate", *argv,
+                        *flag]) == EXIT_OK
+            return capsys.readouterr().out, (tmp_path / "allocation.csv").read_bytes()
+
+        out, csv_bytes = outputs()
+        assert outputs("--rate-target", "0") == (out, csv_bytes)
+        assert {row[1] for row in read_csv(tmp_path / "allocation.csv")[1:]} == {"1.0"}
+
     def test_rate_target_capacity(self, tmp_path, capsys):
         code = run(["--out", str(tmp_path), "allocate", "--rate-target", "capacity"])
         assert code == EXIT_OK

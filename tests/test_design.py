@@ -1,11 +1,14 @@
-"""Design guards over the package source: one encoding of the symbol law, and
-no module reading another's private names outside a short allowlist.
+"""Design guards over the package source: one encoding of the symbol law, no
+module reading another's private names outside a short allowlist, and None
+returned beside a value only by the functions listed.
 
 A symbol law is a value of its own type, ``ConstantModulus`` or the Gaussian
 ``TruncationPolicy``, never ``None`` standing for constant modulus.  A
 ``_``-prefixed name is its module's own decision; another module that reads it
-shares that decision, so each such read is listed in ``PRIVATE_READS``.  The
-guards read the source, so they also catch a branch that no test reaches.
+shares that decision, so each such read is listed in ``PRIVATE_READS``.  A
+function annotated ``-> X | None`` makes each caller test for None, so each one
+is listed in ``OPTIONAL_RETURNS``.  The guards read the source, so they also
+catch a branch that no test reaches.
 """
 
 import ast
@@ -25,6 +28,10 @@ PRIVATE_READS = {
     ("cli", "geometry", "_MAX_CELLS"),
     ("config", "geometry", "_MAX_CELLS"),
     ("scenes", "geometry", "_MAX_CELLS"),
+}
+#: (module, function): the functions whose return annotation is a union with None.
+OPTIONAL_RETURNS = {
+    ("echo", "draw_noise"),  # None at sigma2 = 0, drawing no noise
 }
 
 
@@ -157,3 +164,33 @@ def test_the_guard_passes_public_and_foreign_names():
     source = ("import numpy as np\nfrom . import echo\nfrom .geometry import Scene\n"
               "x = echo.pulse_blocks, echo.__name__, np._NoValue, self._cache\n")
     assert _private_reads(ast.parse(source)) == set()
+
+
+def _optional_returns(tree) -> set:
+    """Names of the functions, nested ones too, whose return annotation admits
+    None beside another type: ``X | None`` or ``Optional[X]``, not a bare None."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {f.name for f in ast.walk(tree)
+            if isinstance(f, funcs) and not _is_none(f.returns) and _optional(f.returns)}
+
+
+def test_functions_return_none_beside_a_value_only_as_listed():
+    # Equality, as for PRIVATE_READS: an allowance whose function is gone is dropped.
+    made = {(path.stem, name) for path in SOURCES
+            for name in _optional_returns(ast.parse(path.read_text(encoding="utf-8")))}
+    assert made == OPTIONAL_RETURNS
+
+
+@pytest.mark.parametrize("source", [
+    "def f(r):\n    def step(mu: float) -> float | None:\n        return None\n    return step\n",
+    "def f(x) -> Optional[int]:\n    pass\n",
+    "def f(x) -> Union[int, None]:\n    pass\n",
+], ids=["nested-union", "Optional", "Union"])
+def test_the_guard_catches_each_optional_return(source):
+    assert _optional_returns(ast.parse(source)) != set()
+
+
+def test_the_guard_passes_bare_none_returns_and_optional_parameters():
+    source = ("def f(pulses: int | None = None) -> None:\n    pass\n"
+              "def g(x: Optional[int]) -> int:\n    return 0\n")
+    assert _optional_returns(ast.parse(source)) == set()
